@@ -89,7 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one study from a config file")
     run_p.add_argument("--config", required=True, help="path to the JSON config")
-    run_p.add_argument("--threads", type=int, default=1, help="worker threads for path batches")
+    run_p.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; all work runs on one thread",
+    )
     run_p.add_argument("--out", default=None, help="output directory (overrides config/env)")
 
     val_p = sub.add_parser("validate", help="validate a config file and exit")

@@ -75,6 +75,12 @@ def _positive_int(value, path):
     return v
 
 
+def _nonnegative_int(value, path):
+    v = _integer(value, path)
+    _expect(v >= 0, path, "must be >= 0")
+    return v
+
+
 def _boolean(value, path):
     _expect(isinstance(value, bool), path, "must be a boolean")
     return value
@@ -191,7 +197,7 @@ STUDY_SCHEMAS = {
     ),
     "estimator-study": (
         {"inference_weights": _number_list},
-        {"n_replays": _positive_int, "path_seed_index": _integer},
+        {"n_replays": _positive_int, "path_seed_index": _nonnegative_int},
     ),
     "multi-period": (
         {"inference_weights": _number_list, "n_episodes": _positive_int},
@@ -280,7 +286,7 @@ def validate_config(doc: Any) -> ExperimentConfig:
                 v, p, {"horizon": _positive, "n_steps": _positive_int}
             ),
             "rng": lambda v, p: _check_block(
-                v, p, {"master_seed": _integer}, {"bit_exact": _boolean}
+                v, p, {"master_seed": _nonnegative_int}, {"bit_exact": _boolean}
             ),
             "study": lambda v, p: v,
         },

@@ -269,8 +269,18 @@ class RngContract:
         return self.stream(*key).standard_normal(n)
 
     def normal_matrix(self, n_paths: int, n: int, namespace: int, offset: int = 0) -> np.ndarray:
-        """Stack per-path increment rows (path i -> stream (namespace, offset+i))."""
+        """Stack per-path increment rows (path i -> stream (namespace, offset+i)).
+
+        Row i is bit-identical to ``normals(n, namespace, offset + i)``; the
+        seed states of all rows are hashed at once by ``row_seed_states``.
+        """
+        # Imported here: it loads numpy.random, which ``import stackinfer`` avoids.
+        from ._seedseq import FixedSeed, row_seed_states
+
+        if offset < 0:
+            raise InvalidArgumentError(f"offset must be >= 0, got {offset}")
         out = np.empty((n_paths, n))
-        for i in range(n_paths):
-            out[i] = self.normals(n, namespace, offset + i)
+        states = row_seed_states(self.master_seed, namespace, offset, n_paths)
+        for row, state in zip(out, states):
+            np.random.Generator(np.random.PCG64(FixedSeed(state))).standard_normal(out=row)
         return out

@@ -2,16 +2,15 @@
 
 Each study builds its models from a validated configuration, runs the
 corresponding numerical experiment, and returns a ``StudyResult`` holding a
-scalar summary plus CSV tables. Path-level work is distributed over a thread
-pool in contiguous path-index chunks; since every path draws from its own
-index-keyed stream and results land in preallocated slots, output is
-identical for any thread count.
+scalar summary plus CSV tables. Every path draws from its own index-keyed
+stream, so output does not depend on how paths are batched. The ``threads``
+argument is still accepted, but all work runs on the calling thread: the
+per-path work holds the GIL, and a thread pool only slowed it down.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,22 +80,13 @@ def _provenance(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _chunks(n: int, threads: int):
-    size = max(1, math.ceil(n / max(1, threads)))
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
 def _run_chunked(n_paths: int, threads: int, work):
-    """Run work(lo, hi) over contiguous path ranges, possibly in parallel."""
-    spans = _chunks(n_paths, threads)
-    if threads <= 1 or len(spans) == 1:
-        for lo, hi in spans:
-            work(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(work, lo, hi) for lo, hi in spans]
-        for fut in futures:
-            fut.result()
+    """Run work(lo, hi) over all paths on the calling thread.
+
+    ``threads`` is accepted for interface stability only: the per-path work
+    holds the GIL, so a thread pool made it slower, not faster.
+    """
+    work(0, n_paths)
 
 
 def _leader_stats(leader, follower, coeffs, fr, policy, grid, n_paths, rng, threads,

@@ -57,23 +57,32 @@ def test_criterion_1_riccati_oracles(follower, solved_5000):
     cf = FollowerClosedForm(-1.0, 1.0, 0.1, 1.0, 1.0, HORIZON)
     a_err = abs(fr.a[0] - float(cf.a(0.0)))
 
-    errs = {}
+    def oracle_quad0(lam, n_steps):
+        quad0, _, _ = leader_system_fine(
+            cf, -1.0, 1.0, 0.1, 1.0, 1.0, 1.0, lam, follower.noise_to_signal,
+            TARGET_AMP, TARGET_OMEGA, HORIZON, n_steps,
+        )
+        return quad0
+
+    errs, oracle_gaps = {}, {}
     for lam, n_lib in ((0.0, 500), (0.5, 5000)):
         leader = make_leader(lam)
         g = si.build_grid(HORIZON, n_lib)
         fr_l = si.solve_follower_a(follower, g)
         co_l = si.compute_coefficients(fr_l, follower)
         lr = si.solve_leader_system(leader, follower, co_l)
-        quad0, _, _ = leader_system_fine(
-            cf, -1.0, 1.0, 0.1, 1.0, 1.0, 1.0, lam, follower.noise_to_signal,
-            TARGET_AMP, TARGET_OMEGA, HORIZON, 100 * n_lib,
-        )
+        # RK4 at 10x the library's steps is converged far below the 1e-6
+        # tolerance; halving its step once more must not move it.
+        quad0 = oracle_quad0(lam, 10 * n_lib)
+        oracle_gaps[lam] = float(np.max(np.abs(quad0 - oracle_quad0(lam, 20 * n_lib))))
         errs[lam] = float(np.max(np.abs(lr.quad[0] - quad0)))
     elapsed = time.time() - start
+    assert max(oracle_gaps.values()) <= 1e-10, f"oracle not converged: {oracle_gaps}"
     ok = a_err <= 1e-8 and errs[0.0] <= 1e-6 and errs[0.5] <= 1e-6 and elapsed < 5.0
     report(1, "riccati-oracle-equivalence", ok,
            f"a(0) err={a_err:.2e}, L(0) err lam0={errs[0.0]:.2e} "
-           f"lam0.5={errs[0.5]:.2e}, {elapsed:.1f}s")
+           f"lam0.5={errs[0.5]:.2e}, oracle 10x/20x gap={max(oracle_gaps.values()):.1e}, "
+           f"{elapsed:.1f}s")
 
 
 def test_criterion_2_lq_degeneracy(follower, solved_5000):

@@ -135,6 +135,20 @@ class TestCliCommands:
         assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "block, key, field",
+        [("rng", "master_seed", "config.rng.master_seed"),
+         ("study", "path_seed_index", "config.study.path_seed_index")],
+    )
+    def test_negative_rng_key_exit_code(self, tmp_path, capsys, block, key, field):
+        doc = make_doc(name="estimator-study", inference_weights=[0.5], n_replays=10)
+        doc[block][key] = -3
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
         path = write_doc(tmp_path, make_doc())
         monkeypatch.chdir(tmp_path)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stackinfer as si
@@ -117,11 +117,33 @@ class TestRngContract:
         assert not np.array_equal(rng.normals(16, 0, 0), rng.normals(16, 0, 1))
         assert not np.array_equal(rng.normals(16, 0, 0), rng.normals(16, 1, 0))
 
-    def test_matrix_matches_streams(self):
-        rng = si.RngContract(master_seed=99)
-        mat = rng.normal_matrix(4, 10, 1, offset=3)
-        for i in range(4):
-            assert np.array_equal(mat[i], rng.normals(10, 1, 3 + i))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        master_seed=st.one_of(
+            st.sampled_from([0, 2**31 - 1]),
+            st.integers(0, 2**20).map(lambda k: 2**32 + k),
+            st.integers(2**128, 2**140),
+        ),
+        namespace=st.one_of(st.integers(0, 3), st.integers(2**32, 2**40)),
+        offset=st.one_of(st.integers(0, 1000), st.integers(2**32 - 300, 2**32 + 5)),
+        n_paths=st.integers(0, 300),
+        n=st.integers(1, 6),
+    )
+    @example(master_seed=99, namespace=1, offset=2**32 - 2, n_paths=4, n=10)
+    def test_matrix_matches_streams(self, master_seed, namespace, offset, n_paths, n):
+        """The batched seeding is bit-identical to one SeedSequence per row."""
+        rng = si.RngContract(master_seed=master_seed)
+        mat = rng.normal_matrix(n_paths, n, namespace, offset=offset)
+        assert mat.shape == (n_paths, n)
+        for i in range(n_paths):
+            assert np.array_equal(mat[i], rng.normals(n, namespace, offset + i))
+
+    def test_matrix_rejects_out_of_range_offset(self):
+        rng = si.RngContract(master_seed=1)
+        with pytest.raises(si.InvalidArgumentError):
+            rng.normal_matrix(3, 4, 0, offset=-1)
+        with pytest.raises(si.InvalidArgumentError):
+            rng.normal_matrix(3, 4, 0, offset=2**64 - 2)
 
 
 class TestModelValidation:
