@@ -66,6 +66,7 @@ from .infer import (
     mle_continuous,
     mle_continuous_batch,
     mle_discrete_joint,
+    mle_discrete_joint_batch,
     multi_period_update,
     realized_variance_proxy,
     sigma_quadratic_variation,

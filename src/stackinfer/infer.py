@@ -67,6 +67,15 @@ class MultiPeriodState:
         return p / self.total_precision
 
 
+def _check_times(times) -> np.ndarray:
+    times = np.array(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise InvalidArgumentError("need at least 2 observation times")
+    if np.any(np.diff(times) <= 0):
+        raise InvalidArgumentError("observation times must be strictly increasing")
+    return times
+
+
 @dataclass(frozen=True)
 class DiscreteObservations:
     """Follower values observed at increasing times within [0, T]."""
@@ -75,14 +84,10 @@ class DiscreteObservations:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = _check_times(self.times)
         values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise InvalidArgumentError("need at least 2 observation times")
         if values.shape != times.shape:
             raise InvalidArgumentError("times and values must have equal length")
-        if np.any(np.diff(times) <= 0):
-            raise InvalidArgumentError("observation times must be strictly increasing")
         times.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -223,12 +228,7 @@ def sigma_quadratic_variation(fpath: FollowerPath) -> float:
     return float(dx @ dx) / fpath.grid.horizon
 
 
-def _interval_tables(
-    obs: DiscreteObservations,
-    fr: FollowerRiccati,
-    gp: GProfile,
-    sub_nodes: int,
-):
+def _interval_tables(t: np.ndarray, fr: FollowerRiccati, gp: GProfile, sub_nodes: int):
     """Transition factor, score integral and variance integral per interval.
 
     All three are sub-quadrature approximations of integrals of exp of the
@@ -236,7 +236,6 @@ def _interval_tables(
     interpolated from their grid arrays.
     """
     grid = fr.grid
-    t = obs.times
     if t[0] < -1e-12 or t[-1] > grid.horizon + 1e-12:
         raise InvalidArgumentError("observation times outside the solver horizon")
     left = t[:-1]
@@ -258,6 +257,39 @@ def _interval_tables(
     return transition, score_int, var_int
 
 
+def mle_discrete_joint_batch(
+    times: np.ndarray,
+    values: np.ndarray,
+    fr: FollowerRiccati,
+    gp: GProfile,
+    model: FollowerModel,
+    sub_nodes: int = 16,
+    floor: float = DEGENERACY_FLOOR,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint (m_hat, sigma2_hat) per row of ``values``, all observed at ``times``.
+
+    The interval tables depend only on the times, so they are built once
+    for every row.
+    """
+    t = _check_times(times)
+    # Row-major, so every row is reduced in the same order as a single path.
+    x = np.ascontiguousarray(np.atleast_2d(values), dtype=float)
+    if x.ndim != 2 or x.shape[1] != t.size:
+        raise InvalidArgumentError("each row of values needs one value per observation time")
+    transition, score_int, var_int = _interval_tables(t, fr, gp, sub_nodes)
+    innov = x[:, 1:] - x[:, :-1] * transition
+    gain = model.gain_sq_over_r
+    denom = float(np.sum(score_int**2 / var_int))
+    if denom <= floor:
+        raise DegeneratePathError(
+            f"discrete precision {denom:.3g} is below the floor {floor:.3g}"
+        )
+    m_hat = -np.sum(innov * score_int / var_int, axis=1) / (gain * denom)
+    resid = innov + (m_hat * gain)[:, None] * score_int
+    sigma2_hat = np.mean(resid**2 / var_int, axis=1)
+    return m_hat, sigma2_hat
+
+
 def mle_discrete_joint(
     obs: DiscreteObservations,
     fr: FollowerRiccati,
@@ -273,16 +305,7 @@ def mle_discrete_joint(
     estimate approaches the continuous-observation one and the variance
     estimate approaches the true squared noise level.
     """
-    transition, score_int, var_int = _interval_tables(obs, fr, gp, sub_nodes)
-    x = obs.values
-    innov = x[1:] - x[:-1] * transition
-    gain = model.gain_sq_over_r
-    denom = float(np.sum(score_int**2 / var_int))
-    if denom <= floor:
-        raise DegeneratePathError(
-            f"discrete precision {denom:.3g} is below the floor {floor:.3g}"
-        )
-    m_hat = -float(np.sum(innov * score_int / var_int)) / (gain * denom)
-    resid = innov + m_hat * gain * score_int
-    sigma2_hat = float(np.mean(resid**2 / var_int))
-    return DiscreteJointEstimate(m_hat=m_hat, sigma2_hat=sigma2_hat)
+    m_hat, sigma2_hat = mle_discrete_joint_batch(
+        obs.times, obs.values[None, :], fr, gp, model, sub_nodes, floor
+    )
+    return DiscreteJointEstimate(m_hat=float(m_hat[0]), sigma2_hat=float(sigma2_hat[0]))

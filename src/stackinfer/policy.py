@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -73,11 +74,23 @@ class RiccatiPolicy:
     leader: LeaderModel
     lr: LeaderRiccati
 
-    def control_at(self, j: int, x, aux, aux2):
-        q = self.lr.quad[j]
-        m1 = self.lr.lin[j, 0]
-        gain = -self.leader.b_control / self.leader.r_control
-        return gain * (2.0 * (q[0, 0] * x + q[0, 1] * aux + q[0, 2] * aux2) + m1)
+    @cached_property
+    def gains(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(scale, state_gain, offset): u_j = scale * (state_gain[j] . psi + offset[j]).
+
+        state_gain is 2 quad(t_j)[0, :] per node and offset is lin_1(t_j);
+        doubling is exact, so this is the law above to the last bit.
+        """
+        state_gain = 2.0 * self.lr.quad[:, 0, :]
+        offset = self.lr.lin[:, 0]
+        state_gain.setflags(write=False)
+        return -self.leader.b_control / self.leader.r_control, state_gain, offset
+
+    def control_at(self, j, x, aux, aux2):
+        """Control at node j (an index or a slice of nodes along the last axis)."""
+        scale, state_gain, offset = self.gains
+        k = state_gain[j]
+        return scale * (k[..., 0] * x + k[..., 1] * aux + k[..., 2] * aux2 + offset[j])
 
     def session(self, n_paths: int):
         return _StatelessSession(

@@ -15,6 +15,7 @@ conservative existence horizon, and ``solve_leader_system`` raises
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,9 +111,8 @@ def solve_follower_a(model: FollowerModel, grid: TimeGrid) -> FollowerRiccati:
 
     n = grid.n_steps
     h = grid.h
-    a = np.empty(n + 1)
-    a[n] = 0.0
     y = 0.0
+    values = [y]
     for j in range(n - 1, -1, -1):
         k1 = rhs(y)
         k2 = rhs(y - 0.5 * h * k1)
@@ -123,7 +123,8 @@ def solve_follower_a(model: FollowerModel, grid: TimeGrid) -> FollowerRiccati:
             raise InvalidArgumentError(
                 f"follower Riccati overflowed at t={grid.nodes[j]:.6g}"
             )
-        a[j] = y
+        values.append(y)
+    a = np.array(values[::-1])
     f = model.a_drift - 2.0 * model.gain_sq_over_r * a
     cum_f = cumtrapz(f, grid)
     return FollowerRiccati(grid=grid, a=a, f=f, cum_f=cum_f)
@@ -160,10 +161,11 @@ def solve_follower_bc(
     grid = fr.grid
     if x_leader.grid != grid:
         raise InvalidArgumentError("leader trajectory grid does not match solver grid")
-    x = x_leader.values
-    a = fr.a
-    x_mid = _interp_mid(x)
-    a_mid = _interp_mid(a)
+    # Python floats: numpy scalar arithmetic would dominate the sequential loop.
+    x = x_leader.values.tolist()
+    a = fr.a.tolist()
+    x_mid = _interp_mid(x_leader.values).tolist()
+    a_mid = _interp_mid(fr.a).tolist()
 
     alpha = 2.0 * model.gain_sq_over_r
     drift = model.a_drift
@@ -181,11 +183,9 @@ def solve_follower_bc(
 
     n = grid.n_steps
     h = grid.h
-    b = np.empty(n + 1)
-    c = np.empty(n + 1)
-    b[n] = 0.0
-    c[n] = 0.0
     yb, yc = 0.0, 0.0
+    b = [yb]
+    c = [yc]
     for j in range(n - 1, -1, -1):
         a_r, a_m, a_l = a[j + 1], a_mid[j], a[j]
         x_r, x_m, x_l = x[j + 1], x_mid[j], x[j]
@@ -195,9 +195,9 @@ def solve_follower_bc(
         kb4, kc4 = rhs(a_l, x_l, yb - h * kb3, yc - h * kc3)
         yb = yb - (h / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
         yc = yc - (h / 6.0) * (kc1 + 2.0 * kc2 + 2.0 * kc3 + kc4)
-        b[j] = yb
-        c[j] = yc
-    return b, c
+        b.append(yb)
+        c.append(yc)
+    return np.array(b[::-1]), np.array(c[::-1])
 
 
 def scaled_info_weight(leader: LeaderModel, follower: FollowerModel) -> float:
@@ -239,12 +239,13 @@ def solve_leader_system(
     sig2 = leader.sigma**2
     b2_over_2r = leader.b_control**2 / (2.0 * leader.r_control)
 
-    w = coeffs.weight
-    d = coeffs.decay
-    w_mid = _interp_mid(w)
-    d_mid = _interp_mid(d)
-    f_nodes = leader.target_at(nodes, T)
-    f_mid = leader.target_at(0.5 * (nodes[:-1] + nodes[1:]), T)
+    # Python floats: numpy scalar arithmetic would dominate the sequential loop.
+    w = coeffs.weight.tolist()
+    d = coeffs.decay.tolist()
+    w_mid = _interp_mid(coeffs.weight).tolist()
+    d_mid = _interp_mid(coeffs.decay).tolist()
+    f_nodes = leader.target_at(nodes, T).tolist()
+    f_mid = leader.target_at(0.5 * (nodes[:-1] + nodes[1:]), T).tolist()
 
     # State y = (L11, L12, L13, L22, L23, L33, m1, m2, m3, N).
     def rhs(y, wt, dt_, ft):
@@ -267,7 +268,7 @@ def solve_leader_system(
             b2_over_2r * m1 * m1 - sig2 * l11 - half_q * ft * ft,
         )
 
-    f_T = float(f_nodes[-1])
+    f_T = f_nodes[-1]
     y = (
         0.5 * leader.q_terminal,
         0.0,
@@ -281,38 +282,40 @@ def solve_leader_system(
         0.5 * leader.q_terminal * f_T * f_T,
     )
 
-    quad = np.empty((n + 1, 3, 3))
-    lin = np.empty((n + 1, 3))
-    offset = np.empty(n + 1)
-
-    def store(j, state):
-        l11, l12, l13, l22, l23, l33, m1, m2, m3, nn = state
-        quad[j] = ((l11, l12, l13), (l12, l22, l23), (l13, l23, l33))
-        lin[j] = (m1, m2, m3)
-        offset[j] = nn
-
-    store(n, y)
-    for j in range(n - 1, -1, -1):
-        w_r, w_m, w_l = w[j + 1], w_mid[j], w[j]
-        d_r, d_m, d_l = d[j + 1], d_mid[j], d[j]
-        f_r, f_m, f_l = f_nodes[j + 1], f_mid[j], f_nodes[j]
-        k1 = rhs(y, w_r, d_r, f_r)
-        k2 = rhs(tuple(yi - 0.5 * h * ki for yi, ki in zip(y, k1)), w_m, d_m, f_m)
-        k3 = rhs(tuple(yi - 0.5 * h * ki for yi, ki in zip(y, k2)), w_m, d_m, f_m)
-        k4 = rhs(tuple(yi - h * ki for yi, ki in zip(y, k3)), w_l, d_l, f_l)
-        y = tuple(
-            yi - (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            for yi, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
+    def shifted(y, k, step):
+        """The stage state y - step * k, written out per entry for speed."""
+        y0, y1, y2, y3, y4, y5, y6, y7, y8, y9 = y
+        k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = k
+        return (
+            y0 - step * k0, y1 - step * k1, y2 - step * k2, y3 - step * k3,
+            y4 - step * k4, y5 - step * k5, y6 - step * k6, y7 - step * k7,
+            y8 - step * k8, y9 - step * k9,
         )
-        peak = max(abs(v) for v in y[:6])
+
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
+    # Node states are appended backward as raw doubles (no per-node objects).
+    states = array("d", y)
+    for j in range(n - 1, -1, -1):
+        k1 = rhs(y, w[j + 1], d[j + 1], f_nodes[j + 1])
+        k2 = rhs(shifted(y, k1, half_h), w_mid[j], d_mid[j], f_mid[j])
+        k3 = rhs(shifted(y, k2, half_h), w_mid[j], d_mid[j], f_mid[j])
+        k4 = rhs(shifted(y, k3, h), w[j], d[j], f_nodes[j])
+        y = shifted(y, [a1 + 2.0 * a2 + 2.0 * a3 + a4 for a1, a2, a3, a4 in zip(k1, k2, k3, k4)],
+                    sixth_h)
+        peak = max(abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3]), abs(y[4]), abs(y[5]))
         if not math.isfinite(peak) or peak > blow_up_threshold:
             raise BlowUpError(
                 f"leader Riccati system blew up at t={nodes[j]:.6g} "
                 f"(|quad| reached {peak:.3g})",
                 blow_up_time=float(nodes[j]),
             )
-        store(j, y)
+        states.extend(y)
 
+    table = np.frombuffer(states, dtype=float).reshape(n + 1, 10)[::-1]
+    quad = table[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(n + 1, 3, 3)
+    lin = table[:, 6:9].copy()
+    offset = table[:, 9].copy()
     quad.setflags(write=False)
     lin.setflags(write=False)
     offset.setflags(write=False)

@@ -33,6 +33,7 @@ from .infer import (
     mle_continuous,
     mle_continuous_batch,
     mle_discrete_joint,
+    mle_discrete_joint_batch,
     multi_period_update,
     realized_variance_proxy,
     stopping_rule,
@@ -80,6 +81,22 @@ def _provenance(cfg: ExperimentConfig) -> dict:
     }
 
 
+# Rows x steps simulated at once by a study chunk: bounds peak memory on fine
+# grids (100 paths of 2^13 steps become 4 chunks) while 50-step ensembles of
+# up to 5242 paths stay in one. Paths draw from index-keyed streams and rows
+# never mix, so chunking changes no output, except that a chunk of at most
+# 64 rows may take the blocked recurrence where the whole batch would take
+# the per-step loop (they agree to rounding).
+CHUNK_ELEMENTS = 1 << 18
+
+
+def _row_chunks(lo: int, hi: int, n_steps: int):
+    """Split rows [lo, hi) into runs of at most CHUNK_ELEMENTS // n_steps rows."""
+    rows = max(1, CHUNK_ELEMENTS // n_steps)
+    for start in range(lo, hi, rows):
+        yield start, min(start + rows, hi)
+
+
 def _run_chunked(n_paths: int, threads: int, work):
     """Run work(lo, hi) over all paths on the calling thread.
 
@@ -98,26 +115,26 @@ def _leader_stats(leader, follower, coeffs, fr, policy, grid, n_paths, rng, thre
     kept = {}
 
     def work(lo, hi):
-        shocks = rng.normal_matrix(hi - lo, grid.n_steps, STREAM_LEADER, lo)
-        ens = simulate_leader_batch(leader, coeffs, policy, grid, shocks)
-        _, prec = compute_g_batch(fr, follower, ens.x)
-        precision[lo:hi] = prec
-        j_primary[lo:hi] = primary_cost_batch(leader, grid, ens.x, ens.controls)
-        effort[lo:hi] = trapz(ens.controls**2, grid)
-        for i in range(lo, min(hi, keep_paths)):
-            kept[i] = (ens.x[i - lo].copy(), ens.controls[i - lo].copy())
+        for start, stop in _row_chunks(lo, hi, grid.n_steps):
+            shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_LEADER, start)
+            ens = simulate_leader_batch(leader, coeffs, policy, grid, shocks)
+            _, prec = compute_g_batch(fr, follower, ens.x)
+            precision[start:stop] = prec
+            j_primary[start:stop] = primary_cost_batch(leader, grid, ens.x, ens.controls)
+            effort[start:stop] = trapz(ens.controls**2, grid)
+            for i in range(start, min(stop, keep_paths)):
+                kept[i] = (ens.x[i - start].copy(), ens.controls[i - start].copy())
 
     _run_chunked(n_paths, threads, work)
     return precision, j_primary, effort, kept
 
 
-def _follower_mhats(follower, fr, gp, b, grid, n_replays, rng, threads, chunk_cap=5000):
+def _follower_mhats(follower, fr, gp, b, grid, n_replays, rng, threads):
     """Dilation estimates over follower replays on one fixed leader path."""
     m_hats = np.empty(n_replays)
 
     def work(lo, hi):
-        for start in range(lo, hi, chunk_cap):
-            stop = min(start + chunk_cap, hi)
+        for start, stop in _row_chunks(lo, hi, grid.n_steps):
             shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_FOLLOWER, start)
             xs = simulate_follower_batch(follower, fr, b, grid, shocks)
             m_hats[start:stop] = mle_continuous_batch(xs, gp, fr, follower)
@@ -394,11 +411,12 @@ def run_discrete_convergence(cfg: ExperimentConfig, threads: int = 1) -> StudyRe
     sigma2 = np.empty(n_reps)
 
     def work(lo, hi):
-        shocks = rng.normal_matrix(hi - lo, grid.n_steps, STREAM_FOLLOWER, 1 + lo)
-        xs = simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
-        for i in range(lo, hi):
-            obs = DiscreteObservations(times=grid.nodes[idx], values=xs[i - lo, idx])
-            sigma2[i] = mle_discrete_joint(obs, fr, gp, follower).sigma2_hat
+        for start, stop in _row_chunks(lo, hi, grid.n_steps):
+            shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_FOLLOWER, 1 + start)
+            xs = simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
+            _, sigma2[start:stop] = mle_discrete_joint_batch(
+                grid.nodes[idx], xs[:, idx], fr, gp, follower
+            )
 
     _run_chunked(n_reps, threads, work)
 

@@ -213,3 +213,207 @@ def trapezoid_primary_cost(x_vals, u_vals, target_vals, q_track, r_control, q_te
     integrand = integrand + 0.5 * r_control * np.asarray(u_vals) ** 2
     run = float(np.trapezoid(integrand, dx=h))
     return run + 0.5 * q_terminal * (x_vals[-1] - target_vals[-1]) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Per-step reference loops. These are the library's former per-node
+# implementations, kept verbatim so the blocked recurrence and the
+# Python-float RK4 solvers can be gated against them.
+
+
+def affine_recurrence_loop(a, c, y0):
+    """y[:, j+1] = a[j] @ y[:, j] + c[:, j], one step at a time."""
+    n = a.shape[0]
+    y = np.empty((c.shape[0], n + 1, a.shape[1]))
+    y[:, 0] = y0
+    for j in range(n):
+        y[:, j + 1] = y[:, j] @ a[j].T + c[:, j]
+    return y
+
+
+def leader_batch_loop(leader, coeffs, policy, grid, shocks):
+    """Euler loop over nodes with one policy session call per node.
+
+    Returns (x, aux, aux2, controls).
+    """
+    n_paths = shocks.shape[0]
+    n = grid.n_steps
+    h = grid.h
+    sqrt_h = math.sqrt(h)
+    a_l, b_l, sig = leader.a_drift, leader.b_control, leader.sigma
+    w, d = coeffs.weight, coeffs.decay
+    x = np.empty((n_paths, n + 1))
+    aux = np.empty((n_paths, n + 1))
+    aux2 = np.empty((n_paths, n + 1))
+    controls = np.empty((n_paths, n + 1))
+    x[:, 0] = leader.x0
+    aux[:, 0] = 0.0
+    aux2[:, 0] = 0.0
+    session = policy.session(n_paths)
+    for j in range(n):
+        u = np.asarray(session.controls(j, x[:, : j + 1], aux[:, j], aux2[:, j]), dtype=float)
+        if not np.all(np.isfinite(u)):
+            raise ValueError(f"non-finite control at node {j}")
+        controls[:, j] = u
+        x[:, j + 1] = x[:, j] + (a_l * x[:, j] + b_l * u) * h + sig * sqrt_h * shocks[:, j]
+        aux[:, j + 1] = aux[:, j] - 0.5 * h * (w[j] * x[:, j] + w[j + 1] * x[:, j + 1])
+        aux2[:, j + 1] = aux2[:, j] + 0.5 * h * (d[j] * aux[:, j] + d[j + 1] * aux[:, j + 1])
+    u = np.asarray(session.controls(n, x, aux[:, n], aux2[:, n]), dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"non-finite control at node {n}")
+    controls[:, n] = u
+    return x, aux, aux2, controls
+
+
+def follower_batch_loop(model, fr, b, grid, shocks, mode, tables=None):
+    """Per-step Euler or exact-transition follower loop.
+
+    ``tables`` is (e_step, drift_step, var_step) for the exact mode.
+    """
+    n_paths, n = shocks.shape
+    h = grid.h
+    x = np.empty((n_paths, n + 1))
+    x[:, 0] = model.x0
+    sig = model.sigma
+    if mode == "euler":
+        sqrt_h = math.sqrt(h)
+        f, gain = fr.f, model.gain_sq_over_r
+        for j in range(n):
+            drift = f[j] * x[:, j] - gain * b[j]
+            x[:, j + 1] = x[:, j] + drift * h + sig * sqrt_h * shocks[:, j]
+    else:
+        e_step, drift_step, var_step = tables
+        noise_scale = sig * np.sqrt(var_step)
+        for j in range(n):
+            x[:, j + 1] = x[:, j] * e_step[j] - drift_step[j] + noise_scale[j] * shocks[:, j]
+    return x
+
+
+def _interp_mid(values):
+    return 0.5 * (values[:-1] + values[1:])
+
+
+def follower_bc_loop(fr, model, x_leader):
+    """Backward RK4 for the follower's (b, c) pair with numpy-scalar arithmetic."""
+    grid = fr.grid
+    x = x_leader.values
+    a = fr.a
+    x_mid = _interp_mid(x)
+    a_mid = _interp_mid(a)
+    alpha = 2.0 * model.gain_sq_over_r
+    drift = model.a_drift
+    q_m = model.q_track * model.dilation
+    half_gain = 0.5 * model.gain_sq_over_r
+    half_q_m2 = 0.5 * model.q_track * model.dilation**2
+    sig2 = model.sigma**2
+    lam = model.entropy_weight
+    entropy_const = 0.5 * lam * math.log(2.0 * math.pi * math.e * lam / model.r_control) - 0.5 * lam
+
+    def rhs(a_t, x_t, b, c):
+        db = alpha * a_t * b - drift * b + q_m * x_t
+        dc = -half_q_m2 * x_t * x_t + half_gain * b * b - sig2 * a_t + entropy_const
+        return db, dc
+
+    n = grid.n_steps
+    h = grid.h
+    b = np.empty(n + 1)
+    c = np.empty(n + 1)
+    b[n] = 0.0
+    c[n] = 0.0
+    yb, yc = 0.0, 0.0
+    for j in range(n - 1, -1, -1):
+        a_r, a_m, a_l = a[j + 1], a_mid[j], a[j]
+        x_r, x_m, x_l = x[j + 1], x_mid[j], x[j]
+        kb1, kc1 = rhs(a_r, x_r, yb, yc)
+        kb2, kc2 = rhs(a_m, x_m, yb - 0.5 * h * kb1, yc - 0.5 * h * kc1)
+        kb3, kc3 = rhs(a_m, x_m, yb - 0.5 * h * kb2, yc - 0.5 * h * kc2)
+        kb4, kc4 = rhs(a_l, x_l, yb - h * kb3, yc - h * kc3)
+        yb = yb - (h / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
+        yc = yc - (h / 6.0) * (kc1 + 2.0 * kc2 + 2.0 * kc3 + kc4)
+        b[j] = yb
+        c[j] = yc
+    return b, c
+
+
+def leader_system_loop(leader, follower, coeffs, blow_up_threshold=1e12):
+    """Backward RK4 for the leader's augmented system with numpy-scalar arithmetic.
+
+    Returns (quad, lin, offset); raises ValueError(blow_up_time) on blow-up.
+    """
+    grid = coeffs.grid
+    n = grid.n_steps
+    h = grid.h
+    nodes = grid.nodes
+    T = grid.horizon
+    if follower.sigma == 0.0 and leader.inference_weight == 0.0:
+        lam_s = 0.0
+    else:
+        lam_s = leader.inference_weight / follower.noise_to_signal
+    a_l = leader.a_drift
+    gain = 2.0 * leader.b_control**2 / leader.r_control
+    half_q = 0.5 * leader.q_track
+    q_track = leader.q_track
+    sig2 = leader.sigma**2
+    b2_over_2r = leader.b_control**2 / (2.0 * leader.r_control)
+    w = coeffs.weight
+    d = coeffs.decay
+    w_mid = _interp_mid(w)
+    d_mid = _interp_mid(d)
+    f_nodes = leader.target_at(nodes, T)
+    f_mid = leader.target_at(0.5 * (nodes[:-1] + nodes[1:]), T)
+
+    def rhs(y, wt, dt_, ft):
+        l11, l12, l13, l22, l23, l33, m1, m2, m3, _ = y
+        s11 = 2.0 * (l11 * a_l - l12 * wt)
+        s12 = l13 * dt_ + l12 * a_l - l22 * wt
+        s13 = l13 * a_l - l23 * wt
+        s22 = 2.0 * l23 * dt_
+        s23 = l33 * dt_
+        return (
+            -s11 + gain * l11 * l11 - half_q,
+            -s12 + gain * l11 * l12,
+            -s13 + gain * l11 * l13,
+            -s22 + gain * l12 * l12 + lam_s * dt_,
+            -s23 + gain * l12 * l13,
+            gain * l13 * l13,
+            -a_l * m1 + wt * m2 + gain * l11 * m1 + q_track * ft,
+            -dt_ * m3 + gain * l12 * m1,
+            gain * l13 * m1,
+            b2_over_2r * m1 * m1 - sig2 * l11 - half_q * ft * ft,
+        )
+
+    f_T = float(f_nodes[-1])
+    y = (
+        0.5 * leader.q_terminal, 0.0, 0.0,
+        -lam_s * coeffs.decay_l1, lam_s, 0.0,
+        -leader.q_terminal * f_T, 0.0, 0.0,
+        0.5 * leader.q_terminal * f_T * f_T,
+    )
+    quad = np.empty((n + 1, 3, 3))
+    lin = np.empty((n + 1, 3))
+    offset = np.empty(n + 1)
+
+    def store(j, state):
+        l11, l12, l13, l22, l23, l33, m1, m2, m3, nn = state
+        quad[j] = ((l11, l12, l13), (l12, l22, l23), (l13, l23, l33))
+        lin[j] = (m1, m2, m3)
+        offset[j] = nn
+
+    store(n, y)
+    for j in range(n - 1, -1, -1):
+        w_r, w_m, w_l = w[j + 1], w_mid[j], w[j]
+        d_r, d_m, d_l = d[j + 1], d_mid[j], d[j]
+        f_r, f_m, f_l = f_nodes[j + 1], f_mid[j], f_nodes[j]
+        k1 = rhs(y, w_r, d_r, f_r)
+        k2 = rhs(tuple(yi - 0.5 * h * ki for yi, ki in zip(y, k1)), w_m, d_m, f_m)
+        k3 = rhs(tuple(yi - 0.5 * h * ki for yi, ki in zip(y, k2)), w_m, d_m, f_m)
+        k4 = rhs(tuple(yi - h * ki for yi, ki in zip(y, k3)), w_l, d_l, f_l)
+        y = tuple(
+            yi - (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            for yi, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
+        )
+        peak = max(abs(v) for v in y[:6])
+        if not math.isfinite(peak) or peak > blow_up_threshold:
+            raise ValueError(float(nodes[j]))
+        store(j, y)
+    return quad, lin, offset

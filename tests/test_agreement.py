@@ -1,0 +1,160 @@
+"""Agreement gates: every fast path against the per-step loop it replaces.
+
+The blocked affine recurrence re-associates rounding, so long paths agree
+with the loop to a relative 1e-12 of the path's magnitude; wide batches
+still take the loop and must match it bit for bit, as must the Python-float
+RK4 solvers.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stackinfer as si
+from conftest import HORIZON, make_leader
+from oracles import (
+    affine_recurrence_loop,
+    follower_batch_loop,
+    follower_bc_loop,
+    leader_batch_loop,
+    leader_system_loop,
+)
+from stackinfer.simulate import _affine_scan, _exact_transition_tables
+
+RTOL = 1e-12
+FINE = 2**13
+
+
+def assert_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
+
+
+def solved(follower, n_steps, inference_weight=0.5):
+    grid = si.build_grid(HORIZON, n_steps)
+    fr = si.solve_follower_a(follower, grid)
+    coeffs = si.compute_coefficients(fr, follower)
+    leader = make_leader(inference_weight)
+    return grid, fr, coeffs, leader
+
+
+@pytest.fixture(scope="module", params=[50, FINE])
+def grid_case(request, follower):
+    grid, fr, coeffs, leader = solved(follower, request.param)
+    lr = si.solve_leader_system(leader, follower, coeffs)
+    x_leader = si.Trajectory(grid=grid, values=0.1 * np.cos(3.0 * grid.nodes))
+    return grid, fr, coeffs, leader, lr, x_leader
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 49, 64, 50, 97]),
+    n_paths=st.integers(1, 4),
+    k=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_recurrence_matches_loop(n, n_paths, k, seed):
+    gen = np.random.default_rng(seed)
+    a = np.eye(k) + 0.1 * gen.standard_normal((n, k, k))
+    c = gen.standard_normal((n_paths, n, k))
+    y0 = gen.standard_normal((n_paths, k))
+    assert_close(_affine_scan(a, c, y0), affine_recurrence_loop(a, c, y0))
+
+
+def test_blocked_recurrence_rows_are_independent():
+    gen = np.random.default_rng(3)
+    a = np.eye(3) + 0.05 * gen.standard_normal((200, 3, 3))
+    c = gen.standard_normal((7, 200, 3))
+    y0 = gen.standard_normal((7, 3))
+    whole = _affine_scan(a, c, y0)
+    for i in (0, 3, 6):
+        assert np.array_equal(_affine_scan(a, c[i : i + 1], y0[i : i + 1])[0], whole[i])
+
+
+class TestRiccatiSolvers:
+    def test_leader_system_bit_identical(self, follower, grid_case):
+        _, _, coeffs, leader, lr, _ = grid_case
+        quad, lin, offset = leader_system_loop(leader, follower, coeffs)
+        assert np.array_equal(lr.quad, quad)
+        assert np.array_equal(lr.lin, lin)
+        assert np.array_equal(lr.offset, offset)
+
+    def test_follower_bc_bit_identical(self, follower, grid_case):
+        _, fr, _, _, _, x_leader = grid_case
+        b, c = si.solve_follower_bc(fr, follower, x_leader)
+        b_ref, c_ref = follower_bc_loop(fr, follower, x_leader)
+        assert np.array_equal(b, b_ref)
+        assert np.array_equal(c, c_ref)
+
+    @pytest.mark.parametrize("n_steps", [50, 400])
+    def test_blow_up_time_unchanged(self, follower, n_steps):
+        _, _, coeffs, leader = solved(follower, n_steps, inference_weight=2.0)
+        with pytest.raises(ValueError) as ref:
+            leader_system_loop(leader, follower, coeffs)
+        with pytest.raises(si.BlowUpError) as err:
+            si.solve_leader_system(leader, follower, coeffs)
+        assert err.value.blow_up_time == ref.value.args[0]
+
+
+class TestLeaderPaths:
+    def test_long_path_matches_loop(self, grid_case):
+        grid, _, coeffs, leader, lr, _ = grid_case
+        policy = si.RiccatiPolicy(leader, lr)
+        shocks = si.RngContract(11).normal_matrix(1, grid.n_steps, si.core.STREAM_LEADER, 0)
+        ens = si.simulate_leader_batch(leader, coeffs, policy, grid, shocks)
+        ref = leader_batch_loop(leader, coeffs, policy, grid, shocks)
+        for got, want in zip((ens.x, ens.aux, ens.aux2, ens.controls), ref):
+            assert_close(got, want)
+
+    def test_wide_batch_is_the_loop(self, follower, co50, grid50):
+        leader = make_leader(0.5)
+        policy = si.RiccatiPolicy(leader, si.solve_leader_system(leader, follower, co50))
+        shocks = si.RngContract(11).normal_matrix(60, grid50.n_steps, si.core.STREAM_LEADER, 0)
+        ens = si.simulate_leader_batch(leader, co50, policy, grid50, shocks)
+        ref = leader_batch_loop(leader, co50, policy, grid50, shocks)
+        for got, want in zip((ens.x, ens.aux, ens.aux2, ens.controls), ref):
+            assert np.array_equal(got, want)
+
+    def test_overflowing_controls_name_the_first_bad_node(self, follower):
+        # A strongly destabilizing feedback drives x past the float range; the
+        # first non-finite control is reported at the same node by the
+        # recurrence (one path) and by the loop (a wide batch).
+        grid, _, coeffs, leader = solved(follower, 200, inference_weight=0.0)
+        quad = np.zeros((grid.n_nodes, 3, 3))
+        quad[:, 0, 0] = -1e5
+        lr = si.LeaderRiccati(
+            grid=grid, quad=quad, lin=np.zeros((grid.n_nodes, 3)),
+            offset=np.zeros(grid.n_nodes), scaled_info_weight=0.0,
+        )
+        policy = si.RiccatiPolicy(leader, lr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as ref:
+                leader_batch_loop(leader, coeffs, policy, grid, np.zeros((1, grid.n_steps)))
+            node = str(ref.value).split()[-1]
+            assert 0 < int(node) < grid.n_steps
+            for n_paths in (1, grid.n_steps):
+                with pytest.raises(si.PolicyEvaluationError, match=f"at node {node}$"):
+                    si.simulate_leader_batch(
+                        leader, coeffs, policy, grid, np.zeros((n_paths, grid.n_steps))
+                    )
+
+
+class TestFollowerPaths:
+    @pytest.mark.parametrize("mode", ["euler", "exact"])
+    def test_long_paths_match_loop(self, follower, grid_case, mode):
+        grid, fr, _, _, _, x_leader = grid_case
+        b, _ = si.solve_follower_bc(fr, follower, x_leader)
+        shocks = si.RngContract(5).normal_matrix(3, grid.n_steps, si.core.STREAM_FOLLOWER, 0)
+        x = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode=mode)
+        tables = _exact_transition_tables(follower, fr, b, grid, 16)
+        assert_close(x, follower_batch_loop(follower, fr, b, grid, shocks, mode, tables))
+
+    @pytest.mark.parametrize("mode", ["euler", "exact"])
+    def test_wide_batch_is_the_loop(self, follower, fr50, grid50, mode):
+        b = 0.05 * np.sin(4.0 * grid50.nodes)
+        shocks = si.RngContract(5).normal_matrix(60, grid50.n_steps, si.core.STREAM_FOLLOWER, 0)
+        x = si.simulate_follower_batch(follower, fr50, b, grid50, shocks, mode=mode)
+        tables = _exact_transition_tables(follower, fr50, b, grid50, 16)
+        ref = follower_batch_loop(follower, fr50, b, grid50, shocks, mode, tables)
+        assert np.array_equal(x, ref)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from stackinfer import cli
+from stackinfer import cli, studies
 from stackinfer.config import ConfigError, validate_config
 
 BASE = {
@@ -210,6 +210,26 @@ class TestStudySurfaces:
                             "abs_diff,sigma2_hat")
         summary = json.loads((out / "discrete-convergence_summary.json").read_text())
         assert summary["summary"]["sigma2_mean_finest"] > 0
+
+    @pytest.mark.parametrize(("chunk_rows", "study"), [
+        # every chunk on the blocked recurrence (one path per 3-row chunk)
+        (3, dict(name="discrete-convergence", fine_exponent=9, levels=[4, 6],
+                 n_sigma_replications=10)),
+        # every chunk on the per-step loop
+        (70, dict(name="estimator-study", inference_weights=[0.5], n_replays=200)),
+        (70, dict(name="tradeoff-sweep", ratios=[1.0, 10.0], n_paths=200)),
+    ])
+    def test_chunk_cap_leaves_files_unchanged(self, tmp_path, monkeypatch, chunk_rows, study):
+        doc = make_doc(**study)
+        path = write_doc(tmp_path, doc)
+        n_steps = 2 ** study["fine_exponent"] if "fine_exponent" in study else 50
+        outs = {}
+        for tag, cap in (("whole", studies.CHUNK_ELEMENTS), ("chunked", chunk_rows * n_steps)):
+            monkeypatch.setattr(studies, "CHUNK_ELEMENTS", cap)
+            out = tmp_path / tag
+            assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+            outs[tag] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert outs["whole"] == outs["chunked"]
 
     def test_estimator_study_variance_ordering(self, tmp_path):
         doc = make_doc(name="estimator-study", inference_weights=[0.0, 0.5],

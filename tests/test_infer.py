@@ -256,6 +256,24 @@ class TestDiscreteJoint:
         assert all(a > b for a, b in zip(mean_diffs, mean_diffs[1:]))
         assert mean_diffs[-1] < 0.05 * mean_diffs[0]
 
+    def test_batched_rows_match_single_calls(self, follower, fixed_setup):
+        grid, fr, _, _, gp, b = fixed_setup
+        shocks = si.RngContract(9).normal_matrix(6, grid.n_steps, si.core.STREAM_FOLLOWER, 0)
+        xs = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
+        idx = np.arange(0, grid.n_nodes, 8)
+        m_hat, sigma2_hat = si.mle_discrete_joint_batch(grid.nodes[idx], xs[:, idx], fr, gp,
+                                                        follower)
+        for i in range(xs.shape[0]):
+            obs = si.DiscreteObservations(times=grid.nodes[idx], values=xs[i, idx])
+            est = si.mle_discrete_joint(obs, fr, gp, follower)
+            assert m_hat[i] == pytest.approx(est.m_hat, rel=1e-12)
+            assert sigma2_hat[i] == pytest.approx(est.sigma2_hat, rel=1e-12)
+
+    def test_batch_rejects_mismatched_rows(self, follower, fixed_setup):
+        grid, fr, _, _, gp, _ = fixed_setup
+        with pytest.raises(si.InvalidArgumentError):
+            si.mle_discrete_joint_batch(grid.nodes[:5], np.zeros((2, 4)), fr, gp, follower)
+
     def test_degenerate_rejected(self, follower, fr50, grid50):
         zero = si.Trajectory(grid=grid50, values=np.zeros(grid50.n_nodes))
         gp = si.compute_g(fr50, follower, zero)

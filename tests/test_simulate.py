@@ -44,14 +44,20 @@ class TestSimulateLeader:
         with pytest.raises(si.PolicyEvaluationError):
             si.simulate_leader(leader, co50, bad, grid50, si.RngContract(1))
 
-    def test_aux_match_cumulative_integrals_bitwise(self, follower, co50, grid50):
+    @pytest.mark.parametrize(("n_steps", "n_paths"), [(50, 100), (2**13, 1)])
+    def test_aux_match_cumulative_integrals_bitwise(self, follower, n_steps, n_paths):
+        # 100 x 50 steps node by node; 1 x 2^13 takes the blocked recurrence,
+        # which rebuilds the auxiliary states from x with the same trapezoid.
+        grid = si.build_grid(HORIZON, n_steps)
+        coeffs = si.compute_coefficients(si.solve_follower_a(follower, grid), follower)
         leader = make_leader(0.5)
-        policy = riccati_policy(leader, follower, co50)
-        path = si.simulate_leader(leader, co50, policy, grid50, si.RngContract(7))
-        aux = -si.cumtrapz(co50.weight * path.x, grid50)
-        aux2 = si.cumtrapz(co50.decay * path.aux, grid50)
-        assert np.array_equal(path.aux, aux)
-        assert np.array_equal(path.aux2, aux2)
+        policy = riccati_policy(leader, follower, coeffs)
+        shocks = si.RngContract(7).normal_matrix(n_paths, n_steps, si.core.STREAM_LEADER, 0)
+        ens = si.simulate_leader_batch(leader, coeffs, policy, grid, shocks)
+        aux = -si.cumtrapz(coeffs.weight * ens.x, grid)
+        aux2 = si.cumtrapz(coeffs.decay * ens.aux, grid)
+        assert np.array_equal(ens.aux, aux)
+        assert np.array_equal(ens.aux2, aux2)
 
     def test_reproducible_by_stream(self, follower, co50, grid50):
         leader = make_leader(0.5)
