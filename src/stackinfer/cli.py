@@ -33,11 +33,12 @@ OUTPUT_DIR_ENV = "STACKINFER_OUT"
 
 def _format_cell(value) -> str:
     # repr() keeps the shortest round-trip float form, making CSV bytes
-    # independent of locale and thread count.
+    # independent of locale and thread count. float() first: numpy scalars
+    # subclass float, but their repr carries the type name.
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     if value is None:
         return ""
     return str(value)

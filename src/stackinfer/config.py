@@ -105,9 +105,15 @@ def _pair_list(value, path):
     return out
 
 
-def _int_list(value, path):
+def _nonnegative_int_list(value, path):
     _expect(isinstance(value, list) and len(value) > 0, path, "must be a nonempty array")
-    return [_integer(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return [_nonnegative_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _replications(value, path):
+    v = _integer(value, path)
+    _expect(v >= 2, path, "must be >= 2 (a spread needs two replications)")
+    return v
 
 
 def _target(value, path):
@@ -207,8 +213,8 @@ STUDY_SCHEMAS = {
         {},
         {
             "fine_exponent": _positive_int,
-            "levels": _int_list,
-            "n_sigma_replications": _positive_int,
+            "levels": _nonnegative_int_list,
+            "n_sigma_replications": _replications,
         },
     ),
     "wellposedness": ({}, {"probe_horizon": _positive}),

@@ -106,19 +106,23 @@ def solve_follower_a(model: FollowerModel, grid: TimeGrid) -> FollowerRiccati:
     two_drift = 2.0 * model.a_drift
     half_q = 0.5 * model.q_track
 
-    def rhs(a):
-        return alpha * a * a - two_drift * a - half_q
-
     n = grid.n_steps
     h = grid.h
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
     y = 0.0
     values = [y]
+    # RK4 with the right-hand side alpha*s*s - two_drift*s - half_q written
+    # out per stage: a call per stage would dominate the sequential loop.
     for j in range(n - 1, -1, -1):
-        k1 = rhs(y)
-        k2 = rhs(y - 0.5 * h * k1)
-        k3 = rhs(y - 0.5 * h * k2)
-        k4 = rhs(y - h * k3)
-        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = alpha * y * y - two_drift * y - half_q
+        s = y - half_h * k1
+        k2 = alpha * s * s - two_drift * s - half_q
+        s = y - half_h * k2
+        k3 = alpha * s * s - two_drift * s - half_q
+        s = y - h * k3
+        k4 = alpha * s * s - two_drift * s - half_q
+        y = y - sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not math.isfinite(y):
             raise InvalidArgumentError(
                 f"follower Riccati overflowed at t={grid.nodes[j]:.6g}"
@@ -154,19 +158,16 @@ def solve_follower_bc(
 
     db/dt = (2 b^2/r) a b - a_drift b + q_track * dilation * x_L(t), b(T) = 0.
     dc/dt collects the remaining HJB terms (tracking offset, control bias,
-    noise, and the entropy constant), c(T) = 0. Solved jointly so the RK4
-    stages of c see stage-consistent b values; x_L and a are linearly
-    interpolated at half-steps.
+    noise, and the entropy constant), c(T) = 0. Both are classical RK4 with
+    x_L and a linearly interpolated at half-steps. dc/dt does not depend on
+    c, so only b is stepped one node at a time; c's RK4 increments are then
+    evaluated for all steps at once from the same b stage values, and c is
+    their running sum from T. Every operation is the one a joint per-step
+    loop performs, in the same order, so both outputs equal it bit for bit.
     """
     grid = fr.grid
     if x_leader.grid != grid:
         raise InvalidArgumentError("leader trajectory grid does not match solver grid")
-    # Python floats: numpy scalar arithmetic would dominate the sequential loop.
-    x = x_leader.values.tolist()
-    a = fr.a.tolist()
-    x_mid = _interp_mid(x_leader.values).tolist()
-    a_mid = _interp_mid(fr.a).tolist()
-
     alpha = 2.0 * model.gain_sq_over_r
     drift = model.a_drift
     q_m = model.q_track * model.dilation
@@ -176,28 +177,57 @@ def solve_follower_bc(
     lam = model.entropy_weight
     entropy_const = 0.5 * lam * math.log(2.0 * math.pi * math.e * lam / model.r_control) - 0.5 * lam
 
-    def rhs(a_t, x_t, b, c):
-        db = alpha * a_t * b - drift * b + q_m * x_t
-        dc = -half_q_m2 * x_t * x_t + half_gain * b * b - sig2 * a_t + entropy_const
-        return db, dc
+    # db/dt = alpha_a * b - drift * b + q_x at the nodes and half-steps.
+    x, x_mid = x_leader.values, _interp_mid(x_leader.values)
+    a, a_mid = fr.a, _interp_mid(fr.a)
+    alpha_a, alpha_a_mid = alpha * a, alpha * a_mid
+    q_x, q_x_mid = q_m * x, q_m * x_mid
 
     n = grid.n_steps
     h = grid.h
-    yb, yc = 0.0, 0.0
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
+    # Python floats: numpy scalar arithmetic would dominate the sequential loop.
+    yb = 0.0
     b = [yb]
-    c = [yc]
-    for j in range(n - 1, -1, -1):
-        a_r, a_m, a_l = a[j + 1], a_mid[j], a[j]
-        x_r, x_m, x_l = x[j + 1], x_mid[j], x[j]
-        kb1, kc1 = rhs(a_r, x_r, yb, yc)
-        kb2, kc2 = rhs(a_m, x_m, yb - 0.5 * h * kb1, yc - 0.5 * h * kc1)
-        kb3, kc3 = rhs(a_m, x_m, yb - 0.5 * h * kb2, yc - 0.5 * h * kc2)
-        kb4, kc4 = rhs(a_l, x_l, yb - h * kb3, yc - h * kc3)
-        yb = yb - (h / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-        yc = yc - (h / 6.0) * (kc1 + 2.0 * kc2 + 2.0 * kc3 + kc4)
+    for p_r, g_r, p_m, g_m, p_l, g_l in zip(
+        alpha_a[:0:-1].tolist(), q_x[:0:-1].tolist(),
+        alpha_a_mid[::-1].tolist(), q_x_mid[::-1].tolist(),
+        alpha_a[-2::-1].tolist(), q_x[-2::-1].tolist(),
+    ):
+        k1 = p_r * yb - drift * yb + g_r
+        s = yb - half_h * k1
+        k2 = p_m * s - drift * s + g_m
+        s = yb - half_h * k2
+        k3 = p_m * s - drift * s + g_m
+        s = yb - h * k3
+        k4 = p_l * s - drift * s + g_l
+        yb = yb - sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         b.append(yb)
-        c.append(yc)
-    return np.array(b[::-1]), np.array(c[::-1])
+    b = np.array(b[::-1])
+
+    # The b stage values of every step (entered from its right node), then
+    # dc/dt at each stage: -half_q_m2 x^2 + half_gain b^2 - sig2 a + entropy_const.
+    s1 = b[1:]
+    k1 = alpha_a[1:] * s1 - drift * s1 + q_x[1:]
+    s2 = s1 - half_h * k1
+    k2 = alpha_a_mid * s2 - drift * s2 + q_x_mid
+    s3 = s1 - half_h * k2
+    k3 = alpha_a_mid * s3 - drift * s3 + q_x_mid
+    s4 = s1 - h * k3
+    x_term, x_term_mid = -half_q_m2 * x * x, -half_q_m2 * x_mid * x_mid
+    a_term, a_term_mid = sig2 * a, sig2 * a_mid
+    kc1 = x_term[1:] + half_gain * s1 * s1 - a_term[1:] + entropy_const
+    kc2 = x_term_mid + half_gain * s2 * s2 - a_term_mid + entropy_const
+    kc3 = x_term_mid + half_gain * s3 * s3 - a_term_mid + entropy_const
+    kc4 = x_term[:-1] + half_gain * s4 * s4 - a_term[:-1] + entropy_const
+    # c[j] = c[j+1] - sixth_h * (...) from c[n] = 0; add.accumulate is
+    # sequential and c + (-v) rounds exactly as c - v.
+    neg_step = np.empty(n + 1)
+    neg_step[0] = 0.0
+    neg_step[1:] = -(sixth_h * (kc1 + 2.0 * kc2 + 2.0 * kc3 + kc4))[::-1]
+    c = np.cumsum(neg_step)[::-1].copy()
+    return b, c
 
 
 def scaled_info_weight(leader: LeaderModel, follower: FollowerModel) -> float:
@@ -247,29 +277,29 @@ def solve_leader_system(
     f_nodes = leader.target_at(nodes, T).tolist()
     f_mid = leader.target_at(0.5 * (nodes[:-1] + nodes[1:]), T).tolist()
 
-    # State y = (L11, L12, L13, L22, L23, L33, m1, m2, m3, N).
-    def rhs(y, wt, dt_, ft):
-        l11, l12, l13, l22, l23, l33, m1, m2, m3, _ = y
+    # State (L11, L12, L13, L22, L23, L33, m1, m2, m3, N); no rate reads N.
+    def rhs(l11, l12, l13, l22, l23, l33, m1, m2, m3, wt, dt_, ft):
         s11 = 2.0 * (l11 * a_l - l12 * wt)
         s12 = l13 * dt_ + l12 * a_l - l22 * wt
         s13 = l13 * a_l - l23 * wt
         s22 = 2.0 * l23 * dt_
         s23 = l33 * dt_
+        g11, g12, g13 = gain * l11, gain * l12, gain * l13
         return (
-            -s11 + gain * l11 * l11 - half_q,
-            -s12 + gain * l11 * l12,
-            -s13 + gain * l11 * l13,
-            -s22 + gain * l12 * l12 + lam_s * dt_,
-            -s23 + gain * l12 * l13,
-            gain * l13 * l13,
-            -a_l * m1 + wt * m2 + gain * l11 * m1 + q_track * ft,
-            -dt_ * m3 + gain * l12 * m1,
-            gain * l13 * m1,
+            -s11 + g11 * l11 - half_q,
+            -s12 + g11 * l12,
+            -s13 + g11 * l13,
+            -s22 + g12 * l12 + lam_s * dt_,
+            -s23 + g12 * l13,
+            g13 * l13,
+            -a_l * m1 + wt * m2 + g11 * m1 + q_track * ft,
+            -dt_ * m3 + g12 * m1,
+            g13 * m1,
             b2_over_2r * m1 * m1 - sig2 * l11 - half_q * ft * ft,
         )
 
     f_T = f_nodes[-1]
-    y = (
+    y0, y1, y2, y3, y4, y5, y6, y7, y8, y9 = y = (
         0.5 * leader.q_terminal,
         0.0,
         0.0,
@@ -282,35 +312,57 @@ def solve_leader_system(
         0.5 * leader.q_terminal * f_T * f_T,
     )
 
-    def shifted(y, k, step):
-        """The stage state y - step * k, written out per entry for speed."""
-        y0, y1, y2, y3, y4, y5, y6, y7, y8, y9 = y
-        k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = k
-        return (
-            y0 - step * k0, y1 - step * k1, y2 - step * k2, y3 - step * k3,
-            y4 - step * k4, y5 - step * k5, y6 - step * k6, y7 - step * k7,
-            y8 - step * k8, y9 - step * k9,
-        )
-
     half_h = 0.5 * h
     sixth_h = h / 6.0
     # Node states are appended backward as raw doubles (no per-node objects).
+    # The RK4 stages k1..k4 are named p, q, r, s; each stage state y - step*k
+    # and the final combination are written out per entry for speed.
     states = array("d", y)
-    for j in range(n - 1, -1, -1):
-        k1 = rhs(y, w[j + 1], d[j + 1], f_nodes[j + 1])
-        k2 = rhs(shifted(y, k1, half_h), w_mid[j], d_mid[j], f_mid[j])
-        k3 = rhs(shifted(y, k2, half_h), w_mid[j], d_mid[j], f_mid[j])
-        k4 = rhs(shifted(y, k3, h), w[j], d[j], f_nodes[j])
-        y = shifted(y, [a1 + 2.0 * a2 + 2.0 * a3 + a4 for a1, a2, a3, a4 in zip(k1, k2, k3, k4)],
-                    sixth_h)
-        peak = max(abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3]), abs(y[4]), abs(y[5]))
+    for j, w_r, d_r, f_r, w_m, d_m, f_m, w_l, d_l, f_l in zip(
+        range(n - 1, -1, -1),
+        w[:0:-1], d[:0:-1], f_nodes[:0:-1],
+        w_mid[::-1], d_mid[::-1], f_mid[::-1],
+        w[-2::-1], d[-2::-1], f_nodes[-2::-1],
+    ):
+        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = rhs(
+            y0, y1, y2, y3, y4, y5, y6, y7, y8, w_r, d_r, f_r
+        )
+        q0, q1, q2, q3, q4, q5, q6, q7, q8, q9 = rhs(
+            y0 - half_h * p0, y1 - half_h * p1, y2 - half_h * p2,
+            y3 - half_h * p3, y4 - half_h * p4, y5 - half_h * p5,
+            y6 - half_h * p6, y7 - half_h * p7, y8 - half_h * p8,
+            w_m, d_m, f_m,
+        )
+        r0, r1, r2, r3, r4, r5, r6, r7, r8, r9 = rhs(
+            y0 - half_h * q0, y1 - half_h * q1, y2 - half_h * q2,
+            y3 - half_h * q3, y4 - half_h * q4, y5 - half_h * q5,
+            y6 - half_h * q6, y7 - half_h * q7, y8 - half_h * q8,
+            w_m, d_m, f_m,
+        )
+        s0, s1, s2, s3, s4, s5, s6, s7, s8, s9 = rhs(
+            y0 - h * r0, y1 - h * r1, y2 - h * r2,
+            y3 - h * r3, y4 - h * r4, y5 - h * r5,
+            y6 - h * r6, y7 - h * r7, y8 - h * r8,
+            w_l, d_l, f_l,
+        )
+        y0 = y0 - sixth_h * (p0 + 2.0 * q0 + 2.0 * r0 + s0)
+        y1 = y1 - sixth_h * (p1 + 2.0 * q1 + 2.0 * r1 + s1)
+        y2 = y2 - sixth_h * (p2 + 2.0 * q2 + 2.0 * r2 + s2)
+        y3 = y3 - sixth_h * (p3 + 2.0 * q3 + 2.0 * r3 + s3)
+        y4 = y4 - sixth_h * (p4 + 2.0 * q4 + 2.0 * r4 + s4)
+        y5 = y5 - sixth_h * (p5 + 2.0 * q5 + 2.0 * r5 + s5)
+        y6 = y6 - sixth_h * (p6 + 2.0 * q6 + 2.0 * r6 + s6)
+        y7 = y7 - sixth_h * (p7 + 2.0 * q7 + 2.0 * r7 + s7)
+        y8 = y8 - sixth_h * (p8 + 2.0 * q8 + 2.0 * r8 + s8)
+        y9 = y9 - sixth_h * (p9 + 2.0 * q9 + 2.0 * r9 + s9)
+        peak = max(abs(y0), abs(y1), abs(y2), abs(y3), abs(y4), abs(y5))
         if not math.isfinite(peak) or peak > blow_up_threshold:
             raise BlowUpError(
                 f"leader Riccati system blew up at t={nodes[j]:.6g} "
                 f"(|quad| reached {peak:.3g})",
                 blow_up_time=float(nodes[j]),
             )
-        states.extend(y)
+        states.extend((y0, y1, y2, y3, y4, y5, y6, y7, y8, y9))
 
     table = np.frombuffer(states, dtype=float).reshape(n + 1, 10)[::-1]
     quad = table[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(n + 1, 3, 3)

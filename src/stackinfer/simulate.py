@@ -343,12 +343,19 @@ def simulate_follower_batch(
     shocks: np.ndarray,
     mode: str = "euler",
     sub_nodes: int = 16,
+    *,
+    tables=None,
 ) -> np.ndarray:
     """Batch of follower paths under the optimal response (rows are paths).
 
     ``euler`` steps the drift f*x - (b_F^2/r_F)*b explicitly; ``exact``
     samples the Gaussian one-step transition of the linear SDE, with step
-    integrals from sub-quadrature.
+    integrals from sub-quadrature. The exact mode reads the per-step tables
+    ``_exact_transition_tables(model, fr, b, grid, sub_nodes)`` returns;
+    a caller simulating several batches with the same model, ``fr``, ``b``
+    and grid may build them once and pass them as ``tables`` (then
+    ``sub_nodes`` is not read). Without ``tables`` they are built here.
+    The Euler mode ignores ``tables``.
     """
     _check_grid(grid, fr.grid, "follower Riccati")
     b = np.asarray(b, dtype=float)
@@ -366,7 +373,11 @@ def simulate_follower_batch(
     h = grid.h
     sig = model.sigma
     if mode == "exact":
-        e_step, drift_step, var_step = _exact_transition_tables(model, fr, b, grid, sub_nodes)
+        if tables is None:
+            tables = _exact_transition_tables(model, fr, b, grid, sub_nodes)
+        e_step, drift_step, var_step = tables
+        if not e_step.shape == drift_step.shape == var_step.shape == (n,):
+            raise InvalidArgumentError(f"transition tables must hold {n} steps each")
         noise_scale = sig * np.sqrt(var_step)
     if _use_scan(n_paths, n):
         # x[j+1] = mult[j] * x[j] + offset[j] + noise[j] * shock[j] in both modes.

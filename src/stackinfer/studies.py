@@ -54,6 +54,7 @@ from .riccati import (
 )
 from .simulate import (
     FollowerPath,
+    _exact_transition_tables,
     compute_g,
     compute_g_batch,
     primary_cost_batch,
@@ -382,8 +383,10 @@ def run_discrete_convergence(cfg: ExperimentConfig, threads: int = 1) -> StudyRe
     gp = compute_g(fr, follower, x_leader)
     b, _ = solve_follower_bc(fr, follower, x_leader)
 
+    # One set of exact-transition tables serves the path and every replication.
+    tables = _exact_transition_tables(follower, fr, b, grid, 16)
     fshocks = rng.normal_matrix(1, grid.n_steps, STREAM_FOLLOWER, 0)
-    xf = simulate_follower_batch(follower, fr, b, grid, fshocks, mode="exact")[0]
+    xf = simulate_follower_batch(follower, fr, b, grid, fshocks, mode="exact", tables=tables)[0]
     fpath = FollowerPath(
         grid=grid,
         x=xf,
@@ -413,7 +416,8 @@ def run_discrete_convergence(cfg: ExperimentConfig, threads: int = 1) -> StudyRe
     def work(lo, hi):
         for start, stop in _row_chunks(lo, hi, grid.n_steps):
             shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_FOLLOWER, 1 + start)
-            xs = simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
+            xs = simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact",
+                                         tables=tables)
             _, sigma2[start:stop] = mle_discrete_joint_batch(
                 grid.nodes[idx], xs[:, idx], fr, gp, follower
             )

@@ -293,6 +293,33 @@ def _interp_mid(values):
     return 0.5 * (values[:-1] + values[1:])
 
 
+def follower_a_loop(model, grid):
+    """Backward RK4 for the follower's scalar Riccati coefficient, one stage call each.
+
+    Raises ValueError(t) where the solution overflows.
+    """
+    alpha = 2.0 * model.gain_sq_over_r
+    two_drift = 2.0 * model.a_drift
+    half_q = 0.5 * model.q_track
+
+    def rhs(a):
+        return alpha * a * a - two_drift * a - half_q
+
+    h = grid.h
+    y = 0.0
+    values = [y]
+    for j in range(grid.n_steps - 1, -1, -1):
+        k1 = rhs(y)
+        k2 = rhs(y - 0.5 * h * k1)
+        k3 = rhs(y - 0.5 * h * k2)
+        k4 = rhs(y - h * k3)
+        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(y):
+            raise ValueError(float(grid.nodes[j]))
+        values.append(y)
+    return np.array(values[::-1])
+
+
 def follower_bc_loop(fr, model, x_leader):
     """Backward RK4 for the follower's (b, c) pair with numpy-scalar arithmetic."""
     grid = fr.grid

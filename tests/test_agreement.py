@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackinfer as si
-from conftest import HORIZON, make_leader
+from conftest import HORIZON, make_follower, make_leader
 from oracles import (
     affine_recurrence_loop,
+    follower_a_loop,
     follower_batch_loop,
     follower_bc_loop,
     leader_batch_loop,
@@ -87,6 +88,30 @@ class TestRiccatiSolvers:
         assert np.array_equal(b, b_ref)
         assert np.array_equal(c, c_ref)
 
+    def test_follower_a_bit_identical(self, follower, grid_case):
+        grid, fr, _, _, _, _ = grid_case
+        assert np.array_equal(fr.a, follower_a_loop(follower, grid))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        a_drift=st.floats(-3.0, 1.0),
+        q_track=st.floats(0.0, 5.0),
+        dilation=st.floats(-2.0, 2.0),
+        sigma=st.floats(0.0, 1.0),
+        entropy_weight=st.floats(0.01, 5.0),
+    )
+    def test_follower_bc_matches_loop_on_drawn_models(
+        self, grid50, a_drift, q_track, dilation, sigma, entropy_weight
+    ):
+        model = make_follower(a_drift=a_drift, q_track=q_track, dilation=dilation,
+                              sigma=sigma, entropy_weight=entropy_weight)
+        fr = si.solve_follower_a(model, grid50)
+        x_leader = si.Trajectory(grid=grid50, values=0.1 * np.cos(3.0 * grid50.nodes))
+        b, c = si.solve_follower_bc(fr, model, x_leader)
+        b_ref, c_ref = follower_bc_loop(fr, model, x_leader)
+        assert np.array_equal(b, b_ref)
+        assert np.array_equal(c, c_ref)
+
     @pytest.mark.parametrize("n_steps", [50, 400])
     def test_blow_up_time_unchanged(self, follower, n_steps):
         _, _, coeffs, leader = solved(follower, n_steps, inference_weight=2.0)
@@ -149,6 +174,20 @@ class TestFollowerPaths:
         x = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode=mode)
         tables = _exact_transition_tables(follower, fr, b, grid, 16)
         assert_close(x, follower_batch_loop(follower, fr, b, grid, shocks, mode, tables))
+
+    @pytest.mark.parametrize("n_paths", [3, 60])
+    def test_prebuilt_tables_change_nothing(self, follower, grid_case, n_paths):
+        grid, fr, _, _, _, x_leader = grid_case
+        b, _ = si.solve_follower_bc(fr, follower, x_leader)
+        shocks = si.RngContract(5).normal_matrix(n_paths, grid.n_steps, si.core.STREAM_FOLLOWER, 0)
+        tables = _exact_transition_tables(follower, fr, b, grid, 16)
+        x = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
+        x_tab = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact",
+                                           tables=tables)
+        assert np.array_equal(x_tab, x)
+        with pytest.raises(si.InvalidArgumentError, match="transition tables"):
+            si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact",
+                                       tables=tuple(t[1:] for t in tables))
 
     @pytest.mark.parametrize("mode", ["euler", "exact"])
     def test_wide_batch_is_the_loop(self, follower, fr50, grid50, mode):

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 
 import pytest
@@ -149,6 +150,19 @@ class TestCliCommands:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "study, field",
+        [(dict(levels=[-1]), "config.study.levels[0]"),
+         (dict(levels=[4], n_sigma_replications=1), "config.study.n_sigma_replications")],
+    )
+    def test_bad_discrete_convergence_exit_code(self, tmp_path, capsys, study, field):
+        doc = make_doc(name="discrete-convergence", fine_exponent=8, **study)
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
         path = write_doc(tmp_path, make_doc())
         monkeypatch.chdir(tmp_path)
@@ -173,6 +187,25 @@ class TestReproducibility:
                              "tradeoff-sweep_trajectories.csv")
             }
         assert payloads[1] == payloads[4] == payloads[8]
+
+    @pytest.mark.parametrize("study", [
+        dict(name="tradeoff-sweep", ratios=[1.0, 10.0], n_paths=50),
+        dict(name="estimator-study", inference_weights=[0.0, 0.5], n_replays=40),
+    ])
+    def test_csv_cells_are_plain_numbers(self, tmp_path, study):
+        path = write_doc(tmp_path, make_doc(**study))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        tables = sorted(out.glob("*.csv"))
+        assert tables
+        for table in tables:
+            with open(table, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows
+            for row in rows:
+                for cell in row:
+                    if cell not in ("true", "false"):
+                        float(cell)  # raises on np.float64(...) or any other wrapper
 
     def test_rerun_identical(self, tmp_path):
         doc = make_doc(name="estimator-study", inference_weights=[0.5], n_replays=200)
