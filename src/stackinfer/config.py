@@ -110,6 +110,22 @@ def _nonnegative_int_list(value, path):
     return [_nonnegative_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+# Defaults of the discrete-convergence study, read by its runner too.
+FINE_EXPONENT = 14
+LEVELS = tuple(range(4, 11))
+
+
+def _check_levels(study):
+    """Every discrete-convergence level must lie below fine_exponent."""
+    fine = study.get("fine_exponent", FINE_EXPONENT)
+    if "levels" not in study:
+        _expect(fine > max(LEVELS), "config.study.fine_exponent",
+                f"must exceed the default levels (up to {max(LEVELS)})")
+    for i, level in enumerate(study.get("levels", ())):
+        _expect(level < fine, f"config.study.levels[{i}]",
+                f"must be below fine_exponent ({fine})")
+
+
 def _replications(value, path):
     v = _integer(value, path)
     _expect(v >= 2, path, "must be >= 2 (a spread needs two replications)")
@@ -316,6 +332,8 @@ def validate_config(doc: Any) -> ExperimentConfig:
     )
     required, optional = STUDY_SCHEMAS[name]
     checked = _check_block(study, "config.study", {"name": _string, **required}, optional)
+    if name == "discrete-convergence":
+        _check_levels(checked)
     fmts = top["output"].get("formats", ["csv", "json"])
     _expect(
         isinstance(fmts, list) and all(f in ("csv", "json") for f in fmts),

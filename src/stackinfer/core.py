@@ -224,10 +224,16 @@ def cumtrapz(values, grid: TimeGrid) -> np.ndarray:
         raise InvalidArgumentError(
             f"expected {grid.n_nodes} values on last axis, got shape {v.shape}"
         )
-    h = grid.h
-    inner = np.cumsum((v[..., 1:] + v[..., :-1]) * (0.5 * h), axis=-1)
-    zero = np.zeros(v.shape[:-1] + (1,))
-    return np.concatenate([zero, inner], axis=-1)
+    # cumsum((v[1:] + v[:-1]) * (h / 2)) in place in one output array, laid
+    # out as v is, as the plain expression's result was: a later np.sum over
+    # it adds in an order that depends on the layout.
+    out = np.empty_like(v)
+    inner = out[..., 1:]
+    np.add(v[..., 1:], v[..., :-1], out=inner)
+    inner *= 0.5 * grid.h
+    np.cumsum(inner, axis=-1, out=inner)
+    out[..., 0] = 0.0
+    return out
 
 
 def trapz(values, grid: TimeGrid) -> float:
@@ -237,8 +243,11 @@ def trapz(values, grid: TimeGrid) -> float:
         raise InvalidArgumentError(
             f"expected {grid.n_nodes} values on last axis, got shape {v.shape}"
         )
-    h = grid.h
-    out = np.sum((v[..., 1:] + v[..., :-1]) * (0.5 * h), axis=-1)
+    # One temporary, laid out as the plain expression's: np.sum's pairwise
+    # order depends on the layout.
+    step = np.add(v[..., 1:], v[..., :-1])
+    step *= 0.5 * grid.h
+    out = np.sum(step, axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

@@ -422,12 +422,16 @@ def optimize_policy(
     # Held-out pass decides between the best frozen-eval candidate and the
     # final iterate.
     candidates = [best_theta, theta]
-    held_vals = [batch_value(th, holdout_shocks) for th in candidates]
+    held = [
+        _objective_values(
+            leader, follower, coeffs, fr, policy.with_theta(th), grid, holdout_shocks, cfg.objective
+        )
+        for th in candidates
+    ]
+    held_vals = [float(np.mean(vals)) for vals in held]
     pick = int(np.argmin(held_vals))
     final_theta = candidates[pick]
-    final_vals = _objective_values(
-        leader, follower, coeffs, fr, policy.with_theta(final_theta), grid, holdout_shocks, cfg.objective
-    )
+    final_vals = held[pick]
     final_se = float(np.std(final_vals, ddof=1) / math.sqrt(len(final_vals)))
     return OptimizeResult(
         policy=policy.with_theta(final_theta),

@@ -442,10 +442,14 @@ def compute_g_batch(
     x = np.atleast_2d(np.asarray(x_leader, dtype=float))
     if x.shape[1] != grid.n_nodes:
         raise InvalidArgumentError(f"x_leader must have {grid.n_nodes} columns")
-    growth = np.exp(fr.cum_f)
-    cw = cumtrapz(growth[None, :] * x, grid)
-    g = -model.q_track * np.exp(-fr.cum_f)[None, :] * (cw[:, -1:] - cw)
-    precision = trapz(g * g, grid)
+    # g = -q_track * exp(-cum_f) * (cw[:, -1:] - cw) and the trapezoid of
+    # g * g, with the same operations in place: cw becomes g, and the
+    # weighted path's buffer (laid out as g is) holds g * g.
+    weighted = np.exp(fr.cum_f)[None, :] * x
+    g = cumtrapz(weighted, grid)
+    np.subtract(g[:, -1:].copy(), g, out=g)
+    g *= -model.q_track * np.exp(-fr.cum_f)[None, :]
+    precision = trapz(np.multiply(g, g, out=weighted), grid)
     return g, np.atleast_1d(precision)
 
 
@@ -459,8 +463,14 @@ def compute_g(fr: FollowerRiccati, model: FollowerModel, x_leader: Trajectory) -
 def primary_cost_batch(leader: LeaderModel, grid: TimeGrid, x: np.ndarray, controls: np.ndarray):
     """Realized tracking-plus-effort cost per path row."""
     target = leader.target_at(grid.nodes, grid.horizon)
-    run = 0.5 * leader.q_track * (x - target[None, :]) ** 2
-    run += 0.5 * leader.r_control * controls**2
+    # 0.5 q (x - target)^2 + 0.5 r u^2, with the same operations in place.
+    run = np.subtract(x, target[None, :])
+    np.square(run, out=run)
+    run *= 0.5 * leader.q_track
+    effort = np.square(controls)
+    effort *= 0.5 * leader.r_control
+    run += effort
+    del effort  # trapz's temporary can then reuse its memory, not fault in new pages
     cost = trapz(run, grid)
     cost = cost + 0.5 * leader.q_terminal * (x[:, -1] - target[-1]) ** 2
     return np.atleast_1d(cost)

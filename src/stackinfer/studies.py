@@ -3,7 +3,10 @@
 Each study builds its models from a validated configuration, runs the
 corresponding numerical experiment, and returns a ``StudyResult`` holding a
 scalar summary plus CSV tables. Every path draws from its own index-keyed
-stream, so output does not depend on how paths are batched. The ``threads``
+stream, so output does not depend on how paths are batched. The arms a
+study compares (ratios, weights, policies) share their noise: each chunk
+of rows is drawn once and every arm runs on it, chunks outside and arms
+inside, so memory stays bounded by ``CHUNK_ELEMENTS``. The ``threads``
 argument is still accepted, but all work runs on the calling thread: the
 per-path work holds the GIL, and a thread pool only slowed it down.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig
+from .config import FINE_EXPONENT, LEVELS, ConfigError, ExperimentConfig
 from .core import (
     BlowUpError,
     RngContract,
@@ -107,49 +110,62 @@ def _run_chunked(n_paths: int, threads: int, work):
     work(0, n_paths)
 
 
-def _leader_stats(leader, follower, coeffs, fr, policy, grid, n_paths, rng, threads,
-                  keep_paths: int = 0):
-    """Per-path precision, primary cost and control effort for an ensemble."""
-    precision = np.empty(n_paths)
-    j_primary = np.empty(n_paths)
-    effort = np.empty(n_paths)
-    kept = {}
+def _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, threads,
+                  keep_paths: int = 0, *, effort: bool = False):
+    """Per-path precision, primary cost and control effort for each arm.
+
+    ``arms`` is a list of (leader, policy) pairs that share the leader shocks:
+    each chunk's rows are drawn once and every arm is simulated on them.
+    Returns one (precision, j_primary, effort, kept) per arm; effort is None
+    unless asked for.
+    """
+    stats = [
+        (np.empty(n_paths), np.empty(n_paths), np.empty(n_paths) if effort else None, {})
+        for _ in arms
+    ]
 
     def work(lo, hi):
         for start, stop in _row_chunks(lo, hi, grid.n_steps):
             shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_LEADER, start)
-            ens = simulate_leader_batch(leader, coeffs, policy, grid, shocks)
-            _, prec = compute_g_batch(fr, follower, ens.x)
-            precision[start:stop] = prec
-            j_primary[start:stop] = primary_cost_batch(leader, grid, ens.x, ens.controls)
-            effort[start:stop] = trapz(ens.controls**2, grid)
-            for i in range(start, min(stop, keep_paths)):
-                kept[i] = (ens.x[i - start].copy(), ens.controls[i - start].copy())
+            for (leader, policy), (precision, j_primary, eff, kept) in zip(arms, stats):
+                ens = simulate_leader_batch(leader, coeffs, policy, grid, shocks)
+                precision[start:stop] = compute_g_batch(fr, follower, ens.x)[1]
+                j_primary[start:stop] = primary_cost_batch(leader, grid, ens.x, ens.controls)
+                if eff is not None:
+                    eff[start:stop] = trapz(ens.controls**2, grid)
+                for i in range(start, min(stop, keep_paths)):
+                    kept[i] = (ens.x[i - start].copy(), ens.controls[i - start].copy())
+                # Let go of this arm's paths before the next arm simulates.
+                del ens
 
     _run_chunked(n_paths, threads, work)
-    return precision, j_primary, effort, kept
+    return stats
 
 
-def _follower_mhats(follower, fr, gp, b, grid, n_replays, rng, threads):
-    """Dilation estimates over follower replays on one fixed leader path."""
-    m_hats = np.empty(n_replays)
+def _follower_mhats(follower, fr, arms, grid, n_replays, rng, threads):
+    """Dilation estimates over follower replays, one array per (gp, b) arm.
+
+    Every arm replays the same follower shocks, drawn once per chunk.
+    """
+    m_hats = [np.empty(n_replays) for _ in arms]
 
     def work(lo, hi):
         for start, stop in _row_chunks(lo, hi, grid.n_steps):
             shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_FOLLOWER, start)
-            xs = simulate_follower_batch(follower, fr, b, grid, shocks)
-            m_hats[start:stop] = mle_continuous_batch(xs, gp, fr, follower)
+            for (gp, b), out in zip(arms, m_hats):
+                xs = simulate_follower_batch(follower, fr, b, grid, shocks)
+                out[start:stop] = mle_continuous_batch(xs, gp, fr, follower)
+                del xs
 
     _run_chunked(n_replays, threads, work)
     return m_hats
 
 
-def _fixed_leader_path(follower, lm, coeffs, fr, grid, rng, path_index=0):
+def _fixed_leader_path(follower, lm, coeffs, fr, grid, shocks):
+    """The leader's path under its Riccati law on one row of shocks."""
     lr = solve_leader_system(lm, follower, coeffs)
-    policy = RiccatiPolicy(lm, lr)
-    shocks = rng.normal_matrix(1, grid.n_steps, STREAM_LEADER, path_index)
-    ens = simulate_leader_batch(lm, coeffs, policy, grid, shocks)
-    return Trajectory(grid=grid, values=ens.x[0]), lr
+    ens = simulate_leader_batch(lm, coeffs, RiccatiPolicy(lm, lr), grid, shocks)
+    return Trajectory(grid=grid, values=ens.x[0])
 
 
 def run_tradeoff_sweep(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
@@ -168,22 +184,25 @@ def run_tradeoff_sweep(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     rng = RngContract(cfg.master_seed)
     n_paths = cfg.study.get("n_paths", 10_000)
 
-    rows = []
-    traj_rows = []
-    for ratio in cfg.study["ratios"]:
+    ratios = cfg.study["ratios"]
+    arms = []
+    for ratio in ratios:
         lm = cfg.build_leader(grid, q_track=ratio * lam)
         lr = solve_leader_system(lm, follower, coeffs)
-        policy = RiccatiPolicy(lm, lr)
-        precision, j_p, _, kept = _leader_stats(
-            lm, follower, coeffs, fr, policy, grid, n_paths, rng, threads, keep_paths=1
-        )
+        arms.append((lm, RiccatiPolicy(lm, lr)))
+    stats = _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, threads, keep_paths=1)
+    # Every ratio's trajectory row sees the same follower shocks.
+    fshocks = rng.normal_matrix(1, grid.n_steps, STREAM_FOLLOWER, 0)
+
+    rows = []
+    traj_rows = []
+    for ratio, (lm, _), (precision, j_p, _, kept) in zip(ratios, arms, stats):
         mean_fisher = float(np.mean(precision)) / follower.noise_to_signal
         rows.append(
             [ratio, lam, ratio * lam, mean_fisher, float(np.mean(j_p)), n_paths, cfg.master_seed]
         )
         x_path, controls = kept[0]
         b, _ = solve_follower_bc(fr, follower, Trajectory(grid=grid, values=x_path))
-        fshocks = rng.normal_matrix(1, grid.n_steps, STREAM_FOLLOWER, 0)
         xf = simulate_follower_batch(follower, fr, b, grid, fshocks)[0]
         target = lm.target_at(grid.nodes, grid.horizon)
         for j in range(grid.n_nodes):
@@ -235,12 +254,17 @@ def run_estimator_study(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     checkpoints = np.unique(
         np.round(np.logspace(1, math.log10(n_replays), 20)).astype(int)
     )
-    for lam in cfg.study["inference_weights"]:
+    weights = cfg.study["inference_weights"]
+    lshocks = rng.normal_matrix(1, grid.n_steps, STREAM_LEADER, path_index)
+    arms = []
+    for lam in weights:
         lm = cfg.build_leader(grid, inference_weight=lam)
-        x_leader, _ = _fixed_leader_path(follower, lm, coeffs, fr, grid, rng, path_index)
-        gp = compute_g(fr, follower, x_leader)
+        x_leader = _fixed_leader_path(follower, lm, coeffs, fr, grid, lshocks)
         b, _ = solve_follower_bc(fr, follower, x_leader)
-        m_hats = _follower_mhats(follower, fr, gp, b, grid, n_replays, rng, threads)
+        arms.append((compute_g(fr, follower, x_leader), b))
+    all_m_hats = _follower_mhats(follower, fr, arms, grid, n_replays, rng, threads)
+
+    for lam, (gp, _), m_hats in zip(weights, arms, all_m_hats):
         bias = float(np.mean(m_hats)) - follower.dilation
         se = float(np.std(m_hats, ddof=1) / math.sqrt(n_replays))
         sample_var = float(np.var(m_hats, ddof=1))
@@ -368,18 +392,18 @@ def run_multi_period(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
 def run_discrete_convergence(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     """Discrete-observation estimates against the continuous one on a fine path."""
     follower = cfg.build_follower()
-    fine_exp = cfg.study.get("fine_exponent", 14)
-    levels = cfg.study.get("levels", list(range(4, 11)))
+    fine_exp = cfg.study.get("fine_exponent", FINE_EXPONENT)
+    levels = cfg.study.get("levels", LEVELS)
     n_reps = cfg.study.get("n_sigma_replications", 100)
-    if max(levels) >= fine_exp:
-        raise ConfigError("config.study.levels: levels must be below fine_exponent")
 
     grid = build_grid(cfg.grid["horizon"], 2**fine_exp)
     fr = solve_follower_a(follower, grid)
     coeffs = compute_coefficients(fr, follower)
     lm = cfg.build_leader(grid)
     rng = RngContract(cfg.master_seed)
-    x_leader, _ = _fixed_leader_path(follower, lm, coeffs, fr, grid, rng)
+    x_leader = _fixed_leader_path(
+        follower, lm, coeffs, fr, grid, rng.normal_matrix(1, grid.n_steps, STREAM_LEADER, 0)
+    )
     gp = compute_g(fr, follower, x_leader)
     b, _ = solve_follower_bc(fr, follower, x_leader)
 
@@ -483,16 +507,13 @@ def run_benchmark_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResul
     lam = lm.inference_weight
     scale = lam / follower.noise_to_signal
 
-    def eval_policy(policy):
-        precision, j_p, _, kept = _leader_stats(
-            lm, follower, coeffs, fr, policy, grid, n_eval, rng, threads,
-            keep_paths=n_display,
-        )
-        values = -scale * precision + j_p
-        return values, kept
-
-    vals_r, kept_r = eval_policy(riccati)
-    vals_n, kept_n = eval_policy(recurrent)
+    # Both policies run on the same leader shocks, drawn once per chunk.
+    (prec_r, jp_r, _, kept_r), (prec_n, jp_n, _, kept_n) = _leader_stats(
+        [(lm, riccati), (lm, recurrent)], follower, coeffs, fr, grid, n_eval, rng, threads,
+        keep_paths=n_display,
+    )
+    vals_r = -scale * prec_r + jp_r
+    vals_n = -scale * prec_n + jp_n
     diff = vals_n - vals_r
     j_r, j_n = float(np.mean(vals_r)), float(np.mean(vals_n))
     summary = {
@@ -543,20 +564,22 @@ def run_objective_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResul
     n_paths = cfg.study.get("n_paths", 10_000)
     overrides = cfg.study.get("optimizer", {})
 
-    rows = []
-    for lam_var, lam_info in cfg.study["pairs"]:
+    pairs = cfg.study["pairs"]
+    arms = []
+    for lam_var, lam_info in pairs:
         lm_info = cfg.build_leader(grid, inference_weight=lam_info)
         lr = solve_leader_system(lm_info, follower, coeffs)
-        prec_i, jp_i, eff_i, _ = _leader_stats(
-            lm_info, follower, coeffs, fr, RiccatiPolicy(lm_info, lr), grid,
-            n_paths, rng, threads,
-        )
         lm_var = cfg.build_leader(grid, inference_weight=lam_var)
         opt_cfg = _optimizer_config(cfg, overrides, "variance")
         trained = optimize_policy(opt_cfg, lm_var, follower, coeffs, fr, grid).policy
-        prec_v, jp_v, eff_v, _ = _leader_stats(
-            lm_var, follower, coeffs, fr, trained, grid, n_paths, rng, threads
-        )
+        arms += [(lm_info, RiccatiPolicy(lm_info, lr)), (lm_var, trained)]
+    # Every policy of every pair runs on the same leader shocks.
+    stats = _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, threads, effort=True)
+
+    rows = []
+    for (lam_var, lam_info), info, var in zip(pairs, stats[0::2], stats[1::2]):
+        prec_i, jp_i, eff_i, _ = info
+        prec_v, jp_v, eff_v, _ = var
         nts = follower.noise_to_signal
         rows.append(
             [lam_var, lam_info,

@@ -444,3 +444,122 @@ def leader_system_loop(leader, follower, coeffs, blow_up_threshold=1e12):
             raise ValueError(float(nodes[j]))
         store(j, y)
     return quad, lin, offset
+
+
+# ---------------------------------------------------------------------------
+# The trapezoid helpers and the score / cost functionals as one-line
+# expressions, the form they had before they were written in place.
+
+
+def cumtrapz_one_line(values, grid):
+    v = np.asarray(values, dtype=float)
+    inner = np.cumsum((v[..., 1:] + v[..., :-1]) * (0.5 * grid.h), axis=-1)
+    return np.concatenate([np.zeros(v.shape[:-1] + (1,)), inner], axis=-1)
+
+
+def trapz_one_line(values, grid):
+    v = np.asarray(values, dtype=float)
+    out = np.sum((v[..., 1:] + v[..., :-1]) * (0.5 * grid.h), axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def compute_g_batch_one_line(fr, model, x_leader):
+    x = np.atleast_2d(np.asarray(x_leader, dtype=float))
+    cw = cumtrapz_one_line(np.exp(fr.cum_f)[None, :] * x, fr.grid)
+    g = -model.q_track * np.exp(-fr.cum_f)[None, :] * (cw[:, -1:] - cw)
+    return g, np.atleast_1d(trapz_one_line(g * g, fr.grid))
+
+
+def primary_cost_batch_one_line(leader, grid, x, controls):
+    target = leader.target_at(grid.nodes, grid.horizon)
+    run = 0.5 * leader.q_track * (x - target[None, :]) ** 2
+    run += 0.5 * leader.r_control * controls**2
+    cost = trapz_one_line(run, grid) + 0.5 * leader.q_terminal * (x[:, -1] - target[-1]) ** 2
+    return np.atleast_1d(cost)
+
+
+# ---------------------------------------------------------------------------
+# Per-arm study loops: the tradeoff sweep and the estimator study as they ran
+# before the studies drew each chunk's shocks once for all arms. Every ratio
+# or weight draws its own rows, chunk by chunk, and the score and cost use
+# the one-line expressions above. They call the library's solvers,
+# simulators and estimators, which loop order does not touch.
+
+
+def _chunks(n, rows):
+    for start in range(0, n, rows):
+        yield start, min(start + rows, n)
+
+
+def tradeoff_sweep_per_arm(cfg, chunk_rows):
+    """(sweep rows, trajectory rows) of the tradeoff sweep, one ratio at a time."""
+    import stackinfer as si
+    from stackinfer.core import STREAM_FOLLOWER, STREAM_LEADER
+
+    lam = cfg.leader["inference_weight"]
+    grid = cfg.build_grid()
+    follower = cfg.build_follower()
+    fr = si.solve_follower_a(follower, grid)
+    coeffs = si.compute_coefficients(fr, follower)
+    rng = si.RngContract(cfg.master_seed)
+    n_paths = cfg.study["n_paths"]
+    rows, traj_rows = [], []
+    for ratio in cfg.study["ratios"]:
+        lm = cfg.build_leader(grid, q_track=ratio * lam)
+        policy = si.RiccatiPolicy(lm, si.solve_leader_system(lm, follower, coeffs))
+        precision, j_p = np.empty(n_paths), np.empty(n_paths)
+        for start, stop in _chunks(n_paths, chunk_rows):
+            shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_LEADER, start)
+            ens = si.simulate_leader_batch(lm, coeffs, policy, grid, shocks)
+            precision[start:stop] = compute_g_batch_one_line(fr, follower, ens.x)[1]
+            j_p[start:stop] = primary_cost_batch_one_line(lm, grid, ens.x, ens.controls)
+            if start == 0:
+                x_path, controls = ens.x[0].copy(), ens.controls[0].copy()
+        rows.append([ratio, lam, ratio * lam, float(np.mean(precision)) / follower.noise_to_signal,
+                     float(np.mean(j_p)), n_paths, cfg.master_seed])
+        b, _ = si.solve_follower_bc(fr, follower, si.Trajectory(grid=grid, values=x_path))
+        fshocks = rng.normal_matrix(1, grid.n_steps, STREAM_FOLLOWER, 0)
+        xf = si.simulate_follower_batch(follower, fr, b, grid, fshocks)[0]
+        target = lm.target_at(grid.nodes, grid.horizon)
+        for j in range(grid.n_nodes):
+            traj_rows.append([ratio, j, grid.nodes[j], x_path[j], controls[j], xf[j], target[j]])
+    return rows, traj_rows
+
+
+def estimator_study_per_arm(cfg, chunk_rows):
+    """(estimator rows, bias-curve rows) of the estimator study, one weight at a time."""
+    import stackinfer as si
+    from stackinfer.core import STREAM_FOLLOWER, STREAM_LEADER
+
+    grid = cfg.build_grid()
+    follower = cfg.build_follower()
+    fr = si.solve_follower_a(follower, grid)
+    coeffs = si.compute_coefficients(fr, follower)
+    rng = si.RngContract(cfg.master_seed)
+    n_replays = cfg.study["n_replays"]
+    path_index = cfg.study.get("path_seed_index", 0)
+    checkpoints = np.unique(np.round(np.logspace(1, math.log10(n_replays), 20)).astype(int))
+    rows, curve_rows = [], []
+    for lam in cfg.study["inference_weights"]:
+        lm = cfg.build_leader(grid, inference_weight=lam)
+        policy = si.RiccatiPolicy(lm, si.solve_leader_system(lm, follower, coeffs))
+        lshocks = rng.normal_matrix(1, grid.n_steps, STREAM_LEADER, path_index)
+        x_leader = si.Trajectory(
+            grid=grid, values=si.simulate_leader_batch(lm, coeffs, policy, grid, lshocks).x[0]
+        )
+        g, precision = compute_g_batch_one_line(fr, follower, x_leader.values)
+        gp = si.GProfile(grid=grid, g=g[0], precision=float(precision[0]))
+        b, _ = si.solve_follower_bc(fr, follower, x_leader)
+        m_hats = np.empty(n_replays)
+        for start, stop in _chunks(n_replays, chunk_rows):
+            shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_FOLLOWER, start)
+            xs = si.simulate_follower_batch(follower, fr, b, grid, shocks)
+            m_hats[start:stop] = si.mle_continuous_batch(xs, gp, fr, follower)
+        rows.append([lam, gp.precision, float(np.mean(m_hats)) - follower.dilation,
+                     float(np.std(m_hats, ddof=1) / math.sqrt(n_replays)),
+                     float(np.var(m_hats, ddof=1)), follower.noise_to_signal / gp.precision,
+                     n_replays, cfg.master_seed])
+        running = np.cumsum(m_hats) / np.arange(1, n_replays + 1)
+        for n_used in checkpoints:
+            curve_rows.append([lam, int(n_used), running[n_used - 1] - follower.dilation])
+    return rows, curve_rows

@@ -15,11 +15,15 @@ import stackinfer as si
 from conftest import HORIZON, make_follower, make_leader
 from oracles import (
     affine_recurrence_loop,
+    compute_g_batch_one_line,
+    cumtrapz_one_line,
     follower_a_loop,
     follower_batch_loop,
     follower_bc_loop,
     leader_batch_loop,
     leader_system_loop,
+    primary_cost_batch_one_line,
+    trapz_one_line,
 )
 from stackinfer.simulate import _affine_scan, _exact_transition_tables
 
@@ -71,6 +75,45 @@ def test_blocked_recurrence_rows_are_independent():
     whole = _affine_scan(a, c, y0)
     for i in (0, 3, 6):
         assert np.array_equal(_affine_scan(a, c[i : i + 1], y0[i : i + 1])[0], whole[i])
+
+
+def _node_values(gen, n_rows, n_nodes, layout, scale):
+    """Node values as a 1-D row, a 2-D batch, a column slice or a Fortran array."""
+    if layout == "1d":
+        return scale * gen.standard_normal(n_nodes)
+    if layout == "sliced":
+        return (scale * gen.standard_normal((n_rows, 2 * n_nodes)))[:, ::2]
+    values = scale * gen.standard_normal((n_rows, n_nodes))
+    return np.asfortranarray(values) if layout == "fortran" else values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 7, 50, 97, 300]),
+    n_rows=st.integers(1, 5),
+    layout=st.sampled_from(["1d", "2d", "sliced", "fortran"]),
+    exponent=st.integers(-3, 3),
+    q_track=st.floats(0.3, 7.0),
+    r_control=st.floats(0.3, 7.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_in_place_helpers_equal_one_line_expressions(
+    n, n_rows, layout, exponent, q_track, r_control, seed
+):
+    gen = np.random.default_rng(seed)
+    follower = make_follower(q_track=q_track)
+    grid, fr, _, _ = solved(follower, n)
+    leader = make_leader(q_track=q_track, r_control=r_control)
+    x = _node_values(gen, n_rows, grid.n_nodes, layout, 10.0**exponent)
+    assert np.array_equal(si.cumtrapz(x, grid), cumtrapz_one_line(x, grid))
+    assert np.array_equal(si.trapz(x, grid), trapz_one_line(x, grid))
+    g, precision = si.compute_g_batch(fr, follower, x)
+    g_ref, precision_ref = compute_g_batch_one_line(fr, follower, x)
+    assert np.array_equal(g, g_ref) and np.array_equal(precision, precision_ref)
+    x2 = np.atleast_2d(x)
+    u = _node_values(gen, x2.shape[0], grid.n_nodes, "2d" if layout == "1d" else layout, 1.0)
+    assert np.array_equal(si.primary_cost_batch(leader, grid, x2, u),
+                          primary_cost_batch_one_line(leader, grid, x2, u))
 
 
 class TestRiccatiSolvers:

@@ -163,6 +163,21 @@ class TestCliCommands:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "study, field",
+        [(dict(levels=[20]), "config.study.levels[0]"),
+         (dict(fine_exponent=8, levels=[4, 8]), "config.study.levels[1]"),
+         (dict(fine_exponent=8), "config.study.fine_exponent")],
+    )
+    def test_validate_agrees_with_run_on_levels(self, tmp_path, capsys, study, field):
+        path = write_doc(tmp_path, make_doc(name="discrete-convergence", **study))
+        assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
         path = write_doc(tmp_path, make_doc())
         monkeypatch.chdir(tmp_path)

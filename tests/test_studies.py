@@ -1,8 +1,14 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import stackinfer as si
 from conftest import HORIZON, make_follower, make_leader
+from oracles import estimator_study_per_arm, tradeoff_sweep_per_arm
+from stackinfer import core, studies
+from stackinfer.config import validate_config
 from stackinfer.studies import run_episodes
 
 
@@ -66,3 +72,88 @@ class TestEpisodeDriver:
         median = float(np.median(stops))
         within = sum(abs(s - median) <= 2 for s in stops)
         assert within >= 0.8 * len(stops)
+
+
+MODEL = {
+    "follower": {
+        "a_drift": -1.0, "b_control": 1.0, "sigma": 0.1, "x0": 0.1,
+        "q_track": 1.0, "r_control": 1.0, "entropy_weight": 1.0, "dilation": 1.0,
+    },
+    "leader": {
+        "a_drift": -1.0, "b_control": 1.0, "sigma": 0.1, "x0": 0.1,
+        "q_track": 1.0, "r_control": 1.0, "q_terminal": 1.0, "inference_weight": 0.5,
+        "target": {"kind": "sinusoid", "amplitude": 0.1, "cycles": 1.0},
+    },
+    "grid": {"horizon": HORIZON, "n_steps": 50},
+    "rng": {"master_seed": 11},
+}
+TINY_SPSA = {"budget": 2, "batch_size": 16, "eval_every": 1, "eval_paths": 32}
+SWEEP = {"name": "tradeoff-sweep", "ratios": [0.5, 1.0, 10.0, 25.0, 100.0], "n_paths": 200}
+ESTIMATOR = {"name": "estimator-study", "inference_weights": [0.0, 0.5, 0.93], "n_replays": 200}
+
+
+def study_config(study):
+    return validate_config({**MODEL, "study": study})
+
+
+class TestCommonNoise:
+    """Each study draws its common shocks once and gets the per-arm answer."""
+
+    @pytest.mark.parametrize("study", [
+        SWEEP,
+        ESTIMATOR,
+        {"name": "benchmark-compare", "n_eval_paths": 200, "n_display_paths": 2,
+         "optimizer": TINY_SPSA},
+        {"name": "objective-compare", "pairs": [[1e-6, 0.5], [1e-5, 0.93]], "n_paths": 200,
+         "optimizer": TINY_SPSA},
+    ], ids=lambda study: study["name"])
+    def test_each_row_block_is_drawn_once(self, monkeypatch, study):
+        monkeypatch.setattr(studies, "CHUNK_ELEMENTS", 70 * 50)  # 3 chunks of rows
+        requests = Counter()
+        normal_matrix = core.RngContract.normal_matrix
+
+        def counted(rng, n_paths, n, namespace, offset=0):
+            requests[namespace, offset, n_paths] += 1
+            return normal_matrix(rng, n_paths, n, namespace, offset)
+
+        monkeypatch.setattr(core.RngContract, "normal_matrix", counted)
+        studies.run_study(study_config(study))
+        assert requests
+        assert max(requests.values()) == 1, requests
+
+    @pytest.mark.parametrize("chunk_rows", [20, 70])
+    def test_sweep_matches_the_per_arm_loop(self, monkeypatch, chunk_rows):
+        monkeypatch.setattr(studies, "CHUNK_ELEMENTS", chunk_rows * 50)
+        cfg = study_config(SWEEP)
+        tables = studies.run_study(cfg).tables
+        rows, traj_rows = tradeoff_sweep_per_arm(cfg, chunk_rows)
+        assert tables["sweep"][1] == rows
+        assert tables["trajectories"][1] == traj_rows
+
+    @pytest.mark.parametrize("chunk_rows", [20, 70])
+    def test_estimator_study_matches_the_per_arm_loop(self, monkeypatch, chunk_rows):
+        monkeypatch.setattr(studies, "CHUNK_ELEMENTS", chunk_rows * 50)
+        cfg = study_config(ESTIMATOR)
+        tables = studies.run_study(cfg).tables
+        rows, curve_rows = estimator_study_per_arm(cfg, chunk_rows)
+        assert tables["estimator"][1] == rows
+        assert tables["bias_curve"][1] == curve_rows
+
+    def test_arms_let_go_of_their_paths(self):
+        # Five ratios may hold five arms' result vectors, not an earlier
+        # arm's paths or score profile while the next arm simulates.
+        n_paths = 2000
+
+        def traced_peak(ratios):
+            cfg = study_config({"name": "tradeoff-sweep", "ratios": ratios, "n_paths": n_paths})
+            studies.run_study(cfg)  # warm caches and imports outside the trace
+            tracemalloc.start()
+            try:
+                studies.run_study(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = traced_peak([1.0])
+        five = traced_peak(SWEEP["ratios"])
+        assert five <= 1.1 * (one + 5 * 3 * n_paths * 8), (one, five)
