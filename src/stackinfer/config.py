@@ -113,6 +113,9 @@ def _nonnegative_int_list(value, path):
 # Defaults of the discrete-convergence study, read by its runner too.
 FINE_EXPONENT = 14
 LEVELS = tuple(range(4, 11))
+# Defaults of the benchmark-compare study, read by its runner too.
+N_EVAL_PATHS = 8192
+N_DISPLAY_PATHS = 5
 
 
 def _check_levels(study):
@@ -129,6 +132,12 @@ def _check_levels(study):
 def _replications(value, path):
     v = _integer(value, path)
     _expect(v >= 2, path, "must be >= 2 (a spread needs two replications)")
+    return v
+
+
+def _replays(value, path):
+    v = _integer(value, path)
+    _expect(v >= 10, path, "must be >= 10 (the bias curve starts at 10 replays)")
     return v
 
 
@@ -219,7 +228,7 @@ STUDY_SCHEMAS = {
     ),
     "estimator-study": (
         {"inference_weights": _number_list},
-        {"n_replays": _positive_int, "path_seed_index": _nonnegative_int},
+        {"n_replays": _replays, "path_seed_index": _nonnegative_int},
     ),
     "multi-period": (
         {"inference_weights": _number_list, "n_episodes": _positive_int},
@@ -287,12 +296,20 @@ class ExperimentConfig:
                 amplitude=spec["amplitude"], omega=omega, phase=spec.get("phase", 0.0)
             )
         values = spec["values"]
-        if len(values) != grid.n_nodes:
-            raise ConfigError(
-                f"leader.target.values: needs {grid.n_nodes} entries for this grid, "
-                f"got {len(values)}"
-            )
+        _check_target_length(values, grid.n_steps)
         return Tabulated(grid=grid, table=np.asarray(values))
+
+
+def _check_target_length(values: list, n_steps: int):
+    _expect(len(values) == n_steps + 1, "config.leader.target.values",
+            f"needs {n_steps + 1} entries for this grid, got {len(values)}")
+
+
+def _study_n_steps(name: str, study: dict, grid: dict) -> int:
+    """Steps of the grid the study builds its leader on."""
+    if name == "discrete-convergence":
+        return 2 ** study.get("fine_exponent", FINE_EXPONENT)
+    return grid["n_steps"]
 
 
 def validate_config(doc: Any) -> ExperimentConfig:
@@ -334,6 +351,18 @@ def validate_config(doc: Any) -> ExperimentConfig:
     checked = _check_block(study, "config.study", {"name": _string, **required}, optional)
     if name == "discrete-convergence":
         _check_levels(checked)
+    if name == "benchmark-compare":
+        n_eval = checked.get("n_eval_paths", N_EVAL_PATHS)
+        _expect(checked.get("n_display_paths", N_DISPLAY_PATHS) <= n_eval,
+                "config.study.n_display_paths", f"must not exceed n_eval_paths ({n_eval})")
+    leader = top["leader"]
+    if name == "tradeoff-sweep":
+        # The sweep sets q_track = ratio * inference_weight.
+        _expect(leader["inference_weight"] > 0, "config.leader.inference_weight",
+                "tradeoff-sweep needs > 0")
+    if leader["target"]["kind"] == "tabulated":
+        _check_target_length(leader["target"]["values"],
+                             _study_n_steps(name, checked, top["grid"]))
     fmts = top["output"].get("formats", ["csv", "json"])
     _expect(
         isinstance(fmts, list) and all(f in ("csv", "json") for f in fmts),

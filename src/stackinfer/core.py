@@ -6,6 +6,7 @@ threads. All floating-point work is float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -249,6 +250,25 @@ def trapz(values, grid: TimeGrid) -> float:
     step *= 0.5 * grid.h
     out = np.sum(step, axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+def block_transfer_maps(a: np.ndarray, out: np.ndarray) -> int:
+    """Running products of step matrices within blocks of isqrt(n) steps.
+
+    ``a`` is (n, k, k), one matrix per step. The steps are cut into blocks
+    of ``size = isqrt(n)``; the fewer than ``size`` leftover steps form a
+    shorter last block. Writes out[j] = a[j] @ a[j-1] @ ... @ a[s], with s
+    the first step of j's block, and returns ``size``. ``out`` may be ``a``
+    itself. This is the shared half of a two-level blocked recurrence: the
+    caller carries its state across the about sqrt(n) block boundaries.
+    """
+    n = a.shape[0]
+    size = math.isqrt(n)
+    out[::size] = a[::size]
+    for i in range(1, size):
+        count = len(range(i, n, size))
+        np.matmul(a[i::size], out[i - 1 :: size][:count], out=out[i::size])
+    return size
 
 
 # Stream-key namespaces so leader noise, follower noise and optimizer draws

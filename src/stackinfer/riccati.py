@@ -5,11 +5,15 @@ the leader's value function lives on the augmented state (own state plus two
 path integrals), giving a symmetric 3x3 Riccati system with an indefinite
 source. All systems are integrated backward from their terminal conditions
 with classical RK4 on the simulation grid; coefficient values at interior
-half-steps come from linear interpolation of the node arrays.
+half-steps come from linear interpolation of the node arrays. On grids of
+at least ``HAMILTONIAN_MIN_STEPS`` steps the leader system is instead
+solved as the linear Hamiltonian system whose solution [X; Y] gives the
+Riccati solution as Y X^-1 (Radon's lemma): per-step RK4 propagators
+multiplied out two-level blocked, restarted at every block.
 
 The leader system is only locally well-posed; ``horizon_bound`` computes the
 conservative existence horizon, and ``solve_leader_system`` raises
-``BlowUpError`` when the solution norm passes a threshold.
+``BlowUpError`` at the first node past the blow-up.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .core import (
     LeaderModel,
     TimeGrid,
     Trajectory,
+    block_transfer_maps,
     cumtrapz,
 )
 
@@ -241,27 +246,92 @@ def scaled_info_weight(leader: LeaderModel, follower: FollowerModel) -> float:
     return leader.inference_weight / follower.noise_to_signal
 
 
+# Default bound on |quad| entries past which the leader system counts as
+# blown up.
+BLOW_UP_THRESHOLD = 1e12
+# Grids of at least HAMILTONIAN_MIN_STEPS steps solve the leader system as a
+# blocked linear Hamiltonian product; shorter grids step the RK4 loop, bit
+# for bit as before. Measured on a 2-vCPU x86 host (numpy 2, best of 7, RK4
+# time over Hamiltonian time): 50 steps 0.83x, 128 1.2x, 512 1.4x, 1024
+# 1.5x, 2048 1.9x, 8192 2.7x. The product wins from about 100 steps; the
+# threshold sits higher so that the 50- to 1000-step studies keep their
+# output bits, where the product would save under 2 ms per solve.
+HAMILTONIAN_MIN_STEPS = 1024
+# Steps whose propagators, or whose node values, are formed at once: about
+# 0.5 MB of (steps, 8, 8) temporaries, which bounds the solver's memory.
+_CHUNK_STEPS = 1024
+# The six quad entries (L11, L12, L13, L22, L23, L33) as a symmetric 3x3.
+_QUAD_INDEX = [0, 1, 2, 1, 3, 4, 2, 4, 5]
+
+
 def solve_leader_system(
     leader: LeaderModel,
     follower: FollowerModel,
     coeffs: DerivedCoefficients,
-    blow_up_threshold: float = 1e12,
+    blow_up_threshold: float = BLOW_UP_THRESHOLD,
 ) -> LeaderRiccati:
     """Solve the leader's augmented Riccati system backward on the grid.
 
     The quadratic coefficient has an indefinite source (the inference reward
     enters with a negative sign), so solutions may blow up in finite time;
-    when any entry passes ``blow_up_threshold`` a ``BlowUpError`` carrying
-    the grid time is raised. Symmetry is enforced structurally by
-    integrating the six independent entries of the quadratic coefficient.
+    a ``BlowUpError`` carrying the grid time of the first node past the
+    blow-up is raised. Grids shorter than ``HAMILTONIAN_MIN_STEPS`` step
+    classical RK4 on the six independent quad entries, the linear and the
+    constant coefficient, and raise when a quad entry passes
+    ``blow_up_threshold``. Longer grids take the linear Hamiltonian form
+    (see ``_leader_hamiltonian``). It is fourth order too: it agrees with
+    RK4 to 1e-10 relative wherever the grid resolves the solution, and
+    raises at RK4's blow-up node or one step nearer T. Either way quad is
+    exactly symmetric.
     """
+    grid = coeffs.grid
+    nodes = grid.nodes
+    T = grid.horizon
+    lam_s = scaled_info_weight(leader, follower)
+    f_nodes = leader.target_at(nodes, T)
+    f_mid = leader.target_at(0.5 * (nodes[:-1] + nodes[1:]), T)
+    f_T = float(f_nodes[-1])
+    # (L11, L12, L13, L22, L23, L33, m1, m2, m3, N) at T.
+    terminal = (
+        0.5 * leader.q_terminal,
+        0.0,
+        0.0,
+        -lam_s * coeffs.decay_l1,
+        lam_s,
+        0.0,
+        -leader.q_terminal * f_T,
+        0.0,
+        0.0,
+        0.5 * leader.q_terminal * f_T * f_T,
+    )
+    solve = _leader_rk4 if grid.n_steps < HAMILTONIAN_MIN_STEPS else _leader_hamiltonian
+    table = solve(leader, lam_s, coeffs, f_nodes, f_mid, terminal, blow_up_threshold)
+
+    quad = table[:, _QUAD_INDEX].reshape(grid.n_nodes, 3, 3)
+    lin = table[:, 6:9].copy()
+    offset = table[:, 9].copy()
+    quad.setflags(write=False)
+    lin.setflags(write=False)
+    offset.setflags(write=False)
+    return LeaderRiccati(
+        grid=grid, quad=quad, lin=lin, offset=offset, scaled_info_weight=lam_s
+    )
+
+
+def _blow_up(t: float, peak: float):
+    return BlowUpError(
+        f"leader Riccati system blew up at t={t:.6g} (|quad| reached {peak:.3g})",
+        blow_up_time=t,
+    )
+
+
+def _leader_rk4(leader, lam_s, coeffs, f_nodes, f_mid, terminal, blow_up_threshold):
+    """Classical RK4 on the 10-entry system; returns the (n_nodes, 10) node table."""
     grid = coeffs.grid
     n = grid.n_steps
     h = grid.h
     nodes = grid.nodes
-    T = grid.horizon
 
-    lam_s = scaled_info_weight(leader, follower)
     a_l = leader.a_drift
     gain = 2.0 * leader.b_control**2 / leader.r_control
     half_q = 0.5 * leader.q_track
@@ -274,8 +344,8 @@ def solve_leader_system(
     d = coeffs.decay.tolist()
     w_mid = _interp_mid(coeffs.weight).tolist()
     d_mid = _interp_mid(coeffs.decay).tolist()
-    f_nodes = leader.target_at(nodes, T).tolist()
-    f_mid = leader.target_at(0.5 * (nodes[:-1] + nodes[1:]), T).tolist()
+    f_nodes = f_nodes.tolist()
+    f_mid = f_mid.tolist()
 
     # State (L11, L12, L13, L22, L23, L33, m1, m2, m3, N); no rate reads N.
     def rhs(l11, l12, l13, l22, l23, l33, m1, m2, m3, wt, dt_, ft):
@@ -298,26 +368,14 @@ def solve_leader_system(
             b2_over_2r * m1 * m1 - sig2 * l11 - half_q * ft * ft,
         )
 
-    f_T = f_nodes[-1]
-    y0, y1, y2, y3, y4, y5, y6, y7, y8, y9 = y = (
-        0.5 * leader.q_terminal,
-        0.0,
-        0.0,
-        -lam_s * coeffs.decay_l1,
-        lam_s,
-        0.0,
-        -leader.q_terminal * f_T,
-        0.0,
-        0.0,
-        0.5 * leader.q_terminal * f_T * f_T,
-    )
+    y0, y1, y2, y3, y4, y5, y6, y7, y8, y9 = terminal
 
     half_h = 0.5 * h
     sixth_h = h / 6.0
     # Node states are appended backward as raw doubles (no per-node objects).
     # The RK4 stages k1..k4 are named p, q, r, s; each stage state y - step*k
     # and the final combination are written out per entry for speed.
-    states = array("d", y)
+    states = array("d", terminal)
     for j, w_r, d_r, f_r, w_m, d_m, f_m, w_l, d_l, f_l in zip(
         range(n - 1, -1, -1),
         w[:0:-1], d[:0:-1], f_nodes[:0:-1],
@@ -357,23 +415,150 @@ def solve_leader_system(
         y9 = y9 - sixth_h * (p9 + 2.0 * q9 + 2.0 * r9 + s9)
         peak = max(abs(y0), abs(y1), abs(y2), abs(y3), abs(y4), abs(y5))
         if not math.isfinite(peak) or peak > blow_up_threshold:
-            raise BlowUpError(
-                f"leader Riccati system blew up at t={nodes[j]:.6g} "
-                f"(|quad| reached {peak:.3g})",
-                blow_up_time=float(nodes[j]),
-            )
+            raise _blow_up(float(nodes[j]), peak)
         states.extend((y0, y1, y2, y3, y4, y5, y6, y7, y8, y9))
 
-    table = np.frombuffer(states, dtype=float).reshape(n + 1, 10)[::-1]
-    quad = table[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(n + 1, 3, 3)
-    lin = table[:, 6:9].copy()
-    offset = table[:, 9].copy()
-    quad.setflags(write=False)
-    lin.setflags(write=False)
-    offset.setflags(write=False)
-    return LeaderRiccati(
-        grid=grid, quad=quad, lin=lin, offset=offset, scaled_info_weight=lam_s
-    )
+    return np.frombuffer(states, dtype=float).reshape(n + 1, 10)[::-1]
+
+
+def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal, blow_up_threshold):
+    """The leader system as a linear Hamiltonian product; returns the node table.
+
+    With the constant 1 appended to the augmented state, psi~ = (x, aux,
+    aux2, 1), the quad, half the lin and the offset less its sigma^2 term
+    form one symmetric 4x4 Riccati solution
+    L~' = -(L~ A + A' L~) + L~ G L~ - Q. By Radon's lemma L~ = Y X^-1 for
+    the linear system [X; Y]' = H [X; Y], H = [[A, -G], [-Q, -A']]. Each
+    step's RK4 propagator of that system is formed from the node, midpoint
+    and node coefficients the RK4 loop reads, and their backward product is
+    taken two-level blocked (``block_transfer_maps``). [X; Y] restarts at
+    [I; L~] at every block start, so X stays well conditioned; L~ is
+    carried across blocks one by one. X's last row is e4 exactly (the
+    constant has no dynamics), so X^-1 is a closed-form 3x3 inverse. The
+    offset adds sigma^2 times the integral of L11 from t to T, an
+    end-corrected trapezoid sum. The first node from T where det X <= 0,
+    a quad entry passes ``blow_up_threshold`` or a value is not finite
+    raises ``BlowUpError``.
+    """
+    grid = coeffs.grid
+    n = grid.n_steps
+    h = grid.h
+    a_l = leader.a_drift
+    gain = 2.0 * leader.b_control**2 / leader.r_control
+    half_q = 0.5 * leader.q_track
+    w, d = coeffs.weight, coeffs.decay
+
+    def scaled_hamiltonians(wt, dt_, ft):
+        """(h/2) H at each coefficient triple, (len, 8, 8)."""
+        s = 0.5 * h
+        ham = np.zeros((len(wt), 8, 8))
+        ham[:, 0, 0] = s * a_l
+        ham[:, 1, 0] = -s * wt
+        ham[:, 2, 1] = s * dt_
+        ham[:, 0, 4] = -s * gain
+        ham[:, 4, 0] = -s * half_q
+        ham[:, 4, 3] = (s * half_q) * ft
+        ham[:, 7, 0] = ham[:, 4, 3]
+        ham[:, 7, 3] = -(s * half_q) * ft * ft
+        ham[:, 5, 1] = (s * lam_s) * dt_
+        ham[:, 4, 4] = -s * a_l
+        ham[:, 4, 5] = s * wt
+        ham[:, 5, 6] = -s * dt_
+        return ham
+
+    # maps[j] propagates [X; Y] from node j+1 to node j: with u = (h/2) k for
+    # the RK4 stages k of the linear system, it is I - (u1 + 2 u2 + 2 u3 + u4)/3.
+    # Read from T back (``back``), the steps run in the order of the product.
+    maps = np.empty((n, 8, 8))
+    eye = np.eye(8)
+    w_mid, d_mid = _interp_mid(w), _interp_mid(d)
+    for lo in range(0, n, _CHUNK_STEPS):
+        hi = min(lo + _CHUNK_STEPS, n)
+        h_nodes = scaled_hamiltonians(w[lo : hi + 1], d[lo : hi + 1], f_nodes[lo : hi + 1])
+        h_r, h_l = h_nodes[1:], h_nodes[:-1]
+        h_m = scaled_hamiltonians(w_mid[lo:hi], d_mid[lo:hi], f_mid[lo:hi])
+        u = h_m - h_m @ h_r  # u2
+        acc = 2.0 * u
+        acc += h_r
+        u = h_m - h_m @ u  # u3
+        u *= 2.0
+        acc += u
+        acc += h_l - h_l @ u  # u4
+        np.subtract(eye, acc / 3.0, out=maps[lo:hi])
+    back = maps[::-1]
+    size = block_transfer_maps(back, back)
+
+    # Node rows hold L~'s ten entries (m/2 in place of m) until the end.
+    # L~ entering each block is carried across block ends one by one.
+    top = np.array(terminal)
+    top[6:9] *= 0.5
+    n_blocks = -(-n // size)
+    starts = np.empty((n_blocks, 4, 4))
+    starts[0] = top[_TILDE_INDEX]
+    with np.errstate(all="ignore"):  # past a blow-up the carry is discarded
+        for b in range(1, n_blocks):
+            phi = back[b * size - 1]
+            row, _ = _hamiltonian_rows(phi[:, :4] + phi[:, 4:] @ starts[b - 1])
+            starts[b] = row[_TILDE_INDEX]
+
+    table = np.empty((n + 1, 10))
+    table[n] = top
+    for lo in range(0, n, _CHUNK_STEPS):
+        hi = min(lo + _CHUNK_STEPS, n)
+        phi = back[lo:hi]
+        with np.errstate(all="ignore"):
+            rows, det = _hamiltonian_rows(
+                phi[:, :, :4] + phi[:, :, 4:] @ starts[np.arange(lo, hi) // size]
+            )
+            peak = np.max(np.abs(rows[:, :6]), axis=1)
+            bad = ~(det > 0.0) | ~(peak <= blow_up_threshold) | ~np.isfinite(rows).all(axis=1)
+        if bad.any():
+            p = lo + int(np.argmax(bad))
+            raise _blow_up(float(grid.nodes[n - 1 - p]), float(peak[p - lo]))
+        table[n - hi : n - lo] = rows[::-1]
+    table[:, 6:9] *= 2.0
+
+    # offset = N^ + sig2 * int_t^T L11: per step h/2 (L11_j + L11_j+1)
+    # - h^2/12 (L11'_j+1 - L11'_j), L11' the RK4 loop's own L11 rate.
+    l11 = table[:, 0]
+    rate = -(2.0 * (l11 * a_l - table[:, 1] * w)) + gain * l11 * l11 - half_q
+    steps = (0.5 * h) * (l11[:-1] + l11[1:]) - (h * h / 12.0) * (rate[1:] - rate[:-1])
+    table[:-1, 9] += leader.sigma**2 * np.cumsum(steps[::-1])[::-1]
+    return table
+
+
+# Closed-form L~ = Y X^-1 from [X; Y] (8x4, flattened to 32 entries):
+# cofactor C[i][j] of X3 is x[i+1][j+1] x[i+2][j+2] - x[i+1][j+2] x[i+2][j+1]
+# (indices mod 3), gathered as four factor tables of nine entries each.
+_COFACTOR_INDEX = np.array([
+    [4 * ((i + r) % 3) + (j + c) % 3 for i in range(3) for j in range(3)]
+    for r, c in ((1, 1), (2, 2), (1, 2), (2, 1))
+]).ravel()
+# Entries of Y[:, :3] X3^-1 (4x3, flattened) that are L~'s first nine
+# distinct entries (L11, L12, L13, L22, L23, L33, m1/2, m2/2, m3/2).
+_ROW_INDEX = [0, 1, 2, 4, 5, 8, 9, 10, 11]
+# The symmetric 4x4 L~ from its ten distinct entries.
+_TILDE_INDEX = np.array([0, 1, 2, 6, 1, 3, 4, 7, 2, 4, 5, 8, 6, 7, 8, 9]).reshape(4, 4)
+
+
+def _hamiltonian_rows(xy: np.ndarray):
+    """L~'s ten distinct entries from [X; Y] (..., 8, 4), and det X.
+
+    X's last row is e4, so X^-1 = [[X3^-1, -X3^-1 x], [0, 1]] with X3 its
+    leading 3x3 block and x the rest of its last column; X3^-1 is the
+    transposed cofactor matrix over the determinant.
+    """
+    flat = xy.reshape(xy.shape[:-2] + (32,))
+    f = flat[..., _COFACTOR_INDEX].reshape(xy.shape[:-2] + (4, 9))
+    cof = f[..., 0, :] * f[..., 1, :] - f[..., 2, :] * f[..., 3, :]
+    det = np.sum(flat[..., :3] * cof[..., :3], axis=-1)
+    cof = cof.reshape(cof.shape[:-1] + (3, 3))
+    lt = xy[..., 4:, :3] @ np.swapaxes(cof, -1, -2)
+    lt /= det[..., None, None]
+    rows = np.empty(xy.shape[:-2] + (10,))
+    rows[..., :9] = lt.reshape(lt.shape[:-2] + (12,))[..., _ROW_INDEX]
+    rows[..., 9] = xy[..., 7, 3] - np.sum(lt[..., 3, :] * xy[..., :3, 3], axis=-1)
+    return rows, det
 
 
 def horizon_bound(

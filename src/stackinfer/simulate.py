@@ -33,6 +33,7 @@ from .core import (
     STREAM_LEADER,
     TimeGrid,
     Trajectory,
+    block_transfer_maps,
     cumtrapz,
     trapz,
 )
@@ -154,22 +155,21 @@ def _affine_scan(a: np.ndarray, c: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """
     n, k, _ = a.shape
     n_paths = c.shape[0]
-    size = math.isqrt(n)
+    maps = np.empty_like(a)
+    size = block_transfer_maps(a, maps)
     n_blocks = n // size
     m = n_blocks * size
+    phi = maps[:m].reshape(n_blocks, size, k, k)
     y = np.empty((n_paths, n + 1, k))
     y[:, 0] = y0
     a_blk = a[:m].reshape(n_blocks, size, k, k)
     c_blk = c[:, :m].reshape(n_paths, n_blocks, size, k)
     # Zero-start solutions are built in place in y (a view, as splitting an
-    # axis never copies), with each block's transfer map after every step.
+    # axis never copies).
     z = y[:, 1 : m + 1].reshape(n_paths, n_blocks, size, k)
-    phi = np.empty((n_blocks, size, k, k))
     z[:, :, 0] = c_blk[:, :, 0]
-    phi[:, 0] = a_blk[:, 0]
     for i in range(1, size):
         z[:, :, i] = _apply(a_blk[:, i], z[:, :, i - 1]) + c_blk[:, :, i]
-        phi[:, i] = a_blk[:, i] @ phi[:, i - 1]
 
     # State entering each block.
     start = np.empty((n_paths, n_blocks, k))

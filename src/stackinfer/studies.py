@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import FINE_EXPONENT, LEVELS, ConfigError, ExperimentConfig
+from .config import FINE_EXPONENT, LEVELS, N_DISPLAY_PATHS, N_EVAL_PATHS, ExperimentConfig
 from .core import (
     BlowUpError,
     RngContract,
@@ -49,6 +49,7 @@ from .policy import (
     optimize_policy,
 )
 from .riccati import (
+    BLOW_UP_THRESHOLD,
     compute_coefficients,
     horizon_bound,
     solve_follower_a,
@@ -175,8 +176,6 @@ def run_tradeoff_sweep(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     its configured value and q_track is set to ratio * inference_weight.
     """
     lam = cfg.leader["inference_weight"]
-    if lam <= 0:
-        raise ConfigError("config.leader.inference_weight: tradeoff-sweep needs > 0")
     grid = cfg.build_grid()
     follower = cfg.build_follower()
     fr = solve_follower_a(follower, grid)
@@ -494,8 +493,8 @@ def run_benchmark_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResul
     lr = solve_leader_system(lm, follower, coeffs)
     riccati = RiccatiPolicy(lm, lr)
     rng = RngContract(cfg.master_seed)
-    n_eval = cfg.study.get("n_eval_paths", 8192)
-    n_display = cfg.study.get("n_display_paths", 5)
+    n_eval = cfg.study.get("n_eval_paths", N_EVAL_PATHS)
+    n_display = cfg.study.get("n_display_paths", N_DISPLAY_PATHS)
 
     policy_file = cfg.study.get("policy_file")
     if policy_file is not None:
@@ -618,12 +617,13 @@ def run_wellposedness(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     lm = cfg.build_leader(grid)
     bound = horizon_bound(lm, follower, coeffs)
     blow_up_time = None
-    solved = True
+    quad_peak = None
     try:
-        solve_leader_system(lm, follower, coeffs)
+        lr = solve_leader_system(lm, follower, coeffs, BLOW_UP_THRESHOLD)
+        quad_peak = float(np.max(np.abs(lr.quad)))
     except BlowUpError as exc:
-        solved = False
         blow_up_time = exc.blow_up_time
+    solved = blow_up_time is None
     summary = {
         "q": bound.q,
         "beta": bound.beta,
@@ -632,6 +632,8 @@ def run_wellposedness(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
         "horizon": grid.horizon,
         "solved_on_horizon": solved,
         "blow_up_time": blow_up_time,
+        "quad_peak": quad_peak,
+        "blow_up_threshold": BLOW_UP_THRESHOLD,
     }
     return StudyResult(
         name="wellposedness",

@@ -231,6 +231,44 @@ def affine_recurrence_loop(a, c, y0):
     return y
 
 
+def _apply(m, v):
+    out = m[..., 0] * v[..., :1]
+    for s in range(1, v.shape[-1]):
+        out += m[..., s] * v[..., s : s + 1]
+    return out
+
+
+def affine_scan_inline_blocks(a, c, y0):
+    """The blocked affine recurrence with its block partition and transfer maps
+    written inline, as it was before the library shared them with the leader's
+    Riccati solve. The library's version must equal it bit for bit."""
+    n, k, _ = a.shape
+    n_paths = c.shape[0]
+    size = math.isqrt(n)
+    n_blocks = n // size
+    m = n_blocks * size
+    y = np.empty((n_paths, n + 1, k))
+    y[:, 0] = y0
+    a_blk = a[:m].reshape(n_blocks, size, k, k)
+    c_blk = c[:, :m].reshape(n_paths, n_blocks, size, k)
+    z = y[:, 1 : m + 1].reshape(n_paths, n_blocks, size, k)
+    phi = np.empty((n_blocks, size, k, k))
+    z[:, :, 0] = c_blk[:, :, 0]
+    phi[:, 0] = a_blk[:, 0]
+    for i in range(1, size):
+        z[:, :, i] = _apply(a_blk[:, i], z[:, :, i - 1]) + c_blk[:, :, i]
+        phi[:, i] = a_blk[:, i] @ phi[:, i - 1]
+    start = np.empty((n_paths, n_blocks, k))
+    start[:, 0] = y0
+    for b in range(1, n_blocks):
+        start[:, b] = _apply(phi[b - 1, -1], start[:, b - 1]) + z[:, b - 1, -1]
+    for s in range(k):
+        z += phi[..., s] * start[:, :, None, s : s + 1]
+    for j in range(m, n):
+        y[:, j + 1] = _apply(a[j], y[:, j]) + c[:, j]
+    return y
+
+
 def leader_batch_loop(leader, coeffs, policy, grid, shocks):
     """Euler loop over nodes with one policy session call per node.
 

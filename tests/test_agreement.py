@@ -3,8 +3,14 @@
 The blocked affine recurrence re-associates rounding, so long paths agree
 with the loop to a relative 1e-12 of the path's magnitude; wide batches
 still take the loop and must match it bit for bit, as must the Python-float
-RK4 solvers.
+RK4 solvers. On grids of at least ``HAMILTONIAN_MIN_STEPS`` steps the
+leader's Riccati system is a different fourth-order scheme (the linear
+Hamiltonian product): it agrees with the RK4 loop to 1e-10 relative where
+the grid resolves the solution, and raises at RK4's blow-up node or one step
+nearer T.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ import stackinfer as si
 from conftest import HORIZON, make_follower, make_leader
 from oracles import (
     affine_recurrence_loop,
+    affine_scan_inline_blocks,
     compute_g_batch_one_line,
     cumtrapz_one_line,
     follower_a_loop,
@@ -25,9 +32,11 @@ from oracles import (
     primary_cost_batch_one_line,
     trapz_one_line,
 )
+from stackinfer.riccati import HAMILTONIAN_MIN_STEPS
 from stackinfer.simulate import _affine_scan, _exact_transition_tables
 
 RTOL = 1e-12
+HAMILTONIAN_RTOL = 1e-10
 FINE = 2**13
 
 
@@ -36,16 +45,17 @@ def assert_close(got, ref):
     assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
 
 
-def solved(follower, n_steps, inference_weight=0.5):
-    grid = si.build_grid(HORIZON, n_steps)
+def solved(follower, n_steps, inference_weight=0.5, horizon=HORIZON, **leader_overrides):
+    grid = si.build_grid(horizon, n_steps)
     fr = si.solve_follower_a(follower, grid)
     coeffs = si.compute_coefficients(fr, follower)
-    leader = make_leader(inference_weight)
+    leader = make_leader(inference_weight, **leader_overrides)
     return grid, fr, coeffs, leader
 
 
 @pytest.fixture(scope="module", params=[50, FINE])
 def grid_case(request, follower):
+    # Tests may narrow the grid sizes with indirect parametrisation.
     grid, fr, coeffs, leader = solved(follower, request.param)
     lr = si.solve_leader_system(leader, follower, coeffs)
     x_leader = si.Trajectory(grid=grid, values=0.1 * np.cos(3.0 * grid.nodes))
@@ -64,7 +74,10 @@ def test_blocked_recurrence_matches_loop(n, n_paths, k, seed):
     a = np.eye(k) + 0.1 * gen.standard_normal((n, k, k))
     c = gen.standard_normal((n_paths, n, k))
     y0 = gen.standard_normal((n_paths, k))
-    assert_close(_affine_scan(a, c, y0), affine_recurrence_loop(a, c, y0))
+    y = _affine_scan(a, c, y0)
+    assert_close(y, affine_recurrence_loop(a, c, y0))
+    # Sharing the block partition with the Riccati solve changed no bit.
+    assert np.array_equal(y, affine_scan_inline_blocks(a, c, y0))
 
 
 def test_blocked_recurrence_rows_are_independent():
@@ -116,13 +129,103 @@ def test_in_place_helpers_equal_one_line_expressions(
                           primary_cost_batch_one_line(leader, grid, x2, u))
 
 
+def solve_both(follower, n_steps, **case):
+    """(Hamiltonian, RK4) (quad, lin, offset) triples when RK4 solves.
+
+    When RK4 raises, the Hamiltonian must raise too, at RK4's blow-up node
+    or one step nearer T, and None is returned.
+    """
+    _, _, coeffs, leader = solved(follower, n_steps, **case)
+    try:
+        ref = leader_system_loop(leader, follower, coeffs)
+    except ValueError as rk4:
+        with pytest.raises(si.BlowUpError) as err:
+            si.solve_leader_system(leader, follower, coeffs)
+        steps = (err.value.blow_up_time - rk4.args[0]) / coeffs.grid.h
+        assert round(steps) in (0, 1) and abs(steps - round(steps)) < 1e-6
+        return None
+    lr = si.solve_leader_system(leader, follower, coeffs)
+    return (lr.quad, lr.lin, lr.offset), ref
+
+
+def max_diff(got, want):
+    return np.max(np.abs(got - want))
+
+
 class TestRiccatiSolvers:
+    @pytest.mark.parametrize("grid_case", [50, HAMILTONIAN_MIN_STEPS - 1], indirect=True)
     def test_leader_system_bit_identical(self, follower, grid_case):
         _, _, coeffs, leader, lr, _ = grid_case
         quad, lin, offset = leader_system_loop(leader, follower, coeffs)
         assert np.array_equal(lr.quad, quad)
         assert np.array_equal(lr.lin, lin)
         assert np.array_equal(lr.offset, offset)
+
+    @pytest.mark.parametrize("grid_case", [FINE], indirect=True)
+    def test_leader_system_matches_loop(self, follower, grid_case):
+        _, _, coeffs, leader, lr, _ = grid_case
+        for got, want in zip((lr.quad, lr.lin, lr.offset),
+                             leader_system_loop(leader, follower, coeffs)):
+            assert max_diff(got, want) <= HAMILTONIAN_RTOL * np.max(np.abs(want))
+        assert np.array_equal(lr.quad, np.swapaxes(lr.quad, 1, 2))
+        assert not (lr.quad.flags.writeable or lr.lin.flags.writeable
+                    or lr.offset.flags.writeable)
+
+    @pytest.mark.parametrize("n_steps", [HAMILTONIAN_MIN_STEPS, 1500, 4096, 5000])
+    def test_hamiltonian_matches_rk4_on_leftover_steps(self, follower, n_steps):
+        # 1024 and 4096 are whole blocks of sqrt(n) steps; 1500 and 5000
+        # leave steps past the last whole block.
+        hamiltonian, rk4 = solve_both(follower, n_steps)
+        for got, want in zip(hamiltonian, rk4):
+            assert max_diff(got, want) <= HAMILTONIAN_RTOL * np.max(np.abs(want))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        a_drift=st.floats(-3.0, 1.0),
+        q_track=st.floats(0.3, 7.0),
+        r_control=st.floats(0.3, 7.0),
+        inference_weight=st.floats(0.0, 3.0),
+        horizon=st.floats(0.1, 10.0),
+        n_steps=st.sampled_from([1024, 1500, 4096, 5000]),
+    )
+    def test_hamiltonian_against_rk4_on_drawn_models(
+        self, follower, a_drift, q_track, r_control, inference_weight, horizon, n_steps
+    ):
+        # Most draws blow up; those must blow up in both schemes. Where the
+        # grid resolves the solution the two schemes agree to 1e-10. Where it
+        # does not (a steep solution near blow-up, or long horizons, where
+        # the decay kernel reaches 1e3 to 1e12) both sit up to about 1e-5
+        # from the converged solution and, as two different fourth-order
+        # schemes, differ by up to about as much as either errs. So the
+        # Hamiltonian must be within 1e-10, or within twice RK4's own error,
+        # of RK4 on n and 2n steps Richardson-extrapolated.
+        case = dict(inference_weight=inference_weight, horizon=horizon,
+                    a_drift=a_drift, q_track=q_track, r_control=r_control)
+        solved_both = solve_both(follower, n_steps, **case)
+        if solved_both is not None:
+            _, _, fine, leader = solved(follower, 2 * n_steps, **case)
+            for got, want, want_fine in zip(*solved_both,
+                                            leader_system_loop(leader, follower, fine)):
+                converged = want_fine[::2] + (want_fine[::2] - want) / 15.0
+                bound = max(HAMILTONIAN_RTOL * np.max(np.abs(want)),
+                            2.0 * max_diff(want, converged))
+                assert max_diff(got, converged) <= bound
+
+    @pytest.mark.parametrize("n_steps", [HAMILTONIAN_MIN_STEPS, FINE])
+    @pytest.mark.parametrize("inference_weight", [1.5, 2.0, 3.0])
+    def test_hamiltonian_blow_up_within_one_step(self, follower, n_steps, inference_weight):
+        assert solve_both(follower, n_steps, inference_weight=inference_weight) is None
+
+    def test_long_grid_memory_is_bounded(self, follower):
+        _, _, coeffs, leader = solved(follower, FINE)
+        si.solve_leader_system(leader, follower, coeffs)
+        tracemalloc.start()
+        try:
+            si.solve_leader_system(leader, follower, coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
 
     def test_follower_bc_bit_identical(self, follower, grid_case):
         _, fr, _, _, _, x_leader = grid_case

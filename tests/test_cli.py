@@ -1,11 +1,16 @@
 import copy
 import csv
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stackinfer import cli, studies
 from stackinfer.config import ConfigError, validate_config
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 BASE = {
     "follower": {
@@ -126,6 +131,20 @@ class TestCliCommands:
         csv_text = (out / "wellposedness_bound.csv").read_text()
         assert csv_text.splitlines()[0] == "q,beta,y0,t_max,horizon,solved_on_horizon,blow_up_time"
 
+    def test_wellposedness_reports_riccati_peak(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = str(CONFIGS[0].parent / "wellposedness.json")
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        summary = json.loads((out / "wellposedness_summary.json").read_text())["summary"]
+        assert summary["solved_on_horizon"]
+        assert 0.0 < summary["quad_peak"] < summary["blow_up_threshold"]
+        doc = make_doc()
+        doc["leader"]["inference_weight"] = 5.0  # blows up on this horizon
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        summary = json.loads((out / "wellposedness_summary.json").read_text())["summary"]
+        assert summary["blow_up_time"] is not None and summary["quad_peak"] is None
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         doc = make_doc()
         doc["leader"]["inference_weight"] = 5.0  # blows up on this horizon
@@ -178,12 +197,86 @@ class TestCliCommands:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, field", [
+        (dict(name="tradeoff-sweep", ratios=[1.0], n_paths=10),
+         "config.leader.inference_weight"),
+    ])
+    def test_validate_agrees_with_run_on_tradeoff_weight(self, tmp_path, capsys, doc, field):
+        doc = make_doc(**doc)
+        doc["leader"]["inference_weight"] = 0.0
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("study, n_nodes", [
+        (dict(name="wellposedness"), 51),
+        (dict(name="discrete-convergence", fine_exponent=8, levels=[4],
+              n_sigma_replications=2), 2**8 + 1),
+    ])
+    def test_validate_checks_tabulated_target_length(self, tmp_path, capsys, study, n_nodes):
+        doc = make_doc(**study)
+        doc["leader"]["target"] = {"kind": "tabulated", "values": [0.0, 0.1, 0.2]}
+        path = write_doc(tmp_path, doc)
+        field = f"config.leader.target.values: needs {n_nodes} entries"
+        assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        doc["leader"]["target"]["values"] = [0.0] * n_nodes
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["validate", "--config", path]) == cli.EXIT_OK
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
         path = write_doc(tmp_path, make_doc())
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
         assert cli.main(["run", "--config", path]) == cli.EXIT_OK
         assert (tmp_path / "envout" / "wellposedness_summary.json").exists()
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config on a tiny grid, with drawn weights, targets and counts."""
+    doc = json.loads(draw(st.sampled_from(CONFIGS)).read_text())
+    grid, leader, study = doc["grid"], doc["leader"], doc["study"]
+    weights = st.sampled_from([0.0, 0.3, 0.93, 2.0])
+    grid["n_steps"] = draw(st.integers(1, 16))
+    leader["inference_weight"] = draw(weights)
+    for key in ("n_paths", "n_replays", "n_eval_paths", "n_display_paths"):
+        if key in study:
+            study[key] = draw(st.integers(1, 12))
+    if "inference_weights" in study:
+        study["inference_weights"] = draw(st.lists(weights, min_size=1, max_size=3))
+    if "n_episodes" in study:
+        study["n_episodes"] = draw(st.integers(1, 3))
+    if "optimizer" in study:
+        study["optimizer"].update(budget=draw(st.integers(1, 2)), batch_size=4, eval_paths=4)
+    if study["name"] == "discrete-convergence":
+        study["fine_exponent"] = draw(st.integers(1, 6))
+        study["levels"] = draw(st.lists(st.integers(0, 7), min_size=1, max_size=3))
+        study["n_sigma_replications"] = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        fits = 2 ** study.get("fine_exponent", 0) if "fine_exponent" in study else grid["n_steps"]
+        n_values = draw(st.just(fits + 1) | st.integers(1, 2**6 + 2))
+        leader["target"] = {"kind": "tabulated", "values": [0.05] * n_values}
+    return doc
+
+
+class TestValidateRunAgreement:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=mutated_configs())
+    def test_run_never_refuses_a_validated_config(self, tmp_path, doc):
+        path = write_doc(tmp_path, doc)
+        if cli.main(["validate", "--config", path]) == cli.EXIT_OK:
+            code = cli.main(["run", "--config", path, "--out", str(tmp_path / "out")])
+            assert code in (cli.EXIT_OK, cli.EXIT_NUMERICAL, cli.EXIT_IO)
 
 
 class TestReproducibility:
