@@ -82,9 +82,7 @@ from .policy import (
     RecurrentPolicy,
     RiccatiPolicy,
     constant_policy,
-    follower_policy_moments,
     initial_policy,
     optimize_policy,
-    riccati_policy_eval,
     zero_policy,
 )

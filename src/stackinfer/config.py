@@ -129,16 +129,15 @@ def _check_levels(study):
                 f"must be below fine_exponent ({fine})")
 
 
-def _replications(value, path):
-    v = _integer(value, path)
-    _expect(v >= 2, path, "must be >= 2 (a spread needs two replications)")
-    return v
+def _int_at_least(minimum: int, reason: str):
+    """Validator of an integer >= minimum; ``reason`` says why in the error."""
 
+    def check(value, path):
+        v = _integer(value, path)
+        _expect(v >= minimum, path, f"must be >= {minimum} ({reason})")
+        return v
 
-def _replays(value, path):
-    v = _integer(value, path)
-    _expect(v >= 10, path, "must be >= 10 (the bias curve starts at 10 replays)")
-    return v
+    return check
 
 
 def _target(value, path):
@@ -165,7 +164,9 @@ def _target(value, path):
 _FOLLOWER_SCHEMA = {
     "a_drift": _number,
     "b_control": _number,
-    "sigma": _nonnegative,
+    # Every study divides by the noise-to-signal ratio, so a noiseless
+    # follower (which FollowerModel accepts) is refused here.
+    "sigma": _positive,
     "x0": _number,
     "q_track": _nonnegative,
     "r_control": _positive,
@@ -187,7 +188,7 @@ _LEADER_SCHEMA = {
 
 _OPTIMIZER_OPTIONAL = {
     "objective": _string,
-    "batch_size": _positive_int,
+    "batch_size": _int_at_least(2, "the optimizer refuses smaller batches"),
     "budget": _positive_int,
     "step_scale": _positive,
     "perturb_scale": _positive,
@@ -212,7 +213,7 @@ STUDY_SCHEMAS = {
     "benchmark-compare": (
         {},
         {
-            "n_eval_paths": _positive_int,
+            "n_eval_paths": _int_at_least(2, "the gap's standard error needs two paths"),
             "n_display_paths": _positive_int,
             "optimizer": _optimizer,
             "policy_file": _string,
@@ -228,7 +229,8 @@ STUDY_SCHEMAS = {
     ),
     "estimator-study": (
         {"inference_weights": _number_list},
-        {"n_replays": _replays, "path_seed_index": _nonnegative_int},
+        {"n_replays": _int_at_least(10, "the bias curve starts at 10 replays"),
+         "path_seed_index": _nonnegative_int},
     ),
     "multi-period": (
         {"inference_weights": _number_list, "n_episodes": _positive_int},
@@ -239,10 +241,10 @@ STUDY_SCHEMAS = {
         {
             "fine_exponent": _positive_int,
             "levels": _nonnegative_int_list,
-            "n_sigma_replications": _replications,
+            "n_sigma_replications": _int_at_least(2, "a spread needs two replications"),
         },
     ),
-    "wellposedness": ({}, {"probe_horizon": _positive}),
+    "wellposedness": ({}, {}),
 }
 
 

@@ -24,9 +24,7 @@ from .core import (
     trapz,
 )
 from .riccati import FollowerRiccati
-from .simulate import PRECISION_FLOOR, FollowerPath, GProfile
-
-DEGENERACY_FLOOR = PRECISION_FLOOR
+from .simulate import PRECISION_FLOOR, SUB_NODES, FollowerPath, GProfile
 
 
 @dataclass(frozen=True)
@@ -131,14 +129,13 @@ def mle_continuous(
     gp: GProfile,
     fr: FollowerRiccati,
     model: FollowerModel,
-    floor: float = DEGENERACY_FLOOR,
 ) -> MleReport:
     """Estimate the dilation factor from one continuously observed path."""
     if fpath.grid != fr.grid or gp.grid != fr.grid:
         raise InvalidArgumentError("path, score profile and solver grids must agree")
-    if gp.precision <= floor:
+    if gp.precision <= PRECISION_FLOOR:
         raise DegeneratePathError(
-            f"precision {gp.precision:.3g} is below the floor {floor:.3g}"
+            f"precision {gp.precision:.3g} is below the floor {PRECISION_FLOOR:.3g}"
         )
     x = fpath.x
     g = gp.g
@@ -173,16 +170,14 @@ def fisher_information_mc(profiles, model: FollowerModel) -> float:
     return float(np.mean(p)) / model.noise_to_signal
 
 
-def variance_mc(
-    profiles, model: FollowerModel, floor: float = DEGENERACY_FLOOR
-) -> float:
+def variance_mc(profiles, model: FollowerModel) -> float:
     """Monte Carlo estimator variance: noise scale times mean reciprocal precision.
 
-    Degenerate paths (precision at or below the floor) are dropped; if every
-    path is degenerate the ensemble is unusable.
+    Degenerate paths (precision at or below ``PRECISION_FLOOR``) are
+    dropped; if every path is degenerate the ensemble is unusable.
     """
     p = _precisions(profiles)
-    good = p > floor
+    good = p > PRECISION_FLOOR
     if not np.any(good):
         raise DegenerateEnsembleError("all paths in the ensemble are degenerate")
     return model.noise_to_signal * float(np.mean(1.0 / p[good]))
@@ -228,7 +223,7 @@ def sigma_quadratic_variation(fpath: FollowerPath) -> float:
     return float(dx @ dx) / fpath.grid.horizon
 
 
-def _interval_tables(t: np.ndarray, fr: FollowerRiccati, gp: GProfile, sub_nodes: int):
+def _interval_tables(t: np.ndarray, fr: FollowerRiccati, gp: GProfile):
     """Transition factor, score integral and variance integral per interval.
 
     All three are sub-quadrature approximations of integrals of exp of the
@@ -240,11 +235,11 @@ def _interval_tables(t: np.ndarray, fr: FollowerRiccati, gp: GProfile, sub_nodes
         raise InvalidArgumentError("observation times outside the solver horizon")
     left = t[:-1]
     width = np.diff(t)
-    frac = np.linspace(0.0, 1.0, sub_nodes + 1)
+    frac = np.linspace(0.0, 1.0, SUB_NODES + 1)
     u = left[:, None] + width[:, None] * frac[None, :]
     f_sub = np.interp(u.ravel(), grid.nodes, fr.f).reshape(u.shape)
     g_sub = np.interp(u.ravel(), grid.nodes, gp.g).reshape(u.shape)
-    h_sub = (width / sub_nodes)[:, None]
+    h_sub = (width / SUB_NODES)[:, None]
     seg = 0.5 * h_sub * (f_sub[:, :-1] + f_sub[:, 1:])
     # phi[i, l] = integral of f from sub-node l to the interval's right edge
     phi = np.concatenate(
@@ -263,8 +258,6 @@ def mle_discrete_joint_batch(
     fr: FollowerRiccati,
     gp: GProfile,
     model: FollowerModel,
-    sub_nodes: int = 16,
-    floor: float = DEGENERACY_FLOOR,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint (m_hat, sigma2_hat) per row of ``values``, all observed at ``times``.
 
@@ -276,13 +269,13 @@ def mle_discrete_joint_batch(
     x = np.ascontiguousarray(np.atleast_2d(values), dtype=float)
     if x.ndim != 2 or x.shape[1] != t.size:
         raise InvalidArgumentError("each row of values needs one value per observation time")
-    transition, score_int, var_int = _interval_tables(t, fr, gp, sub_nodes)
+    transition, score_int, var_int = _interval_tables(t, fr, gp)
     innov = x[:, 1:] - x[:, :-1] * transition
     gain = model.gain_sq_over_r
     denom = float(np.sum(score_int**2 / var_int))
-    if denom <= floor:
+    if denom <= PRECISION_FLOOR:
         raise DegeneratePathError(
-            f"discrete precision {denom:.3g} is below the floor {floor:.3g}"
+            f"discrete precision {denom:.3g} is below the floor {PRECISION_FLOOR:.3g}"
         )
     m_hat = -np.sum(innov * score_int / var_int, axis=1) / (gain * denom)
     resid = innov + (m_hat * gain)[:, None] * score_int
@@ -295,8 +288,6 @@ def mle_discrete_joint(
     fr: FollowerRiccati,
     gp: GProfile,
     model: FollowerModel,
-    sub_nodes: int = 16,
-    floor: float = DEGENERACY_FLOOR,
 ) -> DiscreteJointEstimate:
     """Jointly estimate the dilation factor and noise variance from discrete data.
 
@@ -306,6 +297,6 @@ def mle_discrete_joint(
     estimate approaches the true squared noise level.
     """
     m_hat, sigma2_hat = mle_discrete_joint_batch(
-        obs.times, obs.values[None, :], fr, gp, model, sub_nodes, floor
+        obs.times, obs.values[None, :], fr, gp, model
     )
     return DiscreteJointEstimate(m_hat=float(m_hat[0]), sigma2_hat=float(sigma2_hat[0]))

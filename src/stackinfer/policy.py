@@ -104,14 +104,6 @@ class RiccatiPolicy:
         return float(self.control_at(j, x[-1], aux, aux2))
 
 
-def riccati_policy_eval(lr: LeaderRiccati, leader: LeaderModel, j: int, psi) -> float:
-    """Evaluate the semi-explicit law at node j and augmented state psi."""
-    if j < 0 or j >= lr.grid.n_nodes:
-        raise InvalidArgumentError(f"node index {j} outside the grid")
-    x, aux, aux2 = psi
-    return float(RiccatiPolicy(leader, lr).control_at(j, x, aux, aux2))
-
-
 @dataclass(frozen=True)
 class FollowerPolicyLaw:
     """The follower's optimal randomized policy: Gaussian with affine mean."""
@@ -121,16 +113,12 @@ class FollowerPolicyLaw:
     b: np.ndarray
 
     def moments(self, j: int, x: float) -> tuple[float, float]:
+        """Mean and (state-independent) variance of the policy at node j and state x."""
         if j < 0 or j >= self.fr.grid.n_nodes:
             raise InvalidArgumentError(f"node index {j} outside the grid")
         m = self.model
         mean = -(m.b_control / m.r_control) * (2.0 * self.fr.a[j] * x + self.b[j])
         return mean, m.entropy_weight / m.r_control
-
-
-def follower_policy_moments(law: FollowerPolicyLaw, j: int, x: float) -> tuple[float, float]:
-    """Mean and (state-independent) variance of the optimal follower policy."""
-    return law.moments(j, x)
 
 
 @dataclass(frozen=True)
@@ -283,6 +271,19 @@ def initial_policy(
     return RecurrentPolicy(grid=grid, theta=theta, config=config)
 
 
+# SPSA gain sequences a_k = a0 / (k + 1 + A)^STEP_EXPONENT and
+# c_k = c0 / (k + 1)^PERTURB_EXPONENT (Spall's standard exponents), with the
+# stability offset A a STABILITY_FRACTION of the budget.
+STEP_EXPONENT = 0.602
+PERTURB_EXPONENT = 0.101
+STABILITY_FRACTION = 0.1
+# Cap on |gradient| / running median of the gradient magnitudes.
+CLIP_RATIO = 3.0
+# Re-anchor at the best iterate when the frozen-batch value drifts above the
+# best by this relative margin.
+RESTORE_MARGIN = 0.3
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """SPSA settings for fitting the recurrent policy to an objective.
@@ -291,24 +292,17 @@ class OptimizerConfig:
     iterations: raw two-point gradient estimates are normalized by a running
     median of their magnitudes, so the step size stays meaningful across
     objectives whose natural scale varies by orders of magnitude.
-    ``stability`` defaults to a tenth of the budget.
     """
 
     objective: str = "fisher"  # "fisher" (information) or "variance"
     batch_size: int = 512
     budget: int = 2000
     step_scale: float = 0.004
-    perturb_scale: float = 0.02  # c0 in c_k = c0 / (k + 1)^0.101
-    stability: float | None = None
-    step_exponent: float = 0.602
-    perturb_exponent: float = 0.101
+    perturb_scale: float = 0.02  # c0 in c_k
     master_seed: int = 0
     common_random_numbers: bool = True
     eval_every: int = 100
     eval_paths: int = 4096
-    clip_ratio: float = 3.0  # cap on |gradient| / running median
-    restore_margin: float = 0.3  # re-anchor at the best iterate when the
-    # frozen-batch value drifts above best by this relative margin
 
     def __post_init__(self):
         if self.budget < 1:
@@ -317,10 +311,6 @@ class OptimizerConfig:
             raise InvalidArgumentError("batch_size must be >= 2")
         if self.objective not in ("fisher", "variance"):
             raise InvalidArgumentError(f"unknown objective {self.objective!r}")
-
-    @property
-    def stability_offset(self) -> float:
-        return 0.1 * self.budget if self.stability is None else self.stability
 
 
 @dataclass(frozen=True)
@@ -331,19 +321,6 @@ class OptimizeResult:
     best_trace: np.ndarray  # (iteration, frozen-eval value) rows, best-so-far
     final_objective: float
     final_se: float
-
-
-def _objective_values(leader, follower, coeffs, fr, policy, grid, shocks, objective):
-    ens = sim.simulate_leader_batch(leader, coeffs, policy, grid, shocks)
-    _, precision = sim.compute_g_batch(fr, follower, ens.x)
-    j_p = sim.primary_cost_batch(leader, grid, ens.x, ens.controls)
-    lam = leader.inference_weight
-    if objective == "fisher":
-        return -lam / follower.noise_to_signal * precision + j_p
-    good = precision > sim.PRECISION_FLOOR
-    if not np.any(good):
-        raise sim.DegenerateEnsembleError("every path in the batch is degenerate")
-    return lam * follower.noise_to_signal / precision[good] + j_p[good]
 
 
 def optimize_policy(
@@ -370,11 +347,14 @@ def optimize_policy(
     dim = theta.size
     n = grid.n_steps
 
-    def batch_value(th, shocks):
-        vals = _objective_values(
-            leader, follower, coeffs, fr, policy.with_theta(th), grid, shocks, cfg.objective
+    def values(th, shocks):
+        _, precision, j_p = sim.leader_batch_stats(
+            leader, follower, coeffs, fr, policy.with_theta(th), grid, shocks
         )
-        return float(np.mean(vals))
+        return sim.objective_paths(leader, follower, precision, j_p, cfg.objective)
+
+    def batch_value(th, shocks):
+        return float(np.mean(values(th, shocks)))
 
     eval_shocks = rng.stream(STREAM_OPTIMIZER, 2).standard_normal((cfg.eval_paths, n))
     holdout_shocks = rng.stream(STREAM_OPTIMIZER, 3).standard_normal((cfg.eval_paths, n))
@@ -386,8 +366,8 @@ def optimize_policy(
     best_trace = [(0, start)]
     trace = np.empty(cfg.budget)
 
-    offset = cfg.stability_offset
-    step0 = cfg.step_scale * (offset + 1.0) ** cfg.step_exponent
+    offset = STABILITY_FRACTION * cfg.budget
+    step0 = cfg.step_scale * (offset + 1.0) ** STEP_EXPONENT
     perturb_gen = rng.stream(STREAM_OPTIMIZER, 1)
     grad_mags = []
     for k in range(cfg.budget):
@@ -397,8 +377,8 @@ def optimize_policy(
         else:
             shocks = perturb_gen.standard_normal((cfg.batch_size, n))
             shocks_minus = perturb_gen.standard_normal((cfg.batch_size, n))
-        c_k = cfg.perturb_scale / (k + 1.0) ** cfg.perturb_exponent
-        a_k = step0 / (k + 1.0 + offset) ** cfg.step_exponent
+        c_k = cfg.perturb_scale / (k + 1.0) ** PERTURB_EXPONENT
+        a_k = step0 / (k + 1.0 + offset) ** STEP_EXPONENT
         delta = perturb_gen.integers(0, 2, size=dim) * 2.0 - 1.0
         j_plus = batch_value(theta + c_k * delta, shocks)
         j_minus = batch_value(theta - c_k * delta, shocks_minus)
@@ -407,7 +387,7 @@ def optimize_policy(
         grad_mags.append(abs(grad))
         med = float(np.median(grad_mags[-200:]))
         if med > 0.0:
-            grad = np.clip(grad / med, -cfg.clip_ratio, cfg.clip_ratio)
+            grad = np.clip(grad / med, -CLIP_RATIO, CLIP_RATIO)
         else:
             grad = 0.0
         theta = theta - a_k * grad * delta
@@ -415,19 +395,14 @@ def optimize_policy(
             value = batch_value(theta, eval_shocks)
             if value < best_value:
                 best_theta, best_value = theta.copy(), value
-            elif value > best_value + cfg.restore_margin * abs(best_value):
+            elif value > best_value + RESTORE_MARGIN * abs(best_value):
                 theta = best_theta.copy()
             best_trace.append((k + 1, best_value))
 
     # Held-out pass decides between the best frozen-eval candidate and the
     # final iterate.
     candidates = [best_theta, theta]
-    held = [
-        _objective_values(
-            leader, follower, coeffs, fr, policy.with_theta(th), grid, holdout_shocks, cfg.objective
-        )
-        for th in candidates
-    ]
+    held = [values(th, holdout_shocks) for th in candidates]
     held_vals = [float(np.mean(vals)) for vals in held]
     pick = int(np.argmin(held_vals))
     final_theta = candidates[pick]

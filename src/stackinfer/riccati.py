@@ -246,8 +246,7 @@ def scaled_info_weight(leader: LeaderModel, follower: FollowerModel) -> float:
     return leader.inference_weight / follower.noise_to_signal
 
 
-# Default bound on |quad| entries past which the leader system counts as
-# blown up.
+# Bound on |quad| entries past which the leader system counts as blown up.
 BLOW_UP_THRESHOLD = 1e12
 # Grids of at least HAMILTONIAN_MIN_STEPS steps solve the leader system as a
 # blocked linear Hamiltonian product; shorter grids step the RK4 loop, bit
@@ -268,7 +267,6 @@ def solve_leader_system(
     leader: LeaderModel,
     follower: FollowerModel,
     coeffs: DerivedCoefficients,
-    blow_up_threshold: float = BLOW_UP_THRESHOLD,
 ) -> LeaderRiccati:
     """Solve the leader's augmented Riccati system backward on the grid.
 
@@ -278,7 +276,7 @@ def solve_leader_system(
     blow-up is raised. Grids shorter than ``HAMILTONIAN_MIN_STEPS`` step
     classical RK4 on the six independent quad entries, the linear and the
     constant coefficient, and raise when a quad entry passes
-    ``blow_up_threshold``. Longer grids take the linear Hamiltonian form
+    ``BLOW_UP_THRESHOLD``. Longer grids take the linear Hamiltonian form
     (see ``_leader_hamiltonian``). It is fourth order too: it agrees with
     RK4 to 1e-10 relative wherever the grid resolves the solution, and
     raises at RK4's blow-up node or one step nearer T. Either way quad is
@@ -305,7 +303,7 @@ def solve_leader_system(
         0.5 * leader.q_terminal * f_T * f_T,
     )
     solve = _leader_rk4 if grid.n_steps < HAMILTONIAN_MIN_STEPS else _leader_hamiltonian
-    table = solve(leader, lam_s, coeffs, f_nodes, f_mid, terminal, blow_up_threshold)
+    table = solve(leader, lam_s, coeffs, f_nodes, f_mid, terminal)
 
     quad = table[:, _QUAD_INDEX].reshape(grid.n_nodes, 3, 3)
     lin = table[:, 6:9].copy()
@@ -325,7 +323,7 @@ def _blow_up(t: float, peak: float):
     )
 
 
-def _leader_rk4(leader, lam_s, coeffs, f_nodes, f_mid, terminal, blow_up_threshold):
+def _leader_rk4(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
     """Classical RK4 on the 10-entry system; returns the (n_nodes, 10) node table."""
     grid = coeffs.grid
     n = grid.n_steps
@@ -414,14 +412,14 @@ def _leader_rk4(leader, lam_s, coeffs, f_nodes, f_mid, terminal, blow_up_thresho
         y8 = y8 - sixth_h * (p8 + 2.0 * q8 + 2.0 * r8 + s8)
         y9 = y9 - sixth_h * (p9 + 2.0 * q9 + 2.0 * r9 + s9)
         peak = max(abs(y0), abs(y1), abs(y2), abs(y3), abs(y4), abs(y5))
-        if not math.isfinite(peak) or peak > blow_up_threshold:
+        if not math.isfinite(peak) or peak > BLOW_UP_THRESHOLD:
             raise _blow_up(float(nodes[j]), peak)
         states.extend((y0, y1, y2, y3, y4, y5, y6, y7, y8, y9))
 
     return np.frombuffer(states, dtype=float).reshape(n + 1, 10)[::-1]
 
 
-def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal, blow_up_threshold):
+def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
     """The leader system as a linear Hamiltonian product; returns the node table.
 
     With the constant 1 appended to the augmented state, psi~ = (x, aux,
@@ -437,7 +435,7 @@ def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal, blow_up
     constant has no dynamics), so X^-1 is a closed-form 3x3 inverse. The
     offset adds sigma^2 times the integral of L11 from t to T, an
     end-corrected trapezoid sum. The first node from T where det X <= 0,
-    a quad entry passes ``blow_up_threshold`` or a value is not finite
+    a quad entry passes ``BLOW_UP_THRESHOLD`` or a value is not finite
     raises ``BlowUpError``.
     """
     grid = coeffs.grid
@@ -511,7 +509,7 @@ def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal, blow_up
                 phi[:, :, :4] + phi[:, :, 4:] @ starts[np.arange(lo, hi) // size]
             )
             peak = np.max(np.abs(rows[:, :6]), axis=1)
-            bad = ~(det > 0.0) | ~(peak <= blow_up_threshold) | ~np.isfinite(rows).all(axis=1)
+            bad = ~(det > 0.0) | ~(peak <= BLOW_UP_THRESHOLD) | ~np.isfinite(rows).all(axis=1)
         if bad.any():
             p = lo + int(np.argmax(bad))
             raise _blow_up(float(grid.nodes[n - 1 - p]), float(peak[p - lo]))

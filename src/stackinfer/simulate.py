@@ -37,9 +37,14 @@ from .core import (
     cumtrapz,
     trapz,
 )
-from .riccati import DerivedCoefficients, FollowerRiccati
+from .riccati import DerivedCoefficients, FollowerRiccati, scaled_info_weight
 
+# Precision integrals at or below this count as degenerate: they are dropped
+# from reciprocal (variance) averages, and an estimate on them is refused.
 PRECISION_FLOOR = 1e-14
+# Trapezoid sub-intervals per step or observation interval of the exact
+# one-step transition integrals.
+SUB_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -307,19 +312,19 @@ def simulate_leader(
 
 
 def _exact_transition_tables(
-    model: FollowerModel, fr: FollowerRiccati, b: np.ndarray, grid: TimeGrid, sub_nodes: int
+    model: FollowerModel, fr: FollowerRiccati, b: np.ndarray, grid: TimeGrid
 ):
     """Per-step transition factor, drift integral, and noise variance.
 
     The optimally controlled follower is a linear SDE, so over one step
     x(t+h) = x(t) * exp(int f) - (b^2/r) * int exp(int_u f) b_u du + Gaussian
     noise whose variance is sigma^2 * int exp(2 int_u f) du. The step
-    integrals are evaluated by trapezoid on ``sub_nodes`` sub-intervals with
+    integrals are evaluated by trapezoid on ``SUB_NODES`` sub-intervals with
     f and b interpolated linearly.
     """
-    h_sub = grid.h / sub_nodes
+    h_sub = grid.h / SUB_NODES
     # Sub-grid inside each step by fractional position; rows are steps.
-    frac = np.linspace(0.0, 1.0, sub_nodes + 1)[None, :]
+    frac = np.linspace(0.0, 1.0, SUB_NODES + 1)[None, :]
     f, gain = fr.f, model.gain_sq_over_r
     f_sub = f[:-1, None] + (f[1:] - f[:-1])[:, None] * frac
     b_sub = b[:-1, None] + (b[1:] - b[:-1])[:, None] * frac
@@ -342,7 +347,6 @@ def simulate_follower_batch(
     grid: TimeGrid,
     shocks: np.ndarray,
     mode: str = "euler",
-    sub_nodes: int = 16,
     *,
     tables=None,
 ) -> np.ndarray:
@@ -351,11 +355,10 @@ def simulate_follower_batch(
     ``euler`` steps the drift f*x - (b_F^2/r_F)*b explicitly; ``exact``
     samples the Gaussian one-step transition of the linear SDE, with step
     integrals from sub-quadrature. The exact mode reads the per-step tables
-    ``_exact_transition_tables(model, fr, b, grid, sub_nodes)`` returns;
-    a caller simulating several batches with the same model, ``fr``, ``b``
-    and grid may build them once and pass them as ``tables`` (then
-    ``sub_nodes`` is not read). Without ``tables`` they are built here.
-    The Euler mode ignores ``tables``.
+    ``_exact_transition_tables(model, fr, b, grid)`` returns; a caller
+    simulating several batches with the same model, ``fr``, ``b`` and grid
+    may build them once and pass them as ``tables``. Without ``tables`` they
+    are built here. The Euler mode ignores ``tables``.
     """
     _check_grid(grid, fr.grid, "follower Riccati")
     b = np.asarray(b, dtype=float)
@@ -374,7 +377,7 @@ def simulate_follower_batch(
     sig = model.sigma
     if mode == "exact":
         if tables is None:
-            tables = _exact_transition_tables(model, fr, b, grid, sub_nodes)
+            tables = _exact_transition_tables(model, fr, b, grid)
         e_step, drift_step, var_step = tables
         if not e_step.shape == drift_step.shape == var_step.shape == (n,):
             raise InvalidArgumentError(f"transition tables must hold {n} steps each")
@@ -414,11 +417,10 @@ def simulate_follower(
     rng: RngContract,
     path_index: int = 0,
     mode: str = "euler",
-    sub_nodes: int = 16,
 ) -> FollowerPath:
     """Simulate one follower path from its contract-derived stream."""
     shocks = rng.normals(grid.n_steps, STREAM_FOLLOWER, path_index)[None, :]
-    x = simulate_follower_batch(model, fr, b, grid, shocks, mode=mode, sub_nodes=sub_nodes)
+    x = simulate_follower_batch(model, fr, b, grid, shocks, mode=mode)
     return FollowerPath(
         grid=grid,
         x=x[0],
@@ -521,6 +523,51 @@ def precision_from_aux(
     return aux[:, -1] ** 2 * coeffs.decay_l1 - 2.0 * aux[:, -1] * aux2[:, -1] + tail
 
 
+def leader_batch_stats(
+    leader: LeaderModel,
+    follower: FollowerModel,
+    coeffs: DerivedCoefficients,
+    fr: FollowerRiccati,
+    policy,
+    grid: TimeGrid,
+    shocks: np.ndarray,
+) -> tuple[LeaderEnsemble, np.ndarray, np.ndarray]:
+    """Leader paths on ``shocks`` with each path's precision and primary cost.
+
+    Returns (ensemble, precision, j_primary), one precision and one primary
+    cost per row of ``shocks``.
+    """
+    ens = simulate_leader_batch(leader, coeffs, policy, grid, shocks)
+    precision = compute_g_batch(fr, follower, ens.x)[1]
+    return ens, precision, primary_cost_batch(leader, grid, ens.x, ens.controls)
+
+
+def objective_paths(
+    leader: LeaderModel,
+    follower: FollowerModel,
+    precision: np.ndarray,
+    j_primary: np.ndarray,
+    objective: str,
+) -> np.ndarray:
+    """Per-path values of the leader's ``fisher`` or ``variance`` objective.
+
+    The information (``fisher``) objective is j_primary less the scaled
+    inference weight times the precision, on every path. The ``variance``
+    objective is j_primary plus inference_weight * noise_to_signal over the
+    precision, on the paths whose precision is above ``PRECISION_FLOOR``
+    (a NaN precision counts as degenerate); ``DegenerateEnsembleError`` is
+    raised when no path is left.
+    """
+    if objective == "fisher":
+        return -scaled_info_weight(leader, follower) * precision + j_primary
+    good = precision > PRECISION_FLOOR
+    if not np.any(good):
+        raise DegenerateEnsembleError(
+            f"all {len(precision)} paths have precision at or below {PRECISION_FLOOR}"
+        )
+    return leader.inference_weight * follower.noise_to_signal / precision[good] + j_primary[good]
+
+
 def estimate_objectives(
     leader: LeaderModel,
     follower: FollowerModel,
@@ -530,44 +577,23 @@ def estimate_objectives(
     grid: TimeGrid,
     n_paths: int,
     rng: RngContract,
-    path_offset: int = 0,
-    precision_floor: float = PRECISION_FLOOR,
 ) -> ObjectiveEstimate:
     """Monte Carlo estimates of the primary, variance and information objectives.
 
-    Paths whose precision integral falls below ``precision_floor`` are
-    excluded from the reciprocal (variance) average and counted in
-    ``n_degenerate``; the information objective keeps every path.
+    Degenerate paths (see ``objective_paths``) are excluded from the
+    variance average and counted in ``n_degenerate``; the information
+    objective keeps every path.
     """
     if n_paths < 1:
         raise InvalidArgumentError("n_paths must be >= 1")
-    shocks = rng.normal_matrix(n_paths, grid.n_steps, STREAM_LEADER, path_offset)
-    ens = simulate_leader_batch(leader, coeffs, policy, grid, shocks)
-    _, precision = compute_g_batch(fr, follower, ens.x)
-    j_p = primary_cost_batch(leader, grid, ens.x, ens.controls)
-
-    lam = leader.inference_weight
+    shocks = rng.normal_matrix(n_paths, grid.n_steps, STREAM_LEADER)
+    _, precision, j_p = leader_batch_stats(leader, follower, coeffs, fr, policy, grid, shocks)
+    j_info_paths = objective_paths(leader, follower, precision, j_p, "fisher")
+    j_var_paths = objective_paths(leader, follower, precision, j_p, "variance")
     if follower.sigma == 0.0:
-        if lam > 0.0:
-            raise InvalidArgumentError(
-                "information objectives are undefined for a noiseless follower"
-            )
-        info_scale = 0.0
         mean_fisher = math.inf
     else:
-        info_scale = lam / follower.noise_to_signal
         mean_fisher = float(np.mean(precision)) / follower.noise_to_signal
-
-    good = precision > precision_floor
-    n_degenerate = int(np.sum(~good))
-    if n_degenerate == n_paths:
-        raise DegenerateEnsembleError(
-            f"all {n_paths} paths have precision below {precision_floor}"
-        )
-
-    j_info_paths = -info_scale * precision + j_p
-    var_scale = lam * follower.noise_to_signal
-    j_var_paths = var_scale / precision[good] + j_p[good]
 
     def mean_se(v):
         m = float(np.mean(v))
@@ -584,7 +610,7 @@ def estimate_objectives(
         mean_fisher=mean_fisher,
         mean_precision=float(np.mean(precision)),
         n_paths=n_paths,
-        n_degenerate=n_degenerate,
+        n_degenerate=n_paths - len(j_var_paths),
         se_primary=jp_se,
         se_info=ji_se,
         se_var=jv_se,

@@ -60,9 +60,11 @@ from .simulate import (
     FollowerPath,
     _exact_transition_tables,
     compute_g,
-    compute_g_batch,
-    primary_cost_batch,
+    leader_batch_stats,
+    objective_paths,
+    simulate_follower,
     simulate_follower_batch,
+    simulate_leader,
     simulate_leader_batch,
 )
 
@@ -129,9 +131,9 @@ def _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, threads,
         for start, stop in _row_chunks(lo, hi, grid.n_steps):
             shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_LEADER, start)
             for (leader, policy), (precision, j_primary, eff, kept) in zip(arms, stats):
-                ens = simulate_leader_batch(leader, coeffs, policy, grid, shocks)
-                precision[start:stop] = compute_g_batch(fr, follower, ens.x)[1]
-                j_primary[start:stop] = primary_cost_batch(leader, grid, ens.x, ens.controls)
+                ens, precision[start:stop], j_primary[start:stop] = leader_batch_stats(
+                    leader, follower, coeffs, fr, policy, grid, shocks
+                )
                 if eff is not None:
                     eff[start:stop] = trapz(ens.controls**2, grid)
                 for i in range(start, min(stop, keep_paths)):
@@ -317,26 +319,16 @@ def run_episodes(
     state = MultiPeriodState.empty()
     out = []
     for ep in range(n_episodes):
-        policy = RiccatiPolicy(lm, lr)
-        shocks = rng.normal_matrix(1, grid.n_steps, STREAM_LEADER, ep)
-        ens = simulate_leader_batch(lm, coeffs, policy, grid, shocks)
-        x_leader = Trajectory(grid=grid, values=ens.x[0])
+        lpath = simulate_leader(lm, coeffs, RiccatiPolicy(lm, lr), grid, rng, ep)
+        x_leader = lpath.trajectory()
         gp = compute_g(fr, follower_model, x_leader)
         b, _ = solve_follower_bc(fr, fm, x_leader)
-        fshocks = rng.normal_matrix(1, grid.n_steps, STREAM_FOLLOWER, ep)
-        xf = simulate_follower_batch(fm, fr, b, grid, fshocks, mode=follower_mode)[0]
-        fpath = FollowerPath(
-            grid=grid,
-            x=xf,
-            brownian=math.sqrt(grid.h) * fshocks[0],
-            stream_key=(rng.master_seed, STREAM_FOLLOWER, ep),
-            mode=follower_mode,
-        )
+        fpath = simulate_follower(fm, fr, b, grid, rng, ep, mode=follower_mode)
         report = mle_continuous(fpath, gp, fr, fm)
         state = multi_period_update(state, report)
-        lm = replace(lm, x0=float(ens.x[0, -1]))
-        fm = replace(fm, x0=float(xf[-1]))
-        out.append((state, float(ens.x[0, -1]), float(xf[-1])))
+        lm = replace(lm, x0=float(lpath.x[-1]))
+        fm = replace(fm, x0=float(fpath.x[-1]))
+        out.append((state, float(lpath.x[-1]), float(fpath.x[-1])))
     return out
 
 
@@ -407,7 +399,7 @@ def run_discrete_convergence(cfg: ExperimentConfig, threads: int = 1) -> StudyRe
     b, _ = solve_follower_bc(fr, follower, x_leader)
 
     # One set of exact-transition tables serves the path and every replication.
-    tables = _exact_transition_tables(follower, fr, b, grid, 16)
+    tables = _exact_transition_tables(follower, fr, b, grid)
     fshocks = rng.normal_matrix(1, grid.n_steps, STREAM_FOLLOWER, 0)
     xf = simulate_follower_batch(follower, fr, b, grid, fshocks, mode="exact", tables=tables)[0]
     fpath = FollowerPath(
@@ -503,16 +495,13 @@ def run_benchmark_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResul
         opt_cfg = _optimizer_config(cfg, cfg.study.get("optimizer", {}), "fisher")
         recurrent = optimize_policy(opt_cfg, lm, follower, coeffs, fr, grid).policy
 
-    lam = lm.inference_weight
-    scale = lam / follower.noise_to_signal
-
     # Both policies run on the same leader shocks, drawn once per chunk.
     (prec_r, jp_r, _, kept_r), (prec_n, jp_n, _, kept_n) = _leader_stats(
         [(lm, riccati), (lm, recurrent)], follower, coeffs, fr, grid, n_eval, rng, threads,
         keep_paths=n_display,
     )
-    vals_r = -scale * prec_r + jp_r
-    vals_n = -scale * prec_n + jp_n
+    vals_r = objective_paths(lm, follower, prec_r, jp_r, "fisher")
+    vals_n = objective_paths(lm, follower, prec_n, jp_n, "fisher")
     diff = vals_n - vals_r
     j_r, j_n = float(np.mean(vals_r)), float(np.mean(vals_n))
     summary = {
@@ -523,15 +512,7 @@ def run_benchmark_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResul
         "n_eval_paths": n_eval,
         # Parameters ride along in the summary so the fitted policy can be
         # reloaded with load_policy_file on the same architecture.
-        "policy": {
-            "architecture": {
-                "window": recurrent.config.window,
-                "decay": recurrent.config.decay,
-                "hidden_width": recurrent.config.hidden_width,
-                "out_width": recurrent.config.out_width,
-            },
-            "theta": [float(v) for v in recurrent.theta],
-        },
+        "policy": _policy_document(recurrent),
     }
     traj_rows = []
     for i in range(n_display):
@@ -619,7 +600,7 @@ def run_wellposedness(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     blow_up_time = None
     quad_peak = None
     try:
-        lr = solve_leader_system(lm, follower, coeffs, BLOW_UP_THRESHOLD)
+        lr = solve_leader_system(lm, follower, coeffs)
         quad_peak = float(np.max(np.abs(lr.quad)))
     except BlowUpError as exc:
         blow_up_time = exc.blow_up_time
@@ -649,21 +630,26 @@ def run_wellposedness(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     )
 
 
+def _policy_document(policy: RecurrentPolicy) -> dict:
+    """A fitted policy's architecture and parameters, as ``load_policy_file`` reads them."""
+    cfg = policy.config
+    return {
+        "architecture": {
+            "window": cfg.window,
+            "decay": cfg.decay,
+            "hidden_width": cfg.hidden_width,
+            "out_width": cfg.out_width,
+        },
+        "theta": [float(v) for v in policy.theta],
+    }
+
+
 def save_policy_file(path: str, policy: RecurrentPolicy):
     """Serialize fitted policy parameters with their architecture."""
     import json
 
-    doc = {
-        "architecture": {
-            "window": policy.config.window,
-            "decay": policy.config.decay,
-            "hidden_width": policy.config.hidden_width,
-            "out_width": policy.config.out_width,
-        },
-        "theta": [float(v) for v in policy.theta],
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        json.dump(_policy_document(policy), fh, sort_keys=True)
 
 
 def load_policy_file(path: str, grid: TimeGrid) -> RecurrentPolicy:

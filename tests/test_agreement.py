@@ -318,7 +318,7 @@ class TestFollowerPaths:
         b, _ = si.solve_follower_bc(fr, follower, x_leader)
         shocks = si.RngContract(5).normal_matrix(3, grid.n_steps, si.core.STREAM_FOLLOWER, 0)
         x = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode=mode)
-        tables = _exact_transition_tables(follower, fr, b, grid, 16)
+        tables = _exact_transition_tables(follower, fr, b, grid)
         assert_close(x, follower_batch_loop(follower, fr, b, grid, shocks, mode, tables))
 
     @pytest.mark.parametrize("n_paths", [3, 60])
@@ -326,7 +326,7 @@ class TestFollowerPaths:
         grid, fr, _, _, _, x_leader = grid_case
         b, _ = si.solve_follower_bc(fr, follower, x_leader)
         shocks = si.RngContract(5).normal_matrix(n_paths, grid.n_steps, si.core.STREAM_FOLLOWER, 0)
-        tables = _exact_transition_tables(follower, fr, b, grid, 16)
+        tables = _exact_transition_tables(follower, fr, b, grid)
         x = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
         x_tab = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact",
                                            tables=tables)
@@ -340,6 +340,6 @@ class TestFollowerPaths:
         b = 0.05 * np.sin(4.0 * grid50.nodes)
         shocks = si.RngContract(5).normal_matrix(60, grid50.n_steps, si.core.STREAM_FOLLOWER, 0)
         x = si.simulate_follower_batch(follower, fr50, b, grid50, shocks, mode=mode)
-        tables = _exact_transition_tables(follower, fr50, b, grid50, 16)
+        tables = _exact_transition_tables(follower, fr50, b, grid50)
         ref = follower_batch_loop(follower, fr50, b, grid50, shocks, mode, tables)
         assert np.array_equal(x, ref)

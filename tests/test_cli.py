@@ -212,6 +212,39 @@ class TestCliCommands:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_validate_agrees_with_run_on_noiseless_follower(self, tmp_path, capsys, config):
+        # Every study divides by the follower's noise-to-signal ratio.
+        doc = json.loads(config.read_text())
+        doc["follower"]["sigma"] = 0.0
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
+        assert "config.follower.sigma" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "config.follower.sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("study, field", [
+        # diff_se is a standard deviation over the evaluation paths.
+        (dict(name="benchmark-compare", n_eval_paths=1, n_display_paths=1,
+              optimizer=dict(budget=1, batch_size=4, eval_paths=4)),
+         "config.study.n_eval_paths"),
+        (dict(name="objective-compare", pairs=[[0.0, 0.5]], n_paths=4,
+              optimizer=dict(budget=1, batch_size=1, eval_paths=4)),
+         "config.study.optimizer.batch_size"),
+        # The runner never read it; grid.horizon sets the probed horizon.
+        (dict(name="wellposedness", probe_horizon=5.0), "config.study.probe_horizon"),
+    ])
+    def test_validate_agrees_with_run_on_study_minimums(self, tmp_path, capsys, study, field):
+        path = write_doc(tmp_path, make_doc(**study))
+        assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("study, n_nodes", [
         (dict(name="wellposedness"), 51),
         (dict(name="discrete-convergence", fine_exponent=8, levels=[4],
@@ -247,16 +280,22 @@ def mutated_configs(draw):
     grid, leader, study = doc["grid"], doc["leader"], doc["study"]
     weights = st.sampled_from([0.0, 0.3, 0.93, 2.0])
     grid["n_steps"] = draw(st.integers(1, 16))
+    doc["follower"]["sigma"] = draw(st.sampled_from([0.0, 0.1]))
     leader["inference_weight"] = draw(weights)
     for key in ("n_paths", "n_replays", "n_eval_paths", "n_display_paths"):
         if key in study:
             study[key] = draw(st.integers(1, 12))
     if "inference_weights" in study:
         study["inference_weights"] = draw(st.lists(weights, min_size=1, max_size=3))
+    if "pairs" in study:
+        study["pairs"] = draw(st.lists(st.lists(weights, min_size=2, max_size=2),
+                                       min_size=1, max_size=2))
     if "n_episodes" in study:
         study["n_episodes"] = draw(st.integers(1, 3))
     if "optimizer" in study:
-        study["optimizer"].update(budget=draw(st.integers(1, 2)), batch_size=4, eval_paths=4)
+        study["optimizer"].update(budget=draw(st.integers(1, 2)),
+                                  batch_size=draw(st.sampled_from([1, 2, 4])),
+                                  eval_paths=draw(st.sampled_from([1, 4])))
     if study["name"] == "discrete-convergence":
         study["fine_exponent"] = draw(st.integers(1, 6))
         study["levels"] = draw(st.lists(st.integers(0, 7), min_size=1, max_size=3))
@@ -268,6 +307,10 @@ def mutated_configs(draw):
     return doc
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"summary JSON holds {name}, which strict JSON readers reject")
+
+
 class TestValidateRunAgreement:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -275,8 +318,12 @@ class TestValidateRunAgreement:
     def test_run_never_refuses_a_validated_config(self, tmp_path, doc):
         path = write_doc(tmp_path, doc)
         if cli.main(["validate", "--config", path]) == cli.EXIT_OK:
-            code = cli.main(["run", "--config", path, "--out", str(tmp_path / "out")])
+            out = tmp_path / "out"
+            code = cli.main(["run", "--config", path, "--out", str(out)])
             assert code in (cli.EXIT_OK, cli.EXIT_NUMERICAL, cli.EXIT_IO)
+            if code == cli.EXIT_OK:
+                for summary in out.glob("*_summary.json"):
+                    json.loads(summary.read_text(), parse_constant=_refuse_constant)
 
 
 class TestReproducibility:

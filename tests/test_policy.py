@@ -24,13 +24,13 @@ class TestRiccatiPolicy:
         lr = si.LeaderRiccati(grid=grid50, quad=np.zeros((n, 3, 3)),
                               lin=np.zeros((n, 3)), offset=np.zeros(n),
                               scaled_info_weight=0.0)
-        assert si.riccati_policy_eval(lr, leader, 0, (3.0, -1.0, 2.0)) == 0.0
+        assert si.RiccatiPolicy(leader, lr).evaluate(0, [3.0], -1.0, 2.0) == 0.0
 
     def test_zero_inference_depends_only_on_state(self, follower, co50):
         leader = make_leader(0.0)
         lr = si.solve_leader_system(leader, follower, co50)
-        u1 = si.riccati_policy_eval(lr, leader, 10, (0.2, 0.0, 0.0))
-        u2 = si.riccati_policy_eval(lr, leader, 10, (0.2, 5.0, -7.0))
+        u1 = si.RiccatiPolicy(leader, lr).evaluate(10, [0.2], 0.0, 0.0)
+        u2 = si.RiccatiPolicy(leader, lr).evaluate(10, [0.2], 5.0, -7.0)
         assert u1 == u2
 
     def test_formula(self, solved):
@@ -40,20 +40,21 @@ class TestRiccatiPolicy:
             2.0 * (lr.quad[4, 0, 0] * psi[0] + lr.quad[4, 0, 1] * psi[1]
                    + lr.quad[4, 0, 2] * psi[2]) + lr.lin[4, 0]
         )
-        assert si.riccati_policy_eval(lr, leader, 4, psi) == pytest.approx(expected, rel=1e-14)
+        assert si.RiccatiPolicy(leader, lr).evaluate(4, psi[:1], *psi[1:]) == pytest.approx(expected, rel=1e-14)
 
     def test_index_out_of_range(self, solved):
         leader, lr = solved
         with pytest.raises(si.InvalidArgumentError):
-            si.riccati_policy_eval(lr, leader, lr.grid.n_nodes, (0.0, 0.0, 0.0))
+            si.RiccatiPolicy(leader, lr).evaluate(lr.grid.n_nodes, [0.0], 0.0, 0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-3, 3), st.floats(-2, 2), st.floats(-2, 2), st.floats(-4, 4))
     def test_affine_in_state(self, solved, x, y, z, scale):
         leader, lr = solved
-        u0 = si.riccati_policy_eval(lr, leader, 7, (0.0, 0.0, 0.0))
-        u1 = si.riccati_policy_eval(lr, leader, 7, (x, y, z))
-        u2 = si.riccati_policy_eval(lr, leader, 7, (scale * x, scale * y, scale * z))
+        policy = si.RiccatiPolicy(leader, lr)
+        u0 = policy.evaluate(7, [0.0], 0.0, 0.0)
+        u1 = policy.evaluate(7, [x], y, z)
+        u2 = policy.evaluate(7, [scale * x], scale * y, scale * z)
         assert u2 - u0 == pytest.approx(scale * (u1 - u0), rel=1e-9, abs=1e-9)
 
 
@@ -62,13 +63,13 @@ class TestFollowerPolicyLaw:
         fr = si.FollowerRiccati(grid=grid50, a=np.zeros(grid50.n_nodes),
                                 f=np.zeros(grid50.n_nodes), cum_f=np.zeros(grid50.n_nodes))
         law = si.FollowerPolicyLaw(model=follower, fr=fr, b=np.zeros(grid50.n_nodes))
-        mean, var = si.follower_policy_moments(law, 3, 1.7)
+        mean, var = law.moments(3, 1.7)
         assert mean == 0.0
         assert var == follower.entropy_weight / follower.r_control
 
     def test_variance_state_independent(self, follower, fr50, grid50):
         law = si.FollowerPolicyLaw(model=follower, fr=fr50, b=np.zeros(grid50.n_nodes))
-        variances = {si.follower_policy_moments(law, j, x)[1]
+        variances = {law.moments(j, x)[1]
                      for j in (0, 10, 50) for x in (-2.0, 0.0, 3.5)}
         assert variances == {follower.entropy_weight / follower.r_control}
 
@@ -78,7 +79,7 @@ class TestFollowerPolicyLaw:
         x_leader = si.Trajectory(grid=grid, values=np.ones(grid.n_nodes))
         b, _ = si.solve_follower_bc(fr, follower, x_leader)
         law = si.FollowerPolicyLaw(model=follower, fr=fr, b=b)
-        mean, _ = si.follower_policy_moments(law, 0, follower.x0)
+        mean, _ = law.moments(0, follower.x0)
         cf = FollowerClosedForm(-1.0, 1.0, 0.1, 1.0, 1.0, HORIZON)
         a0 = float(cf.a(0.0))
         gp = si.compute_g(fr, follower, x_leader)
