@@ -58,6 +58,12 @@ def _positive(value, path):
     return v
 
 
+def _nonzero(value, path):
+    v = _number(value, path)
+    _expect(v != 0, path, "must be nonzero")
+    return v
+
+
 def _nonnegative(value, path):
     v = _number(value, path)
     _expect(v >= 0, path, "must be >= 0")
@@ -163,9 +169,10 @@ def _target(value, path):
 
 _FOLLOWER_SCHEMA = {
     "a_drift": _number,
-    "b_control": _number,
-    # Every study divides by the noise-to-signal ratio, so a noiseless
-    # follower (which FollowerModel accepts) is refused here.
+    # Every study divides by the noise-to-signal ratio sigma^2 r^2 / b^4, so
+    # a noiseless or uncontrolled follower (which FollowerModel accepts) is
+    # refused here.
+    "b_control": _nonzero,
     "sigma": _positive,
     "x0": _number,
     "q_track": _nonnegative,
@@ -193,7 +200,7 @@ _OPTIMIZER_OPTIONAL = {
     "step_scale": _positive,
     "perturb_scale": _positive,
     "eval_every": _positive_int,
-    "eval_paths": _positive_int,
+    "eval_paths": _int_at_least(2, "the held-out standard error needs two paths"),
     "common_random_numbers": _boolean,
 }
 

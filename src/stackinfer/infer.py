@@ -24,7 +24,7 @@ from .core import (
     trapz,
 )
 from .riccati import FollowerRiccati
-from .simulate import PRECISION_FLOOR, SUB_NODES, FollowerPath, GProfile
+from .simulate import PRECISION_FLOOR, SUB_NODES, FollowerPath, GProfile, _sub_step_integrals
 
 
 @dataclass(frozen=True)
@@ -239,17 +239,7 @@ def _interval_tables(t: np.ndarray, fr: FollowerRiccati, gp: GProfile):
     u = left[:, None] + width[:, None] * frac[None, :]
     f_sub = np.interp(u.ravel(), grid.nodes, fr.f).reshape(u.shape)
     g_sub = np.interp(u.ravel(), grid.nodes, gp.g).reshape(u.shape)
-    h_sub = (width / SUB_NODES)[:, None]
-    seg = 0.5 * h_sub * (f_sub[:, :-1] + f_sub[:, 1:])
-    # phi[i, l] = integral of f from sub-node l to the interval's right edge
-    phi = np.concatenate(
-        [np.cumsum(seg[:, ::-1], axis=1)[:, ::-1], np.zeros((seg.shape[0], 1))], axis=1
-    )
-    e_phi = np.exp(phi)
-    transition = e_phi[:, 0]
-    score_int = np.trapezoid(e_phi * g_sub, dx=1.0, axis=1) * h_sub[:, 0]
-    var_int = np.trapezoid(e_phi * e_phi, dx=1.0, axis=1) * h_sub[:, 0]
-    return transition, score_int, var_int
+    return _sub_step_integrals(f_sub, g_sub, width / SUB_NODES)
 
 
 def mle_discrete_joint_batch(

@@ -309,6 +309,8 @@ class OptimizerConfig:
             raise InvalidArgumentError("budget must be >= 1")
         if self.batch_size < 2:
             raise InvalidArgumentError("batch_size must be >= 2")
+        if self.eval_paths < 2:
+            raise InvalidArgumentError("eval_paths must be >= 2")
         if self.objective not in ("fisher", "variance"):
             raise InvalidArgumentError(f"unknown objective {self.objective!r}")
 

@@ -1,15 +1,15 @@
-"""Backward Riccati ODE systems for both agents.
+"""Backward Riccati ODE systems for both agents, one scheme per equation.
 
-The follower's quadratic value coefficient solves a scalar Riccati equation;
-the leader's value function lives on the augmented state (own state plus two
-path integrals), giving a symmetric 3x3 Riccati system with an indefinite
-source. All systems are integrated backward from their terminal conditions
-with classical RK4 on the simulation grid; coefficient values at interior
-half-steps come from linear interpolation of the node arrays. On grids of
-at least ``HAMILTONIAN_MIN_STEPS`` steps the leader system is instead
-solved as the linear Hamiltonian system whose solution [X; Y] gives the
-Riccati solution as Y X^-1 (Radon's lemma): per-step RK4 propagators
-multiplied out two-level blocked, restarted at every block.
+The follower's quadratic value coefficient solves a scalar Riccati equation
+with constant coefficients, evaluated in closed form at the grid nodes. Its
+linear and constant coefficients are integrated backward with classical RK4
+on the simulation grid, with coefficient values at half-steps from linear
+interpolation of the node arrays. The leader's value function lives on the
+augmented state (own state plus two path integrals), giving a symmetric 3x3
+Riccati system with an indefinite source. It is solved on every grid as the
+linear Hamiltonian system whose solution [X; Y] gives the Riccati solution as
+Y X^-1 (Radon's lemma): per-step RK4 propagators multiplied out two-level
+blocked, restarted at every block.
 
 The leader system is only locally well-posed; ``horizon_bound`` computes the
 conservative existence horizon, and ``solve_leader_system`` raises
@@ -19,7 +19,6 @@ conservative existence horizon, and ``solve_leader_system`` raises
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,38 +102,28 @@ def _interp_mid(values: np.ndarray) -> np.ndarray:
 def solve_follower_a(model: FollowerModel, grid: TimeGrid) -> FollowerRiccati:
     """Solve the follower's scalar Riccati coefficient backward from 0 at T.
 
-    da/dt = (2 b^2/r) a^2 - 2 a_drift a - q_track/2, a(T) = 0. The equation
-    is autonomous, so RK4 needs no coefficient interpolation. Global
-    existence holds for every horizon; overflow still raises.
+    da/dt = alpha a^2 - 2 a_drift a - q_track/2, a(T) = 0, alpha = 2 b^2/r.
+    The coefficients are constant, so a is evaluated in closed form at the
+    nodes: with s = sqrt(a_drift^2 + alpha q_track/2), the roots
+    r1,2 = (a_drift +- s)/alpha of the right-hand side and
+    e = exp(-2 s (T - t)), a = r1 r2 (1 - e)/(r2 - r1 e), with 1 - e from
+    ``expm1`` so that a keeps its relative accuracy near T. For q_track > 0
+    the denominator stays negative, so a exists on every horizon and lies in
+    [0, r1). For q_track = 0, a = 0 is the equilibrium a(T) = 0 starts on.
+    A zero control gain is refused.
     """
     alpha = 2.0 * model.gain_sq_over_r
-    two_drift = 2.0 * model.a_drift
-    half_q = 0.5 * model.q_track
-
-    n = grid.n_steps
-    h = grid.h
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
-    y = 0.0
-    values = [y]
-    # RK4 with the right-hand side alpha*s*s - two_drift*s - half_q written
-    # out per stage: a call per stage would dominate the sequential loop.
-    for j in range(n - 1, -1, -1):
-        k1 = alpha * y * y - two_drift * y - half_q
-        s = y - half_h * k1
-        k2 = alpha * s * s - two_drift * s - half_q
-        s = y - half_h * k2
-        k3 = alpha * s * s - two_drift * s - half_q
-        s = y - h * k3
-        k4 = alpha * s * s - two_drift * s - half_q
-        y = y - sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(y):
-            raise InvalidArgumentError(
-                f"follower Riccati overflowed at t={grid.nodes[j]:.6g}"
-            )
-        values.append(y)
-    a = np.array(values[::-1])
-    f = model.a_drift - 2.0 * model.gain_sq_over_r * a
+    if alpha == 0.0:
+        raise InvalidArgumentError("follower Riccati needs a nonzero b_control")
+    if model.q_track == 0.0:
+        a = np.zeros(grid.n_nodes)
+    else:
+        s = math.sqrt(model.a_drift**2 + 0.5 * alpha * model.q_track)
+        r1 = (model.a_drift + s) / alpha
+        r2 = (model.a_drift - s) / alpha
+        x = -2.0 * s * (grid.horizon - grid.nodes)
+        a = (r1 * r2) * -np.expm1(x) / (r2 - r1 * np.exp(x))
+    f = model.a_drift - alpha * a
     cum_f = cumtrapz(f, grid)
     return FollowerRiccati(grid=grid, a=a, f=f, cum_f=cum_f)
 
@@ -248,14 +237,6 @@ def scaled_info_weight(leader: LeaderModel, follower: FollowerModel) -> float:
 
 # Bound on |quad| entries past which the leader system counts as blown up.
 BLOW_UP_THRESHOLD = 1e12
-# Grids of at least HAMILTONIAN_MIN_STEPS steps solve the leader system as a
-# blocked linear Hamiltonian product; shorter grids step the RK4 loop, bit
-# for bit as before. Measured on a 2-vCPU x86 host (numpy 2, best of 7, RK4
-# time over Hamiltonian time): 50 steps 0.83x, 128 1.2x, 512 1.4x, 1024
-# 1.5x, 2048 1.9x, 8192 2.7x. The product wins from about 100 steps; the
-# threshold sits higher so that the 50- to 1000-step studies keep their
-# output bits, where the product would save under 2 ms per solve.
-HAMILTONIAN_MIN_STEPS = 1024
 # Steps whose propagators, or whose node values, are formed at once: about
 # 0.5 MB of (steps, 8, 8) temporaries, which bounds the solver's memory.
 _CHUNK_STEPS = 1024
@@ -273,14 +254,11 @@ def solve_leader_system(
     The quadratic coefficient has an indefinite source (the inference reward
     enters with a negative sign), so solutions may blow up in finite time;
     a ``BlowUpError`` carrying the grid time of the first node past the
-    blow-up is raised. Grids shorter than ``HAMILTONIAN_MIN_STEPS`` step
-    classical RK4 on the six independent quad entries, the linear and the
-    constant coefficient, and raise when a quad entry passes
-    ``BLOW_UP_THRESHOLD``. Longer grids take the linear Hamiltonian form
-    (see ``_leader_hamiltonian``). It is fourth order too: it agrees with
-    RK4 to 1e-10 relative wherever the grid resolves the solution, and
-    raises at RK4's blow-up node or one step nearer T. Either way quad is
-    exactly symmetric.
+    blow-up is raised. The system is solved in its linear Hamiltonian form
+    (see ``_leader_hamiltonian``), a fourth-order scheme: it agrees with
+    classical RK4 on the ten entries within RK4's own discretisation error,
+    or to 1e-10 relative where that error is smaller, and raises at RK4's
+    blow-up node or one step nearer T. quad is exactly symmetric.
     """
     grid = coeffs.grid
     nodes = grid.nodes
@@ -302,8 +280,7 @@ def solve_leader_system(
         0.0,
         0.5 * leader.q_terminal * f_T * f_T,
     )
-    solve = _leader_rk4 if grid.n_steps < HAMILTONIAN_MIN_STEPS else _leader_hamiltonian
-    table = solve(leader, lam_s, coeffs, f_nodes, f_mid, terminal)
+    table = _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal)
 
     quad = table[:, _QUAD_INDEX].reshape(grid.n_nodes, 3, 3)
     lin = table[:, 6:9].copy()
@@ -323,102 +300,6 @@ def _blow_up(t: float, peak: float):
     )
 
 
-def _leader_rk4(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
-    """Classical RK4 on the 10-entry system; returns the (n_nodes, 10) node table."""
-    grid = coeffs.grid
-    n = grid.n_steps
-    h = grid.h
-    nodes = grid.nodes
-
-    a_l = leader.a_drift
-    gain = 2.0 * leader.b_control**2 / leader.r_control
-    half_q = 0.5 * leader.q_track
-    q_track = leader.q_track
-    sig2 = leader.sigma**2
-    b2_over_2r = leader.b_control**2 / (2.0 * leader.r_control)
-
-    # Python floats: numpy scalar arithmetic would dominate the sequential loop.
-    w = coeffs.weight.tolist()
-    d = coeffs.decay.tolist()
-    w_mid = _interp_mid(coeffs.weight).tolist()
-    d_mid = _interp_mid(coeffs.decay).tolist()
-    f_nodes = f_nodes.tolist()
-    f_mid = f_mid.tolist()
-
-    # State (L11, L12, L13, L22, L23, L33, m1, m2, m3, N); no rate reads N.
-    def rhs(l11, l12, l13, l22, l23, l33, m1, m2, m3, wt, dt_, ft):
-        s11 = 2.0 * (l11 * a_l - l12 * wt)
-        s12 = l13 * dt_ + l12 * a_l - l22 * wt
-        s13 = l13 * a_l - l23 * wt
-        s22 = 2.0 * l23 * dt_
-        s23 = l33 * dt_
-        g11, g12, g13 = gain * l11, gain * l12, gain * l13
-        return (
-            -s11 + g11 * l11 - half_q,
-            -s12 + g11 * l12,
-            -s13 + g11 * l13,
-            -s22 + g12 * l12 + lam_s * dt_,
-            -s23 + g12 * l13,
-            g13 * l13,
-            -a_l * m1 + wt * m2 + g11 * m1 + q_track * ft,
-            -dt_ * m3 + g12 * m1,
-            g13 * m1,
-            b2_over_2r * m1 * m1 - sig2 * l11 - half_q * ft * ft,
-        )
-
-    y0, y1, y2, y3, y4, y5, y6, y7, y8, y9 = terminal
-
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
-    # Node states are appended backward as raw doubles (no per-node objects).
-    # The RK4 stages k1..k4 are named p, q, r, s; each stage state y - step*k
-    # and the final combination are written out per entry for speed.
-    states = array("d", terminal)
-    for j, w_r, d_r, f_r, w_m, d_m, f_m, w_l, d_l, f_l in zip(
-        range(n - 1, -1, -1),
-        w[:0:-1], d[:0:-1], f_nodes[:0:-1],
-        w_mid[::-1], d_mid[::-1], f_mid[::-1],
-        w[-2::-1], d[-2::-1], f_nodes[-2::-1],
-    ):
-        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = rhs(
-            y0, y1, y2, y3, y4, y5, y6, y7, y8, w_r, d_r, f_r
-        )
-        q0, q1, q2, q3, q4, q5, q6, q7, q8, q9 = rhs(
-            y0 - half_h * p0, y1 - half_h * p1, y2 - half_h * p2,
-            y3 - half_h * p3, y4 - half_h * p4, y5 - half_h * p5,
-            y6 - half_h * p6, y7 - half_h * p7, y8 - half_h * p8,
-            w_m, d_m, f_m,
-        )
-        r0, r1, r2, r3, r4, r5, r6, r7, r8, r9 = rhs(
-            y0 - half_h * q0, y1 - half_h * q1, y2 - half_h * q2,
-            y3 - half_h * q3, y4 - half_h * q4, y5 - half_h * q5,
-            y6 - half_h * q6, y7 - half_h * q7, y8 - half_h * q8,
-            w_m, d_m, f_m,
-        )
-        s0, s1, s2, s3, s4, s5, s6, s7, s8, s9 = rhs(
-            y0 - h * r0, y1 - h * r1, y2 - h * r2,
-            y3 - h * r3, y4 - h * r4, y5 - h * r5,
-            y6 - h * r6, y7 - h * r7, y8 - h * r8,
-            w_l, d_l, f_l,
-        )
-        y0 = y0 - sixth_h * (p0 + 2.0 * q0 + 2.0 * r0 + s0)
-        y1 = y1 - sixth_h * (p1 + 2.0 * q1 + 2.0 * r1 + s1)
-        y2 = y2 - sixth_h * (p2 + 2.0 * q2 + 2.0 * r2 + s2)
-        y3 = y3 - sixth_h * (p3 + 2.0 * q3 + 2.0 * r3 + s3)
-        y4 = y4 - sixth_h * (p4 + 2.0 * q4 + 2.0 * r4 + s4)
-        y5 = y5 - sixth_h * (p5 + 2.0 * q5 + 2.0 * r5 + s5)
-        y6 = y6 - sixth_h * (p6 + 2.0 * q6 + 2.0 * r6 + s6)
-        y7 = y7 - sixth_h * (p7 + 2.0 * q7 + 2.0 * r7 + s7)
-        y8 = y8 - sixth_h * (p8 + 2.0 * q8 + 2.0 * r8 + s8)
-        y9 = y9 - sixth_h * (p9 + 2.0 * q9 + 2.0 * r9 + s9)
-        peak = max(abs(y0), abs(y1), abs(y2), abs(y3), abs(y4), abs(y5))
-        if not math.isfinite(peak) or peak > BLOW_UP_THRESHOLD:
-            raise _blow_up(float(nodes[j]), peak)
-        states.extend((y0, y1, y2, y3, y4, y5, y6, y7, y8, y9))
-
-    return np.frombuffer(states, dtype=float).reshape(n + 1, 10)[::-1]
-
-
 def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
     """The leader system as a linear Hamiltonian product; returns the node table.
 
@@ -427,8 +308,8 @@ def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
     form one symmetric 4x4 Riccati solution
     L~' = -(L~ A + A' L~) + L~ G L~ - Q. By Radon's lemma L~ = Y X^-1 for
     the linear system [X; Y]' = H [X; Y], H = [[A, -G], [-Q, -A']]. Each
-    step's RK4 propagator of that system is formed from the node, midpoint
-    and node coefficients the RK4 loop reads, and their backward product is
+    step's RK4 propagator of that system is formed from the coefficients at
+    the step's two nodes and its midpoint, and their backward product is
     taken two-level blocked (``block_transfer_maps``). [X; Y] restarts at
     [I; L~] at every block start, so X stays well conditioned; L~ is
     carried across blocks one by one. X's last row is e4 exactly (the
@@ -517,7 +398,7 @@ def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
     table[:, 6:9] *= 2.0
 
     # offset = N^ + sig2 * int_t^T L11: per step h/2 (L11_j + L11_j+1)
-    # - h^2/12 (L11'_j+1 - L11'_j), L11' the RK4 loop's own L11 rate.
+    # - h^2/12 (L11'_j+1 - L11'_j), L11' the Riccati rate of L11.
     l11 = table[:, 0]
     rate = -(2.0 * (l11 * a_l - table[:, 1] * w)) + gain * l11 * l11 - half_q
     steps = (0.5 * h) * (l11[:-1] + l11[1:]) - (h * h / 12.0) * (rate[1:] - rate[:-1])

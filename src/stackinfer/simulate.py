@@ -311,6 +311,26 @@ def simulate_leader(
     )
 
 
+def _sub_step_integrals(f_sub: np.ndarray, kernel_sub: np.ndarray, h_sub):
+    """Transition factor and two weighted integrals per row of sub-node values.
+
+    Row i holds f and a kernel at ``SUB_NODES + 1`` equally spaced sub-nodes
+    of one interval, ``h_sub`` apart (a scalar, or one spacing per row).
+    With phi(u) the integral of f from u to the interval's right edge, it
+    returns exp(phi) at the left edge and the trapezoid integrals of
+    exp(phi) * kernel and of exp(2 phi) over the interval.
+    """
+    h_col = np.reshape(h_sub, (-1, 1))
+    seg = 0.5 * h_col * (f_sub[:, :-1] + f_sub[:, 1:])
+    phi = np.zeros(f_sub.shape)
+    phi[:, :-1] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
+    e_phi = np.exp(phi)
+    h_row = h_col[:, 0]
+    kernel_int = np.trapezoid(e_phi * kernel_sub, axis=1) * h_row
+    var_int = np.trapezoid(e_phi * e_phi, axis=1) * h_row
+    return e_phi[:, 0], kernel_int, var_int
+
+
 def _exact_transition_tables(
     model: FollowerModel, fr: FollowerRiccati, b: np.ndarray, grid: TimeGrid
 ):
@@ -322,22 +342,13 @@ def _exact_transition_tables(
     integrals are evaluated by trapezoid on ``SUB_NODES`` sub-intervals with
     f and b interpolated linearly.
     """
-    h_sub = grid.h / SUB_NODES
     # Sub-grid inside each step by fractional position; rows are steps.
     frac = np.linspace(0.0, 1.0, SUB_NODES + 1)[None, :]
-    f, gain = fr.f, model.gain_sq_over_r
+    f = fr.f
     f_sub = f[:-1, None] + (f[1:] - f[:-1])[:, None] * frac
     b_sub = b[:-1, None] + (b[1:] - b[:-1])[:, None] * frac
-    # phi[j, l] = integral of f from sub-node l to the right edge of step j.
-    seg = 0.5 * h_sub * (f_sub[:, :-1] + f_sub[:, 1:])
-    phi = np.concatenate(
-        [np.cumsum(seg[:, ::-1], axis=1)[:, ::-1], np.zeros((seg.shape[0], 1))], axis=1
-    )
-    e_phi = np.exp(phi)
-    e_step = e_phi[:, 0]
-    drift_step = gain * np.trapezoid(e_phi * b_sub, dx=h_sub, axis=1)
-    var_step = np.trapezoid(e_phi * e_phi, dx=h_sub, axis=1)
-    return e_step, drift_step, var_step
+    e_step, b_int, var_step = _sub_step_integrals(f_sub, b_sub, grid.h / SUB_NODES)
+    return e_step, model.gain_sq_over_r * b_int, var_step
 
 
 def simulate_follower_batch(

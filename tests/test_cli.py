@@ -225,6 +225,19 @@ class TestCliCommands:
         assert "config.follower.sigma" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_validate_agrees_with_run_on_uncontrolled_follower(self, tmp_path, capsys, config):
+        # The noise-to-signal ratio and the follower's Riccati solve divide by b_control.
+        doc = json.loads(config.read_text())
+        doc["follower"]["b_control"] = 0.0
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
+        assert "config.follower.b_control" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "config.follower.b_control" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("study, field", [
         # diff_se is a standard deviation over the evaluation paths.
         (dict(name="benchmark-compare", n_eval_paths=1, n_display_paths=1,
@@ -235,6 +248,10 @@ class TestCliCommands:
          "config.study.optimizer.batch_size"),
         # The runner never read it; grid.horizon sets the probed horizon.
         (dict(name="wellposedness", probe_horizon=5.0), "config.study.probe_horizon"),
+        # final_se is a standard deviation over the held-out paths.
+        (dict(name="objective-compare", pairs=[[0.0, 0.5]], n_paths=4,
+              optimizer=dict(budget=1, batch_size=4, eval_paths=1)),
+         "config.study.optimizer.eval_paths"),
     ])
     def test_validate_agrees_with_run_on_study_minimums(self, tmp_path, capsys, study, field):
         path = write_doc(tmp_path, make_doc(**study))
@@ -281,6 +298,7 @@ def mutated_configs(draw):
     weights = st.sampled_from([0.0, 0.3, 0.93, 2.0])
     grid["n_steps"] = draw(st.integers(1, 16))
     doc["follower"]["sigma"] = draw(st.sampled_from([0.0, 0.1]))
+    doc["follower"]["b_control"] = draw(st.sampled_from([0.0, 1.0]))
     leader["inference_weight"] = draw(weights)
     for key in ("n_paths", "n_replays", "n_eval_paths", "n_display_paths"):
         if key in study:

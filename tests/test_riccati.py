@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stackinfer as si
 from conftest import HORIZON, TARGET_AMP, TARGET_OMEGA, make_follower, make_leader
@@ -35,13 +37,42 @@ class TestFollowerQuadraticCoefficient:
         coeffs = si.compute_coefficients(fr, model)
         assert np.allclose(coeffs.decay, np.exp(2.0 * grid.nodes), rtol=1e-12)
 
-    def test_refinement_is_fourth_order(self, follower):
-        values = []
-        for n in (250, 500, 1000):
-            values.append(si.solve_follower_a(follower, si.build_grid(HORIZON, n)).a[0])
-        d1 = abs(values[0] - values[1])
-        d2 = abs(values[1] - values[2])
-        assert d1 / d2 > 14.0  # ~16 for a 4th-order scheme
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a_drift=st.floats(-3.0, 1.0),
+        b_control=st.floats(0.2, 3.0) | st.floats(-3.0, -0.2),
+        q_track=st.floats(0.01, 5.0),
+        r_control=st.floats(0.3, 7.0),
+        horizon=st.floats(0.1, 10.0),
+        n_steps=st.sampled_from([1, 7, 50, 1000]),
+    )
+    def test_matches_closed_form_on_drawn_models(
+        self, a_drift, b_control, q_track, r_control, horizon, n_steps
+    ):
+        model = make_follower(a_drift=a_drift, b_control=b_control, q_track=q_track,
+                              r_control=r_control)
+        grid = si.build_grid(horizon, n_steps)
+        a = si.solve_follower_a(model, grid).a
+        cf = FollowerClosedForm(a_drift, b_control, 0.1, q_track, r_control, horizon)
+        want = cf.a(grid.nodes)
+        assert np.max(np.abs(a - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("a_drift", [0.0, 0.5])
+    def test_zero_source_with_degenerate_roots(self, a_drift):
+        # One root is zero (both are, at a_drift = 0): the oracle's ratio
+        # form divides by zero, the library stays on the equilibrium a = 0.
+        model = make_follower(q_track=0.0, a_drift=a_drift)
+        grid = si.build_grid(HORIZON, 50)
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            FollowerClosedForm(a_drift, 1.0, 0.1, 0.0, 1.0, HORIZON).a(grid.nodes)
+        fr = si.solve_follower_a(model, grid)
+        assert np.all(fr.a == 0.0)
+        assert np.all(fr.f == a_drift)
+
+    def test_zero_gain_refused(self):
+        model = make_follower(b_control=0.0)
+        with pytest.raises(si.InvalidArgumentError, match="b_control"):
+            si.solve_follower_a(model, si.build_grid(HORIZON, 50))
 
 
 class TestDerivedCoefficients:
