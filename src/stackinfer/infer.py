@@ -120,7 +120,8 @@ def mle_continuous_batch(
         raise InvalidArgumentError(f"paths must have {grid.n_nodes} columns")
     g = gp.g
     drift = trapz(fr.f[None, :] * g[None, :] * x, grid)
-    ito = np.diff(x, axis=1) @ g[:-1]
+    # Not a matrix-vector product: its (BLAS) result depends on the row count.
+    ito = np.sum(np.diff(x, axis=1) * g[:-1], axis=1)
     return (drift - ito) / (model.gain_sq_over_r * gp.precision)
 
 
@@ -140,7 +141,7 @@ def mle_continuous(
     x = fpath.x
     g = gp.g
     drift = float(trapz(fr.f * g * x, fr.grid))
-    ito = float(np.diff(x) @ g[:-1])
+    ito = float(np.sum(np.diff(x) * g[:-1]))
     m_hat = (drift - ito) / (model.gain_sq_over_r * gp.precision)
     cond_variance, cond_fisher = _conditional_moments(model, gp.precision)
     return MleReport(

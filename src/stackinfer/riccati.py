@@ -4,7 +4,9 @@ The follower's quadratic value coefficient solves a scalar Riccati equation
 with constant coefficients, evaluated in closed form at the grid nodes. Its
 linear and constant coefficients are integrated backward with classical RK4
 on the simulation grid, with coefficient values at half-steps from linear
-interpolation of the node arrays. The leader's value function lives on the
+interpolation of the node arrays: the linear one as the affine recurrence
+its RK4 steps form (``core._affine_scan``), the constant one as a running
+sum of increments. The leader's value function lives on the
 augmented state (own state plus two path integrals), giving a symmetric 3x3
 Riccati system with an indefinite source. It is solved on every grid as the
 linear Hamiltonian system whose solution [X; Y] gives the Riccati solution as
@@ -30,6 +32,7 @@ from .core import (
     LeaderModel,
     TimeGrid,
     Trajectory,
+    _affine_scan,
     block_transfer_maps,
     cumtrapz,
 )
@@ -153,11 +156,13 @@ def solve_follower_bc(
     db/dt = (2 b^2/r) a b - a_drift b + q_track * dilation * x_L(t), b(T) = 0.
     dc/dt collects the remaining HJB terms (tracking offset, control bias,
     noise, and the entropy constant), c(T) = 0. Both are classical RK4 with
-    x_L and a linearly interpolated at half-steps. dc/dt does not depend on
-    c, so only b is stepped one node at a time; c's RK4 increments are then
-    evaluated for all steps at once from the same b stage values, and c is
-    their running sum from T. Every operation is the one a joint per-step
-    loop performs, in the same order, so both outputs equal it bit for bit.
+    x_L and a linearly interpolated at half-steps. db/dt is affine in b, so
+    each RK4 stage is too, and a backward step is b[j] = m[j] b[j+1] + e[j]
+    with m and e built for all steps at once; that recurrence is solved by
+    ``core._affine_scan``. dc/dt does not depend on c, so c's RK4
+    increments are evaluated for all steps at once from the b stage values,
+    and c is their running sum from T. Both agree with the per-step RK4
+    loop to rounding.
     """
     grid = fr.grid
     if x_leader.grid != grid:
@@ -171,44 +176,38 @@ def solve_follower_bc(
     lam = model.entropy_weight
     entropy_const = 0.5 * lam * math.log(2.0 * math.pi * math.e * lam / model.r_control) - 0.5 * lam
 
-    # db/dt = alpha_a * b - drift * b + q_x at the nodes and half-steps.
+    # db/dt = p b + g at the nodes and half-steps.
     x, x_mid = x_leader.values, _interp_mid(x_leader.values)
     a, a_mid = fr.a, _interp_mid(fr.a)
-    alpha_a, alpha_a_mid = alpha * a, alpha * a_mid
-    q_x, q_x_mid = q_m * x, q_m * x_mid
+    p, p_mid = alpha * a - drift, alpha * a_mid - drift
+    g, g_mid = q_m * x, q_m * x_mid
 
     n = grid.n_steps
     h = grid.h
     half_h = 0.5 * h
     sixth_h = h / 6.0
-    # Python floats: numpy scalar arithmetic would dominate the sequential loop.
-    yb = 0.0
-    b = [yb]
-    for p_r, g_r, p_m, g_m, p_l, g_l in zip(
-        alpha_a[:0:-1].tolist(), q_x[:0:-1].tolist(),
-        alpha_a_mid[::-1].tolist(), q_x_mid[::-1].tolist(),
-        alpha_a[-2::-1].tolist(), q_x[-2::-1].tolist(),
-    ):
-        k1 = p_r * yb - drift * yb + g_r
-        s = yb - half_h * k1
-        k2 = p_m * s - drift * s + g_m
-        s = yb - half_h * k2
-        k3 = p_m * s - drift * s + g_m
-        s = yb - h * k3
-        k4 = p_l * s - drift * s + g_l
-        yb = yb - sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        b.append(yb)
-    b = np.array(b[::-1])
+    # Stage i of the step entered from b[j+1] is k_i = ka_i b[j+1] + kb_i.
+    ka1, kb1 = p[1:], g[1:]
+    ka2 = p_mid * (1.0 - half_h * ka1)
+    kb2 = g_mid - p_mid * (half_h * kb1)
+    ka3 = p_mid * (1.0 - half_h * ka2)
+    kb3 = g_mid - p_mid * (half_h * kb2)
+    ka4 = p[:-1] * (1.0 - h * ka3)
+    kb4 = g[:-1] - p[:-1] * (h * kb3)
+    m = 1.0 - sixth_h * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
+    e = -sixth_h * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
+    # Solved from b[n] = 0 back: step i of the recurrence is grid step n-1-i.
+    b = np.empty(n + 1)
+    b[n] = 0.0
+    b[:n] = e
+    _affine_scan(m[::-1, None, None], b[::-1, None, None])
 
     # The b stage values of every step (entered from its right node), then
     # dc/dt at each stage: -half_q_m2 x^2 + half_gain b^2 - sig2 a + entropy_const.
     s1 = b[1:]
-    k1 = alpha_a[1:] * s1 - drift * s1 + q_x[1:]
-    s2 = s1 - half_h * k1
-    k2 = alpha_a_mid * s2 - drift * s2 + q_x_mid
-    s3 = s1 - half_h * k2
-    k3 = alpha_a_mid * s3 - drift * s3 + q_x_mid
-    s4 = s1 - h * k3
+    s2 = s1 - half_h * (ka1 * s1 + kb1)
+    s3 = s1 - half_h * (ka2 * s1 + kb2)
+    s4 = s1 - h * (ka3 * s1 + kb3)
     x_term, x_term_mid = -half_q_m2 * x * x, -half_q_m2 * x_mid * x_mid
     a_term, a_term_mid = sig2 * a, sig2 * a_mid
     kc1 = x_term[1:] + half_gain * s1 * s1 - a_term[1:] + entropy_const

@@ -8,11 +8,13 @@ that the precision integral of the score function satisfies its quadratic
 expansion in the auxiliary states exactly at the discrete level.
 
 Batch variants are vectorized across paths; each path's increments come
-from its own counter-derived stream. Batches that are longer than they are
-wide, under an affine law (the Riccati policy, or the follower's optimal
-response), are solved as a blocked affine recurrence instead of a per-step
-loop; it agrees with the loop to rounding. Every row is computed
-independently of the others, so results do not depend on thread count.
+from its own counter-derived stream. Under an affine law (the Riccati
+policy, or the follower's optimal response, in either mode) a batch is one
+affine recurrence, solved by ``core._affine_scan``, which alone picks its
+schedule from the batch shape; it agrees with the per-step loop to rounding.
+Other policies step their session once per node. Every row is computed
+independently of the others, so a row does not depend on how many rows
+share its batch (within one of the solver's schedules) or on thread count.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .core import (
     STREAM_LEADER,
     TimeGrid,
     Trajectory,
-    block_transfer_maps,
+    _affine_scan,
     cumtrapz,
     trapz,
 )
@@ -120,75 +122,6 @@ def _check_grid(grid: TimeGrid, other: TimeGrid, what: str):
         raise InvalidArgumentError(f"{what} lives on a different grid")
 
 
-# A batch takes the blocked recurrence when it is longer than it is wide and
-# has at most SCAN_MAX_PATHS rows. The loop pays a fixed numpy overhead per
-# step and little per row; the recurrence takes about 2*sqrt(n_steps)
-# sequential steps but does several times the loop's arithmetic per element.
-# Measured on a 2-vCPU x86 host (numpy 2, best of 5, loop time over
-# recurrence time for Riccati-policy leader / Euler follower / exact
-# follower): 1 x 8192 steps 33 / 41 / 6.1x; 32 x 8192 4.7 / 14 / 5.5x;
-# 64 x 8192 2.1 / 7.3 / 4.1x; 64 x 1024 3.2 / 4.9 / 2.9x; 1 x 50 5.0 / 2.6 /
-# 1.5x. The leader breaks even at about 150-190 rows for every length from
-# 512 to 8192 steps, and wide batches lose (2000 x 50: 0.27 / 0.63 / 0.54x).
-SCAN_MAX_PATHS = 64
-
-
-def _use_scan(n_paths: int, n_steps: int) -> bool:
-    return n_paths <= SCAN_MAX_PATHS and n_paths < n_steps
-
-
-def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v over the last axes, as elementwise products so rows never mix."""
-    out = m[..., 0] * v[..., :1]
-    for s in range(1, v.shape[-1]):
-        out += m[..., s] * v[..., s : s + 1]
-    return out
-
-
-def _affine_scan(a: np.ndarray, c: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """Solve y[:, j+1] = a[j] @ y[:, j] + c[:, j] for every path, two-level blocked.
-
-    ``a`` is (n, k, k) and shared by all paths, ``c`` is (n_paths, n, k) and
-    ``y0`` is (n_paths, k); returns y as (n_paths, n + 1, k). The steps are
-    cut into blocks of about sqrt(n). All blocks are first solved from a
-    zero start at once, together with their transfer maps; the block start
-    states are then carried across blocks one by one, and one vectorized
-    pass adds each block's start state to its zero-start solution. The
-    fewer than sqrt(n) steps past the last whole block run one by one. That
-    is about 2*sqrt(n) sequential numpy steps instead of n, at the cost of
-    re-associated rounding.
-    """
-    n, k, _ = a.shape
-    n_paths = c.shape[0]
-    maps = np.empty_like(a)
-    size = block_transfer_maps(a, maps)
-    n_blocks = n // size
-    m = n_blocks * size
-    phi = maps[:m].reshape(n_blocks, size, k, k)
-    y = np.empty((n_paths, n + 1, k))
-    y[:, 0] = y0
-    a_blk = a[:m].reshape(n_blocks, size, k, k)
-    c_blk = c[:, :m].reshape(n_paths, n_blocks, size, k)
-    # Zero-start solutions are built in place in y (a view, as splitting an
-    # axis never copies).
-    z = y[:, 1 : m + 1].reshape(n_paths, n_blocks, size, k)
-    z[:, :, 0] = c_blk[:, :, 0]
-    for i in range(1, size):
-        z[:, :, i] = _apply(a_blk[:, i], z[:, :, i - 1]) + c_blk[:, :, i]
-
-    # State entering each block.
-    start = np.empty((n_paths, n_blocks, k))
-    start[:, 0] = y0
-    for b in range(1, n_blocks):
-        start[:, b] = _apply(phi[b - 1, -1], start[:, b - 1]) + z[:, b - 1, -1]
-
-    for s in range(k):
-        z += phi[..., s] * start[:, :, None, s : s + 1]
-    for j in range(m, n):
-        y[:, j + 1] = _apply(a[j], y[:, j]) + c[:, j]
-    return y
-
-
 def simulate_leader_batch(
     leader: LeaderModel,
     coeffs: DerivedCoefficients,
@@ -198,11 +131,11 @@ def simulate_leader_batch(
 ) -> LeaderEnsemble:
     """Euler-Maruyama batch of leader paths under ``policy``.
 
-    ``shocks`` holds standard-normal draws, one row per path. The policy's
-    session is stepped once per node in order; sessions may be stateful
-    (recurrent policies), so rows of a batch advance together. A policy with
-    an affine law (``gains``) on a batch longer than it is wide is solved by
-    the blocked recurrence instead, with no session calls.
+    ``shocks`` holds standard-normal draws, one row per path. A policy with
+    an affine law (``gains``) is solved as one affine recurrence, with no
+    session calls. Any other policy's session is stepped once per node in
+    order; sessions may be stateful (recurrent policies), so rows of a
+    batch advance together.
     """
     _check_grid(grid, coeffs.grid, "coefficients")
     shocks = np.asarray(shocks, dtype=float)
@@ -210,11 +143,11 @@ def simulate_leader_batch(
         raise InvalidArgumentError(
             f"shocks must be (n_paths, {grid.n_steps}), got {shocks.shape}"
         )
-    n_paths = shocks.shape[0]
     gains = getattr(policy, "gains", None)
-    if gains is not None and _use_scan(n_paths, grid.n_steps):
+    if gains is not None:
         return _leader_scan(leader, coeffs, policy, gains, grid, shocks)
 
+    n_paths = shocks.shape[0]
     n = grid.n_steps
     h = grid.h
     sqrt_h = math.sqrt(h)
@@ -252,7 +185,7 @@ def _leader_scan(leader, coeffs, policy, gains, grid, shocks) -> LeaderEnsemble:
     psi = (x, aux, aux2) steps affinely: the Euler step of x, then the
     trapezoid steps of aux and aux2, which read the new x and aux. Only x is
     kept from the recurrence; aux, aux2 and the controls are rebuilt from it
-    with the loop's own formulas, so the trapezoid identities stay exact.
+    with the per-step formulas, so the trapezoid identities stay exact.
     """
     n_paths, n = shocks.shape
     h = grid.h
@@ -272,12 +205,16 @@ def _leader_scan(leader, coeffs, policy, gains, grid, shocks) -> LeaderEnsemble:
     a[:, 2, :] = half_h * d[1:, None] * a[:, 1, :]
     a[:, 2, 1] += half_h * d[:-1]
     a[:, 2, 2] += 1.0
-    c = np.empty((n_paths, n, 3))
-    c[:, :, 0] = bh * offset[:-1] + leader.sigma * math.sqrt(h) * shocks
-    c[:, :, 1] = -half_h * w[1:] * c[:, :, 0]
-    c[:, :, 2] = half_h * d[1:] * c[:, :, 1]
-    y0 = np.array([leader.x0, 0.0, 0.0])
-    x = np.ascontiguousarray(_affine_scan(a, c, np.broadcast_to(y0, (n_paths, 3)))[:, :, 0])
+    # The start state and the forcing in the solver's step-major layout.
+    y = np.empty((n + 1, 3, n_paths))
+    y[0] = [[leader.x0], [0.0], [0.0]]
+    c = y[1:]
+    np.multiply(shocks.T, leader.sigma * math.sqrt(h), out=c[:, 0])
+    c[:, 0] += (bh * offset[:-1])[:, None]
+    c[:, 1] = -half_h * w[1:, None] * c[:, 0]
+    c[:, 2] = half_h * d[1:, None] * c[:, 1]
+    x = np.ascontiguousarray(_affine_scan(a, y)[:, 0].T)
+    del c, y  # the rebuild below can then reuse their memory
 
     aux = -cumtrapz(w * x, grid)
     aux2 = cumtrapz(d * aux, grid)
@@ -365,7 +302,8 @@ def simulate_follower_batch(
 
     ``euler`` steps the drift f*x - (b_F^2/r_F)*b explicitly; ``exact``
     samples the Gaussian one-step transition of the linear SDE, with step
-    integrals from sub-quadrature. The exact mode reads the per-step tables
+    integrals from sub-quadrature. Both are one affine recurrence in x,
+    solved by ``core._affine_scan``. The exact mode reads the per-step tables
     ``_exact_transition_tables(model, fr, b, grid)`` returns; a caller
     simulating several batches with the same model, ``fr``, ``b`` and grid
     may build them once and pass them as ``tables``. Without ``tables`` they
@@ -383,41 +321,27 @@ def simulate_follower_batch(
     if mode not in ("euler", "exact"):
         raise InvalidArgumentError(f"unknown simulation mode {mode!r}")
 
+    # x[j+1] = mult[j] * x[j] + offset[j] + noise[j] * shock[j] in both modes.
     n_paths, n = shocks.shape
     h = grid.h
-    sig = model.sigma
-    if mode == "exact":
+    if mode == "euler":
+        mult = 1.0 + fr.f[:-1] * h
+        offset = -model.gain_sq_over_r * b[:-1] * h
+        noise = model.sigma * math.sqrt(h)
+    else:
         if tables is None:
             tables = _exact_transition_tables(model, fr, b, grid)
         e_step, drift_step, var_step = tables
         if not e_step.shape == drift_step.shape == var_step.shape == (n,):
             raise InvalidArgumentError(f"transition tables must hold {n} steps each")
-        noise_scale = sig * np.sqrt(var_step)
-    if _use_scan(n_paths, n):
-        # x[j+1] = mult[j] * x[j] + offset[j] + noise[j] * shock[j] in both modes.
-        if mode == "euler":
-            mult = 1.0 + fr.f[:-1] * h
-            offset = -model.gain_sq_over_r * b[:-1] * h
-            noise = sig * math.sqrt(h)
-        else:
-            mult, offset, noise = e_step, -drift_step, noise_scale
-        c = noise * shocks
-        c += offset
-        x0 = np.full((n_paths, 1), model.x0)
-        return _affine_scan(mult[:, None, None], c[:, :, None], x0)[:, :, 0]
-
-    x = np.empty((n_paths, n + 1))
-    x[:, 0] = model.x0
-    if mode == "euler":
-        sqrt_h = math.sqrt(h)
-        f, gain = fr.f, model.gain_sq_over_r
-        for j in range(n):
-            drift = f[j] * x[:, j] - gain * b[j]
-            x[:, j + 1] = x[:, j] + drift * h + sig * sqrt_h * shocks[:, j]
-    else:
-        for j in range(n):
-            x[:, j + 1] = x[:, j] * e_step[j] - drift_step[j] + noise_scale[j] * shocks[:, j]
-    return x
+        mult, offset = e_step, -drift_step
+        noise = (model.sigma * np.sqrt(var_step))[:, None]
+    # The start state and the forcing in the solver's step-major layout.
+    y = np.empty((n + 1, 1, n_paths))
+    y[0] = model.x0
+    np.multiply(shocks.T, noise, out=y[1:, 0])
+    y[1:, 0] += offset[:, None]
+    return np.ascontiguousarray(_affine_scan(mult[:, None, None], y)[:, 0].T)
 
 
 def simulate_follower(

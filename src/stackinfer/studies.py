@@ -91,9 +91,11 @@ def _provenance(cfg: ExperimentConfig) -> dict:
 # Rows x steps simulated at once by a study chunk: bounds peak memory on fine
 # grids (100 paths of 2^13 steps become 4 chunks) while 50-step ensembles of
 # up to 5242 paths stay in one. Paths draw from index-keyed streams and rows
-# never mix, so chunking changes no output, except that a chunk of at most
-# 64 rows may take the blocked recurrence where the whole batch would take
-# the per-step loop (they agree to rounding).
+# never mix, so chunking changes no output, except that the affine-law
+# solver picks its schedule from the chunk's shape (``core._use_scan``): a
+# chunk of at most ``core.SCAN_MAX_PATHS`` rows, fewer than its steps, may be
+# solved blocked where the whole batch would be stepped (they agree to
+# rounding).
 CHUNK_ELEMENTS = 1 << 18
 
 

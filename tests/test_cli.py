@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stackinfer import cli, studies
+from stackinfer import cli, core, studies
 from stackinfer.config import ConfigError, validate_config
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -290,19 +290,39 @@ class TestCliCommands:
         assert (tmp_path / "envout" / "wellposedness_summary.json").exists()
 
 
+def rarely(draw, usual, invalid):
+    """``invalid`` in about one draw of sixteen, otherwise a draw from ``usual``."""
+    return invalid if draw(st.integers(0, 15)) == 15 else draw(usual)
+
+
 @st.composite
 def mutated_configs(draw):
-    """A shipped config on a tiny grid, with drawn weights, targets and counts."""
+    """A shipped config on a small grid, with drawn weights, targets and counts.
+
+    Each drawn field is invalid in about one draw of sixteen, so that most
+    configs reach ``run``. Grids are mostly tiny, and sometimes two steps
+    past the affine-law solver's path bound, so that path counts fall on
+    both sides of its schedule choice (``core._use_scan``).
+    """
     doc = json.loads(draw(st.sampled_from(CONFIGS)).read_text())
     grid, leader, study = doc["grid"], doc["leader"], doc["study"]
     weights = st.sampled_from([0.0, 0.3, 0.93, 2.0])
-    grid["n_steps"] = draw(st.integers(1, 16))
-    doc["follower"]["sigma"] = draw(st.sampled_from([0.0, 0.1]))
-    doc["follower"]["b_control"] = draw(st.sampled_from([0.0, 1.0]))
+    bound = core.SCAN_MAX_PATHS
+    n_steps = draw(st.integers(1, 16) | st.just(bound + 2))
+    grid["n_steps"] = n_steps
+    straddle = [n_steps - 1, n_steps, n_steps + 1, bound - 1, bound, bound + 1]
+    paths = st.integers(2, 12) | st.sampled_from([k for k in straddle if k >= 2])
+    doc["follower"]["sigma"] = rarely(draw, st.just(0.1), 0.0)
+    doc["follower"]["b_control"] = rarely(draw, st.just(1.0), 0.0)
     leader["inference_weight"] = draw(weights)
-    for key in ("n_paths", "n_replays", "n_eval_paths", "n_display_paths"):
-        if key in study:
-            study[key] = draw(st.integers(1, 12))
+    if "n_paths" in study:
+        study["n_paths"] = draw(paths)
+    if "n_replays" in study:
+        study["n_replays"] = rarely(draw, paths.filter(lambda k: k >= 10), 9)
+    if "n_eval_paths" in study:
+        study["n_eval_paths"] = rarely(draw, paths, 1)
+        n_eval = study["n_eval_paths"]
+        study["n_display_paths"] = rarely(draw, st.integers(1, max(1, n_eval)), n_eval + 1)
     if "inference_weights" in study:
         study["inference_weights"] = draw(st.lists(weights, min_size=1, max_size=3))
     if "pairs" in study:
@@ -312,15 +332,17 @@ def mutated_configs(draw):
         study["n_episodes"] = draw(st.integers(1, 3))
     if "optimizer" in study:
         study["optimizer"].update(budget=draw(st.integers(1, 2)),
-                                  batch_size=draw(st.sampled_from([1, 2, 4])),
-                                  eval_paths=draw(st.sampled_from([1, 4])))
+                                  batch_size=rarely(draw, st.sampled_from([2, 4]), 1),
+                                  eval_paths=rarely(draw, st.sampled_from([2, 4]), 1))
     if study["name"] == "discrete-convergence":
-        study["fine_exponent"] = draw(st.integers(1, 6))
-        study["levels"] = draw(st.lists(st.integers(0, 7), min_size=1, max_size=3))
-        study["n_sigma_replications"] = draw(st.integers(1, 8))
+        fine = study["fine_exponent"] = draw(st.integers(1, 6))
+        study["levels"] = rarely(
+            draw, st.lists(st.integers(0, fine - 1), min_size=1, max_size=3), [fine]
+        )
+        study["n_sigma_replications"] = rarely(draw, st.integers(2, 8), 1)
     if draw(st.booleans()):
-        fits = 2 ** study.get("fine_exponent", 0) if "fine_exponent" in study else grid["n_steps"]
-        n_values = draw(st.just(fits + 1) | st.integers(1, 2**6 + 2))
+        fits = 2 ** study.get("fine_exponent", 0) if "fine_exponent" in study else n_steps
+        n_values = rarely(draw, st.just(fits + 1), fits + 2)
         leader["target"] = {"kind": "tabulated", "values": [0.05] * n_values}
     return doc
 
