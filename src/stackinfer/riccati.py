@@ -159,10 +159,12 @@ def solve_follower_bc(
     x_L and a linearly interpolated at half-steps. db/dt is affine in b, so
     each RK4 stage is too, and a backward step is b[j] = m[j] b[j+1] + e[j]
     with m and e built for all steps at once; that recurrence is solved by
-    ``core._affine_scan``. dc/dt does not depend on c, so c's RK4
-    increments are evaluated for all steps at once from the b stage values,
-    and c is their running sum from T. Both agree with the per-step RK4
-    loop to rounding.
+    ``core._affine_scan``. b is linear in q_track * dilation, so it is
+    solved for unit forcing and scaled once, which keeps a tiny forcing out
+    of the subnormal range until the last rounding. dc/dt does not depend
+    on c, so c's RK4 increments are evaluated for all steps at once from the
+    b stage values, and c is their running sum from T. Both agree with the
+    per-step RK4 loop to rounding.
     """
     grid = fr.grid
     if x_leader.grid != grid:
@@ -176,27 +178,26 @@ def solve_follower_bc(
     lam = model.entropy_weight
     entropy_const = 0.5 * lam * math.log(2.0 * math.pi * math.e * lam / model.r_control) - 0.5 * lam
 
-    # db/dt = p b + g at the nodes and half-steps.
+    # b = q_m u with du/dt = p u + x, at the nodes and half-steps.
     x, x_mid = x_leader.values, _interp_mid(x_leader.values)
     a, a_mid = fr.a, _interp_mid(fr.a)
     p, p_mid = alpha * a - drift, alpha * a_mid - drift
-    g, g_mid = q_m * x, q_m * x_mid
 
     n = grid.n_steps
     h = grid.h
     half_h = 0.5 * h
     sixth_h = h / 6.0
-    # Stage i of the step entered from b[j+1] is k_i = ka_i b[j+1] + kb_i.
-    ka1, kb1 = p[1:], g[1:]
+    # Stage i of the step entered from u[j+1] is k_i = ka_i u[j+1] + kb_i.
+    ka1, kb1 = p[1:], x[1:]
     ka2 = p_mid * (1.0 - half_h * ka1)
-    kb2 = g_mid - p_mid * (half_h * kb1)
+    kb2 = x_mid - p_mid * (half_h * kb1)
     ka3 = p_mid * (1.0 - half_h * ka2)
-    kb3 = g_mid - p_mid * (half_h * kb2)
+    kb3 = x_mid - p_mid * (half_h * kb2)
     ka4 = p[:-1] * (1.0 - h * ka3)
-    kb4 = g[:-1] - p[:-1] * (h * kb3)
+    kb4 = x[:-1] - p[:-1] * (h * kb3)
     m = 1.0 - sixth_h * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
     e = -sixth_h * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-    # Solved from b[n] = 0 back: step i of the recurrence is grid step n-1-i.
+    # Solved from u[n] = 0 back: step i of the recurrence is grid step n-1-i.
     b = np.empty(n + 1)
     b[n] = 0.0
     b[:n] = e
@@ -204,10 +205,12 @@ def solve_follower_bc(
 
     # The b stage values of every step (entered from its right node), then
     # dc/dt at each stage: -half_q_m2 x^2 + half_gain b^2 - sig2 a + entropy_const.
-    s1 = b[1:]
-    s2 = s1 - half_h * (ka1 * s1 + kb1)
-    s3 = s1 - half_h * (ka2 * s1 + kb2)
-    s4 = s1 - h * (ka3 * s1 + kb3)
+    u1 = b[1:]
+    s1 = q_m * u1
+    s2 = q_m * (u1 - half_h * (ka1 * u1 + kb1))
+    s3 = q_m * (u1 - half_h * (ka2 * u1 + kb2))
+    s4 = q_m * (u1 - h * (ka3 * u1 + kb3))
+    b *= q_m
     x_term, x_term_mid = -half_q_m2 * x * x, -half_q_m2 * x_mid * x_mid
     a_term, a_term_mid = sig2 * a, sig2 * a_mid
     kc1 = x_term[1:] + half_gain * s1 * s1 - a_term[1:] + entropy_const

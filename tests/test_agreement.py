@@ -45,8 +45,12 @@ FINE = 2**13
 
 
 def assert_close(got, ref):
+    # Below the smallest normal float the spacing is absolute (5e-324), so
+    # the magnitude is floored there: a relative bound on a subnormal
+    # reference would be finer than the format can resolve.
     assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
+    scale = max(np.max(np.abs(ref)), np.finfo(float).tiny)
+    assert np.max(np.abs(got - ref)) <= RTOL * scale
 
 
 def solved(follower, n_steps, inference_weight=0.5, horizon=HORIZON, **leader_overrides):
@@ -353,6 +357,9 @@ class TestRiccatiSolvers:
         sigma=st.floats(0.0, 1.0),
         entropy_weight=st.floats(0.01, 5.0),
     )
+    # A subnormal forcing: b and its stage values are subnormal throughout.
+    @example(a_drift=0.0, q_track=1.0, dilation=2.2250738585e-313, sigma=0.0,
+             entropy_weight=1.0)
     def test_follower_bc_matches_loop_on_drawn_models(
         self, grid50, a_drift, q_track, dilation, sigma, entropy_weight
     ):
