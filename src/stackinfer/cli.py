@@ -48,7 +48,7 @@ def write_result(result: StudyResult, cfg: ExperimentConfig, out_dir: Path) -> l
     """Write the summary JSON and CSV tables; returns the paths written."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    formats = cfg.output.get("formats", ["csv", "json"])
+    formats = cfg.output["formats"]
     if "json" in formats:
         doc = {
             "study": result.name,
@@ -76,7 +76,7 @@ def write_result(result: StudyResult, cfg: ExperimentConfig, out_dir: Path) -> l
 def _resolve_out_dir(cli_value: str | None, cfg: ExperimentConfig) -> Path:
     if cli_value:
         return Path(cli_value)
-    if cfg.output.get("directory"):
+    if cfg.output["directory"]:
         return Path(cfg.output["directory"])
     return Path(os.environ.get(OUTPUT_DIR_ENV, "results"))
 

@@ -3,7 +3,10 @@
 Configs are single JSON documents with five fixed blocks (follower, leader,
 grid, rng, output) plus one study block. Validation walks the document
 against a declarative schema, rejects unknown keys, and reports the full
-field path of the first violation.
+field path of the first violation. Each optional field's default is
+declared once, next to its validator, and the validated configuration holds
+every field; only the ``optimizer`` block holds just the SPSA settings it
+overrides, over the defaults of ``policy.OptimizerConfig``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ def _expect(cond: bool, path: str, message: str):
 
 
 def _check_block(block: Any, path: str, required: dict, optional: dict | None = None) -> dict:
+    """Validate one object and return every field of its schema.
+
+    ``optional`` maps keys to (validator, default). An absent key takes its
+    default through the validator (so nested defaults fill in), or None.
+    """
     _expect(isinstance(block, dict), path, "must be an object")
     optional = optional or {}
     allowed = set(required) | set(optional)
@@ -39,10 +47,12 @@ def _check_block(block: Any, path: str, required: dict, optional: dict | None = 
         _expect(key in allowed, f"{path}.{key}", "unknown key")
     for key in required:
         _expect(key in block, f"{path}.{key}", "missing required key")
-    out = {}
-    for key, validator in {**required, **optional}.items():
+    out = {key: check(block[key], f"{path}.{key}") for key, check in required.items()}
+    for key, (check, default) in optional.items():
         if key in block:
-            out[key] = validator(block[key], f"{path}.{key}")
+            out[key] = check(block[key], f"{path}.{key}")
+        else:
+            out[key] = None if default is None else check(default, f"{path}.{key}")
     return out
 
 
@@ -116,23 +126,14 @@ def _nonnegative_int_list(value, path):
     return [_nonnegative_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-# Defaults of the discrete-convergence study, read by its runner too.
-FINE_EXPONENT = 14
-LEVELS = tuple(range(4, 11))
-# Defaults of the benchmark-compare study, read by its runner too.
-N_EVAL_PATHS = 8192
-N_DISPLAY_PATHS = 5
-
-
-def _check_levels(study):
-    """Every discrete-convergence level must lie below fine_exponent."""
-    fine = study.get("fine_exponent", FINE_EXPONENT)
-    if "levels" not in study:
-        _expect(fine > max(LEVELS), "config.study.fine_exponent",
-                f"must exceed the default levels (up to {max(LEVELS)})")
-    for i, level in enumerate(study.get("levels", ())):
-        _expect(level < fine, f"config.study.levels[{i}]",
-                f"must be below fine_exponent ({fine})")
+def _check_levels(study: dict, given: dict):
+    """Every level must lie below fine_exponent, the field at fault when
+    the study block as written (``given``) leaves the levels at default."""
+    fine = study["fine_exponent"]
+    for i, level in enumerate(study["levels"]):
+        field = f"levels[{i}]" if "levels" in given else "fine_exponent"
+        _expect(level < fine, f"config.study.{field}",
+                f"level {level} must be below fine_exponent ({fine})")
 
 
 def _int_at_least(minimum: int, reason: str):
@@ -155,16 +156,21 @@ def _target(value, path):
             value,
             path,
             {"kind": _string, "amplitude": _number},
-            {"omega": _number, "cycles": _number, "phase": _number},
+            {"omega": (_number, None), "cycles": (_number, None), "phase": (_number, 0.0)},
         )
         _expect(
-            ("omega" in spec) != ("cycles" in spec),
+            (spec["omega"] is None) != (spec["cycles"] is None),
             path,
             "exactly one of 'omega' or 'cycles' is required",
         )
         return spec
-    spec = _check_block(value, path, {"kind": _string, "values": _number_list})
-    return spec
+    return _check_block(value, path, {"kind": _string, "values": _number_list})
+
+
+def _formats(value, path):
+    _expect(isinstance(value, list) and all(f in ("csv", "json") for f in value),
+            path, "must be an array of 'csv'/'json'")
+    return list(value)
 
 
 _FOLLOWER_SCHEMA = {
@@ -193,62 +199,59 @@ _LEADER_SCHEMA = {
     "target": _target,
 }
 
-_OPTIMIZER_OPTIONAL = {
-    "objective": _string,
+# SPSA settings a study's ``optimizer`` block may override; their defaults
+# are those of ``policy.OptimizerConfig``.
+_OPTIMIZER_OVERRIDES = {
     "batch_size": _int_at_least(2, "the optimizer refuses smaller batches"),
     "budget": _positive_int,
     "step_scale": _positive,
     "perturb_scale": _positive,
     "eval_every": _positive_int,
     "eval_paths": _int_at_least(2, "the held-out standard error needs two paths"),
-    "common_random_numbers": _boolean,
 }
 
 
 def _optimizer(value, path):
-    spec = _check_block(value, path, {}, _OPTIMIZER_OPTIONAL)
-    if "objective" in spec:
-        _expect(
-            spec["objective"] in ("fisher", "variance"),
-            f"{path}.objective",
-            "must be 'fisher' or 'variance'",
-        )
-    return spec
+    """The overrides given, validated; unset keys stay unset."""
+    _expect(isinstance(value, dict), path, "must be an object")
+    given = {key: check for key, check in _OPTIMIZER_OVERRIDES.items() if key in value}
+    return _check_block(value, path, given)
 
 
+# Each study's (required validators, optional (validator, default) pairs).
 STUDY_SCHEMAS = {
     "benchmark-compare": (
         {},
         {
-            "n_eval_paths": _int_at_least(2, "the gap's standard error needs two paths"),
-            "n_display_paths": _positive_int,
-            "optimizer": _optimizer,
-            "policy_file": _string,
+            "n_eval_paths": (_int_at_least(2, "the gap's standard error needs two paths"), 8192),
+            "n_display_paths": (_positive_int, 5),
+            "optimizer": (_optimizer, {}),
+            "policy_file": (_string, None),
         },
     ),
     "tradeoff-sweep": (
         {"ratios": _number_list},
-        {"n_paths": _positive_int},
+        {"n_paths": (_positive_int, 10_000)},
     ),
     "objective-compare": (
         {"pairs": _pair_list},
-        {"n_paths": _positive_int, "optimizer": _optimizer},
+        {"n_paths": (_positive_int, 10_000), "optimizer": (_optimizer, {})},
     ),
     "estimator-study": (
         {"inference_weights": _number_list},
-        {"n_replays": _int_at_least(10, "the bias curve starts at 10 replays"),
-         "path_seed_index": _nonnegative_int},
+        {"n_replays": (_int_at_least(10, "the bias curve starts at 10 replays"), 10_000),
+         "path_seed_index": (_nonnegative_int, 0)},
     ),
     "multi-period": (
         {"inference_weights": _number_list, "n_episodes": _positive_int},
-        {"variance_threshold": _positive},
+        {"variance_threshold": (_positive, None)},
     ),
     "discrete-convergence": (
         {},
         {
-            "fine_exponent": _positive_int,
-            "levels": _nonnegative_int_list,
-            "n_sigma_replications": _int_at_least(2, "a spread needs two replications"),
+            "fine_exponent": (_positive_int, 14),
+            "levels": (_nonnegative_int_list, list(range(4, 11))),
+            "n_sigma_replications": (_int_at_least(2, "a spread needs two replications"), 100),
         },
     ),
     "wellposedness": ({}, {}),
@@ -277,7 +280,7 @@ class ExperimentConfig:
 
     @property
     def bit_exact(self) -> bool:
-        return self.rng.get("bit_exact", True)
+        return self.rng["bit_exact"]
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -298,12 +301,10 @@ class ExperimentConfig:
 
     def _build_target(self, spec: dict, grid: TimeGrid):
         if spec["kind"] == "sinusoid":
-            omega = spec.get("omega")
+            omega = spec["omega"]
             if omega is None:
                 omega = 2.0 * math.pi * spec["cycles"] / grid.horizon
-            return Sinusoid(
-                amplitude=spec["amplitude"], omega=omega, phase=spec.get("phase", 0.0)
-            )
+            return Sinusoid(amplitude=spec["amplitude"], omega=omega, phase=spec["phase"])
         values = spec["values"]
         _check_target_length(values, grid.n_steps)
         return Tabulated(grid=grid, table=np.asarray(values))
@@ -312,13 +313,6 @@ class ExperimentConfig:
 def _check_target_length(values: list, n_steps: int):
     _expect(len(values) == n_steps + 1, "config.leader.target.values",
             f"needs {n_steps + 1} entries for this grid, got {len(values)}")
-
-
-def _study_n_steps(name: str, study: dict, grid: dict) -> int:
-    """Steps of the grid the study builds its leader on."""
-    if name == "discrete-convergence":
-        return 2 ** study.get("fine_exponent", FINE_EXPONENT)
-    return grid["n_steps"]
 
 
 def validate_config(doc: Any) -> ExperimentConfig:
@@ -334,20 +328,20 @@ def validate_config(doc: Any) -> ExperimentConfig:
                 v, p, {"horizon": _positive, "n_steps": _positive_int}
             ),
             "rng": lambda v, p: _check_block(
-                v, p, {"master_seed": _nonnegative_int}, {"bit_exact": _boolean}
+                v, p, {"master_seed": _nonnegative_int}, {"bit_exact": (_boolean, True)}
             ),
             "study": lambda v, p: v,
         },
         {
-            "output": lambda v, p: _check_block(
-                v,
-                p,
+            "output": (
+                lambda v, p: _check_block(
+                    v, p, {},
+                    {"directory": (_string, None), "formats": (_formats, ["csv", "json"])},
+                ),
                 {},
-                {"directory": _string, "formats": lambda vv, pp: vv},
             ),
         },
     )
-    top.setdefault("output", {})
     study = top["study"]
     _expect(isinstance(study, dict), "config.study", "must be an object")
     name = study.get("name")
@@ -359,10 +353,10 @@ def validate_config(doc: Any) -> ExperimentConfig:
     required, optional = STUDY_SCHEMAS[name]
     checked = _check_block(study, "config.study", {"name": _string, **required}, optional)
     if name == "discrete-convergence":
-        _check_levels(checked)
+        _check_levels(checked, study)
     if name == "benchmark-compare":
-        n_eval = checked.get("n_eval_paths", N_EVAL_PATHS)
-        _expect(checked.get("n_display_paths", N_DISPLAY_PATHS) <= n_eval,
+        n_eval = checked["n_eval_paths"]
+        _expect(checked["n_display_paths"] <= n_eval,
                 "config.study.n_display_paths", f"must not exceed n_eval_paths ({n_eval})")
     leader = top["leader"]
     if name == "tradeoff-sweep":
@@ -370,15 +364,10 @@ def validate_config(doc: Any) -> ExperimentConfig:
         _expect(leader["inference_weight"] > 0, "config.leader.inference_weight",
                 "tradeoff-sweep needs > 0")
     if leader["target"]["kind"] == "tabulated":
-        _check_target_length(leader["target"]["values"],
-                             _study_n_steps(name, checked, top["grid"]))
-    fmts = top["output"].get("formats", ["csv", "json"])
-    _expect(
-        isinstance(fmts, list) and all(f in ("csv", "json") for f in fmts),
-        "config.output.formats",
-        "must be an array of 'csv'/'json'",
-    )
-    top["output"]["formats"] = fmts
+        n_steps = top["grid"]["n_steps"]
+        if name == "discrete-convergence":  # its leader lives on its fine grid
+            n_steps = 2 ** checked["fine_exponent"]
+        _check_target_length(leader["target"]["values"], n_steps)
     return ExperimentConfig(
         raw=doc,
         follower=top["follower"],

@@ -110,6 +110,14 @@ def _conditional_moments(model: FollowerModel, precision: float) -> tuple[float,
     return cond_variance, 1.0 / cond_variance
 
 
+def _check_precision(precision: float):
+    """A path whose precision is at or below the floor carries no information."""
+    if precision <= PRECISION_FLOOR:
+        raise DegeneratePathError(
+            f"precision {precision:.3g} is below the floor {PRECISION_FLOOR:.3g}"
+        )
+
+
 def mle_continuous_batch(
     x_paths: np.ndarray, gp: GProfile, fr: FollowerRiccati, model: FollowerModel
 ) -> np.ndarray:
@@ -118,6 +126,7 @@ def mle_continuous_batch(
     grid = fr.grid
     if x.shape[1] != grid.n_nodes:
         raise InvalidArgumentError(f"paths must have {grid.n_nodes} columns")
+    _check_precision(gp.precision)
     g = gp.g
     drift = trapz(fr.f[None, :] * g[None, :] * x, grid)
     # Not a matrix-vector product: its (BLAS) result depends on the row count.
@@ -134,10 +143,7 @@ def mle_continuous(
     """Estimate the dilation factor from one continuously observed path."""
     if fpath.grid != fr.grid or gp.grid != fr.grid:
         raise InvalidArgumentError("path, score profile and solver grids must agree")
-    if gp.precision <= PRECISION_FLOOR:
-        raise DegeneratePathError(
-            f"precision {gp.precision:.3g} is below the floor {PRECISION_FLOOR:.3g}"
-        )
+    _check_precision(gp.precision)
     x = fpath.x
     g = gp.g
     drift = float(trapz(fr.f * g * x, fr.grid))

@@ -288,19 +288,20 @@ RESTORE_MARGIN = 0.3
 class OptimizerConfig:
     """SPSA settings for fitting the recurrent policy to an objective.
 
-    ``step_scale`` is the typical per-coordinate displacement of the first
-    iterations: raw two-point gradient estimates are normalized by a running
-    median of their magnitudes, so the step size stays meaningful across
-    objectives whose natural scale varies by orders of magnitude.
+    These defaults are the only SPSA defaults: a study passes its objective,
+    its master seed and the settings its config's ``optimizer`` block
+    overrides. ``step_scale`` is the typical per-coordinate displacement of
+    the first iterations: raw two-point gradient estimates are normalized by
+    a running median of their magnitudes, so the step size stays meaningful
+    across objectives whose natural scale varies by orders of magnitude.
     """
 
     objective: str = "fisher"  # "fisher" (information) or "variance"
-    batch_size: int = 512
-    budget: int = 2000
+    batch_size: int = 256
+    budget: int = 3000
     step_scale: float = 0.004
     perturb_scale: float = 0.02  # c0 in c_k
     master_seed: int = 0
-    common_random_numbers: bool = True
     eval_every: int = 100
     eval_paths: int = 4096
 
@@ -336,9 +337,9 @@ def optimize_policy(
 ) -> OptimizeResult:
     """Fit the recurrent policy by SPSA on a Monte Carlo objective.
 
-    Each iteration draws one batch of Brownian shocks (frozen across the two
-    perturbed evaluations when common random numbers are on), estimates the
-    two-sided objective difference, and takes a Rademacher-projected step.
+    Each iteration draws one batch of Brownian shocks, shared by the two
+    perturbed evaluations (common random numbers), estimates the two-sided
+    objective difference, and takes a Rademacher-projected step.
     Every ``eval_every`` iterations the current parameters are scored on a
     frozen evaluation batch; the best-scoring parameters are re-checked on a
     held-out batch at the end and returned.
@@ -373,17 +374,12 @@ def optimize_policy(
     perturb_gen = rng.stream(STREAM_OPTIMIZER, 1)
     grad_mags = []
     for k in range(cfg.budget):
-        if cfg.common_random_numbers:
-            shocks = rng.stream(STREAM_OPTIMIZER, 100_000 + k).standard_normal((cfg.batch_size, n))
-            shocks_minus = shocks
-        else:
-            shocks = perturb_gen.standard_normal((cfg.batch_size, n))
-            shocks_minus = perturb_gen.standard_normal((cfg.batch_size, n))
+        shocks = rng.stream(STREAM_OPTIMIZER, 100_000 + k).standard_normal((cfg.batch_size, n))
         c_k = cfg.perturb_scale / (k + 1.0) ** PERTURB_EXPONENT
         a_k = step0 / (k + 1.0 + offset) ** STEP_EXPONENT
         delta = perturb_gen.integers(0, 2, size=dim) * 2.0 - 1.0
         j_plus = batch_value(theta + c_k * delta, shocks)
-        j_minus = batch_value(theta - c_k * delta, shocks_minus)
+        j_minus = batch_value(theta - c_k * delta, shocks)
         trace[k] = 0.5 * (j_plus + j_minus)
         grad = (j_plus - j_minus) / (2.0 * c_k)
         grad_mags.append(abs(grad))

@@ -110,7 +110,9 @@ def solve_follower_a(model: FollowerModel, grid: TimeGrid) -> FollowerRiccati:
     nodes: with s = sqrt(a_drift^2 + alpha q_track/2), the roots
     r1,2 = (a_drift +- s)/alpha of the right-hand side and
     e = exp(-2 s (T - t)), a = r1 r2 (1 - e)/(r2 - r1 e), with 1 - e from
-    ``expm1`` so that a keeps its relative accuracy near T. For q_track > 0
+    ``expm1`` so that a keeps its relative accuracy near T. Only the root
+    whose a_drift +- s does not cancel is formed so; the other comes from
+    r1 r2 = -q_track/(2 alpha). For q_track > 0
     the denominator stays negative, so a exists on every horizon and lies in
     [0, r1). For q_track = 0, a = 0 is the equilibrium a(T) = 0 starts on.
     A zero control gain is refused.
@@ -122,10 +124,11 @@ def solve_follower_a(model: FollowerModel, grid: TimeGrid) -> FollowerRiccati:
         a = np.zeros(grid.n_nodes)
     else:
         s = math.sqrt(model.a_drift**2 + 0.5 * alpha * model.q_track)
-        r1 = (model.a_drift + s) / alpha
-        r2 = (model.a_drift - s) / alpha
+        product = -0.5 * model.q_track / alpha
+        root = (model.a_drift + math.copysign(s, model.a_drift)) / alpha
+        r1, r2 = (root, product / root) if root > 0.0 else (product / root, root)
         x = -2.0 * s * (grid.horizon - grid.nodes)
-        a = (r1 * r2) * -np.expm1(x) / (r2 - r1 * np.exp(x))
+        a = product * -np.expm1(x) / (r2 - r1 * np.exp(x))
     f = model.a_drift - alpha * a
     cum_f = cumtrapz(f, grid)
     return FollowerRiccati(grid=grid, a=a, f=f, cum_f=cum_f)
@@ -302,6 +305,13 @@ def _blow_up(t: float, peak: float):
     )
 
 
+def _past_blow_up(rows: np.ndarray, det: np.ndarray):
+    """Which node rows break the blow-up rule, and their peak |quad| entries."""
+    peak = np.max(np.abs(rows[:, :6]), axis=1)
+    bad = ~(det > 0.0) | ~(peak <= BLOW_UP_THRESHOLD) | ~np.isfinite(rows).all(axis=1)
+    return bad, peak
+
+
 def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
     """The leader system as a linear Hamiltonian product; returns the node table.
 
@@ -317,9 +327,9 @@ def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
     carried across blocks one by one. X's last row is e4 exactly (the
     constant has no dynamics), so X^-1 is a closed-form 3x3 inverse. The
     offset adds sigma^2 times the integral of L11 from t to T, an
-    end-corrected trapezoid sum. The first node from T where det X <= 0,
-    a quad entry passes ``BLOW_UP_THRESHOLD`` or a value is not finite
-    raises ``BlowUpError``.
+    end-corrected trapezoid sum. The first node from T, T included, where
+    det X <= 0, a quad entry passes ``BLOW_UP_THRESHOLD`` or a value is not
+    finite raises ``BlowUpError``.
     """
     grid = coeffs.grid
     n = grid.n_steps
@@ -373,6 +383,9 @@ def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
     # L~ entering each block is carried across block ends one by one.
     top = np.array(terminal)
     top[6:9] *= 0.5
+    bad, peak = _past_blow_up(top[None], np.ones(1))  # X is I at T
+    if bad[0]:
+        raise _blow_up(float(grid.nodes[n]), float(peak[0]))
     n_blocks = -(-n // size)
     starts = np.empty((n_blocks, 4, 4))
     starts[0] = top[_TILDE_INDEX]
@@ -391,8 +404,7 @@ def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
             rows, det = _hamiltonian_rows(
                 phi[:, :, :4] + phi[:, :, 4:] @ starts[np.arange(lo, hi) // size]
             )
-            peak = np.max(np.abs(rows[:, :6]), axis=1)
-            bad = ~(det > 0.0) | ~(peak <= BLOW_UP_THRESHOLD) | ~np.isfinite(rows).all(axis=1)
+            bad, peak = _past_blow_up(rows, det)
         if bad.any():
             p = lo + int(np.argmax(bad))
             raise _blow_up(float(grid.nodes[n - 1 - p]), float(peak[p - lo]))

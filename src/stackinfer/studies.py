@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import FINE_EXPONENT, LEVELS, N_DISPLAY_PATHS, N_EVAL_PATHS, ExperimentConfig
+from .config import ExperimentConfig
 from .core import (
     BlowUpError,
     RngContract,
@@ -185,7 +185,7 @@ def run_tradeoff_sweep(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     fr = solve_follower_a(follower, grid)
     coeffs = compute_coefficients(fr, follower)
     rng = RngContract(cfg.master_seed)
-    n_paths = cfg.study.get("n_paths", 10_000)
+    n_paths = cfg.study["n_paths"]
 
     ratios = cfg.study["ratios"]
     arms = []
@@ -249,8 +249,8 @@ def run_estimator_study(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     fr = solve_follower_a(follower, grid)
     coeffs = compute_coefficients(fr, follower)
     rng = RngContract(cfg.master_seed)
-    n_replays = cfg.study.get("n_replays", 10_000)
-    path_index = cfg.study.get("path_seed_index", 0)
+    n_replays = cfg.study["n_replays"]
+    path_index = cfg.study["path_seed_index"]
 
     rows = []
     curve_rows = []
@@ -341,7 +341,7 @@ def run_multi_period(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     fr = solve_follower_a(follower, grid)
     coeffs = compute_coefficients(fr, follower)
     n_episodes = cfg.study["n_episodes"]
-    threshold = cfg.study.get("variance_threshold")
+    threshold = cfg.study["variance_threshold"]
 
     rows = []
     final_errors = {}
@@ -385,9 +385,9 @@ def run_multi_period(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
 def run_discrete_convergence(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     """Discrete-observation estimates against the continuous one on a fine path."""
     follower = cfg.build_follower()
-    fine_exp = cfg.study.get("fine_exponent", FINE_EXPONENT)
-    levels = cfg.study.get("levels", LEVELS)
-    n_reps = cfg.study.get("n_sigma_replications", 100)
+    fine_exp = cfg.study["fine_exponent"]
+    levels = cfg.study["levels"]
+    n_reps = cfg.study["n_sigma_replications"]
 
     grid = build_grid(cfg.grid["horizon"], 2**fine_exp)
     fr = solve_follower_a(follower, grid)
@@ -462,17 +462,6 @@ def run_discrete_convergence(cfg: ExperimentConfig, threads: int = 1) -> StudyRe
     )
 
 
-def _optimizer_config(cfg: ExperimentConfig, overrides: dict, objective: str) -> OptimizerConfig:
-    base = dict(
-        objective=objective,
-        batch_size=256,
-        budget=3000,
-        master_seed=cfg.master_seed,
-    )
-    base.update(overrides)
-    return OptimizerConfig(**base)
-
-
 def run_benchmark_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     """Fit the recurrent policy and compare it with the semi-explicit law.
 
@@ -487,14 +476,15 @@ def run_benchmark_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResul
     lr = solve_leader_system(lm, follower, coeffs)
     riccati = RiccatiPolicy(lm, lr)
     rng = RngContract(cfg.master_seed)
-    n_eval = cfg.study.get("n_eval_paths", N_EVAL_PATHS)
-    n_display = cfg.study.get("n_display_paths", N_DISPLAY_PATHS)
+    n_eval = cfg.study["n_eval_paths"]
+    n_display = cfg.study["n_display_paths"]
 
-    policy_file = cfg.study.get("policy_file")
+    policy_file = cfg.study["policy_file"]
     if policy_file is not None:
         recurrent = load_policy_file(policy_file, grid)
     else:
-        opt_cfg = _optimizer_config(cfg, cfg.study.get("optimizer", {}), "fisher")
+        opt_cfg = OptimizerConfig(objective="fisher", master_seed=cfg.master_seed,
+                                  **cfg.study["optimizer"])
         recurrent = optimize_policy(opt_cfg, lm, follower, coeffs, fr, grid).policy
 
     # Both policies run on the same leader shocks, drawn once per chunk.
@@ -543,8 +533,9 @@ def run_objective_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResul
     fr = solve_follower_a(follower, grid)
     coeffs = compute_coefficients(fr, follower)
     rng = RngContract(cfg.master_seed)
-    n_paths = cfg.study.get("n_paths", 10_000)
-    overrides = cfg.study.get("optimizer", {})
+    n_paths = cfg.study["n_paths"]
+    opt_cfg = OptimizerConfig(objective="variance", master_seed=cfg.master_seed,
+                              **cfg.study["optimizer"])
 
     pairs = cfg.study["pairs"]
     arms = []
@@ -552,7 +543,6 @@ def run_objective_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResul
         lm_info = cfg.build_leader(grid, inference_weight=lam_info)
         lr = solve_leader_system(lm_info, follower, coeffs)
         lm_var = cfg.build_leader(grid, inference_weight=lam_var)
-        opt_cfg = _optimizer_config(cfg, overrides, "variance")
         trained = optimize_policy(opt_cfg, lm_var, follower, coeffs, fr, grid).policy
         arms += [(lm_info, RiccatiPolicy(lm_info, lr)), (lm_var, trained)]
     # Every policy of every pair runs on the same leader shocks.

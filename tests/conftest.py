@@ -1,8 +1,13 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 import stackinfer as si
+
+# A rare falsifying draw then prints the @reproduce_failure line that replays it.
+settings.register_profile("stackinfer", print_blob=True)
+settings.load_profile("stackinfer")
 
 HORIZON = 0.5
 TARGET_AMP = 0.1

@@ -7,6 +7,7 @@ library's solvers, so agreement is evidence and not tautology.
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
@@ -47,6 +48,29 @@ def riccati_constant_integral(alpha: float, beta: float, gamma: float, horizon: 
         return (r1 / r2) * np.exp(-alpha * (r1 - r2) * (horizon - s))
 
     return r1 * t - (1.0 / alpha) * (np.log(1.0 - kappa(t)) - np.log(1.0 - kappa(0.0)))
+
+
+def follower_a_decimal(a_drift, b_control, q_track, r_control, horizon, nodes, digits=50):
+    """The follower's a at each node by its closed form in ``digits``-digit decimals.
+
+    a = r1 r2 (1 - e)/(r2 - r1 e), e = exp(-2 s (T - t)), with the roots
+    r1,2 = (a_drift +- s)/alpha and s = sqrt(a_drift^2 + alpha q_track/2),
+    alpha = 2 b^2/r, all from the exact values of the float inputs. At 50
+    digits the cancellations that cost a float evaluation its accuracy
+    still leave far more digits than a float holds.
+    """
+    dec = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        alpha = 2 * dec(b_control) ** 2 / dec(r_control)
+        a = dec(a_drift)
+        s = (a * a + alpha * dec(q_track) / 2).sqrt()
+        r1, r2 = (a + s) / alpha, (a - s) / alpha
+        out = []
+        for t in nodes:
+            e = (-2 * s * (dec(horizon) - dec(float(t)))).exp()
+            out.append(float(r1 * r2 * (1 - e) / (r2 - r1 * e)))
+    return np.array(out)
 
 
 class FollowerClosedForm:
@@ -575,7 +599,7 @@ def estimator_study_per_arm(cfg, chunk_rows):
     coeffs = si.compute_coefficients(fr, follower)
     rng = si.RngContract(cfg.master_seed)
     n_replays = cfg.study["n_replays"]
-    path_index = cfg.study.get("path_seed_index", 0)
+    path_index = cfg.study["path_seed_index"]
     checkpoints = np.unique(np.round(np.logspace(1, math.log10(n_replays), 20)).astype(int))
     rows, curve_rows = [], []
     for lam in cfg.study["inference_weights"]:

@@ -307,6 +307,10 @@ class TestRiccatiSolvers:
     # which converged RK4 puts near t = 0.003.
     @example(a_drift=0.0, q_track=2.0, r_control=2.0, inference_weight=2.0, horizon=0.5,
              n_steps=50)
+    # The terminal row itself is past the threshold (|L22| = 1.29e12 at T):
+    # it must raise at T, though every other node of 50 steps stays below.
+    @example(a_drift=-1.70, q_track=4.24, r_control=5.40, inference_weight=0.024,
+             horizon=9.97, n_steps=50)
     def test_hamiltonian_against_rk4_on_drawn_models(
         self, follower, a_drift, q_track, r_control, inference_weight, horizon, n_steps
     ):

@@ -155,6 +155,20 @@ class TestCliCommands:
         assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("study", [
+        dict(name="estimator-study", inference_weights=[0.5], n_replays=10),
+        dict(name="multi-period", inference_weights=[0.5], n_episodes=2),
+    ], ids=lambda study: study["name"])
+    def test_untracking_follower_exit_code(self, tmp_path, capsys, study):
+        # follower.q_track 0 is valid, but then a = 0 and every precision is 0.
+        doc = make_doc(**study)
+        doc["follower"]["q_track"] = 0.0
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["validate", "--config", path]) == cli.EXIT_OK
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_NUMERICAL
+        assert "precision 0 is below the floor" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "block, key, field",
         [("rng", "master_seed", "config.rng.master_seed"),
@@ -262,6 +276,27 @@ class TestCliCommands:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("study", [
+        dict(name="benchmark-compare", n_eval_paths=4, n_display_paths=1),
+        dict(name="objective-compare", pairs=[[0.0, 0.5]], n_paths=4),
+    ], ids=lambda study: study["name"])
+    @pytest.mark.parametrize("key, value", [
+        # The output labelled the policy with the study's objective whatever
+        # it was trained on.
+        ("objective", "variance"),
+        # Its False branch never ran.
+        ("common_random_numbers", False),
+    ])
+    def test_removed_optimizer_options_refused(self, tmp_path, capsys, study, key, value):
+        path = write_doc(tmp_path, make_doc(**study, optimizer={"budget": 1, key: value}))
+        field = f"config.study.optimizer.{key}: unknown key"
+        assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("study, n_nodes", [
         (dict(name="wellposedness"), 51),
         (dict(name="discrete-convergence", fine_exponent=8, levels=[4],
@@ -314,6 +349,8 @@ def mutated_configs(draw):
     paths = st.integers(2, 12) | st.sampled_from([k for k in straddle if k >= 2])
     doc["follower"]["sigma"] = rarely(draw, st.just(0.1), 0.0)
     doc["follower"]["b_control"] = rarely(draw, st.just(1.0), 0.0)
+    # Valid, but no path then carries information: run must exit 3, not crash.
+    doc["follower"]["q_track"] = rarely(draw, st.just(doc["follower"]["q_track"]), 0.0)
     leader["inference_weight"] = draw(weights)
     if "n_paths" in study:
         study["n_paths"] = draw(paths)
@@ -366,7 +403,45 @@ class TestValidateRunAgreement:
                     json.loads(summary.read_text(), parse_constant=_refuse_constant)
 
 
+def _outputs(out_dir):
+    """Every output file's content; summaries without the config echo and its hash."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name.endswith("_summary.json"):
+            doc = json.loads(path.read_text())
+            del doc["config"], doc["provenance"]["config_hash"]
+            files[path.name] = doc
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
 class TestReproducibility:
+    @pytest.mark.parametrize("study, block, key, default", [
+        (dict(name="estimator-study", inference_weights=[0.5], n_replays=20),
+         "study", "path_seed_index", 0),
+        (dict(name="benchmark-compare", n_eval_paths=6,
+              optimizer=dict(budget=1, batch_size=4, eval_every=1, eval_paths=4)),
+         "study", "n_display_paths", 5),
+        (dict(name="discrete-convergence", n_sigma_replications=2),
+         "study", "levels", [4, 5, 6, 7, 8, 9, 10]),
+        (dict(name="tradeoff-sweep", ratios=[1.0], n_paths=10), "target", "phase", 0.0),
+        (dict(name="wellposedness"), "output", "formats", ["csv", "json"]),
+        (dict(name="wellposedness"), "rng", "bit_exact", True),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_field_at_its_default_changes_no_file(self, tmp_path, study, block, key, default):
+        outputs = []
+        for tag, write in (("omitted", False), ("written", True)):
+            doc = make_doc(**study)
+            fields = doc["leader"]["target"] if block == "target" else doc[block]
+            fields.pop(key, None)
+            if write:
+                fields[key] = default
+            out = tmp_path / tag
+            assert cli.main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+            outputs.append(_outputs(out))
+        assert outputs[0] == outputs[1]
+
     def test_csv_bytes_identical_across_threads(self, tmp_path):
         doc = make_doc(name="tradeoff-sweep", ratios=[1.0, 10.0], n_paths=400)
         path = write_doc(tmp_path, doc)

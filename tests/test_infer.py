@@ -87,6 +87,8 @@ class TestContinuousMle:
                                 mode="euler")
         with pytest.raises(si.core.DegeneratePathError):
             si.mle_continuous(fpath, gp, fr50, follower)
+        with pytest.raises(si.core.DegeneratePathError):
+            si.mle_continuous_batch(fpath.x[None], gp, fr50, follower)
 
 
 class TestEnsembleMoments:
