@@ -49,7 +49,6 @@ from .simulate import (
     compute_g_batch,
     estimate_objectives,
     evaluate_follower_cost,
-    evaluate_primary_cost,
     precision_from_aux,
     primary_cost_batch,
     simulate_follower,
@@ -81,8 +80,6 @@ from .policy import (
     RecurrentConfig,
     RecurrentPolicy,
     RiccatiPolicy,
-    constant_policy,
     initial_policy,
     optimize_policy,
-    zero_policy,
 )

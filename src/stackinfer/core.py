@@ -226,10 +226,10 @@ def cumtrapz(values, grid: TimeGrid) -> np.ndarray:
         raise InvalidArgumentError(
             f"expected {grid.n_nodes} values on last axis, got shape {v.shape}"
         )
-    # cumsum((v[1:] + v[:-1]) * (h / 2)) in place in one output array, laid
-    # out as v is, as the plain expression's result was: a later np.sum over
-    # it adds in an order that depends on the layout.
-    out = np.empty_like(v)
+    # cumsum((v[1:] + v[:-1]) * (h / 2)) in place in one C-ordered output
+    # array, whatever v's layout: a later np.sum over it adds in an order
+    # that depends on the layout, so a row's bits would depend on its batch.
+    out = np.empty(v.shape)
     inner = out[..., 1:]
     np.add(v[..., 1:], v[..., :-1], out=inner)
     inner *= 0.5 * grid.h
@@ -245,12 +245,32 @@ def trapz(values, grid: TimeGrid) -> float:
         raise InvalidArgumentError(
             f"expected {grid.n_nodes} values on last axis, got shape {v.shape}"
         )
-    # One temporary, laid out as the plain expression's: np.sum's pairwise
-    # order depends on the layout.
-    step = np.add(v[..., 1:], v[..., :-1])
+    # One C-ordered temporary, whatever v's layout: np.sum adds each row
+    # pairwise only there. On a batch laid out path-fastest (the simulators'
+    # step-major state) it adds a lone row pairwise but a wider batch's rows
+    # in sequence.
+    step = np.add(v[..., 1:], v[..., :-1], order="C")
     step *= 0.5 * grid.h
     out = np.sum(step, axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+def trapz_step_major(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Trapezoidal integral of each column of (n_nodes, n_paths) node values.
+
+    Overwrites ``values``. The end rows are halved (exactly) and the rows
+    summed in a fixed pairwise tree of in-place row additions, so a column's
+    bits do not depend on how many columns share the array; ``np.sum`` down
+    the first axis adds one column pairwise but several in sequence.
+    """
+    values[0] *= 0.5
+    values[-1] *= 0.5
+    rows = grid.n_nodes
+    while rows > 1:
+        half = rows // 2
+        values[:half] += values[rows - half : rows]
+        rows -= half
+    return grid.h * values[0]
 
 
 def block_transfer_maps(a: np.ndarray, out: np.ndarray) -> int:

@@ -56,14 +56,6 @@ class FunctionPolicy:
         return float(np.asarray(self.fn(j, x, np.atleast_1d(aux), np.atleast_1d(aux2)))[0])
 
 
-def zero_policy() -> FunctionPolicy:
-    return FunctionPolicy(lambda j, x, a, a2: np.zeros(x.shape[0]))
-
-
-def constant_policy(value: float) -> FunctionPolicy:
-    return FunctionPolicy(lambda j, x, a, a2: np.full(x.shape[0], float(value)))
-
-
 @dataclass(frozen=True)
 class RiccatiPolicy:
     """Leader's semi-explicit affine law from the augmented Riccati solve.

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -43,6 +44,14 @@ def make_leader(inference_weight=0.5, **overrides) -> si.LeaderModel:
     )
     base.update(overrides)
     return si.LeaderModel(**base)
+
+
+def zero_policy() -> si.FunctionPolicy:
+    return si.FunctionPolicy(lambda j, x, a, a2: np.zeros(x.shape[0]))
+
+
+def constant_policy(value: float) -> si.FunctionPolicy:
+    return si.FunctionPolicy(lambda j, x, a, a2: np.full(x.shape[0], float(value)))
 
 
 @pytest.fixture(scope="session")

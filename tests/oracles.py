@@ -543,9 +543,11 @@ def primary_cost_batch_one_line(leader, grid, x, controls):
 # ---------------------------------------------------------------------------
 # Per-arm study loops: the tradeoff sweep and the estimator study as they ran
 # before the studies drew each chunk's shocks once for all arms. Every ratio
-# or weight draws its own rows, chunk by chunk, and the score and cost use
-# the one-line expressions above. They call the library's solvers,
-# simulators and estimators, which loop order does not touch.
+# or weight draws its own rows, chunk by chunk. The sweep takes each path's
+# precision and cost from the library's evaluator, and the estimator study
+# its score from the one-line expression above. They call the library's
+# solvers, simulators, evaluator and estimators, which loop order does not
+# touch.
 
 
 def _chunks(n, rows):
@@ -557,6 +559,7 @@ def tradeoff_sweep_per_arm(cfg, chunk_rows):
     """(sweep rows, trajectory rows) of the tradeoff sweep, one ratio at a time."""
     import stackinfer as si
     from stackinfer.core import STREAM_FOLLOWER, STREAM_LEADER
+    from stackinfer.simulate import leader_batch_stats
 
     lam = cfg.leader["inference_weight"]
     grid = cfg.build_grid()
@@ -572,9 +575,9 @@ def tradeoff_sweep_per_arm(cfg, chunk_rows):
         precision, j_p = np.empty(n_paths), np.empty(n_paths)
         for start, stop in _chunks(n_paths, chunk_rows):
             shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_LEADER, start)
-            ens = si.simulate_leader_batch(lm, coeffs, policy, grid, shocks)
-            precision[start:stop] = compute_g_batch_one_line(fr, follower, ens.x)[1]
-            j_p[start:stop] = primary_cost_batch_one_line(lm, grid, ens.x, ens.controls)
+            ens, precision[start:stop], j_p[start:stop] = leader_batch_stats(
+                lm, follower, coeffs, fr, policy, grid, shocks
+            )
             if start == 0:
                 x_path, controls = ens.x[0].copy(), ens.controls[0].copy()
         rows.append([ratio, lam, ratio * lam, float(np.mean(precision)) / follower.noise_to_signal,

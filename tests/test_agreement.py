@@ -37,7 +37,7 @@ from oracles import (
     trapz_one_line,
 )
 from stackinfer.core import _affine_scan, _use_scan
-from stackinfer.simulate import _exact_transition_tables
+from stackinfer.simulate import _exact_transition_tables, leader_batch_stats
 
 RTOL = 1e-12
 HAMILTONIAN_RTOL = 1e-10
@@ -103,9 +103,12 @@ def test_blocked_recurrence_rows_are_independent():
 
 
 def _node_values(gen, n_rows, n_nodes, layout, scale):
-    """Node values as a 1-D row, a 2-D batch, a column slice or a Fortran array."""
+    """Node values as a 1-D row, a 2-D batch, a column slice, a Fortran array
+    or one state row of a simulator's step-major (n_nodes, 3, n_rows) array."""
     if layout == "1d":
         return scale * gen.standard_normal(n_nodes)
+    if layout == "step-major":
+        return (scale * gen.standard_normal((n_nodes, 3, n_rows)))[:, 0].T
     if layout == "sliced":
         return (scale * gen.standard_normal((n_rows, 2 * n_nodes)))[:, ::2]
     values = scale * gen.standard_normal((n_rows, n_nodes))
@@ -116,12 +119,15 @@ def _node_values(gen, n_rows, n_nodes, layout, scale):
 @given(
     n=st.sampled_from([1, 2, 7, 50, 97, 300]),
     n_rows=st.integers(1, 5),
-    layout=st.sampled_from(["1d", "2d", "sliced", "fortran"]),
+    layout=st.sampled_from(["1d", "2d", "sliced", "fortran", "step-major"]),
     exponent=st.integers(-3, 3),
     q_track=st.floats(0.3, 7.0),
     r_control=st.floats(0.3, 7.0),
     seed=st.integers(0, 2**32 - 1),
 )
+# Path-fastest layouts, where np.sum adds several rows in sequence.
+@example(n=50, n_rows=3, layout="fortran", exponent=0, q_track=1.0, r_control=1.0, seed=0)
+@example(n=50, n_rows=3, layout="step-major", exponent=0, q_track=1.0, r_control=1.0, seed=0)
 def test_in_place_helpers_equal_one_line_expressions(
     n, n_rows, layout, exponent, q_track, r_control, seed
 ):
@@ -129,16 +135,20 @@ def test_in_place_helpers_equal_one_line_expressions(
     follower = make_follower(q_track=q_track)
     grid, fr, _, _ = solved(follower, n)
     leader = make_leader(q_track=q_track, r_control=r_control)
+    # The helpers sum in C-ordered temporaries whatever the input layout, so
+    # they round as the one-line expressions do on a C-ordered copy.
     x = _node_values(gen, n_rows, grid.n_nodes, layout, 10.0**exponent)
-    assert np.array_equal(si.cumtrapz(x, grid), cumtrapz_one_line(x, grid))
-    assert np.array_equal(si.trapz(x, grid), trapz_one_line(x, grid))
+    xc = np.ascontiguousarray(x)
+    assert np.array_equal(si.cumtrapz(x, grid), cumtrapz_one_line(xc, grid))
+    assert np.array_equal(si.trapz(x, grid), trapz_one_line(xc, grid))
     g, precision = si.compute_g_batch(fr, follower, x)
-    g_ref, precision_ref = compute_g_batch_one_line(fr, follower, x)
+    g_ref, precision_ref = compute_g_batch_one_line(fr, follower, xc)
     assert np.array_equal(g, g_ref) and np.array_equal(precision, precision_ref)
     x2 = np.atleast_2d(x)
     u = _node_values(gen, x2.shape[0], grid.n_nodes, "2d" if layout == "1d" else layout, 1.0)
     assert np.array_equal(si.primary_cost_batch(leader, grid, x2, u),
-                          primary_cost_batch_one_line(leader, grid, x2, u))
+                          primary_cost_batch_one_line(leader, grid, np.ascontiguousarray(x2),
+                                                      np.ascontiguousarray(u)))
 
 
 def solve_both(follower, n_steps, **case):
@@ -499,6 +509,71 @@ def test_affine_laws_match_loops_across_the_regime_boundary(follower, n_steps, d
         assert_close(x, follower_batch_loop(follower, fr, b, grid, shocks, mode, tables))
 
 
+def stats_case(a_drift, q_track, inference_weight, horizon, n_steps):
+    """A drawn follower, its grid and coefficients, and a leader with its
+    Riccati law; the inference weight falls back to 0 where it blows up."""
+    follower = make_follower(a_drift=a_drift, q_track=q_track)
+    grid = si.build_grid(horizon, n_steps)
+    fr = si.solve_follower_a(follower, grid)
+    coeffs = si.compute_coefficients(fr, follower)
+    try:
+        leader = make_leader(inference_weight)
+        lr = si.solve_leader_system(leader, follower, coeffs)
+    except si.BlowUpError:
+        leader = make_leader(0.0)
+        lr = si.solve_leader_system(leader, follower, coeffs)
+    return follower, grid, fr, coeffs, leader, si.RiccatiPolicy(leader, lr)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    a_drift=st.floats(-3.0, 1.0),
+    q_track=st.floats(0.0, 5.0),
+    inference_weight=st.floats(0.0, 0.5),
+    horizon=st.floats(0.1, 3.0),
+    n_steps=st.integers(2, 1500),
+    n_paths=st.sampled_from([1, 2, si.core.SCAN_MAX_PATHS, si.core.SCAN_MAX_PATHS + 1, 300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# A strongly decaying follower: exp(-cum_f) grows to 2.9e4 over the horizon.
+@example(a_drift=-2.8, q_track=5.0, inference_weight=0.0, horizon=2.9, n_steps=1500,
+         n_paths=1, seed=0)
+def test_leader_stats_match_one_line_on_drawn_models(
+    a_drift, q_track, inference_weight, horizon, n_steps, n_paths, seed
+):
+    # The evaluator reads the precision off the auxiliary state and sums
+    # step-major in a pairwise tree; the one-line expressions rebuild the
+    # score from x and sum each path's row. Both under the affine law
+    # (the solver's state) and the same law through the session loop.
+    follower, grid, fr, coeffs, leader, policy = stats_case(
+        a_drift, q_track, inference_weight, horizon, n_steps
+    )
+    loop_policy = si.FunctionPolicy(
+        lambda j, x, aux, aux2: policy.control_at(j, x[:, -1], aux, aux2)
+    )
+    shocks = np.random.default_rng(seed).standard_normal((n_paths, n_steps))
+    for law in (policy, loop_policy):
+        ens, precision, j_primary = leader_batch_stats(
+            leader, follower, coeffs, fr, law, grid, shocks
+        )
+        want = compute_g_batch_one_line(fr, follower, ens.x)[1]
+        assert np.all(np.abs(precision - want) <= 1e-10 * np.abs(want))
+        want = primary_cost_batch_one_line(leader, grid, ens.x, ens.controls)
+        assert np.all(np.abs(j_primary - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("n_steps", [50, 200])
+def test_one_path_stats_equal_its_row_in_a_batch(follower, n_steps):
+    # np.sum down the first axis adds a lone column pairwise and several in
+    # sequence; the evaluator's sums must not follow it.
+    grid, fr, coeffs, leader, policy = riccati_case(follower, n_steps)
+    shocks = np.random.default_rng(1).standard_normal((2, n_steps))
+    one = leader_batch_stats(leader, follower, coeffs, fr, policy, grid, shocks[:1])
+    two = leader_batch_stats(leader, follower, coeffs, fr, policy, grid, shocks)
+    for got, want in zip(one[1:], two[1:]):
+        assert got[0] == want[0]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n_steps=st.sampled_from([50, 200]),
@@ -509,7 +584,8 @@ def test_affine_laws_match_loops_across_the_regime_boundary(follower, n_steps, d
 def test_rows_do_not_depend_on_batch_size(follower, n_steps, blocked, data, seed):
     # Two batches of different sizes in one schedule of the solver share
     # rows; each shared row comes out bit for bit the same in both, from
-    # the simulators and from every per-row statistic the studies take.
+    # the simulators, from every per-row statistic and from the leader's
+    # evaluator under the affine law and under a session-loop law.
     m = si.core.SCAN_MAX_PATHS
     sizes = (st.integers(1, min(m, n_steps - 1)) if blocked
              else st.integers(max(m + 1, n_steps), 300))
@@ -524,17 +600,23 @@ def test_rows_do_not_depend_on_batch_size(follower, n_steps, blocked, data, seed
     x_leader = si.simulate_leader(leader, coeffs, policy, grid, si.RngContract(seed)).trajectory()
     gp = si.compute_g(fr, follower, x_leader)
     b, _ = si.solve_follower_bc(fr, follower, x_leader)
+    loop_policy = si.FunctionPolicy(lambda j, x, aux, aux2: -0.5 * x[:, -1] + aux - aux2)
 
     def per_row(lo, hi):
         ens = si.simulate_leader_batch(leader, coeffs, policy, grid, lshocks[lo:hi])
         euler = si.simulate_follower_batch(follower, fr, b, grid, fshocks[lo:hi])
         exact = si.simulate_follower_batch(follower, fr, b, grid, fshocks[lo:hi], mode="exact")
+        stats = [
+            leader_batch_stats(leader, follower, coeffs, fr, law, grid, lshocks[lo:hi])[1:]
+            for law in (policy, loop_policy)
+        ]
         return (
             ens.x, ens.aux, ens.aux2, ens.controls, euler, exact,
             *si.compute_g_batch(fr, follower, ens.x),
             si.primary_cost_batch(leader, grid, ens.x, ens.controls),
             si.mle_continuous_batch(euler, gp, fr, follower),
             *si.mle_discrete_joint_batch(grid.nodes[obs], exact[:, obs], fr, gp, follower),
+            *stats[0], *stats[1],
         )
 
     # Batch a is the first n_a rows and batch b the last n_b, so shared rows

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackinfer as si
-from conftest import HORIZON, make_follower, make_leader
+from conftest import HORIZON, constant_policy, make_follower, make_leader, zero_policy
 from oracles import ou_mean_variance, trapezoid_primary_cost
 
 
@@ -18,13 +18,13 @@ def riccati_policy(leader, follower, coeffs):
 class TestSimulateLeader:
     def test_frozen_dynamics(self, co50, grid50):
         leader = make_leader(0.0, a_drift=0.0, sigma=0.0)
-        path = si.simulate_leader(leader, co50, si.zero_policy(), grid50, si.RngContract(1))
+        path = si.simulate_leader(leader, co50, zero_policy(), grid50, si.RngContract(1))
         assert np.all(path.x == leader.x0)
 
     def test_pure_drift(self, co50, grid50):
         leader = make_leader(0.0, a_drift=0.0, sigma=0.0, b_control=1.0)
         path = si.simulate_leader(
-            leader, co50, si.constant_policy(1.0), grid50, si.RngContract(1)
+            leader, co50, constant_policy(1.0), grid50, si.RngContract(1)
         )
         expected = leader.x0 + np.arange(grid50.n_nodes) * grid50.h
         assert np.allclose(path.x, expected, atol=1e-14)
@@ -35,7 +35,7 @@ class TestSimulateLeader:
         leader = make_leader(0.5)
         shocks = np.zeros((1, grid50.n_steps))
         shocks[0, 0] = 1.0
-        ens = si.simulate_leader_batch(leader, co50, si.zero_policy(), grid50, shocks)
+        ens = si.simulate_leader_batch(leader, co50, zero_policy(), grid50, shocks)
         assert ens.x[0, 1] == pytest.approx(0.109, abs=1e-15)
 
     def test_non_finite_policy_rejected(self, co50, grid50):
@@ -46,18 +46,28 @@ class TestSimulateLeader:
 
     @pytest.mark.parametrize(("n_steps", "n_paths"), [(50, 100), (2**13, 1)])
     def test_aux_match_cumulative_integrals_bitwise(self, follower, n_steps, n_paths):
-        # 100 x 50 steps node by node; 1 x 2^13 takes the blocked recurrence,
-        # which rebuilds the auxiliary states from x with the same trapezoid.
+        # A session-loop policy advances the auxiliary states with the
+        # trapezoid steps of cumtrapz, so they match bit for bit. The same
+        # law as a RiccatiPolicy keeps them from the affine recurrence (100 x
+        # 50 stepped, 1 x 2^13 blocked), which matches to rounding.
         grid = si.build_grid(HORIZON, n_steps)
         coeffs = si.compute_coefficients(si.solve_follower_a(follower, grid), follower)
         leader = make_leader(0.5)
         policy = riccati_policy(leader, follower, coeffs)
+        loop_policy = si.FunctionPolicy(
+            lambda j, x, aux, aux2: policy.control_at(j, x[:, -1], aux, aux2)
+        )
         shocks = si.RngContract(7).normal_matrix(n_paths, n_steps, si.core.STREAM_LEADER, 0)
-        ens = si.simulate_leader_batch(leader, coeffs, policy, grid, shocks)
-        aux = -si.cumtrapz(coeffs.weight * ens.x, grid)
-        aux2 = si.cumtrapz(coeffs.decay * ens.aux, grid)
-        assert np.array_equal(ens.aux, aux)
-        assert np.array_equal(ens.aux2, aux2)
+        for law, exact in ((loop_policy, True), (policy, False)):
+            ens = si.simulate_leader_batch(leader, coeffs, law, grid, shocks)
+            aux = -si.cumtrapz(coeffs.weight * ens.x, grid)
+            aux2 = si.cumtrapz(coeffs.decay * ens.aux, grid)
+            for got, want in ((ens.aux, aux), (ens.aux2, aux2)):
+                if exact:
+                    assert np.array_equal(got, want)
+                else:
+                    scale = np.max(np.abs(want))
+                    assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
     def test_reproducible_by_stream(self, follower, co50, grid50):
         leader = make_leader(0.5)
@@ -72,7 +82,7 @@ class TestSimulateLeader:
         leader = make_leader(0.0)
         n_paths = 100_000
         shocks = si.RngContract(31).stream(0).standard_normal((n_paths, grid50.n_steps))
-        ens = si.simulate_leader_batch(leader, co50, si.zero_policy(), grid50, shocks)
+        ens = si.simulate_leader_batch(leader, co50, zero_policy(), grid50, shocks)
         mean = float(np.mean(ens.x[:, -1]))
         se = float(np.std(ens.x[:, -1], ddof=1) / math.sqrt(n_paths))
         exact = leader.x0 * math.exp(leader.a_drift * grid50.horizon)
@@ -182,7 +192,7 @@ class TestCosts:
         leader = make_leader(0.5, sigma=0.0)
         policy = riccati_policy(leader, follower, co50)
         path = si.simulate_leader(leader, co50, policy, grid50, si.RngContract(1))
-        cost = si.evaluate_primary_cost(leader, path)
+        cost = si.primary_cost_batch(leader, grid50, path.x[None, :], path.controls[None, :])[0]
         target = leader.target_at(grid50.nodes, grid50.horizon)
         oracle = trapezoid_primary_cost(
             path.x, path.controls, target, leader.q_track, leader.r_control,
@@ -280,7 +290,7 @@ class TestObjectives:
         leader = make_leader(0.0, x0=0.0, sigma=0.0)
         with pytest.raises(si.DegenerateEnsembleError):
             si.estimate_objectives(
-                leader, follower, co50, fr50, si.zero_policy(), grid50, 16,
+                leader, follower, co50, fr50, zero_policy(), grid50, 16,
                 si.RngContract(2),
             )
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import stackinfer as si
+from conftest import make_leader
 from stackinfer import cli, config, core, infer, policy, riccati, simulate, studies
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -68,3 +69,25 @@ def test_install_and_uninstall_restore_every_entry_point(tracing, follower, grid
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
     assert dict(vars(core.RngContract)) == rng_methods
     assert studies._run_chunked is private_chunked
+
+
+@pytest.mark.parametrize("affine", [True, False])
+def test_leader_evaluator_reaches_the_traced_simulator(tracing, follower, grid50, fr50, co50,
+                                                       affine):
+    # The evaluator calls simulate_leader_batch through the module, so the
+    # tracer's simulate.leader span and path-step count see every batch.
+    leader = make_leader(0.5)
+    policy = si.RiccatiPolicy(leader, riccati.solve_leader_system(leader, follower, co50))
+    if not affine:
+        policy = si.FunctionPolicy(lambda j, x, aux, aux2, law=policy:
+                                   law.control_at(j, x[:, -1], aux, aux2))
+    shocks = np.zeros((3, grid50.n_steps))
+    rec = tracing.Recorder()
+    rec.install()
+    try:
+        simulate.leader_batch_stats(leader, follower, co50, fr50, policy, grid50, shocks)
+        counts = rec.take_counts()
+    finally:
+        rec.uninstall()
+    assert counts["simulate.leader_path_steps"] == shocks.size
+    assert "simulate.leader" in {span[1] for span in rec.spans}
