@@ -97,6 +97,12 @@ def _nonnegative_int(value, path):
     return v
 
 
+def _stream_index(value, path):
+    v = _nonnegative_int(value, path)
+    _expect(v < 1 << 64, path, "must be < 2**64 (stream path indices are 64-bit words)")
+    return v
+
+
 def _boolean(value, path):
     _expect(isinstance(value, bool), path, "must be a boolean")
     return value
@@ -240,7 +246,7 @@ STUDY_SCHEMAS = {
     "estimator-study": (
         {"inference_weights": _number_list},
         {"n_replays": (_int_at_least(10, "the bias curve starts at 10 replays"), 10_000),
-         "path_seed_index": (_nonnegative_int, 0)},
+         "path_seed_index": (_stream_index, 0)},
     ),
     "multi-period": (
         {"inference_weights": _number_list, "n_episodes": _positive_int},

@@ -118,19 +118,23 @@ def _check_precision(precision: float):
         )
 
 
+def _drift_ito(x: np.ndarray, gp: GProfile, fr: FollowerRiccati) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row numerator terms for (paths, nodes) ``x``: trapezoid of f g x, Ito sum of g dx."""
+    drift = trapz(fr.f * gp.g * x, fr.grid)
+    # Not a matrix-vector product: its (BLAS) result depends on the row count.
+    ito = np.sum(np.diff(x, axis=1) * gp.g[:-1], axis=1)
+    return drift, ito
+
+
 def mle_continuous_batch(
     x_paths: np.ndarray, gp: GProfile, fr: FollowerRiccati, model: FollowerModel
 ) -> np.ndarray:
     """Dilation estimates for each follower path row on one fixed leader path."""
     x = np.atleast_2d(np.asarray(x_paths, dtype=float))
-    grid = fr.grid
-    if x.shape[1] != grid.n_nodes:
-        raise InvalidArgumentError(f"paths must have {grid.n_nodes} columns")
+    if x.shape[1] != fr.grid.n_nodes:
+        raise InvalidArgumentError(f"paths must have {fr.grid.n_nodes} columns")
     _check_precision(gp.precision)
-    g = gp.g
-    drift = trapz(fr.f[None, :] * g[None, :] * x, grid)
-    # Not a matrix-vector product: its (BLAS) result depends on the row count.
-    ito = np.sum(np.diff(x, axis=1) * g[:-1], axis=1)
+    drift, ito = _drift_ito(x, gp, fr)
     return (drift - ito) / (model.gain_sq_over_r * gp.precision)
 
 
@@ -144,10 +148,8 @@ def mle_continuous(
     if fpath.grid != fr.grid or gp.grid != fr.grid:
         raise InvalidArgumentError("path, score profile and solver grids must agree")
     _check_precision(gp.precision)
-    x = fpath.x
-    g = gp.g
-    drift = float(trapz(fr.f * g * x, fr.grid))
-    ito = float(np.sum(np.diff(x) * g[:-1]))
+    drift, ito = _drift_ito(fpath.x[None, :], gp, fr)
+    drift, ito = float(drift[0]), float(ito[0])
     m_hat = (drift - ito) / (model.gain_sq_over_r * gp.precision)
     cond_variance, cond_fisher = _conditional_moments(model, gp.precision)
     return MleReport(

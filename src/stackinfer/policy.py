@@ -127,6 +127,10 @@ class RecurrentConfig:
             raise InvalidArgumentError("decay must lie in (0, 1]")
         if self.window != 3:
             raise InvalidArgumentError("feature window is fixed at 3 recent states")
+        for name in ("hidden_width", "out_width"):
+            width = getattr(self, name)
+            if not isinstance(width, int) or isinstance(width, bool) or width < 1:
+                raise InvalidArgumentError(f"{name} must be a positive integer")
 
     @property
     def n_features(self) -> int:
@@ -250,16 +254,18 @@ class RecurrentPolicy:
         return float(u[0])
 
 
-def initial_policy(
-    grid: TimeGrid, config: RecurrentConfig, rng: RngContract, scale: float = 0.2
-) -> RecurrentPolicy:
+# Half-width of the uniform noise the recurrent blocks start from.
+INIT_SCALE = 0.2
+
+
+def initial_policy(grid: TimeGrid, config: RecurrentConfig, rng: RngContract) -> RecurrentPolicy:
     """Zero-output initialization: recurrent blocks get small seeded noise,
     both output stages start at zero so the initial policy is identically 0."""
     cfg = config
     theta = np.zeros(cfg.dim)
     gate_sz = cfg.hidden_width * cfg.n_features + cfg.hidden_width**2 + cfg.hidden_width
     gen = rng.stream(STREAM_INIT)
-    theta[: 2 * gate_sz] = scale * (2.0 * gen.random(2 * gate_sz) - 1.0)
+    theta[: 2 * gate_sz] = INIT_SCALE * (2.0 * gen.random(2 * gate_sz) - 1.0)
     return RecurrentPolicy(grid=grid, theta=theta, config=config)
 
 
@@ -325,10 +331,10 @@ def optimize_policy(
     coeffs: DerivedCoefficients,
     fr: FollowerRiccati,
     grid: TimeGrid,
-    init: RecurrentPolicy | None = None,
 ) -> OptimizeResult:
     """Fit the recurrent policy by SPSA on a Monte Carlo objective.
 
+    The search starts from ``initial_policy`` on the default architecture.
     Each iteration draws one batch of Brownian shocks, shared by the two
     perturbed evaluations (common random numbers), estimates the two-sided
     objective difference, and takes a Rademacher-projected step.
@@ -337,13 +343,13 @@ def optimize_policy(
     held-out batch at the end and returned.
     """
     rng = RngContract(cfg.master_seed)
-    policy = init if init is not None else initial_policy(grid, RecurrentConfig(), rng)
+    policy = initial_policy(grid, RecurrentConfig(), rng)
     theta = policy.theta.copy()
     dim = theta.size
     n = grid.n_steps
 
     def values(th, shocks):
-        _, precision, j_p = sim.leader_batch_stats(
+        _, precision, j_p, _ = sim.leader_batch_stats(
             leader, follower, coeffs, fr, policy.with_theta(th), grid, shocks
         )
         return sim.objective_paths(leader, follower, precision, j_p, cfg.objective)

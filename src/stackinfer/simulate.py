@@ -474,15 +474,16 @@ def leader_batch_stats(
     policy,
     grid: TimeGrid,
     shocks: np.ndarray,
-) -> tuple[LeaderEnsemble, np.ndarray, np.ndarray]:
-    """Leader paths on ``shocks`` with each path's precision and primary cost.
+) -> tuple[LeaderEnsemble, np.ndarray, np.ndarray, np.ndarray]:
+    """Leader paths on ``shocks`` with each path's precision, primary cost and effort.
 
-    Returns (ensemble, precision, j_primary), one precision and one primary
-    cost per row of ``shocks``. Both are formed on the ensemble's step-major
-    arrays in one scratch array. The precision is the trapezoid of g^2 with
+    Returns (ensemble, precision, j_primary, effort), one of each per row of
+    ``shocks``. All three are formed on the ensemble's step-major arrays in
+    one scratch array. The precision is the trapezoid of g^2 with
     g = exp(-cum_f) (aux_T - aux), ``compute_g_batch``'s g, since
     q_track * int exp(cum_f) x = -aux. The primary cost's trapezoids of the
-    squared tracking error and control are taken apart and weighted after.
+    squared tracking error and control are taken apart and weighted after;
+    the latter, the trapezoid of the squared control, is the effort.
     """
     ens = simulate_leader_batch(leader, coeffs, policy, grid, shocks)
     x, aux, u = ens.x.T, ens.aux.T, ens.controls.T
@@ -498,7 +499,7 @@ def leader_batch_stats(
     track = trapz_step_major(scratch, grid)
     effort = trapz_step_major(np.square(u, out=scratch), grid)
     j_primary = 0.5 * (leader.q_track * track + leader.r_control * effort) + terminal
-    return ens, precision, j_primary
+    return ens, precision, j_primary, effort
 
 
 def objective_paths(
@@ -546,7 +547,7 @@ def estimate_objectives(
     if n_paths < 1:
         raise InvalidArgumentError("n_paths must be >= 1")
     shocks = rng.normal_matrix(n_paths, grid.n_steps, STREAM_LEADER)
-    _, precision, j_p = leader_batch_stats(leader, follower, coeffs, fr, policy, grid, shocks)
+    _, precision, j_p, _ = leader_batch_stats(leader, follower, coeffs, fr, policy, grid, shocks)
     j_info_paths = objective_paths(leader, follower, precision, j_p, "fisher")
     j_var_paths = objective_paths(leader, follower, precision, j_p, "variance")
     if follower.sigma == 0.0:

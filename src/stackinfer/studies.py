@@ -6,29 +6,32 @@ scalar summary plus CSV tables. Every path draws from its own index-keyed
 stream, so output does not depend on how paths are batched. The arms a
 study compares (ratios, weights, policies) share their noise: each chunk
 of rows is drawn once and every arm runs on it, chunks outside and arms
-inside, so memory stays bounded by ``CHUNK_ELEMENTS``. The ``threads``
-argument is still accepted, but all work runs on the calling thread: the
-per-path work holds the GIL, and a thread pool only slowed it down.
+inside, so memory stays bounded by ``CHUNK_ELEMENTS``. One driver,
+``_for_chunks``, draws the chunks for every study, and ``_models`` builds
+the grid, follower solve and coefficients every study starts from. All
+work runs on the calling thread: ``run_study`` still accepts ``threads``,
+but the per-path work holds the GIL, and a thread pool only slowed it down.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .core import (
     BlowUpError,
+    InvalidArgumentError,
     RngContract,
     STREAM_FOLLOWER,
     STREAM_LEADER,
     TimeGrid,
     Trajectory,
     build_grid,
-    trapz,
 )
 from .infer import (
     DiscreteObservations,
@@ -57,7 +60,6 @@ from .riccati import (
     solve_leader_system,
 )
 from .simulate import (
-    FollowerPath,
     _exact_transition_tables,
     compute_g,
     leader_batch_stats,
@@ -99,70 +101,76 @@ def _provenance(cfg: ExperimentConfig) -> dict:
 CHUNK_ELEMENTS = 1 << 18
 
 
-def _row_chunks(lo: int, hi: int, n_steps: int):
-    """Split rows [lo, hi) into runs of at most CHUNK_ELEMENTS // n_steps rows."""
-    rows = max(1, CHUNK_ELEMENTS // n_steps)
-    for start in range(lo, hi, rows):
-        yield start, min(start + rows, hi)
-
-
 def _run_chunked(n_paths: int, threads: int, work):
-    """Run work(lo, hi) over all paths on the calling thread.
-
-    ``threads`` is accepted for interface stability only: the per-path work
-    holds the GIL, so a thread pool made it slower, not faster.
-    """
+    """Run work(0, n_paths): one chunked pass, which the benchmark's tracer
+    wraps by this name and signature to time and count. ``threads`` is unused."""
     work(0, n_paths)
 
 
-def _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, threads,
-                  keep_paths: int = 0, *, effort: bool = False):
+def _for_chunks(rng: RngContract, stream: int, n_rows: int, n_steps: int, step, first: int = 0):
+    """Call step(start, stop, shocks) over rows [0, n_rows), chunk by chunk.
+
+    Each chunk holds at most ``CHUNK_ELEMENTS // n_steps`` rows, and its
+    shocks are rows first + start .. first + stop of ``stream``, drawn when
+    the chunk starts, so nothing a step builds outlives it.
+    """
+    rows = max(1, CHUNK_ELEMENTS // n_steps)
+
+    def work(lo, hi):
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            step(start, stop, rng.normal_matrix(stop - start, n_steps, stream, first + start))
+
+    _run_chunked(n_rows, 1, work)
+
+
+def _models(cfg: ExperimentConfig, grid: TimeGrid | None = None):
+    """(grid, follower, fr, coeffs, rng) of a study; ``grid`` overrides the config's."""
+    grid = cfg.build_grid() if grid is None else grid
+    follower = cfg.build_follower()
+    fr = solve_follower_a(follower, grid)
+    return grid, follower, fr, compute_coefficients(fr, follower), RngContract(cfg.master_seed)
+
+
+def _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, keep_paths: int = 0):
     """Per-path precision, primary cost and control effort for each arm.
 
     ``arms`` is a list of (leader, policy) pairs that share the leader shocks:
     each chunk's rows are drawn once and every arm is simulated on them.
-    Returns one (precision, j_primary, effort, kept) per arm; effort is None
-    unless asked for.
+    Returns one (precision, j_primary, effort, kept) per arm, ``kept``
+    mapping each of the first ``keep_paths`` rows to its (x, controls).
     """
-    stats = [
-        (np.empty(n_paths), np.empty(n_paths), np.empty(n_paths) if effort else None, {})
-        for _ in arms
-    ]
+    stats = [(np.empty(n_paths), np.empty(n_paths), np.empty(n_paths), {}) for _ in arms]
 
-    def work(lo, hi):
-        for start, stop in _row_chunks(lo, hi, grid.n_steps):
-            shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_LEADER, start)
-            for (leader, policy), (precision, j_primary, eff, kept) in zip(arms, stats):
-                ens, precision[start:stop], j_primary[start:stop] = leader_batch_stats(
-                    leader, follower, coeffs, fr, policy, grid, shocks
-                )
-                if eff is not None:
-                    eff[start:stop] = trapz(ens.controls**2, grid)
-                for i in range(start, min(stop, keep_paths)):
-                    kept[i] = (ens.x[i - start].copy(), ens.controls[i - start].copy())
-                # Let go of this arm's paths before the next arm simulates.
-                del ens
+    def step(start, stop, shocks):
+        for (leader, policy), (precision, j_primary, effort, kept) in zip(arms, stats):
+            rows = slice(start, stop)
+            ens, precision[rows], j_primary[rows], effort[rows] = leader_batch_stats(
+                leader, follower, coeffs, fr, policy, grid, shocks
+            )
+            for i in range(start, min(stop, keep_paths)):
+                kept[i] = (ens.x[i - start].copy(), ens.controls[i - start].copy())
+            # Let go of this arm's paths before the next arm simulates.
+            del ens
 
-    _run_chunked(n_paths, threads, work)
+    _for_chunks(rng, STREAM_LEADER, n_paths, grid.n_steps, step)
     return stats
 
 
-def _follower_mhats(follower, fr, arms, grid, n_replays, rng, threads):
+def _follower_mhats(follower, fr, arms, grid, n_replays, rng):
     """Dilation estimates over follower replays, one array per (gp, b) arm.
 
     Every arm replays the same follower shocks, drawn once per chunk.
     """
     m_hats = [np.empty(n_replays) for _ in arms]
 
-    def work(lo, hi):
-        for start, stop in _row_chunks(lo, hi, grid.n_steps):
-            shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_FOLLOWER, start)
-            for (gp, b), out in zip(arms, m_hats):
-                xs = simulate_follower_batch(follower, fr, b, grid, shocks)
-                out[start:stop] = mle_continuous_batch(xs, gp, fr, follower)
-                del xs
+    def step(start, stop, shocks):
+        for (gp, b), out in zip(arms, m_hats):
+            xs = simulate_follower_batch(follower, fr, b, grid, shocks)
+            out[start:stop] = mle_continuous_batch(xs, gp, fr, follower)
+            del xs  # before the next arm simulates
 
-    _run_chunked(n_replays, threads, work)
+    _for_chunks(rng, STREAM_FOLLOWER, n_replays, grid.n_steps, step)
     return m_hats
 
 
@@ -173,27 +181,22 @@ def _fixed_leader_path(follower, lm, coeffs, fr, grid, shocks):
     return Trajectory(grid=grid, values=ens.x[0])
 
 
-def run_tradeoff_sweep(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
+def run_tradeoff_sweep(cfg: ExperimentConfig) -> StudyResult:
     """Sweep the tracking-to-inference weight ratio; report mean Fisher information.
 
     The ratio is q_track / inference_weight: the inference weight stays at
     its configured value and q_track is set to ratio * inference_weight.
     """
     lam = cfg.leader["inference_weight"]
-    grid = cfg.build_grid()
-    follower = cfg.build_follower()
-    fr = solve_follower_a(follower, grid)
-    coeffs = compute_coefficients(fr, follower)
-    rng = RngContract(cfg.master_seed)
+    grid, follower, fr, coeffs, rng = _models(cfg)
     n_paths = cfg.study["n_paths"]
 
     ratios = cfg.study["ratios"]
     arms = []
     for ratio in ratios:
         lm = cfg.build_leader(grid, q_track=ratio * lam)
-        lr = solve_leader_system(lm, follower, coeffs)
-        arms.append((lm, RiccatiPolicy(lm, lr)))
-    stats = _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, threads, keep_paths=1)
+        arms.append((lm, RiccatiPolicy(lm, solve_leader_system(lm, follower, coeffs))))
+    stats = _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, keep_paths=1)
     # Every ratio's trajectory row sees the same follower shocks.
     fshocks = rng.normal_matrix(1, grid.n_steps, STREAM_FOLLOWER, 0)
 
@@ -238,17 +241,13 @@ def run_tradeoff_sweep(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     )
 
 
-def run_estimator_study(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
+def run_estimator_study(cfg: ExperimentConfig) -> StudyResult:
     """Conditional bias and variance of the dilation estimate per inference weight.
 
     One leader path per weight (common leader noise across weights), then
     follower replays with common noise indices.
     """
-    grid = cfg.build_grid()
-    follower = cfg.build_follower()
-    fr = solve_follower_a(follower, grid)
-    coeffs = compute_coefficients(fr, follower)
-    rng = RngContract(cfg.master_seed)
+    grid, follower, fr, coeffs, rng = _models(cfg)
     n_replays = cfg.study["n_replays"]
     path_index = cfg.study["path_seed_index"]
 
@@ -265,7 +264,7 @@ def run_estimator_study(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
         x_leader = _fixed_leader_path(follower, lm, coeffs, fr, grid, lshocks)
         b, _ = solve_follower_bc(fr, follower, x_leader)
         arms.append((compute_g(fr, follower, x_leader), b))
-    all_m_hats = _follower_mhats(follower, fr, arms, grid, n_replays, rng, threads)
+    all_m_hats = _follower_mhats(follower, fr, arms, grid, n_replays, rng)
 
     for lam, (gp, _), m_hats in zip(weights, arms, all_m_hats):
         bias = float(np.mean(m_hats)) - follower.dilation
@@ -307,7 +306,6 @@ def run_episodes(
     grid: TimeGrid,
     n_episodes: int,
     rng: RngContract,
-    follower_mode: str = "euler",
 ) -> list[tuple[MultiPeriodState, float, float]]:
     """Consecutive episodes with chained initial states and fresh noise.
 
@@ -325,7 +323,7 @@ def run_episodes(
         x_leader = lpath.trajectory()
         gp = compute_g(fr, follower_model, x_leader)
         b, _ = solve_follower_bc(fr, fm, x_leader)
-        fpath = simulate_follower(fm, fr, b, grid, rng, ep, mode=follower_mode)
+        fpath = simulate_follower(fm, fr, b, grid, rng, ep)
         report = mle_continuous(fpath, gp, fr, fm)
         state = multi_period_update(state, report)
         lm = replace(lm, x0=float(lpath.x[-1]))
@@ -334,12 +332,9 @@ def run_episodes(
     return out
 
 
-def run_multi_period(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
+def run_multi_period(cfg: ExperimentConfig) -> StudyResult:
     """Aggregate estimation error and variance proxy over consecutive episodes."""
-    grid = cfg.build_grid()
-    follower = cfg.build_follower()
-    fr = solve_follower_a(follower, grid)
-    coeffs = compute_coefficients(fr, follower)
+    grid, follower, fr, coeffs, rng = _models(cfg)
     n_episodes = cfg.study["n_episodes"]
     threshold = cfg.study["variance_threshold"]
 
@@ -348,14 +343,11 @@ def run_multi_period(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     stop_at = {}
     for lam in cfg.study["inference_weights"]:
         lm = cfg.build_leader(grid, inference_weight=lam)
-        rng = RngContract(cfg.master_seed)
         history = run_episodes(lm, follower, fr, coeffs, grid, n_episodes, rng)
         for ep, (state, _, _) in enumerate(history, start=1):
             err = abs(state.m_bar - follower.dilation)
             proxy = realized_variance_proxy(state, follower)
-            stopped = (
-                stopping_rule(state, threshold, follower) if threshold is not None else False
-            )
+            stopped = threshold is not None and stopping_rule(state, threshold, follower)
             if stopped and lam not in stop_at:
                 stop_at[lam] = ep
             m_hat_ep, prec_ep = state.history[-1]
@@ -382,18 +374,14 @@ def run_multi_period(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     )
 
 
-def run_discrete_convergence(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
+def run_discrete_convergence(cfg: ExperimentConfig) -> StudyResult:
     """Discrete-observation estimates against the continuous one on a fine path."""
-    follower = cfg.build_follower()
     fine_exp = cfg.study["fine_exponent"]
     levels = cfg.study["levels"]
     n_reps = cfg.study["n_sigma_replications"]
 
-    grid = build_grid(cfg.grid["horizon"], 2**fine_exp)
-    fr = solve_follower_a(follower, grid)
-    coeffs = compute_coefficients(fr, follower)
+    grid, follower, fr, coeffs, rng = _models(cfg, build_grid(cfg.grid["horizon"], 2**fine_exp))
     lm = cfg.build_leader(grid)
-    rng = RngContract(cfg.master_seed)
     x_leader = _fixed_leader_path(
         follower, lm, coeffs, fr, grid, rng.normal_matrix(1, grid.n_steps, STREAM_LEADER, 0)
     )
@@ -404,14 +392,7 @@ def run_discrete_convergence(cfg: ExperimentConfig, threads: int = 1) -> StudyRe
     tables = _exact_transition_tables(follower, fr, b, grid)
     fshocks = rng.normal_matrix(1, grid.n_steps, STREAM_FOLLOWER, 0)
     xf = simulate_follower_batch(follower, fr, b, grid, fshocks, mode="exact", tables=tables)[0]
-    fpath = FollowerPath(
-        grid=grid,
-        x=xf,
-        brownian=math.sqrt(grid.h) * fshocks[0],
-        stream_key=(rng.master_seed, STREAM_FOLLOWER, 0),
-        mode="exact",
-    )
-    m_cont = mle_continuous(fpath, gp, fr, follower).m_hat
+    m_cont = float(mle_continuous_batch(xf[None], gp, fr, follower)[0])
 
     rows = []
     for k in sorted(levels):
@@ -430,16 +411,14 @@ def run_discrete_convergence(cfg: ExperimentConfig, threads: int = 1) -> StudyRe
     idx = np.arange(0, grid.n_nodes, stride)
     sigma2 = np.empty(n_reps)
 
-    def work(lo, hi):
-        for start, stop in _row_chunks(lo, hi, grid.n_steps):
-            shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_FOLLOWER, 1 + start)
-            xs = simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact",
-                                         tables=tables)
-            _, sigma2[start:stop] = mle_discrete_joint_batch(
-                grid.nodes[idx], xs[:, idx], fr, gp, follower
-            )
+    def step(start, stop, shocks):
+        xs = simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact", tables=tables)
+        _, sigma2[start:stop] = mle_discrete_joint_batch(
+            grid.nodes[idx], xs[:, idx], fr, gp, follower
+        )
 
-    _run_chunked(n_reps, threads, work)
+    # Replication i replays follower row 1 + i; row 0 is the fine path's.
+    _for_chunks(rng, STREAM_FOLLOWER, n_reps, grid.n_steps, step, first=1)
 
     summary = {
         "m_hat_continuous": m_cont,
@@ -462,26 +441,24 @@ def run_discrete_convergence(cfg: ExperimentConfig, threads: int = 1) -> StudyRe
     )
 
 
-def run_benchmark_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
+def run_benchmark_compare(cfg: ExperimentConfig) -> StudyResult:
     """Fit the recurrent policy and compare it with the semi-explicit law.
 
     Both policies are evaluated on the same Brownian draws; the summary
     reports the information objective of each and their relative gap.
     """
-    grid = cfg.build_grid()
-    follower = cfg.build_follower()
-    fr = solve_follower_a(follower, grid)
-    coeffs = compute_coefficients(fr, follower)
+    grid, follower, fr, coeffs, rng = _models(cfg)
     lm = cfg.build_leader(grid)
-    lr = solve_leader_system(lm, follower, coeffs)
-    riccati = RiccatiPolicy(lm, lr)
-    rng = RngContract(cfg.master_seed)
+    riccati = RiccatiPolicy(lm, solve_leader_system(lm, follower, coeffs))
     n_eval = cfg.study["n_eval_paths"]
     n_display = cfg.study["n_display_paths"]
 
     policy_file = cfg.study["policy_file"]
     if policy_file is not None:
-        recurrent = load_policy_file(policy_file, grid)
+        try:
+            recurrent = load_policy_file(policy_file, grid)
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"config.study.policy_file: {policy_file}: {exc}") from exc
     else:
         opt_cfg = OptimizerConfig(objective="fisher", master_seed=cfg.master_seed,
                                   **cfg.study["optimizer"])
@@ -489,7 +466,7 @@ def run_benchmark_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResul
 
     # Both policies run on the same leader shocks, drawn once per chunk.
     (prec_r, jp_r, _, kept_r), (prec_n, jp_n, _, kept_n) = _leader_stats(
-        [(lm, riccati), (lm, recurrent)], follower, coeffs, fr, grid, n_eval, rng, threads,
+        [(lm, riccati), (lm, recurrent)], follower, coeffs, fr, grid, n_eval, rng,
         keep_paths=n_display,
     )
     vals_r = objective_paths(lm, follower, prec_r, jp_r, "fisher")
@@ -526,13 +503,9 @@ def run_benchmark_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResul
     )
 
 
-def run_objective_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
+def run_objective_compare(cfg: ExperimentConfig) -> StudyResult:
     """Variance-minimizing recurrent policy vs information-maximizing law per pair."""
-    grid = cfg.build_grid()
-    follower = cfg.build_follower()
-    fr = solve_follower_a(follower, grid)
-    coeffs = compute_coefficients(fr, follower)
-    rng = RngContract(cfg.master_seed)
+    grid, follower, fr, coeffs, rng = _models(cfg)
     n_paths = cfg.study["n_paths"]
     opt_cfg = OptimizerConfig(objective="variance", master_seed=cfg.master_seed,
                               **cfg.study["optimizer"])
@@ -546,13 +519,13 @@ def run_objective_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResul
         trained = optimize_policy(opt_cfg, lm_var, follower, coeffs, fr, grid).policy
         arms += [(lm_info, RiccatiPolicy(lm_info, lr)), (lm_var, trained)]
     # Every policy of every pair runs on the same leader shocks.
-    stats = _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, threads, effort=True)
+    stats = _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng)
 
     rows = []
-    for (lam_var, lam_info), info, var in zip(pairs, stats[0::2], stats[1::2]):
-        prec_i, jp_i, eff_i, _ = info
-        prec_v, jp_v, eff_v, _ = var
-        nts = follower.noise_to_signal
+    nts = follower.noise_to_signal
+    for (lam_var, lam_info), (prec_i, jp_i, eff_i, _), (prec_v, jp_v, eff_v, _) in zip(
+        pairs, stats[0::2], stats[1::2]
+    ):
         rows.append(
             [lam_var, lam_info,
              float(np.mean(prec_v)) / nts, float(np.mean(prec_i)) / nts,
@@ -581,12 +554,9 @@ def run_objective_compare(cfg: ExperimentConfig, threads: int = 1) -> StudyResul
     )
 
 
-def run_wellposedness(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
+def run_wellposedness(cfg: ExperimentConfig) -> StudyResult:
     """Existence-horizon constants and the observed blow-up time, if any."""
-    grid = cfg.build_grid()
-    follower = cfg.build_follower()
-    fr = solve_follower_a(follower, grid)
-    coeffs = compute_coefficients(fr, follower)
+    grid, follower, _, coeffs, _ = _models(cfg)
     lm = cfg.build_leader(grid)
     bound = horizon_bound(lm, follower, coeffs)
     blow_up_time = None
@@ -638,8 +608,6 @@ def _policy_document(policy: RecurrentPolicy) -> dict:
 
 def save_policy_file(path: str, policy: RecurrentPolicy):
     """Serialize fitted policy parameters with their architecture."""
-    import json
-
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_policy_document(policy), fh, sort_keys=True)
 
@@ -648,22 +616,28 @@ def load_policy_file(path: str, grid: TimeGrid) -> RecurrentPolicy:
     """Reload a serialized policy onto a grid.
 
     Accepts either a bare policy document or a benchmark-compare summary
-    carrying one under summary.policy.
+    carrying one under summary.policy. A file that cannot be read raises
+    ``OSError``; one that is not such a document, or whose architecture or
+    parameters are out of range, raises ``InvalidArgumentError``.
     """
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "theta" not in doc and "summary" in doc:
-        doc = doc["summary"]["policy"]
-    arch = doc["architecture"]
-    config = RecurrentConfig(
-        window=arch["window"],
-        decay=arch["decay"],
-        hidden_width=arch["hidden_width"],
-        out_width=arch["out_width"],
-    )
-    return RecurrentPolicy(grid=grid, theta=np.asarray(doc["theta"]), config=config)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if "theta" not in doc and "summary" in doc:
+            doc = doc["summary"]["policy"]
+        arch = doc["architecture"]
+        config = RecurrentConfig(
+            window=arch["window"],
+            decay=arch["decay"],
+            hidden_width=arch["hidden_width"],
+            out_width=arch["out_width"],
+        )
+        theta = np.asarray(doc["theta"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or bad values
+        raise InvalidArgumentError(f"not a policy document: {exc!r}") from exc
+    if not np.all(np.isfinite(theta)):
+        raise InvalidArgumentError("theta must be finite")
+    return RecurrentPolicy(grid=grid, theta=theta, config=config)
 
 
 STUDY_RUNNERS = {
@@ -678,6 +652,9 @@ STUDY_RUNNERS = {
 
 
 def run_study(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
-    """Dispatch a validated configuration to its study runner."""
-    runner = STUDY_RUNNERS[cfg.study_name]
-    return runner(cfg, threads=threads)
+    """Dispatch a validated configuration to its study runner.
+
+    ``threads`` is accepted for the command line's ``--threads``; all work
+    runs on the calling thread.
+    """
+    return STUDY_RUNNERS[cfg.study_name](cfg)

@@ -575,7 +575,7 @@ def tradeoff_sweep_per_arm(cfg, chunk_rows):
         precision, j_p = np.empty(n_paths), np.empty(n_paths)
         for start, stop in _chunks(n_paths, chunk_rows):
             shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_LEADER, start)
-            ens, precision[start:stop], j_p[start:stop] = leader_batch_stats(
+            ens, precision[start:stop], j_p[start:stop], _ = leader_batch_stats(
                 lm, follower, coeffs, fr, policy, grid, shocks
             )
             if start == 0:

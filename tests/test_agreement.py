@@ -553,13 +553,15 @@ def test_leader_stats_match_one_line_on_drawn_models(
     )
     shocks = np.random.default_rng(seed).standard_normal((n_paths, n_steps))
     for law in (policy, loop_policy):
-        ens, precision, j_primary = leader_batch_stats(
+        ens, precision, j_primary, effort = leader_batch_stats(
             leader, follower, coeffs, fr, law, grid, shocks
         )
         want = compute_g_batch_one_line(fr, follower, ens.x)[1]
         assert np.all(np.abs(precision - want) <= 1e-10 * np.abs(want))
         want = primary_cost_batch_one_line(leader, grid, ens.x, ens.controls)
         assert np.all(np.abs(j_primary - want) <= 1e-12 * np.abs(want))
+        want = si.trapz(ens.controls**2, grid)
+        assert np.all(np.abs(effort - want) <= 1e-12 * np.abs(want))
 
 
 @pytest.mark.parametrize("n_steps", [50, 200])

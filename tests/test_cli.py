@@ -1,12 +1,14 @@
 import copy
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stackinfer as si
 from stackinfer import cli, core, studies
 from stackinfer.config import ConfigError, validate_config
 
@@ -266,6 +268,10 @@ class TestCliCommands:
         (dict(name="objective-compare", pairs=[[0.0, 0.5]], n_paths=4,
               optimizer=dict(budget=1, batch_size=4, eval_paths=1)),
          "config.study.optimizer.eval_paths"),
+        # Stream path indices are 64-bit words.
+        (dict(name="estimator-study", inference_weights=[0.5], n_replays=10,
+              path_seed_index=2**64),
+         "config.study.path_seed_index"),
     ])
     def test_validate_agrees_with_run_on_study_minimums(self, tmp_path, capsys, study, field):
         path = write_doc(tmp_path, make_doc(**study))
@@ -296,6 +302,42 @@ class TestCliCommands:
         assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit, code", [
+        (lambda doc: json.dumps(doc), cli.EXIT_OK),
+        (lambda doc: json.dumps({"summary": {"policy": doc}}), cli.EXIT_OK),
+        (lambda doc: "{not json", cli.EXIT_CONFIG),
+        (lambda doc: json.dumps([doc]), cli.EXIT_CONFIG),
+        (lambda doc: json.dumps({"summary": {}}), cli.EXIT_CONFIG),
+        (lambda doc: json.dumps({**doc, "architecture": {
+            k: v for k, v in doc["architecture"].items() if k != "decay"}}), cli.EXIT_CONFIG),
+        (lambda doc: json.dumps({**doc, "architecture": {
+            **doc["architecture"], "decay": 1.5}}), cli.EXIT_CONFIG),
+        (lambda doc: json.dumps({**doc, "architecture": {
+            **doc["architecture"], "hidden_width": 16.0}}), cli.EXIT_CONFIG),
+        (lambda doc: json.dumps({**doc, "theta": doc["theta"][:-1]}), cli.EXIT_CONFIG),
+        (lambda doc: json.dumps({**doc, "theta": ["x"] * len(doc["theta"])}), cli.EXIT_CONFIG),
+        (lambda doc: json.dumps({**doc, "theta": [math.nan] * len(doc["theta"])}),
+         cli.EXIT_CONFIG),
+        (None, cli.EXIT_IO),
+    ], ids=["bare", "summary", "bad-json", "not-an-object", "no-policy", "no-decay",
+            "decay-out-of-range", "fractional-width", "short-theta", "text-theta",
+            "nan-theta", "missing-file"])
+    def test_policy_file_exit_code(self, tmp_path, capsys, edit, code):
+        grid = core.build_grid(0.5, 50)
+        doc = studies._policy_document(
+            si.initial_policy(grid, si.RecurrentConfig(), si.RngContract(0)))
+        policy_path = tmp_path / "policy.json"
+        if edit is not None:
+            policy_path.write_text(edit(doc))
+        path = write_doc(tmp_path, make_doc(name="benchmark-compare", n_eval_paths=4,
+                                            n_display_paths=1, policy_file=str(policy_path)))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == cli.EXIT_CONFIG:
+            assert "config error: config.study.policy_file" in err
+        assert out.exists() == (code == cli.EXIT_OK)
 
     @pytest.mark.parametrize("study, n_nodes", [
         (dict(name="wellposedness"), 51),

@@ -7,6 +7,7 @@ would otherwise fail only when the benchmark runs with ``--trace 1``.
 
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ import stackinfer as si
 from conftest import make_leader
 from stackinfer import cli, config, core, infer, policy, riccati, simulate, studies
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +93,37 @@ def test_leader_evaluator_reaches_the_traced_simulator(tracing, follower, grid50
         rec.uninstall()
     assert counts["simulate.leader_path_steps"] == shocks.size
     assert "simulate.leader" in {span[1] for span in rec.spans}
+
+
+@pytest.mark.parametrize("name, study, n_steps", [
+    ("tradeoff_sweep", dict(ratios=[1.0, 10.0], n_paths=20), 50),
+    ("estimator_study", dict(inference_weights=[0.0, 0.5], n_replays=20), 50),
+    ("discrete_convergence", dict(fine_exponent=6, levels=[4], n_sigma_replications=20), 64),
+])
+def test_each_chunked_pass_is_one_traced_span(tracing, monkeypatch, name, study, n_steps):
+    # The tracer wraps studies._run_chunked, which runs a whole chunked pass
+    # over a study's rows: each call of the chunk driver is one
+    # studies.chunked span holding one studies.chunk, and one studies.chunks
+    # count, however many chunks the pass draws (here 7 rows at a time).
+    doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    doc["study"].update(study)
+    cfg = config.validate_config(doc)
+    monkeypatch.setattr(studies, "CHUNK_ELEMENTS", 7 * n_steps)
+    driver, passes = studies._for_chunks, []
+
+    def counted_driver(*args, **kwargs):
+        passes.append(args)
+        return driver(*args, **kwargs)
+
+    monkeypatch.setattr(studies, "_for_chunks", counted_driver)
+    rec = tracing.Recorder()
+    rec.install()
+    try:
+        studies.run_study(cfg)
+        counts = rec.take_counts()
+    finally:
+        rec.uninstall()
+    chunked = {span[0] for span in rec.spans if span[1] == "studies.chunked"}
+    chunk_parents = [span[4] for span in rec.spans if span[1] == "studies.chunk"]
+    assert len(passes) == len(chunked) == counts["studies.chunks"] == 1
+    assert set(chunk_parents) == chunked and len(chunk_parents) == 1
