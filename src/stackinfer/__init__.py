@@ -44,12 +44,9 @@ from .simulate import (
     FollowerPath,
     GProfile,
     LeaderEnsemble,
-    ObjectiveEstimate,
     compute_g,
     compute_g_batch,
-    estimate_objectives,
     evaluate_follower_cost,
-    precision_from_aux,
     primary_cost_batch,
     simulate_follower,
     simulate_follower_batch,
@@ -61,7 +58,6 @@ from .infer import (
     DiscreteObservations,
     MleReport,
     MultiPeriodState,
-    fisher_information_mc,
     mle_continuous,
     mle_continuous_batch,
     mle_discrete_joint,
@@ -70,7 +66,6 @@ from .infer import (
     realized_variance_proxy,
     sigma_quadratic_variation,
     stopping_rule,
-    variance_mc,
 )
 from .policy import (
     FollowerPolicyLaw,

@@ -3,8 +3,9 @@
 ``stackinfer run --config cfg.json [--threads N] [--out DIR]`` executes one
 study and writes its CSV tables plus a JSON summary (config echo and
 provenance included) to the output directory. ``stackinfer validate`` checks
-a config without running anything. The default output directory can be set
-through the STACKINFER_OUT environment variable.
+a config, and loads the policy file it names, without running anything. The
+default output directory can be set through the STACKINFER_OUT environment
+variable.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (blow-up or degenerate ensemble), 4 I/O error.
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .core import BlowUpError, DegenerateEnsembleError, DegeneratePathError, SolverFailureError
-from .studies import StudyResult, run_study
+from .studies import StudyResult, load_study_policy, run_study
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,15 +111,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "validate":
-        print(f"ok: {cfg.study_name} config is valid")
-        return EXIT_OK
-
-    if args.threads < 1:
+    if args.command == "run" and args.threads < 1:
         print("config error: --threads must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
+        if args.command == "validate":
+            load_study_policy(cfg, cfg.build_grid())
+            print(f"ok: {cfg.study_name} config is valid")
+            return EXIT_OK
         result = run_study(cfg, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

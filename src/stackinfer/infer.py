@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DegenerateEnsembleError,
-    DegeneratePathError,
-    FollowerModel,
-    InvalidArgumentError,
-    trapz,
-)
+from .core import DegeneratePathError, FollowerModel, InvalidArgumentError, trapz
 from .riccati import FollowerRiccati
 from .simulate import PRECISION_FLOOR, SUB_NODES, FollowerPath, GProfile, _sub_step_integrals
 
@@ -160,36 +154,6 @@ def mle_continuous(
         drift_term=drift,
         ito_term=ito,
     )
-
-
-def _precisions(profiles) -> np.ndarray:
-    arr = np.asarray(
-        [p.precision if isinstance(p, GProfile) else float(p) for p in profiles], dtype=float
-    )
-    if arr.size == 0:
-        raise InvalidArgumentError("ensemble must be nonempty")
-    return arr
-
-
-def fisher_information_mc(profiles, model: FollowerModel) -> float:
-    """Monte Carlo Fisher information: mean precision over the noise scale."""
-    p = _precisions(profiles)
-    if model.noise_to_signal == 0.0:
-        return math.inf
-    return float(np.mean(p)) / model.noise_to_signal
-
-
-def variance_mc(profiles, model: FollowerModel) -> float:
-    """Monte Carlo estimator variance: noise scale times mean reciprocal precision.
-
-    Degenerate paths (precision at or below ``PRECISION_FLOOR``) are
-    dropped; if every path is degenerate the ensemble is unusable.
-    """
-    p = _precisions(profiles)
-    good = p > PRECISION_FLOOR
-    if not np.any(good):
-        raise DegenerateEnsembleError("all paths in the ensemble are degenerate")
-    return model.noise_to_signal * float(np.mean(1.0 / p[good]))
 
 
 def multi_period_update(state: MultiPeriodState, report: MleReport) -> MultiPeriodState:

@@ -106,23 +106,6 @@ class LeaderEnsemble:
     aux: np.ndarray
     aux2: np.ndarray
     controls: np.ndarray
-    shocks: np.ndarray  # standard-normal draws, (n_paths, n_steps)
-
-
-@dataclass(frozen=True)
-class ObjectiveEstimate:
-    """Monte Carlo estimates of the leader's objectives over an ensemble."""
-
-    j_primary: float
-    j_var: float
-    j_info: float
-    mean_fisher: float
-    mean_precision: float
-    n_paths: int
-    n_degenerate: int
-    se_primary: float
-    se_info: float
-    se_var: float
 
 
 def _check_grid(grid: TimeGrid, other: TimeGrid, what: str):
@@ -184,8 +167,7 @@ def simulate_leader_batch(
     if not np.all(np.isfinite(u)):
         raise PolicyEvaluationError(f"policy returned a non-finite control at node {n}")
     controls[n] = u
-    return LeaderEnsemble(grid=grid, x=x.T, aux=aux.T, aux2=aux2.T, controls=controls.T,
-                          shocks=shocks)
+    return LeaderEnsemble(grid=grid, x=x.T, aux=aux.T, aux2=aux2.T, controls=controls.T)
 
 
 def _leader_scan(leader, coeffs, policy, gains, grid, shocks) -> LeaderEnsemble:
@@ -231,7 +213,7 @@ def _leader_scan(leader, coeffs, policy, gains, grid, shocks) -> LeaderEnsemble:
     if np.any(bad):
         j = int(np.argmax(bad))
         raise PolicyEvaluationError(f"policy returned a non-finite control at node {j}")
-    return LeaderEnsemble(grid=grid, x=x, aux=aux, aux2=aux2, controls=controls, shocks=shocks)
+    return LeaderEnsemble(grid=grid, x=x, aux=aux, aux2=aux2, controls=controls)
 
 
 def simulate_leader(
@@ -446,26 +428,6 @@ def evaluate_follower_cost(
     return float(trapz(integrand, grid))
 
 
-def precision_from_aux(
-    coeffs: DerivedCoefficients, aux: np.ndarray, aux2: np.ndarray
-) -> np.ndarray:
-    """Precision integral from the auxiliary states (quadratic expansion).
-
-    int g^2 = aux_T^2 * int decay - 2 aux_T aux2_T + int decay * aux^2,
-    exact on the grid in exact arithmetic, because every integral shares the
-    trapezoid weights. In floating point the three terms cancel: over 300
-    drawn models (horizons up to 3, up to 1500 steps) it was up to 3.4e-8
-    relative off ``compute_g_batch``, where the trapezoid of g^2 that
-    ``leader_batch_stats`` takes stayed within 2.9e-12. So it checks the
-    identity and is not the evaluator.
-    """
-    grid = coeffs.grid
-    aux = np.atleast_2d(aux)
-    aux2 = np.atleast_2d(aux2)
-    tail = trapz(coeffs.decay[None, :] * aux * aux, grid)
-    return aux[:, -1] ** 2 * coeffs.decay_l1 - 2.0 * aux[:, -1] * aux2[:, -1] + tail
-
-
 def leader_batch_stats(
     leader: LeaderModel,
     follower: FollowerModel,
@@ -527,51 +489,3 @@ def objective_paths(
         )
     return leader.inference_weight * follower.noise_to_signal / precision[good] + j_primary[good]
 
-
-def estimate_objectives(
-    leader: LeaderModel,
-    follower: FollowerModel,
-    coeffs: DerivedCoefficients,
-    fr: FollowerRiccati,
-    policy,
-    grid: TimeGrid,
-    n_paths: int,
-    rng: RngContract,
-) -> ObjectiveEstimate:
-    """Monte Carlo estimates of the primary, variance and information objectives.
-
-    Degenerate paths (see ``objective_paths``) are excluded from the
-    variance average and counted in ``n_degenerate``; the information
-    objective keeps every path.
-    """
-    if n_paths < 1:
-        raise InvalidArgumentError("n_paths must be >= 1")
-    shocks = rng.normal_matrix(n_paths, grid.n_steps, STREAM_LEADER)
-    _, precision, j_p, _ = leader_batch_stats(leader, follower, coeffs, fr, policy, grid, shocks)
-    j_info_paths = objective_paths(leader, follower, precision, j_p, "fisher")
-    j_var_paths = objective_paths(leader, follower, precision, j_p, "variance")
-    if follower.sigma == 0.0:
-        mean_fisher = math.inf
-    else:
-        mean_fisher = float(np.mean(precision)) / follower.noise_to_signal
-
-    def mean_se(v):
-        m = float(np.mean(v))
-        se = float(np.std(v, ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0
-        return m, se
-
-    jp_mean, jp_se = mean_se(j_p)
-    ji_mean, ji_se = mean_se(j_info_paths)
-    jv_mean, jv_se = mean_se(j_var_paths)
-    return ObjectiveEstimate(
-        j_primary=jp_mean,
-        j_var=jv_mean,
-        j_info=ji_mean,
-        mean_fisher=mean_fisher,
-        mean_precision=float(np.mean(precision)),
-        n_paths=n_paths,
-        n_degenerate=n_paths - len(j_var_paths),
-        se_primary=jp_se,
-        se_info=ji_se,
-        se_var=jv_se,
-    )

@@ -453,13 +453,8 @@ def run_benchmark_compare(cfg: ExperimentConfig) -> StudyResult:
     n_eval = cfg.study["n_eval_paths"]
     n_display = cfg.study["n_display_paths"]
 
-    policy_file = cfg.study["policy_file"]
-    if policy_file is not None:
-        try:
-            recurrent = load_policy_file(policy_file, grid)
-        except InvalidArgumentError as exc:
-            raise ConfigError(f"config.study.policy_file: {policy_file}: {exc}") from exc
-    else:
+    recurrent = load_study_policy(cfg, grid)
+    if recurrent is None:
         opt_cfg = OptimizerConfig(objective="fisher", master_seed=cfg.master_seed,
                                   **cfg.study["optimizer"])
         recurrent = optimize_policy(opt_cfg, lm, follower, coeffs, fr, grid).policy
@@ -476,7 +471,8 @@ def run_benchmark_compare(cfg: ExperimentConfig) -> StudyResult:
     summary = {
         "j_info_riccati": j_r,
         "j_info_recurrent": j_n,
-        "rel_gap": (j_n - j_r) / abs(j_r),
+        # A leader at rest (no noise, start or target) has j_r exactly 0.
+        "rel_gap": (j_n - j_r) / abs(j_r) if j_r != 0.0 else None,
         "diff_se": float(np.std(diff, ddof=1) / math.sqrt(n_eval)),
         "n_eval_paths": n_eval,
         # Parameters ride along in the summary so the fitted policy can be
@@ -638,6 +634,21 @@ def load_policy_file(path: str, grid: TimeGrid) -> RecurrentPolicy:
     if not np.all(np.isfinite(theta)):
         raise InvalidArgumentError("theta must be finite")
     return RecurrentPolicy(grid=grid, theta=theta, config=config)
+
+
+def load_study_policy(cfg: ExperimentConfig, grid: TimeGrid) -> RecurrentPolicy | None:
+    """The policy ``study.policy_file`` names on ``grid``, or None if it names none.
+
+    A file that ``load_policy_file`` refuses raises ``ConfigError`` naming
+    the field; one that cannot be read raises ``OSError``.
+    """
+    path = cfg.study.get("policy_file")
+    if path is None:
+        return None
+    try:
+        return load_policy_file(path, grid)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"config.study.policy_file: {path}: {exc}") from exc
 
 
 STUDY_RUNNERS = {

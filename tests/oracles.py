@@ -532,6 +532,23 @@ def compute_g_batch_one_line(fr, model, x_leader):
     return g, np.atleast_1d(trapz_one_line(g * g, fr.grid))
 
 
+def precision_from_aux(coeffs, aux, aux2):
+    """Precision integral from the auxiliary states (quadratic expansion).
+
+    int g^2 = aux_T^2 * int decay - 2 aux_T aux2_T + int decay * aux^2,
+    exact on the grid in exact arithmetic, because every integral shares the
+    trapezoid weights. In floating point the three terms cancel: over 300
+    drawn models (horizons up to 3, up to 1500 steps) it was up to 3.4e-8
+    relative off ``compute_g_batch``, where the trapezoid of g^2 that
+    ``leader_batch_stats`` takes stayed within 2.9e-12. So it checks the
+    identity and is not the evaluator.
+    """
+    aux = np.atleast_2d(aux)
+    aux2 = np.atleast_2d(aux2)
+    tail = trapz_one_line(coeffs.decay[None, :] * aux * aux, coeffs.grid)
+    return aux[:, -1] ** 2 * coeffs.decay_l1 - 2.0 * aux[:, -1] * aux2[:, -1] + tail
+
+
 def primary_cost_batch_one_line(leader, grid, x, controls):
     target = leader.target_at(grid.nodes, grid.horizon)
     run = 0.5 * leader.q_track * (x - target[None, :]) ** 2

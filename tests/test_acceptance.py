@@ -15,8 +15,15 @@ import pytest
 
 import stackinfer as si
 from stackinfer import cli
+from stackinfer.core import STREAM_LEADER
+from stackinfer.simulate import leader_batch_stats
 from conftest import HORIZON, TARGET_AMP, TARGET_OMEGA, make_follower, make_leader
-from oracles import FollowerClosedForm, leader_system_fine, riccati_constant_solution
+from oracles import (
+    FollowerClosedForm,
+    leader_system_fine,
+    precision_from_aux,
+    riccati_constant_solution,
+)
 
 
 def report(num, name, ok, detail=""):
@@ -163,16 +170,15 @@ def sweep_fishers(follower):
     grid = si.build_grid(HORIZON, 50)
     fr = si.solve_follower_a(follower, grid)
     coeffs = si.compute_coefficients(fr, follower)
-    rng = si.RngContract(20240601)
+    shocks = si.RngContract(20240601).normal_matrix(10_000, grid.n_steps, STREAM_LEADER)
     out = {}
     for ratio in PAPER_SWEEP:
         leader = make_leader(1.0, q_track=ratio)
         lr = si.solve_leader_system(leader, follower, coeffs)
-        est = si.estimate_objectives(
-            leader, follower, coeffs, fr, si.RiccatiPolicy(leader, lr), grid,
-            10_000, rng,
+        _, precision, _, _ = leader_batch_stats(
+            leader, follower, coeffs, fr, si.RiccatiPolicy(leader, lr), grid, shocks
         )
-        out[ratio] = est.mean_fisher
+        out[ratio] = float(np.mean(precision)) / follower.noise_to_signal
     return out
 
 
@@ -346,7 +352,7 @@ def test_criterion_10_precision_identity(follower):
     shocks = rng.normal_matrix(100, grid.n_steps, si.core.STREAM_LEADER, 0)
     ens = si.simulate_leader_batch(leader, coeffs, policy, grid, shocks)
     _, precision = si.compute_g_batch(fr, follower, ens.x)
-    via_aux = si.precision_from_aux(coeffs, ens.aux, ens.aux2)
+    via_aux = precision_from_aux(coeffs, ens.aux, ens.aux2)
     worst = float(np.max(np.abs(precision - via_aux)))
     ok = worst <= 1e-8
     report(10, "precision-identity", ok, f"worst |gap|={worst:.2e} over 100 paths")

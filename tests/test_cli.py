@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ import stackinfer as si
 from stackinfer import cli, core, studies
 from stackinfer.config import ConfigError, validate_config
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 BASE = {
     "follower": {
@@ -333,11 +335,25 @@ class TestCliCommands:
         path = write_doc(tmp_path, make_doc(name="benchmark-compare", n_eval_paths=4,
                                             n_display_paths=1, policy_file=str(policy_path)))
         out = tmp_path / "out"
-        assert cli.main(["run", "--config", path, "--out", str(out)]) == code
-        err = capsys.readouterr().err
-        if code == cli.EXIT_CONFIG:
-            assert "config error: config.study.policy_file" in err
+        for argv in (["validate"], ["run", "--out", str(out)]):
+            assert cli.main([*argv, "--config", path]) == code
+            err = capsys.readouterr().err
+            if code == cli.EXIT_CONFIG:
+                assert "config error: config.study.policy_file" in err
         assert out.exists() == (code == cli.EXIT_OK)
+
+    def test_leader_at_rest_has_no_relative_gap(self, tmp_path):
+        # No noise, start or target: the semi-explicit objective is exactly 0.
+        doc = make_doc(name="benchmark-compare", n_eval_paths=8, n_display_paths=1,
+                       optimizer=dict(budget=2, batch_size=4, eval_paths=4))
+        doc["leader"].update(sigma=0.0, x0=0.0)
+        doc["leader"]["target"]["amplitude"] = 0.0
+        out = tmp_path / "out"
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        summary = json.loads((out / "benchmark-compare_summary.json").read_text())["summary"]
+        assert summary["j_info_riccati"] == 0.0
+        assert summary["rel_gap"] is None
 
     @pytest.mark.parametrize("study, n_nodes", [
         (dict(name="wellposedness"), 51),
@@ -423,6 +439,15 @@ def mutated_configs(draw):
         fits = 2 ** study.get("fine_exponent", 0) if "fine_exponent" in study else n_steps
         n_values = rarely(draw, st.just(fits + 1), fits + 2)
         leader["target"] = {"kind": "tabulated", "values": [0.05] * n_values}
+    # Valid, but a leader at rest (no noise, start or target) has precision 0
+    # on every path and a semi-explicit objective of exactly 0.
+    if draw(st.integers(0, 7)) == 7:
+        leader.update(sigma=0.0, x0=0.0)
+        target = leader["target"]
+        if target["kind"] == "tabulated":
+            target["values"] = [0.0] * len(target["values"])
+        else:
+            target["amplitude"] = 0.0
     return doc
 
 
@@ -586,3 +611,13 @@ class TestStudySurfaces:
         summary = json.loads((out / "estimator-study_summary.json").read_text())
         variances = summary["summary"]["conditional_variance"]
         assert variances[1] < variances[0]
+
+
+def test_readme_sessions_run():
+    # A README session that calls a removed name fails here, not for a reader.
+    readme = ROOT / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.S | re.M)
+    sessions = [b for b in blocks if re.search(r"^(import|from) stackinfer", b, re.M)]
+    assert sessions
+    for source in sessions:
+        exec(compile(source, str(readme), "exec"), {"__name__": "readme"})

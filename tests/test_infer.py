@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackinfer as si
+from stackinfer.simulate import objective_paths
 from conftest import HORIZON, make_follower, make_leader
 
 
@@ -92,23 +93,30 @@ class TestContinuousMle:
 
 
 class TestEnsembleMoments:
+    # At unit inference weight, with no primary cost, a path's information
+    # objective is -precision / noise_to_signal, its Fisher information
+    # negated, and its variance objective noise_to_signal / precision.
     def test_zero_paths_give_zero_information(self, follower):
-        assert si.fisher_information_mc([0.0, 0.0], follower) == 0.0
+        j_p = np.array([0.25, 0.5])
+        fisher = objective_paths(make_leader(1.0), follower, np.zeros(2), j_p, "fisher")
+        assert np.array_equal(fisher, j_p)
 
     def test_single_path_equals_conditional(self, follower, fixed_setup):
         grid, fr, _, _, gp, b = fixed_setup
-        fi = si.fisher_information_mc([gp], follower)
-        var = si.variance_mc([gp], follower)
+        leader, p, zero = make_leader(1.0), np.array([gp.precision]), np.zeros(1)
+        fi = -objective_paths(leader, follower, p, zero, "fisher")[0]
+        var = objective_paths(leader, follower, p, zero, "variance")[0]
         assert fi == pytest.approx(gp.precision / follower.noise_to_signal, rel=1e-15)
         assert var == pytest.approx(follower.noise_to_signal / gp.precision, rel=1e-15)
 
     def test_empty_ensemble_rejected(self, follower):
-        with pytest.raises(si.InvalidArgumentError):
-            si.fisher_information_mc([], follower)
+        with pytest.raises(si.DegenerateEnsembleError):
+            objective_paths(make_leader(1.0), follower, np.empty(0), np.empty(0), "variance")
 
     def test_all_degenerate_rejected(self, follower):
+        p = np.array([0.0, 1e-16])
         with pytest.raises(si.DegenerateEnsembleError):
-            si.variance_mc([0.0, 1e-16], follower)
+            objective_paths(make_leader(1.0), follower, p, np.zeros(2), "variance")
 
     def test_variance_over_replays_matches_conditional(self, follower, fixed_setup):
         grid, fr, _, _, gp, b = fixed_setup

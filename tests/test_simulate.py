@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackinfer as si
+from stackinfer.core import STREAM_LEADER
+from stackinfer.simulate import PRECISION_FLOOR, leader_batch_stats, objective_paths
 from conftest import HORIZON, constant_policy, make_follower, make_leader, zero_policy
-from oracles import ou_mean_variance, trapezoid_primary_cost
+from oracles import ou_mean_variance, precision_from_aux, trapezoid_primary_cost
 
 
 def riccati_policy(leader, follower, coeffs):
@@ -167,7 +169,7 @@ class TestScoreProfile:
         for idx in range(5):
             path = si.simulate_leader(leader, co50, policy, grid50, si.RngContract(29), idx)
             gp = si.compute_g(fr50, follower, path.trajectory())
-            via_aux = si.precision_from_aux(co50, path.aux, path.aux2)[0]
+            via_aux = precision_from_aux(co50, path.aux, path.aux2)[0]
             assert gp.precision == pytest.approx(via_aux, abs=1e-8, rel=1e-8)
 
 
@@ -259,47 +261,66 @@ class TestFollowerCost:
         assert abs(float(np.mean(costs)) - value) <= 3.0 * se + 1e-3
 
 
+def leader_stats(leader, follower, coeffs, fr, grid, n_paths, seed, policy=None):
+    """Each path's precision and primary cost on the first ``n_paths`` leader rows."""
+    if policy is None:
+        policy = riccati_policy(leader, follower, coeffs)
+    shocks = si.RngContract(seed).normal_matrix(n_paths, grid.n_steps, STREAM_LEADER)
+    _, precision, j_p, _ = leader_batch_stats(leader, follower, coeffs, fr, policy, grid, shocks)
+    return precision, j_p
+
+
 class TestObjectives:
     def test_zero_weight_collapses_objectives(self, follower, fr50, co50, grid50):
         leader = make_leader(0.0)
-        policy = riccati_policy(leader, follower, co50)
-        est = si.estimate_objectives(
-            leader, follower, co50, fr50, policy, grid50, 200, si.RngContract(2)
-        )
-        assert est.j_var == est.j_info == est.j_primary
-        assert est.n_degenerate == 0
+        precision, j_p = leader_stats(leader, follower, co50, fr50, grid50, 200, 2)
+        for objective in ("fisher", "variance"):
+            values = objective_paths(leader, follower, precision, j_p, objective)
+            assert np.array_equal(values, j_p)
 
     def test_information_weight_shifts_objectives(self, follower, fr50, co50, grid50):
         leader = make_leader(0.5)
-        policy = riccati_policy(leader, follower, co50)
-        est = si.estimate_objectives(
-            leader, follower, co50, fr50, policy, grid50, 500, si.RngContract(2)
-        )
-        assert est.j_info < est.j_primary < est.j_var
-        assert est.mean_fisher > 0.0
+        precision, j_p = leader_stats(leader, follower, co50, fr50, grid50, 500, 2)
+        j_info = np.mean(objective_paths(leader, follower, precision, j_p, "fisher"))
+        j_var = np.mean(objective_paths(leader, follower, precision, j_p, "variance"))
+        assert j_info < np.mean(j_p) < j_var
+        assert np.mean(precision) / follower.noise_to_signal > 0.0
 
     def test_fisher_in_reported_range_at_half_weight(self, follower, fr50, co50, grid50):
         leader = make_leader(0.5)
-        policy = riccati_policy(leader, follower, co50)
-        est = si.estimate_objectives(
-            leader, follower, co50, fr50, policy, grid50, 10_000, si.RngContract(3)
-        )
-        assert 0.8 * 0.001 <= est.mean_fisher <= 1.2 * 0.146
+        precision, _ = leader_stats(leader, follower, co50, fr50, grid50, 10_000, 3)
+        mean_fisher = np.mean(precision) / follower.noise_to_signal
+        assert 0.8 * 0.001 <= mean_fisher <= 1.2 * 0.146
 
     def test_all_degenerate_raises(self, follower, fr50, co50, grid50):
         leader = make_leader(0.0, x0=0.0, sigma=0.0)
+        precision, j_p = leader_stats(leader, follower, co50, fr50, grid50, 16, 2,
+                                      policy=zero_policy())
         with pytest.raises(si.DegenerateEnsembleError):
-            si.estimate_objectives(
-                leader, follower, co50, fr50, zero_policy(), grid50, 16,
-                si.RngContract(2),
-            )
+            objective_paths(leader, follower, precision, j_p, "variance")
+
+    def test_degenerate_paths_leave_variance_only(self, follower):
+        leader = make_leader(0.5)
+        precision = np.array([0.3, np.nan, PRECISION_FLOOR, 0.0, 0.5])
+        j_p = np.arange(1.0, 6.0)
+        fisher = objective_paths(leader, follower, precision, j_p, "fisher")
+        info = si.scaled_info_weight(leader, follower)
+        assert np.array_equal(fisher, -info * precision + j_p, equal_nan=True)
+        variance = objective_paths(leader, follower, precision, j_p, "variance")
+        scale = leader.inference_weight * follower.noise_to_signal
+        assert np.array_equal(variance, scale / precision[[0, 4]] + j_p[[0, 4]])
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(1e-6, 10.0), min_size=2, max_size=30))
     def test_jensen_ordering(self, precisions):
         # mean(1/p) >= 1/mean(p): reciprocal-precision (variance) estimates
-        # dominate the reciprocal of mean precision (information).
+        # dominate the reciprocal of mean precision (information). At unit
+        # inference weight, with no primary cost, the variance objective is
+        # noise_to_signal / p and the information objective -p / noise_to_signal.
         model = make_follower()
-        var = si.variance_mc(precisions, model)
-        fi = si.fisher_information_mc(precisions, model)
+        leader = make_leader(1.0)
+        p = np.array(precisions)
+        zero = np.zeros_like(p)
+        var = np.mean(objective_paths(leader, model, p, zero, "variance"))
+        fi = -np.mean(objective_paths(leader, model, p, zero, "fisher"))
         assert var * fi >= 1.0 - 1e-12
