@@ -293,17 +293,21 @@ def block_transfer_maps(a: np.ndarray, out: np.ndarray) -> int:
 
 
 # A batch is solved blocked when it has fewer paths than steps and at most
-# SCAN_MAX_PATHS paths, and stepped otherwise. Stepping pays a fixed numpy
-# overhead per step; the blocked product takes about 2*sqrt(n) sequential
-# steps but several times the arithmetic. Stepped over blocked time for the
-# Riccati-law leader (k = 3) / Euler follower (k = 1), on a 2-vCPU x86_64
-# host with numpy 2.4, best of 7 interleaved: 1 x 8192 steps 16 / 27x;
-# 32 x 8192 3.1 / 6.9x; 128 x 8192 1.4 / 2.1x; 256 x 8192 0.71 / 1.4x;
-# 256 x 1024 1.1 / 1.4x; 384 x 1024 0.90 / 1.3x; 49 x 50 1.5 / 1.6x;
-# 2000 x 50 0.75 / 0.70x. The leader breaks even near 250 paths. Blocked
-# also wins on short grids (64 x 50 1.5x), but fewer paths than steps keeps
-# a study's short-grid chunks (70 of 200 rows, say) on the whole batch's
-# schedule, so that chunking leaves output bits alone.
+# SCAN_MAX_PATHS paths, and stepped otherwise; ``_affine_scan`` and the
+# leader's batch simulator (``simulate.simulate_leader_batch``) both decide
+# by ``_use_scan``. Stepping pays a fixed numpy overhead per step; the
+# blocked product takes about 2*sqrt(n) sequential steps but several times
+# the arithmetic. Stepped over blocked time on a 2-vCPU x86_64 host with
+# numpy 2.4. Euler follower (k = 1), stepped by this solver, best of 7
+# interleaved: 1 x 8192 steps 27x; 32 x 8192 6.9x; 128 x 8192 2.1x;
+# 256 x 8192 1.4x; 256 x 1024 1.4x; 384 x 1024 1.3x; 49 x 50 1.6x;
+# 2000 x 50 0.70x. Riccati-law leader (k = 3), stepped by the simulator's
+# in-place node loop, best of 5: 1 x 8192 69x; 32 x 8192 6.5x;
+# 128 x 8192 1.9x; 256 x 8192 1.3x; 256 x 1024 1.4x; 384 x 1024 1.1x;
+# 49 x 50 2.7x; 2000 x 50 0.60x. Blocked also wins on short grids
+# (64 x 50 1.9x for the leader), but fewer paths than steps keeps a study's
+# short-grid chunks (70 of 200 rows, say) on the whole batch's schedule, so
+# that chunking leaves output bits alone.
 SCAN_MAX_PATHS = 128
 
 
@@ -325,9 +329,9 @@ def _affine_scan(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     ``a`` is (n, k, k), shared by all paths. ``y`` is (n + 1, k, n_paths),
     step-major so that each step is contiguous: on entry y[0] holds the
-    start states and y[j+1] the forcing c[j], on return the solution. Only
-    this function picks a schedule (``_use_scan``): one step at a time, or
-    two-level blocked. Blocked, all blocks of about sqrt(n) steps are solved
+    start states and y[j+1] the forcing c[j], on return the solution. It
+    picks its schedule by ``_use_scan``: one step at a time, or two-level
+    blocked. Blocked, all blocks of about sqrt(n) steps are solved
     from a zero start at once with their transfer maps
     (``block_transfer_maps``), the block start states are carried across
     blocks one by one, and one pass adds each to its block; steps past the

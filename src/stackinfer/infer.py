@@ -232,7 +232,14 @@ def mle_discrete_joint_batch(
     x = np.ascontiguousarray(np.atleast_2d(values), dtype=float)
     if x.ndim != 2 or x.shape[1] != t.size:
         raise InvalidArgumentError("each row of values needs one value per observation time")
-    transition, score_int, var_int = _interval_tables(t, fr, gp)
+    return _mle_discrete_rows(x, _interval_tables(t, fr, gp), model)
+
+
+def _mle_discrete_rows(x: np.ndarray, tables, model: FollowerModel):
+    """``mle_discrete_joint_batch`` on checked row-major values and the
+    ``_interval_tables`` of their observation times, which a caller
+    estimating several batches at the same times may build once."""
+    transition, score_int, var_int = tables
     innov = x[:, 1:] - x[:, :-1] * transition
     gain = model.gain_sq_over_r
     denom = float(np.sum(score_int**2 / var_int))

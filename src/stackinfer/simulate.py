@@ -7,15 +7,18 @@ can read them online (the per-step loop advances them node by node), and
 the score profile and its precision integral can be read off them.
 
 Batch variants are vectorized across paths; each path's increments come
-from its own counter-derived stream. Under an affine law (the Riccati
-policy, or the follower's optimal response, in either mode) a batch is one
-affine recurrence, solved by ``core._affine_scan``, which alone picks its
-schedule from the batch shape; it agrees with the per-step loop to rounding.
-Other policies step their session once per node. Leader batches keep the
-state step-major either way, and the leader's precision and primary cost
-are formed on that layout. Every row is computed independently of the
-others, so a row does not depend on how many rows share its batch (within
-one of the solver's schedules) or on thread count.
+from its own counter-derived stream. Follower batches, in either mode, are
+one affine recurrence solved by ``core._affine_scan``; the exact mode can
+also compose its transition over blocks of steps and simulate only every
+block's end node. A leader batch under an affine law (the Riccati policy)
+is one blocked affine recurrence where ``core._use_scan`` admits its shape;
+every other leader batch is stepped node by node, in place, the affine law's
+control formed from its gains and any other policy's from its session. The
+stepped affine law is the session loop bit for bit, the blocked recurrence
+agrees with it to rounding. Leader batches keep the state step-major either
+way, and the leader's precision and primary cost are formed on that layout.
+Every row is computed independently of the others, so a row does not depend
+on how many rows share its batch (within one schedule) or on thread count.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     _affine_scan,
+    _use_scan,
     cumtrapz,
     trapz,
     trapz_step_major,
@@ -122,12 +126,15 @@ def simulate_leader_batch(
 ) -> LeaderEnsemble:
     """Euler-Maruyama batch of leader paths under ``policy``.
 
-    ``shocks`` holds standard-normal draws, one row per path. A policy with
-    an affine law (``gains``) is solved as one affine recurrence, with no
-    session calls. Any other policy's session is stepped once per node in
-    order; sessions may be stateful (recurrent policies), so rows of a
-    batch advance together. Either way the state is kept step-major (see
-    ``LeaderEnsemble``).
+    ``shocks`` holds standard-normal draws, one row per path. The schedule
+    is picked here, by ``core._use_scan``: a batch under an affine law
+    (``gains``) that the predicate admits is solved blocked as one affine
+    recurrence (``_leader_scan``). Every other batch is stepped node by
+    node, in place: under an affine law the control is formed from the
+    gains with no session call, otherwise the policy's session is called
+    once per node in order (sessions may be stateful, as recurrent policies
+    are, so rows of a batch advance together). Either way the state is kept
+    step-major (see ``LeaderEnsemble``).
     """
     _check_grid(grid, coeffs.grid, "coefficients")
     shocks = np.asarray(shocks, dtype=float)
@@ -135,38 +142,68 @@ def simulate_leader_batch(
         raise InvalidArgumentError(
             f"shocks must be (n_paths, {grid.n_steps}), got {shocks.shape}"
         )
+    n_paths, n = shocks.shape
     gains = getattr(policy, "gains", None)
-    if gains is not None:
+    if gains is not None and _use_scan(n_paths, n):
         return _leader_scan(leader, coeffs, policy, gains, grid, shocks)
 
-    n_paths = shocks.shape[0]
-    n = grid.n_steps
     h = grid.h
-    sqrt_h = math.sqrt(h)
-    a_l, b_l, sig = leader.a_drift, leader.b_control, leader.sigma
+    half_h = 0.5 * h
+    a_l, b_l = leader.a_drift, leader.b_control
     w, d = coeffs.weight, coeffs.decay
-
-    # One contiguous row per node; the session reads the prefix path-major.
+    # One contiguous row per node; a session reads the prefix path-major.
     y = np.empty((n + 1, 3, n_paths))
     x, aux, aux2 = y[:, 0], y[:, 1], y[:, 2]
     controls = np.empty((n + 1, n_paths))
     x[0] = leader.x0
     aux[0] = 0.0
     aux2[0] = 0.0
+    noise = np.multiply(shocks.T, leader.sigma * math.sqrt(h), order="C")
+    s1 = np.empty(n_paths)
+    s2 = np.empty(n_paths)
+    if gains is not None:
+        session = None
+        scale, state_gain, offset = gains
+    else:
+        session = policy.session(n_paths)
 
-    session = policy.session(n_paths)
-    for j in range(n):
-        u = np.asarray(session.controls(j, x[: j + 1].T, aux[j], aux2[j]), dtype=float)
+    def control(j):
+        # The law at node j, into controls[j]; an affine law with the
+        # operations of ``control_at``: scale * (k0 x + k1 aux + k2 aux2 + offset).
+        u = controls[j]
+        if session is None:
+            k = state_gain[j]
+            np.multiply(x[j], k[0], out=u)
+            u += np.multiply(aux[j], k[1], out=s1)
+            u += np.multiply(aux2[j], k[2], out=s1)
+            u += offset[j]
+            u *= scale
+            return
+        u[:] = session.controls(j, x[: j + 1].T, aux[j], aux2[j])
         if not np.all(np.isfinite(u)):
             raise PolicyEvaluationError(f"policy returned a non-finite control at node {j}")
-        controls[j] = u
-        x[j + 1] = x[j] + (a_l * x[j] + b_l * u) * h + sig * sqrt_h * shocks[:, j]
-        aux[j + 1] = aux[j] - 0.5 * h * (w[j] * x[j] + w[j + 1] * x[j + 1])
-        aux2[j + 1] = aux2[j] + 0.5 * h * (d[j] * aux[j] + d[j + 1] * aux[j + 1])
-    u = np.asarray(session.controls(n, x.T, aux[n], aux2[n]), dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise PolicyEvaluationError(f"policy returned a non-finite control at node {n}")
-    controls[n] = u
+
+    for j in range(n):
+        control(j)
+        # x' = x + (a_l x + b_l u) h + noise
+        np.multiply(x[j], a_l, out=s1)
+        s1 += np.multiply(controls[j], b_l, out=s2)
+        s1 *= h
+        np.add(x[j], s1, out=x[j + 1])
+        x[j + 1] += noise[j]
+        # aux' = aux - (h/2) (w x + w' x')
+        np.multiply(x[j], w[j], out=s1)
+        s1 += np.multiply(x[j + 1], w[j + 1], out=s2)
+        s1 *= half_h
+        np.subtract(aux[j], s1, out=aux[j + 1])
+        # aux2' = aux2 + (h/2) (d aux + d' aux')
+        np.multiply(aux[j], d[j], out=s1)
+        s1 += np.multiply(aux[j + 1], d[j + 1], out=s2)
+        s1 *= half_h
+        np.add(aux2[j], s1, out=aux2[j + 1])
+    control(n)
+    if session is None:
+        _check_controls(controls)
     return LeaderEnsemble(grid=grid, x=x.T, aux=aux.T, aux2=aux2.T, controls=controls.T)
 
 
@@ -209,11 +246,17 @@ def _leader_scan(leader, coeffs, policy, gains, grid, shocks) -> LeaderEnsemble:
 
     x, aux, aux2 = y[:, 0].T, y[:, 1].T, y[:, 2].T
     controls = np.asarray(policy.control_at(slice(None), x, aux, aux2), dtype=float)
-    bad = ~np.all(np.isfinite(controls), axis=0)
+    _check_controls(controls.T)
+    return LeaderEnsemble(grid=grid, x=x, aux=aux, aux2=aux2, controls=controls)
+
+
+def _check_controls(controls: np.ndarray):
+    """Raise ``PolicyEvaluationError`` at the first node where step-major
+    (n_nodes, n_paths) controls are not all finite."""
+    bad = ~np.all(np.isfinite(controls), axis=1)
     if np.any(bad):
         j = int(np.argmax(bad))
         raise PolicyEvaluationError(f"policy returned a non-finite control at node {j}")
-    return LeaderEnsemble(grid=grid, x=x, aux=aux, aux2=aux2, controls=controls)
 
 
 def simulate_leader(
@@ -297,7 +340,8 @@ def simulate_follower_batch(
     ``_exact_transition_tables(model, fr, b, grid)`` returns; a caller
     simulating several batches with the same model, ``fr``, ``b`` and grid
     may build them once and pass them as ``tables``. Without ``tables`` they
-    are built here. The Euler mode ignores ``tables``.
+    are built here. The Euler mode ignores ``tables`` and steps its own
+    (1 + f h, (b_F^2/r_F) b h, h).
     """
     _check_grid(grid, fr.grid, "follower Riccati")
     b = np.asarray(b, dtype=float)
@@ -311,27 +355,55 @@ def simulate_follower_batch(
     if mode not in ("euler", "exact"):
         raise InvalidArgumentError(f"unknown simulation mode {mode!r}")
 
-    # x[j+1] = mult[j] * x[j] + offset[j] + noise[j] * shock[j] in both modes.
-    n_paths, n = shocks.shape
-    h = grid.h
+    # Both modes step x[j+1] = mult[j] x[j] - drift[j] + sigma sqrt(var[j]) shock[j].
+    n = grid.n_steps
     if mode == "euler":
-        mult = 1.0 + fr.f[:-1] * h
-        offset = -model.gain_sq_over_r * b[:-1] * h
-        noise = model.sigma * math.sqrt(h)
-    else:
-        if tables is None:
-            tables = _exact_transition_tables(model, fr, b, grid)
-        e_step, drift_step, var_step = tables
-        if not e_step.shape == drift_step.shape == var_step.shape == (n,):
-            raise InvalidArgumentError(f"transition tables must hold {n} steps each")
-        mult, offset = e_step, -drift_step
-        noise = (model.sigma * np.sqrt(var_step))[:, None]
+        h = grid.h
+        tables = (1.0 + fr.f[:-1] * h, model.gain_sq_over_r * b[:-1] * h, np.full(n, h))
+    elif tables is None:
+        tables = _exact_transition_tables(model, fr, b, grid)
+    elif not all(t.shape == (n,) for t in tables):
+        raise InvalidArgumentError(f"transition tables must hold {n} steps each")
+    return _follower_nodes(model, tables, shocks, 1)
+
+
+def _follower_nodes(model: FollowerModel, tables, shocks: np.ndarray, stride: int):
+    """Every ``stride``-th node of the follower paths driven by ``shocks``.
+
+    ``tables`` holds per-step (mult, drift, var) of
+    x[j+1] = mult[j] x[j] - drift[j] + sigma sqrt(var[j]) shocks[:, j], and
+    rows of ``shocks`` are paths starting at ``model.x0``. Over a block of
+    ``stride`` steps this composes exactly: x[i+stride] = M x[i] - D +
+    sum_l w_l shocks[:, i+l], with M the product of the block's ``mult``,
+    D = sum_l P_l drift_l and w_l = P_l sigma sqrt(var_l), where P_l is the
+    product of the ``mult`` of the block's later steps. The forcing is that
+    weighted shock sum, formed elementwise in a fixed order (so a row's bits
+    do not depend on its batch), and the coarse recurrence is solved by
+    ``core._affine_scan``. At stride 1 every P_l is 1 and each node is the
+    one-step recurrence's own. ``stride`` divides the step count n; returns
+    (n_paths, n // stride + 1).
+    """
+    n_paths, n = shocks.shape
+    m = n // stride
+    mult, drift, var = (np.reshape(t, (m, stride)) for t in tables)
+    # later[:, l] = P_l, the product of mult over the block's steps after l.
+    later = np.ones((m, stride))
+    for l in range(stride - 2, -1, -1):
+        later[:, l] = later[:, l + 1] * mult[:, l + 1]
+    weights = later * (model.sigma * np.sqrt(var))
+    block_drift = np.sum(later * drift, axis=1)
     # The start state and the forcing in the solver's step-major layout.
-    y = np.empty((n + 1, 1, n_paths))
+    y = np.empty((m + 1, 1, n_paths))
     y[0] = model.x0
-    np.multiply(shocks.T, noise, out=y[1:, 0])
-    y[1:, 0] += offset[:, None]
-    return np.ascontiguousarray(_affine_scan(mult[:, None, None], y)[:, 0].T)
+    forcing = y[1:, 0]
+    step_shocks = shocks.T
+    np.multiply(step_shocks[0::stride], weights[:, :1], out=forcing)
+    term = np.empty_like(forcing)
+    for l in range(1, stride):
+        forcing += np.multiply(step_shocks[l::stride], weights[:, l : l + 1], out=term)
+    forcing -= block_drift[:, None]
+    block_mult = later[:, 0] * mult[:, 0]
+    return np.ascontiguousarray(_affine_scan(block_mult[:, None, None], y)[:, 0].T)
 
 
 def simulate_follower(

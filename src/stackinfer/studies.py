@@ -36,10 +36,10 @@ from .core import (
 from .infer import (
     DiscreteObservations,
     MultiPeriodState,
+    _interval_tables,
+    _mle_discrete_rows,
     mle_continuous,
     mle_continuous_batch,
-    mle_discrete_joint,
-    mle_discrete_joint_batch,
     multi_period_update,
     realized_variance_proxy,
     stopping_rule,
@@ -61,6 +61,7 @@ from .riccati import (
 )
 from .simulate import (
     _exact_transition_tables,
+    _follower_nodes,
     compute_g,
     leader_batch_stats,
     objective_paths,
@@ -90,14 +91,15 @@ def _provenance(cfg: ExperimentConfig) -> dict:
     }
 
 
-# Rows x steps simulated at once by a study chunk: bounds peak memory on fine
+# Rows x steps drawn at once by a study chunk: bounds peak memory on fine
 # grids (100 paths of 2^13 steps become 4 chunks) while 50-step ensembles of
 # up to 5242 paths stay in one. Paths draw from index-keyed streams and rows
-# never mix, so chunking changes no output, except that the affine-law
-# solver picks its schedule from the chunk's shape (``core._use_scan``): a
-# chunk of at most ``core.SCAN_MAX_PATHS`` rows, fewer than its steps, may be
-# solved blocked where the whole batch would be stepped (they agree to
-# rounding).
+# never mix, so chunking changes no output, except that a schedule is picked
+# from the chunk's shape (``core._use_scan``): a chunk of at most
+# ``core.SCAN_MAX_PATHS`` rows, fewer than its steps, may be solved blocked
+# where the whole batch would be stepped (they agree to rounding). The
+# discrete-convergence replications are solved on their observation grid, so
+# their schedule comes from the chunk's rows and that coarse grid's steps.
 CHUNK_ELEMENTS = 1 << 18
 
 
@@ -394,28 +396,27 @@ def run_discrete_convergence(cfg: ExperimentConfig) -> StudyResult:
     xf = simulate_follower_batch(follower, fr, b, grid, fshocks, mode="exact", tables=tables)[0]
     m_cont = float(mle_continuous_batch(xf[None], gp, fr, follower)[0])
 
+    # Each level observes the fine path at every stride-th node. The loop ends
+    # at the finest level, whose stride and interval tables also serve the
+    # replications below.
     rows = []
     for k in sorted(levels):
         stride = 2 ** (fine_exp - k)
         idx = np.arange(0, grid.n_nodes, stride)
         obs = DiscreteObservations(times=grid.nodes[idx], values=xf[idx])
-        est = mle_discrete_joint(obs, fr, gp, follower)
-        rows.append(
-            [k, len(idx) - 1, obs.mesh, est.m_hat, m_cont, abs(est.m_hat - m_cont),
-             est.sigma2_hat]
+        level_tables = _interval_tables(obs.times, fr, gp)
+        m_hat, sigma2_hat = (
+            float(v[0]) for v in _mle_discrete_rows(obs.values[None], level_tables, follower)
         )
+        rows.append([k, len(idx) - 1, obs.mesh, m_hat, m_cont, abs(m_hat - m_cont), sigma2_hat])
 
-    # Noise-level consistency at the finest level over fresh follower paths.
-    k_fin = max(levels)
-    stride = 2 ** (fine_exp - k_fin)
-    idx = np.arange(0, grid.n_nodes, stride)
+    # Noise-level consistency at the finest level over fresh follower paths,
+    # simulated on its observation nodes only.
     sigma2 = np.empty(n_reps)
 
     def step(start, stop, shocks):
-        xs = simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact", tables=tables)
-        _, sigma2[start:stop] = mle_discrete_joint_batch(
-            grid.nodes[idx], xs[:, idx], fr, gp, follower
-        )
+        xs = _follower_nodes(follower, tables, shocks, stride)
+        _, sigma2[start:stop] = _mle_discrete_rows(xs, level_tables, follower)
 
     # Replication i replays follower row 1 + i; row 0 is the fine path's.
     _for_chunks(rng, STREAM_FOLLOWER, n_reps, grid.n_steps, step, first=1)

@@ -1,10 +1,15 @@
 """Agreement gates: every fast path against the per-step loop it replaces.
 
-The affine recurrence solver (``core._affine_scan``) is the one path for
-leader batches under an affine law, follower batches in both modes and the
-follower's ``b``. Its blocked schedule re-associates rounding and its
-per-step schedule rounds the step differently from the loops, so paths and
-``(b, c)`` agree with the loops to a relative 1e-12 of their magnitude. The
+The affine recurrence solver (``core._affine_scan``) solves follower
+batches in both modes, the follower's ``b`` and the leader batches
+``core._use_scan`` admits under an affine law. Its blocked schedule
+re-associates rounding and its per-step schedule rounds the step
+differently from the loops, so paths and ``(b, c)`` agree with the loops
+to a relative 1e-12 of their magnitude. Every other leader batch under an
+affine law is stepped by the simulator's node loop, bit for bit the law
+through a session. Exact follower paths composed over blocks of steps
+agree with the fine-grid paths at the block ends to 1e-13 of the path
+scale. The
 leader's Riccati system is a different fourth-order scheme (the linear
 Hamiltonian product): it agrees with the RK4 loop to 1e-10 relative, or
 within twice RK4's own error where the grid does not resolve the solution,
@@ -37,7 +42,12 @@ from oracles import (
     trapz_one_line,
 )
 from stackinfer.core import _affine_scan, _use_scan
-from stackinfer.simulate import _exact_transition_tables, leader_batch_stats
+from stackinfer.simulate import (
+    _exact_transition_tables,
+    _follower_nodes,
+    _leader_scan,
+    leader_batch_stats,
+)
 
 RTOL = 1e-12
 HAMILTONIAN_RTOL = 1e-10
@@ -564,6 +574,84 @@ def test_leader_stats_match_one_line_on_drawn_models(
         assert np.all(np.abs(effort - want) <= 1e-12 * np.abs(want))
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    a_drift=st.floats(-3.0, 1.0),
+    q_track=st.floats(0.0, 5.0),
+    inference_weight=st.floats(0.0, 0.5),
+    horizon=st.floats(0.1, 3.0),
+    n_steps=st.integers(2, 300),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_affine_law_batches_keep_their_schedules_bits(
+    a_drift, q_track, inference_weight, horizon, n_steps, data, seed
+):
+    # A batch the solver would step runs the session loop's node steps with
+    # the law's control formed in place, so it equals the same law through a
+    # session bit for bit, trapezoid identities included, and both equal the
+    # oracle loop's expressions. A batch ``_use_scan`` admits stays on the
+    # blocked recurrence, unchanged.
+    follower, grid, fr, coeffs, leader, policy = stats_case(
+        a_drift, q_track, inference_weight, horizon, n_steps
+    )
+    m = si.core.SCAN_MAX_PATHS
+    n_paths = data.draw(st.sampled_from([1, 2, m, m + 1, n_steps - 1, n_steps, n_steps + 1, 400])
+                        .filter(lambda k: k >= 1))
+    shocks = np.random.default_rng(seed).standard_normal((n_paths, n_steps))
+    ens = si.simulate_leader_batch(leader, coeffs, policy, grid, shocks)
+    if _use_scan(n_paths, n_steps):
+        ref = _leader_scan(leader, coeffs, policy, policy.gains, grid, shocks)
+    else:
+        loop_policy = si.FunctionPolicy(
+            lambda j, x, aux, aux2: policy.control_at(j, x[:, -1], aux, aux2)
+        )
+        ref = si.simulate_leader_batch(leader, coeffs, loop_policy, grid, shocks)
+        oracle = leader_batch_loop(leader, coeffs, loop_policy, grid, shocks)
+        for got, want in zip((ref.x, ref.aux, ref.aux2, ref.controls), oracle):
+            assert np.array_equal(got, want)
+    for name in ("x", "aux", "aux2", "controls"):
+        assert np.array_equal(getattr(ens, name), getattr(ref, name)), name
+
+
+def follower_case(follower, n_steps, horizon=HORIZON):
+    """Grid, follower solve, ``b`` for a fixed leader path and exact tables."""
+    grid = si.build_grid(horizon, n_steps)
+    fr = si.solve_follower_a(follower, grid)
+    x_leader = si.Trajectory(grid=grid, values=0.1 * np.cos(3.0 * grid.nodes))
+    b, _ = si.solve_follower_bc(fr, follower, x_leader)
+    return grid, fr, b, _exact_transition_tables(follower, fr, b, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a_drift=st.floats(-3.0, 1.0),
+    q_track=st.floats(0.0, 5.0),
+    sigma=st.floats(0.01, 1.0),
+    horizon=st.floats(0.1, 3.0),
+    stride=st.sampled_from([1, 2, 8, 16]),
+    n_blocks=st.integers(1, 80),
+    n_paths=st.sampled_from([1, 3, 40, 200]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_observation_grid_paths_match_fine_paths(
+    a_drift, q_track, sigma, horizon, stride, n_blocks, n_paths, seed
+):
+    # Composing the exact transition over blocks of ``stride`` steps gives
+    # the fine-grid exact paths at the block ends, to rounding; at stride 1
+    # it is the fine-grid simulator itself.
+    follower = make_follower(a_drift=a_drift, q_track=q_track, sigma=sigma)
+    grid, fr, b, tables = follower_case(follower, stride * n_blocks, horizon)
+    shocks = np.random.default_rng(seed).standard_normal((n_paths, grid.n_steps))
+    fine = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact", tables=tables)
+    got = _follower_nodes(follower, tables, shocks, stride)
+    want = fine[:, ::stride]
+    assert got.shape == want.shape
+    if stride == 1:
+        assert np.array_equal(got, want)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("n_steps", [50, 200])
 def test_one_path_stats_equal_its_row_in_a_batch(follower, n_steps):
     # np.sum down the first axis adds a lone column pairwise and several in
@@ -628,6 +716,13 @@ def test_rows_do_not_depend_on_batch_size(follower, n_steps, blocked, data, seed
     shared = slice(rows - n_b, n_a)
     for got_a, got_b in zip(out_a, out_b):
         assert np.array_equal(got_a[shared], got_b[: n_a - (rows - n_b)])
+    # The exact follower on the observation grid, where both batches fall
+    # in one schedule of its coarse recurrence.
+    tables = _exact_transition_tables(follower, fr, b, grid)
+    if _use_scan(n_a, n_steps // 5) == _use_scan(n_b, n_steps // 5):
+        obs_a = _follower_nodes(follower, tables, fshocks[:n_a], 5)
+        obs_b = _follower_nodes(follower, tables, fshocks[rows - n_b :], 5)
+        assert np.array_equal(obs_a[shared], obs_b[: n_a - (rows - n_b)])
     # One path through the single-path estimator is its batch row.
     euler_row = out_a[4][-1]
     fpath = si.FollowerPath(grid=grid, x=euler_row, brownian=np.zeros(n_steps),

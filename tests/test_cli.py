@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import stackinfer as si
 from stackinfer import cli, core, studies
-from stackinfer.config import ConfigError, validate_config
+from stackinfer.config import MAX_STEPS, ConfigError, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -204,7 +204,9 @@ class TestCliCommands:
         "study, field",
         [(dict(levels=[20]), "config.study.levels[0]"),
          (dict(fine_exponent=8, levels=[4, 8]), "config.study.levels[1]"),
-         (dict(fine_exponent=8), "config.study.fine_exponent")],
+         (dict(fine_exponent=8), "config.study.fine_exponent"),
+         # a repeated level would write two identical rows
+         (dict(fine_exponent=8, levels=[6, 6, 0]), "config.study.levels[1]")],
     )
     def test_validate_agrees_with_run_on_levels(self, tmp_path, capsys, study, field):
         path = write_doc(tmp_path, make_doc(name="discrete-convergence", **study))
@@ -214,6 +216,35 @@ class TestCliCommands:
         assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("study, n_steps, field", [
+        (dict(name="discrete-convergence", fine_exponent=45, levels=[4]), 50,
+         "config.study.fine_exponent"),
+        (dict(name="discrete-convergence", fine_exponent=21, levels=[4]), 50,
+         "config.study.fine_exponent"),
+        (dict(name="wellposedness"), MAX_STEPS + 1, "config.grid.n_steps"),
+    ])
+    def test_grid_above_the_step_cap_is_refused(self, tmp_path, capsys, study, n_steps, field):
+        # A grid past the cap would exhaust memory inside run; both
+        # commands refuse it up front, naming the field.
+        doc = make_doc(**study)
+        doc["grid"]["n_steps"] = n_steps
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("study, n_steps", [
+        (dict(name="discrete-convergence", fine_exponent=20, levels=[4]), 50),
+        (dict(name="wellposedness"), MAX_STEPS),
+    ])
+    def test_grid_at_the_step_cap_validates(self, study, n_steps):
+        doc = make_doc(**study)
+        doc["grid"]["n_steps"] = n_steps
+        validate_config(doc)
 
     @pytest.mark.parametrize("doc, field", [
         (dict(name="tradeoff-sweep", ratios=[1.0], n_paths=10),
@@ -402,7 +433,7 @@ def mutated_configs(draw):
     weights = st.sampled_from([0.0, 0.3, 0.93, 2.0])
     bound = core.SCAN_MAX_PATHS
     n_steps = draw(st.integers(1, 16) | st.just(bound + 2))
-    grid["n_steps"] = n_steps
+    grid["n_steps"] = rarely(draw, st.just(n_steps), MAX_STEPS + 1)
     straddle = [n_steps - 1, n_steps, n_steps + 1, bound - 1, bound, bound + 1]
     paths = st.integers(2, 12) | st.sampled_from([k for k in straddle if k >= 2])
     doc["follower"]["sigma"] = rarely(draw, st.just(0.1), 0.0)
@@ -430,13 +461,14 @@ def mutated_configs(draw):
                                   batch_size=rarely(draw, st.sampled_from([2, 4]), 1),
                                   eval_paths=rarely(draw, st.sampled_from([2, 4]), 1))
     if study["name"] == "discrete-convergence":
-        fine = study["fine_exponent"] = draw(st.integers(1, 6))
+        fine = draw(st.integers(1, 6))
+        study["fine_exponent"] = rarely(draw, st.just(fine), 45)
         study["levels"] = rarely(
             draw, st.lists(st.integers(0, fine - 1), min_size=1, max_size=3), [fine]
         )
         study["n_sigma_replications"] = rarely(draw, st.integers(2, 8), 1)
     if draw(st.booleans()):
-        fits = 2 ** study.get("fine_exponent", 0) if "fine_exponent" in study else n_steps
+        fits = 2**fine if "fine_exponent" in study else n_steps
         n_values = rarely(draw, st.just(fits + 1), fits + 2)
         leader["target"] = {"kind": "tabulated", "values": [0.05] * n_values}
     # Valid, but a leader at rest (no noise, start or target) has precision 0
@@ -588,6 +620,10 @@ class TestStudySurfaces:
         # every chunk on the per-step loop
         (70, dict(name="estimator-study", inference_weights=[0.5], n_replays=200)),
         (70, dict(name="tradeoff-sweep", ratios=[1.0, 10.0], n_paths=200)),
+        # stride 16: replications on a 32-step observation grid, chunks of
+        # 3, 3, 3 and 1 rows, whole batch and chunks all blocked
+        (3, dict(name="discrete-convergence", fine_exponent=9, levels=[5, 4],
+                 n_sigma_replications=10)),
     ])
     def test_chunk_cap_leaves_files_unchanged(self, tmp_path, monkeypatch, chunk_rows, study):
         doc = make_doc(**study)

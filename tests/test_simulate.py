@@ -48,10 +48,11 @@ class TestSimulateLeader:
 
     @pytest.mark.parametrize(("n_steps", "n_paths"), [(50, 100), (2**13, 1)])
     def test_aux_match_cumulative_integrals_bitwise(self, follower, n_steps, n_paths):
-        # A session-loop policy advances the auxiliary states with the
-        # trapezoid steps of cumtrapz, so they match bit for bit. The same
-        # law as a RiccatiPolicy keeps them from the affine recurrence (100 x
-        # 50 stepped, 1 x 2^13 blocked), which matches to rounding.
+        # The stepped node loop advances the auxiliary states with the
+        # trapezoid steps of cumtrapz, so they match bit for bit: under a
+        # session-loop policy always, and under the same law as a
+        # RiccatiPolicy on 100 x 50. On 1 x 2^13 the RiccatiPolicy keeps
+        # them from the blocked recurrence, which matches to rounding.
         grid = si.build_grid(HORIZON, n_steps)
         coeffs = si.compute_coefficients(si.solve_follower_a(follower, grid), follower)
         leader = make_leader(0.5)
@@ -60,7 +61,8 @@ class TestSimulateLeader:
             lambda j, x, aux, aux2: policy.control_at(j, x[:, -1], aux, aux2)
         )
         shocks = si.RngContract(7).normal_matrix(n_paths, n_steps, si.core.STREAM_LEADER, 0)
-        for law, exact in ((loop_policy, True), (policy, False)):
+        stepped = not si.core._use_scan(n_paths, n_steps)
+        for law, exact in ((loop_policy, True), (policy, stepped)):
             ens = si.simulate_leader_batch(leader, coeffs, law, grid, shocks)
             aux = -si.cumtrapz(coeffs.weight * ens.x, grid)
             aux2 = si.cumtrapz(coeffs.decay * ens.aux, grid)
