@@ -113,23 +113,31 @@ def _string(value, path):
     return value
 
 
-def _number_list(value, path):
-    _expect(isinstance(value, list) and len(value) > 0, path, "must be a nonempty array")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+def _list_of(check):
+    """Validator of a nonempty array whose every entry passes ``check``."""
+
+    def check_list(value, path):
+        _expect(isinstance(value, list) and len(value) > 0, path, "must be a nonempty array")
+        return [check(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+    return check_list
 
 
-def _pair_list(value, path):
-    _expect(isinstance(value, list) and len(value) > 0, path, "must be a nonempty array")
-    out = []
-    for i, v in enumerate(value):
-        _expect(isinstance(v, list) and len(v) == 2, f"{path}[{i}]", "must be a pair")
-        out.append((_nonnegative(v[0], f"{path}[{i}][0]"), _nonnegative(v[1], f"{path}[{i}][1]")))
-    return out
+def _nonnegative_pair(value, path):
+    _expect(isinstance(value, list) and len(value) == 2, path, "must be a pair")
+    return _nonnegative(value[0], f"{path}[0]"), _nonnegative(value[1], f"{path}[1]")
 
 
-def _nonnegative_int_list(value, path):
-    _expect(isinstance(value, list) and len(value) > 0, path, "must be a nonempty array")
-    return [_nonnegative_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
+def _finite_gain(path: str, what: str, compute, positive: bool = True):
+    """Refuse ``path`` unless compute() is a finite float, > 0 if ``positive``
+    (else >= 0); overflow counts as inf."""
+    try:
+        v = compute()
+    except (OverflowError, ZeroDivisionError):
+        v = math.inf
+    sign = "positive" if positive else "nonnegative"
+    _expect(math.isfinite(v) and (v > 0 if positive else v >= 0), path,
+            f"{what} is {v!r}, must be {sign} and finite")
 
 
 def _check_levels(study: dict, given: dict):
@@ -194,7 +202,7 @@ def _target(value, path):
             "exactly one of 'omega' or 'cycles' is required",
         )
         return spec
-    return _check_block(value, path, {"kind": _string, "values": _number_list})
+    return _check_block(value, path, {"kind": _string, "values": _list_of(_number)})
 
 
 def _formats(value, path):
@@ -260,27 +268,27 @@ STUDY_SCHEMAS = {
         },
     ),
     "tradeoff-sweep": (
-        {"ratios": _number_list},
+        {"ratios": _list_of(_positive)},
         {"n_paths": (_positive_int, 10_000)},
     ),
     "objective-compare": (
-        {"pairs": _pair_list},
+        {"pairs": _list_of(_nonnegative_pair)},
         {"n_paths": (_positive_int, 10_000), "optimizer": (_optimizer, {})},
     ),
     "estimator-study": (
-        {"inference_weights": _number_list},
+        {"inference_weights": _list_of(_nonnegative)},
         {"n_replays": (_int_at_least(10, "the bias curve starts at 10 replays"), 10_000),
          "path_seed_index": (_stream_index, 0)},
     ),
     "multi-period": (
-        {"inference_weights": _number_list, "n_episodes": _positive_int},
+        {"inference_weights": _list_of(_nonnegative), "n_episodes": _positive_int},
         {"variance_threshold": (_positive, None)},
     ),
     "discrete-convergence": (
         {},
         {
             "fine_exponent": (_step_exponent, 14),
-            "levels": (_nonnegative_int_list, list(range(4, 11))),
+            "levels": (_list_of(_nonnegative_int), list(range(4, 11))),
             "n_sigma_replications": (_int_at_least(2, "a spread needs two replications"), 100),
         },
     ),
@@ -388,11 +396,20 @@ def validate_config(doc: Any) -> ExperimentConfig:
         n_eval = checked["n_eval_paths"]
         _expect(checked["n_display_paths"] <= n_eval,
                 "config.study.n_display_paths", f"must not exceed n_eval_paths ({n_eval})")
-    leader = top["leader"]
+    # Every study divides by the follower's noise-to-signal ratio, and the
+    # leader's Riccati solve forms its gain 2 b^2 / r (0 for b = 0), both in floats.
+    fol, leader = top["follower"], top["leader"]
+    _finite_gain("config.follower", "noise-to-signal sigma^2 r_control^2 / b_control^4",
+                 lambda: FollowerModel(**fol).noise_to_signal)
+    _finite_gain("config.leader", "gain 2 b_control^2 / r_control",
+                 lambda: 2.0 * leader["b_control"] ** 2 / leader["r_control"], positive=False)
     if name == "tradeoff-sweep":
         # The sweep sets q_track = ratio * inference_weight.
-        _expect(leader["inference_weight"] > 0, "config.leader.inference_weight",
-                "tradeoff-sweep needs > 0")
+        lam = leader["inference_weight"]
+        _expect(lam > 0, "config.leader.inference_weight", "tradeoff-sweep needs > 0")
+        for i, ratio in enumerate(checked["ratios"]):
+            _finite_gain(f"config.study.ratios[{i}]", "q_track = ratio * inference_weight",
+                         lambda: ratio * lam)
     if leader["target"]["kind"] == "tabulated":
         n_steps = top["grid"]["n_steps"]
         if name == "discrete-convergence":  # its leader lives on its fine grid

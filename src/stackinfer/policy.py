@@ -6,10 +6,10 @@ compact gated recurrence over a short state window plus time features,
 trained by simultaneous-perturbation stochastic approximation (SPSA) with
 common random numbers; it only needs forward simulations, no gradients.
 
-Policies expose two surfaces: ``evaluate`` is the pure map from (node, state
-prefix, auxiliary integrals) to a control value; ``session(n_paths)`` returns
-a stateful stepper used by the batch simulator, which must be called once
-per node in order.
+Every policy's ``session(n_paths)`` returns a stepper that the batch
+simulator calls once per node in order, and that may be stateful. The
+affine law is also a pure function of (node, psi), ``RiccatiPolicy.control_at``,
+the one place its arithmetic is written.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ class FunctionPolicy:
     def session(self, n_paths: int):
         return _StatelessSession(self.fn)
 
-    def evaluate(self, j, x_prefix, aux=0.0, aux2=0.0) -> float:
-        x = np.asarray(x_prefix, dtype=float)[None, :]
-        return float(np.asarray(self.fn(j, x, np.atleast_1d(aux), np.atleast_1d(aux2)))[0])
-
 
 @dataclass(frozen=True)
 class RiccatiPolicy:
@@ -88,12 +84,6 @@ class RiccatiPolicy:
         return _StatelessSession(
             lambda j, x_prefix, aux, aux2: self.control_at(j, x_prefix[:, -1], aux, aux2)
         )
-
-    def evaluate(self, j: int, x_prefix, aux: float, aux2: float) -> float:
-        x = np.asarray(x_prefix, dtype=float)
-        if j >= self.lr.grid.n_nodes or j < 0:
-            raise InvalidArgumentError(f"node index {j} outside the grid")
-        return float(self.control_at(j, x[-1], aux, aux2))
 
 
 @dataclass(frozen=True)
@@ -239,19 +229,6 @@ class RecurrentPolicy:
 
     def with_theta(self, theta) -> "RecurrentPolicy":
         return replace(self, theta=np.asarray(theta, dtype=float))
-
-    def evaluate(self, j: int, x_prefix, aux: float = 0.0, aux2: float = 0.0) -> float:
-        """Replay the recurrence over the prefix; auxiliary states are unused
-        by the feature map and accepted only for interface uniformity."""
-        x = np.asarray(x_prefix, dtype=float)
-        if x.ndim != 1 or x.size < 1:
-            raise InvalidArgumentError("x_prefix must be a non-empty 1-d prefix")
-        session = self.session(1)
-        zeros = np.zeros(1)
-        u = 0.0
-        for i in range(j + 1):
-            u = session.controls(i, x[None, : min(i + 1, x.size)], zeros, zeros)
-        return float(u[0])
 
 
 # Half-width of the uniform noise the recurrent blocks start from.

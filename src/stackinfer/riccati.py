@@ -30,6 +30,7 @@ from .core import (
     FollowerModel,
     InvalidArgumentError,
     LeaderModel,
+    SolverFailureError,
     TimeGrid,
     Trajectory,
     _affine_scan,
@@ -135,11 +136,15 @@ def solve_follower_a(model: FollowerModel, grid: TimeGrid) -> FollowerRiccati:
 
 
 def compute_coefficients(fr: FollowerRiccati, model: FollowerModel) -> DerivedCoefficients:
-    """Derive the leader-side coefficient functions from the follower solve."""
+    """Derive the leader-side coefficient functions from the follower solve;
+    ``SolverFailureError`` names a horizon on which they overflow."""
     grid = fr.grid
-    weight = model.q_track * np.exp(fr.cum_f)
-    decay = np.exp(-2.0 * fr.cum_f)
-    cum_decay = cumtrapz(decay, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = model.q_track * np.exp(fr.cum_f)
+        decay = np.exp(-2.0 * fr.cum_f)
+        cum_decay = cumtrapz(decay, grid)
+    if not (np.all(np.isfinite(weight)) and math.isfinite(cum_decay[-1])):
+        raise SolverFailureError(f"leader coefficients overflow on horizon {grid.horizon}")
     return DerivedCoefficients(
         grid=grid,
         weight=weight,
@@ -357,59 +362,60 @@ def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
         ham[:, 5, 6] = -s * dt_
         return ham
 
-    # maps[j] propagates [X; Y] from node j+1 to node j: with u = (h/2) k for
-    # the RK4 stages k of the linear system, it is I - (u1 + 2 u2 + 2 u3 + u4)/3.
-    # Read from T back (``back``), the steps run in the order of the product.
-    maps = np.empty((n, 8, 8))
-    eye = np.eye(8)
-    w_mid, d_mid = _interp_mid(w), _interp_mid(d)
-    for lo in range(0, n, _CHUNK_STEPS):
-        hi = min(lo + _CHUNK_STEPS, n)
-        h_nodes = scaled_hamiltonians(w[lo : hi + 1], d[lo : hi + 1], f_nodes[lo : hi + 1])
-        h_r, h_l = h_nodes[1:], h_nodes[:-1]
-        h_m = scaled_hamiltonians(w_mid[lo:hi], d_mid[lo:hi], f_mid[lo:hi])
-        u = h_m - h_m @ h_r  # u2
-        acc = 2.0 * u
-        acc += h_r
-        u = h_m - h_m @ u  # u3
-        u *= 2.0
-        acc += u
-        acc += h_l - h_l @ u  # u4
-        np.subtract(eye, acc / 3.0, out=maps[lo:hi])
-    back = maps[::-1]
-    size = block_transfer_maps(back, back)
+    # Past a blow-up values are discarded; every node row is checked below,
+    # so overflow on the way there is not warned of.
+    with np.errstate(all="ignore"):
+        # maps[j] propagates [X; Y] from node j+1 to node j: with u = (h/2) k for
+        # the RK4 stages k of the linear system, it is I - (u1 + 2 u2 + 2 u3 + u4)/3.
+        # Read from T back (``back``), the steps run in the order of the product.
+        maps = np.empty((n, 8, 8))
+        eye = np.eye(8)
+        w_mid, d_mid = _interp_mid(w), _interp_mid(d)
+        for lo in range(0, n, _CHUNK_STEPS):
+            hi = min(lo + _CHUNK_STEPS, n)
+            h_nodes = scaled_hamiltonians(w[lo : hi + 1], d[lo : hi + 1], f_nodes[lo : hi + 1])
+            h_r, h_l = h_nodes[1:], h_nodes[:-1]
+            h_m = scaled_hamiltonians(w_mid[lo:hi], d_mid[lo:hi], f_mid[lo:hi])
+            u = h_m - h_m @ h_r  # u2
+            acc = 2.0 * u
+            acc += h_r
+            u = h_m - h_m @ u  # u3
+            u *= 2.0
+            acc += u
+            acc += h_l - h_l @ u  # u4
+            np.subtract(eye, acc / 3.0, out=maps[lo:hi])
+        back = maps[::-1]
+        size = block_transfer_maps(back, back)
 
-    # Node rows hold L~'s ten entries (m/2 in place of m) until the end.
-    # L~ entering each block is carried across block ends one by one.
-    top = np.array(terminal)
-    top[6:9] *= 0.5
-    bad, peak = _past_blow_up(top[None], np.ones(1))  # X is I at T
-    if bad[0]:
-        raise _blow_up(float(grid.nodes[n]), float(peak[0]))
-    n_blocks = -(-n // size)
-    starts = np.empty((n_blocks, 4, 4))
-    starts[0] = top[_TILDE_INDEX]
-    with np.errstate(all="ignore"):  # past a blow-up the carry is discarded
+        # Node rows hold L~'s ten entries (m/2 in place of m) until the end.
+        # L~ entering each block is carried across block ends one by one.
+        top = np.array(terminal)
+        top[6:9] *= 0.5
+        bad, peak = _past_blow_up(top[None], np.ones(1))  # X is I at T
+        if bad[0]:
+            raise _blow_up(float(grid.nodes[n]), float(peak[0]))
+        n_blocks = -(-n // size)
+        starts = np.empty((n_blocks, 4, 4))
+        starts[0] = top[_TILDE_INDEX]
         for b in range(1, n_blocks):
             phi = back[b * size - 1]
             row, _ = _hamiltonian_rows(phi[:, :4] + phi[:, 4:] @ starts[b - 1])
             starts[b] = row[_TILDE_INDEX]
 
-    table = np.empty((n + 1, 10))
-    table[n] = top
-    for lo in range(0, n, _CHUNK_STEPS):
-        hi = min(lo + _CHUNK_STEPS, n)
-        phi = back[lo:hi]
-        with np.errstate(all="ignore"):
+        table = np.empty((n + 1, 10))
+        table[n] = top
+        for lo in range(0, n, _CHUNK_STEPS):
+            hi = min(lo + _CHUNK_STEPS, n)
+            phi = back[lo:hi]
             rows, det = _hamiltonian_rows(
                 phi[:, :, :4] + phi[:, :, 4:] @ starts[np.arange(lo, hi) // size]
             )
             bad, peak = _past_blow_up(rows, det)
-        if bad.any():
-            p = lo + int(np.argmax(bad))
-            raise _blow_up(float(grid.nodes[n - 1 - p]), float(peak[p - lo]))
-        table[n - hi : n - lo] = rows[::-1]
-    table[:, 6:9] *= 2.0
+            if bad.any():
+                p = lo + int(np.argmax(bad))
+                raise _blow_up(float(grid.nodes[n - 1 - p]), float(peak[p - lo]))
+            table[n - hi : n - lo] = rows[::-1]
+        table[:, 6:9] *= 2.0
 
     # offset = N^ + sig2 * int_t^T L11: per step h/2 (L11_j + L11_j+1)
     # - h^2/12 (L11'_j+1 - L11'_j), L11' the Riccati rate of L11.
@@ -462,7 +468,8 @@ def horizon_bound(
     t_max = arctan(sqrt(q/beta)/y0) / sqrt(beta*q), with q, beta, y0 built
     from coefficient norms over [0, T]. The bound is far from sharp; callers
     treat it as advisory and may integrate past it (blow-up detection still
-    applies).
+    applies). Constants that are not positive finite floats raise
+    ``SolverFailureError``.
     """
     lam_s = scaled_info_weight(leader, follower)
     q = max(
@@ -475,9 +482,10 @@ def horizon_bound(
         coeffs.decay_sup,
     )
     y0 = max(0.5 * leader.q_terminal, lam_s * (coeffs.decay_l1 + 1.0))
-    if y0 <= 0.0 or q <= 0.0 or beta <= 0.0:
-        raise InvalidArgumentError(
-            f"horizon bound needs positive constants, got q={q}, beta={beta}, y0={y0}"
+    if not all(math.isfinite(v) and v > 0.0 for v in (q, beta, y0)):
+        raise SolverFailureError(
+            f"horizon bound on horizon {coeffs.grid.horizon} needs positive finite "
+            f"constants, got q={q}, beta={beta}, y0={y0}"
         )
     t_max = math.atan(math.sqrt(q / beta) / y0) / math.sqrt(beta * q)
     return HorizonBound(q=q, beta=beta, y0=y0, t_max=t_max)

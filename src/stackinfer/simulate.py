@@ -13,7 +13,7 @@ also compose its transition over blocks of steps and simulate only every
 block's end node. A leader batch under an affine law (the Riccati policy)
 is one blocked affine recurrence where ``core._use_scan`` admits its shape;
 every other leader batch is stepped node by node, in place, the affine law's
-control formed from its gains and any other policy's from its session. The
+control from its ``control_at`` and any other policy's from its session. The
 stepped affine law is the session loop bit for bit, the blocked recurrence
 agrees with it to rounding. Leader batches keep the state step-major either
 way, and the leader's precision and primary cost are formed on that layout.
@@ -130,11 +130,12 @@ def simulate_leader_batch(
     is picked here, by ``core._use_scan``: a batch under an affine law
     (``gains``) that the predicate admits is solved blocked as one affine
     recurrence (``_leader_scan``). Every other batch is stepped node by
-    node, in place: under an affine law the control is formed from the
-    gains with no session call, otherwise the policy's session is called
-    once per node in order (sessions may be stateful, as recurrent policies
-    are, so rows of a batch advance together). Either way the state is kept
-    step-major (see ``LeaderEnsemble``).
+    node, in place: under an affine law the control is the policy's
+    ``control_at`` at each node, its finiteness checked once at the end,
+    otherwise the policy's session is called once per node in order
+    (sessions may be stateful, as recurrent policies are, so rows of a batch
+    advance together). Either way the state is kept step-major (see
+    ``LeaderEnsemble``).
     """
     _check_grid(grid, coeffs.grid, "coefficients")
     shocks = np.asarray(shocks, dtype=float)
@@ -161,26 +162,15 @@ def simulate_leader_batch(
     noise = np.multiply(shocks.T, leader.sigma * math.sqrt(h), order="C")
     s1 = np.empty(n_paths)
     s2 = np.empty(n_paths)
-    if gains is not None:
-        session = None
-        scale, state_gain, offset = gains
-    else:
-        session = policy.session(n_paths)
+    session = None if gains is not None else policy.session(n_paths)
 
     def control(j):
-        # The law at node j, into controls[j]; an affine law with the
-        # operations of ``control_at``: scale * (k0 x + k1 aux + k2 aux2 + offset).
-        u = controls[j]
+        # The law at node j, into controls[j].
         if session is None:
-            k = state_gain[j]
-            np.multiply(x[j], k[0], out=u)
-            u += np.multiply(aux[j], k[1], out=s1)
-            u += np.multiply(aux2[j], k[2], out=s1)
-            u += offset[j]
-            u *= scale
+            controls[j] = policy.control_at(j, x[j], aux[j], aux2[j])
             return
-        u[:] = session.controls(j, x[: j + 1].T, aux[j], aux2[j])
-        if not np.all(np.isfinite(u)):
+        controls[j] = session.controls(j, x[: j + 1].T, aux[j], aux2[j])
+        if not np.all(np.isfinite(controls[j])):
             raise PolicyEvaluationError(f"policy returned a non-finite control at node {j}")
 
     for j in range(n):

@@ -8,7 +8,10 @@ study compares (ratios, weights, policies) share their noise: each chunk
 of rows is drawn once and every arm runs on it, chunks outside and arms
 inside, so memory stays bounded by ``CHUNK_ELEMENTS``. One driver,
 ``_for_chunks``, draws the chunks for every study, and ``_models`` builds
-the grid, follower solve and coefficients every study starts from. All
+the grid, follower solve and coefficients every study starts from. A
+study's single leader path, and the tradeoff sweep's follower path, come
+from ``simulate_leader`` and ``simulate_follower``, whose one row of shocks
+is the row ``normal_matrix`` draws at the same index. All
 work runs on the calling thread: ``run_study`` still accepts ``threads``,
 but the per-path work holds the GIL, and a thread pool only slowed it down.
 """
@@ -68,7 +71,6 @@ from .simulate import (
     simulate_follower,
     simulate_follower_batch,
     simulate_leader,
-    simulate_leader_batch,
 )
 
 
@@ -176,13 +178,6 @@ def _follower_mhats(follower, fr, arms, grid, n_replays, rng):
     return m_hats
 
 
-def _fixed_leader_path(follower, lm, coeffs, fr, grid, shocks):
-    """The leader's path under its Riccati law on one row of shocks."""
-    lr = solve_leader_system(lm, follower, coeffs)
-    ens = simulate_leader_batch(lm, coeffs, RiccatiPolicy(lm, lr), grid, shocks)
-    return Trajectory(grid=grid, values=ens.x[0])
-
-
 def run_tradeoff_sweep(cfg: ExperimentConfig) -> StudyResult:
     """Sweep the tracking-to-inference weight ratio; report mean Fisher information.
 
@@ -199,8 +194,6 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> StudyResult:
         lm = cfg.build_leader(grid, q_track=ratio * lam)
         arms.append((lm, RiccatiPolicy(lm, solve_leader_system(lm, follower, coeffs))))
     stats = _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, keep_paths=1)
-    # Every ratio's trajectory row sees the same follower shocks.
-    fshocks = rng.normal_matrix(1, grid.n_steps, STREAM_FOLLOWER, 0)
 
     rows = []
     traj_rows = []
@@ -211,7 +204,8 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> StudyResult:
         )
         x_path, controls = kept[0]
         b, _ = solve_follower_bc(fr, follower, Trajectory(grid=grid, values=x_path))
-        xf = simulate_follower_batch(follower, fr, b, grid, fshocks)[0]
+        # Every ratio's trajectory row sees the same follower shocks.
+        xf = simulate_follower(follower, fr, b, grid, rng, 0).x
         target = lm.target_at(grid.nodes, grid.horizon)
         for j in range(grid.n_nodes):
             traj_rows.append(
@@ -259,11 +253,13 @@ def run_estimator_study(cfg: ExperimentConfig) -> StudyResult:
         np.round(np.logspace(1, math.log10(n_replays), 20)).astype(int)
     )
     weights = cfg.study["inference_weights"]
-    lshocks = rng.normal_matrix(1, grid.n_steps, STREAM_LEADER, path_index)
     arms = []
     for lam in weights:
         lm = cfg.build_leader(grid, inference_weight=lam)
-        x_leader = _fixed_leader_path(follower, lm, coeffs, fr, grid, lshocks)
+        lr = solve_leader_system(lm, follower, coeffs)
+        # Every weight's path sees the same leader shocks.
+        x_leader = simulate_leader(lm, coeffs, RiccatiPolicy(lm, lr), grid, rng,
+                                   path_index).trajectory()
         b, _ = solve_follower_bc(fr, follower, x_leader)
         arms.append((compute_g(fr, follower, x_leader), b))
     all_m_hats = _follower_mhats(follower, fr, arms, grid, n_replays, rng)
@@ -384,9 +380,8 @@ def run_discrete_convergence(cfg: ExperimentConfig) -> StudyResult:
 
     grid, follower, fr, coeffs, rng = _models(cfg, build_grid(cfg.grid["horizon"], 2**fine_exp))
     lm = cfg.build_leader(grid)
-    x_leader = _fixed_leader_path(
-        follower, lm, coeffs, fr, grid, rng.normal_matrix(1, grid.n_steps, STREAM_LEADER, 0)
-    )
+    lr = solve_leader_system(lm, follower, coeffs)
+    x_leader = simulate_leader(lm, coeffs, RiccatiPolicy(lm, lr), grid, rng, 0).trajectory()
     gp = compute_g(fr, follower, x_leader)
     b, _ = solve_follower_bc(fr, follower, x_leader)
 

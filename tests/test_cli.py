@@ -305,6 +305,14 @@ class TestCliCommands:
         (dict(name="estimator-study", inference_weights=[0.5], n_replays=10,
               path_seed_index=2**64),
          "config.study.path_seed_index"),
+        # The sweep's leader needs q_track = ratio * inference_weight > 0.
+        (dict(name="tradeoff-sweep", ratios=[-1.0, 1.0], n_paths=10), "config.study.ratios[0]"),
+        (dict(name="tradeoff-sweep", ratios=[0.0, 1.0], n_paths=10), "config.study.ratios[0]"),
+        # A leader's inference weight is >= 0.
+        (dict(name="estimator-study", inference_weights=[0.5, -1.0], n_replays=10),
+         "config.study.inference_weights[1]"),
+        (dict(name="multi-period", inference_weights=[-0.5], n_episodes=2),
+         "config.study.inference_weights[0]"),
     ])
     def test_validate_agrees_with_run_on_study_minimums(self, tmp_path, capsys, study, field):
         path = write_doc(tmp_path, make_doc(**study))
@@ -313,6 +321,49 @@ class TestCliCommands:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edits, field", [
+        # sigma^2 underflows, so the noise-to-signal ratio is 0.
+        ([("follower", "sigma", 1e-200)], "config.follower:"),
+        # b^4 overflows.
+        ([("follower", "b_control", 1e100)], "config.follower:"),
+        # 2 b^2 / r overflows.
+        ([("leader", "b_control", 1e200)], "config.leader:"),
+        # q_track = ratio * inference_weight underflows to 0.
+        ([("leader", "inference_weight", 1e-10), ("study", "ratios", [1e-320])],
+         "config.study.ratios[0]:"),
+    ])
+    def test_validate_agrees_with_run_on_derived_gains(self, tmp_path, capsys, edits, field):
+        # The follower's sigma^2 r^2 / b^4 and the sweep's q_track must be
+        # positive finite floats, the leader's 2 b^2 / r a finite one.
+        doc = make_doc(name="tradeoff-sweep", ratios=[1.0], n_paths=10)
+        for block, key, value in edits:
+            doc[block][key] = value
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("study, horizon, message", [
+        # exp(-2 cum_f) overflows.
+        (dict(name="wellposedness"), 1000.0, "horizon 1000.0"),
+        (dict(name="tradeoff-sweep", ratios=[1.0], n_paths=10), 1000.0, "horizon 1000.0"),
+        # The coefficients fit a float, but the horizon bound's y0 does not.
+        (dict(name="wellposedness"), 250.0, "horizon bound on horizon 250.0"),
+    ])
+    def test_long_horizon_exit_code(self, tmp_path, capsys, study, horizon, message):
+        # Overflow on a long horizon is a numerical failure, with no warning
+        # and no summary of infinite constants.
+        doc = make_doc(**study)
+        doc["grid"]["horizon"] = horizon
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_NUMERICAL
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("study", [
@@ -450,7 +501,10 @@ def mutated_configs(draw):
         n_eval = study["n_eval_paths"]
         study["n_display_paths"] = rarely(draw, st.integers(1, max(1, n_eval)), n_eval + 1)
     if "inference_weights" in study:
-        study["inference_weights"] = draw(st.lists(weights, min_size=1, max_size=3))
+        study["inference_weights"] = rarely(draw, st.lists(weights, min_size=1, max_size=3),
+                                            [0.3, -0.5])
+    if "ratios" in study:
+        study["ratios"] = rarely(draw, st.just(study["ratios"]), [-1.0, 1.0])
     if "pairs" in study:
         study["pairs"] = draw(st.lists(st.lists(weights, min_size=2, max_size=2),
                                        min_size=1, max_size=2))

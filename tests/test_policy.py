@@ -10,6 +10,16 @@ from conftest import HORIZON, make_leader
 from oracles import FollowerClosedForm
 
 
+def last_control(policy, prefix):
+    """The control a one-path session gives at the prefix's last node,
+    stepped over the whole prefix from node 0."""
+    session = policy.session(1)
+    zeros = np.zeros(1)
+    for j in range(len(prefix)):
+        u = session.controls(j, np.asarray(prefix, dtype=float)[None, : j + 1], zeros, zeros)
+    return float(u[0])
+
+
 @pytest.fixture(scope="module")
 def solved(follower, co50):
     leader = make_leader(0.5)
@@ -24,13 +34,13 @@ class TestRiccatiPolicy:
         lr = si.LeaderRiccati(grid=grid50, quad=np.zeros((n, 3, 3)),
                               lin=np.zeros((n, 3)), offset=np.zeros(n),
                               scaled_info_weight=0.0)
-        assert si.RiccatiPolicy(leader, lr).evaluate(0, [3.0], -1.0, 2.0) == 0.0
+        assert si.RiccatiPolicy(leader, lr).control_at(0, 3.0, -1.0, 2.0) == 0.0
 
     def test_zero_inference_depends_only_on_state(self, follower, co50):
         leader = make_leader(0.0)
         lr = si.solve_leader_system(leader, follower, co50)
-        u1 = si.RiccatiPolicy(leader, lr).evaluate(10, [0.2], 0.0, 0.0)
-        u2 = si.RiccatiPolicy(leader, lr).evaluate(10, [0.2], 5.0, -7.0)
+        u1 = si.RiccatiPolicy(leader, lr).control_at(10, 0.2, 0.0, 0.0)
+        u2 = si.RiccatiPolicy(leader, lr).control_at(10, 0.2, 5.0, -7.0)
         assert u1 == u2
 
     def test_formula(self, solved):
@@ -40,21 +50,16 @@ class TestRiccatiPolicy:
             2.0 * (lr.quad[4, 0, 0] * psi[0] + lr.quad[4, 0, 1] * psi[1]
                    + lr.quad[4, 0, 2] * psi[2]) + lr.lin[4, 0]
         )
-        assert si.RiccatiPolicy(leader, lr).evaluate(4, psi[:1], *psi[1:]) == pytest.approx(expected, rel=1e-14)
-
-    def test_index_out_of_range(self, solved):
-        leader, lr = solved
-        with pytest.raises(si.InvalidArgumentError):
-            si.RiccatiPolicy(leader, lr).evaluate(lr.grid.n_nodes, [0.0], 0.0, 0.0)
+        assert si.RiccatiPolicy(leader, lr).control_at(4, *psi) == pytest.approx(expected, rel=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-3, 3), st.floats(-2, 2), st.floats(-2, 2), st.floats(-4, 4))
     def test_affine_in_state(self, solved, x, y, z, scale):
         leader, lr = solved
         policy = si.RiccatiPolicy(leader, lr)
-        u0 = policy.evaluate(7, [0.0], 0.0, 0.0)
-        u1 = policy.evaluate(7, [x], y, z)
-        u2 = policy.evaluate(7, [scale * x], scale * y, scale * z)
+        u0 = policy.control_at(7, 0.0, 0.0, 0.0)
+        u1 = policy.control_at(7, x, y, z)
+        u2 = policy.control_at(7, scale * x, scale * y, scale * z)
         assert u2 - u0 == pytest.approx(scale * (u1 - u0), rel=1e-9, abs=1e-9)
 
 
@@ -103,29 +108,16 @@ class TestRecurrentPolicy:
         policy = policy.with_theta(theta)
         # On a constant path only the timestamps distinguish the nodes.
         const_prefix = np.full(grid50.n_nodes, 0.2)
-        u_early = policy.evaluate(2, const_prefix[:3])
-        u_late = policy.evaluate(30, const_prefix[:31])
+        u_early = last_control(policy, const_prefix[:3])
+        u_late = last_control(policy, const_prefix[:31])
         assert u_early != u_late
-
-    def test_evaluate_matches_session_stream(self, grid50):
-        policy = si.initial_policy(grid50, si.RecurrentConfig(hidden_width=8, out_width=8),
-                                   si.RngContract(9))
-        theta = si.RngContract(10).stream(0).normal(0.0, 0.3, policy.config.dim)
-        policy = policy.with_theta(theta)
-        prefix = si.RngContract(11).stream(0).normal(0.0, 0.2, 12)
-        session = policy.session(1)
-        zeros = np.zeros(1)
-        for j in range(12):
-            u_stream = session.controls(j, prefix[None, : j + 1], zeros, zeros)[0]
-        u_replay = policy.evaluate(11, prefix)
-        assert u_replay == u_stream
 
     def test_replay_deterministic(self, grid50):
         policy = si.initial_policy(grid50, si.RecurrentConfig(), si.RngContract(3))
         theta = si.RngContract(4).stream(0).normal(0.0, 0.3, policy.config.dim)
         policy = policy.with_theta(theta)
         prefix = np.linspace(-0.2, 0.4, 9)
-        assert policy.evaluate(8, prefix) == policy.evaluate(8, prefix)
+        assert last_control(policy, prefix) == last_control(policy, prefix)
 
     def test_theta_dimension_enforced(self, grid50):
         cfg = si.RecurrentConfig()
@@ -190,4 +182,4 @@ class TestPolicySerialization:
         assert loaded.config == policy.config
         assert np.array_equal(loaded.theta, policy.theta)
         prefix = np.linspace(0.0, 0.3, 6)
-        assert loaded.evaluate(5, prefix) == policy.evaluate(5, prefix)
+        assert last_control(loaded, prefix) == last_control(policy, prefix)
