@@ -8,7 +8,8 @@ default output directory can be set through the STACKINFER_OUT environment
 variable.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(blow-up or degenerate ensemble), 4 I/O error.
+(blow-up, degenerate ensemble, float overflow, or a result holding a
+non-finite number, of which nothing is written), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -74,6 +76,18 @@ def write_result(result: StudyResult, cfg: ExperimentConfig, out_dir: Path) -> l
     return written
 
 
+def _non_finite(value, field: str):
+    """(field, value) of the first non-finite float in ``value``, or None."""
+    if isinstance(value, dict):
+        items = ((f"{field}.{key}" if field else key, v) for key, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{field}[{i}]", v) for i, v in enumerate(value))
+    else:
+        bad = isinstance(value, float) and not math.isfinite(value)
+        return (field, float(value)) if bad else None
+    return next(filter(None, (_non_finite(v, path) for path, v in items)), None)
+
+
 def _resolve_out_dir(cli_value: str | None, cfg: ExperimentConfig) -> Path:
     if cli_value:
         return Path(cli_value)
@@ -124,12 +138,21 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BlowUpError, DegenerateEnsembleError, DegeneratePathError, SolverFailureError) as exc:
+    except (BlowUpError, DegenerateEnsembleError, DegeneratePathError, SolverFailureError,
+            OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+
+    # Strict JSON and CSV readers reject inf and NaN, so such a result is a failure.
+    cells = {table: [dict(zip(header, row)) for row in rows]
+             for table, (header, rows) in result.tables.items()}
+    failure = _non_finite({"summary": result.summary, **cells}, "")
+    if failure:
+        print(f"numerical failure: {result.name}: {failure[0]} is {failure[1]}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
     try:
         written = write_result(result, cfg, _resolve_out_dir(args.out, cfg))

@@ -325,7 +325,8 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def build_grid(self) -> TimeGrid:
-        return build_grid(self.grid["horizon"], self.grid["n_steps"])
+        """The grid the study runs on (see ``_study_steps``)."""
+        return build_grid(self.grid["horizon"], _study_steps(self.grid, self.study))
 
     def build_follower(self) -> FollowerModel:
         return FollowerModel(**self.follower)
@@ -348,6 +349,15 @@ class ExperimentConfig:
         return Tabulated(grid=grid, table=np.asarray(values))
 
 
+def _study_steps(grid: dict, study: dict) -> int:
+    """Steps of the grid a study runs on: discrete-convergence's fine path
+    of 2**fine_exponent steps, which leaves ``grid.n_steps`` unread, and
+    ``grid.n_steps`` for every other study."""
+    if study["name"] == "discrete-convergence":
+        return 2 ** study["fine_exponent"]
+    return grid["n_steps"]
+
+
 def _check_target_length(values: list, n_steps: int):
     _expect(len(values) == n_steps + 1, "config.leader.target.values",
             f"needs {n_steps + 1} entries for this grid, got {len(values)}")
@@ -363,7 +373,7 @@ def validate_config(doc: Any) -> ExperimentConfig:
             "follower": lambda v, p: _check_block(v, p, _FOLLOWER_SCHEMA),
             "leader": lambda v, p: _check_block(v, p, _LEADER_SCHEMA),
             "grid": lambda v, p: _check_block(
-                v, p, {"horizon": _positive, "n_steps": _step_count}
+                v, p, {"horizon": _positive}, {"n_steps": (_step_count, None)}
             ),
             "rng": lambda v, p: _check_block(
                 v, p, {"master_seed": _nonnegative_int}, {"bit_exact": (_boolean, True)}
@@ -388,6 +398,9 @@ def validate_config(doc: Any) -> ExperimentConfig:
         "config.study.name",
         f"must be one of {sorted(STUDY_SCHEMAS)}",
     )
+    # Only discrete-convergence, which runs on its own fine grid, may leave it out.
+    _expect(top["grid"]["n_steps"] is not None or name == "discrete-convergence",
+            "config.grid.n_steps", "missing required key")
     required, optional = STUDY_SCHEMAS[name]
     checked = _check_block(study, "config.study", {"name": _string, **required}, optional)
     if name == "discrete-convergence":
@@ -411,10 +424,7 @@ def validate_config(doc: Any) -> ExperimentConfig:
             _finite_gain(f"config.study.ratios[{i}]", "q_track = ratio * inference_weight",
                          lambda: ratio * lam)
     if leader["target"]["kind"] == "tabulated":
-        n_steps = top["grid"]["n_steps"]
-        if name == "discrete-convergence":  # its leader lives on its fine grid
-            n_steps = 2 ** checked["fine_exponent"]
-        _check_target_length(leader["target"]["values"], n_steps)
+        _check_target_length(leader["target"]["values"], _study_steps(top["grid"], checked))
     return ExperimentConfig(
         raw=doc,
         follower=top["follower"],

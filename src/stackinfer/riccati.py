@@ -247,8 +247,9 @@ def scaled_info_weight(leader: LeaderModel, follower: FollowerModel) -> float:
 
 # Bound on |quad| entries past which the leader system counts as blown up.
 BLOW_UP_THRESHOLD = 1e12
-# Steps whose propagators, or whose node values, are formed at once: about
-# 0.5 MB of (steps, 8, 8) temporaries, which bounds the solver's memory.
+# Steps whose propagators are formed at once: about 0.5 MB of (steps, 8, 8)
+# temporaries, which bounds the solver's memory. Node values are formed one
+# block of isqrt(n) steps at a time, at most 1024 steps on any allowed grid.
 _CHUNK_STEPS = 1024
 # The six quad entries (L11, L12, L13, L22, L23, L33) as a symmetric 3x3.
 _QUAD_INDEX = [0, 1, 2, 1, 3, 4, 2, 4, 5]
@@ -328,11 +329,11 @@ def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
     step's RK4 propagator of that system is formed from the coefficients at
     the step's two nodes and its midpoint, and their backward product is
     taken two-level blocked (``block_transfer_maps``). [X; Y] restarts at
-    [I; L~] at every block start, so X stays well conditioned; L~ is
-    carried across blocks one by one. X's last row is e4 exactly (the
-    constant has no dynamics), so X^-1 is a closed-form 3x3 inverse. The
-    offset adds sigma^2 times the integral of L11 from t to T, an
-    end-corrected trapezoid sum. The first node from T, T included, where
+    [I; L~] at every block start, so X stays well conditioned; each block
+    starts from L~ at the previous block's last row. X's last row is e4
+    exactly (the constant has no dynamics), so X^-1 is a closed-form 3x3
+    inverse. The offset adds sigma^2 times the integral of L11 from t to T,
+    an end-corrected trapezoid sum. The first node from T, T included, where
     det X <= 0, a quad entry passes ``BLOW_UP_THRESHOLD`` or a value is not
     finite raises ``BlowUpError``.
     """
@@ -388,33 +389,24 @@ def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
         size = block_transfer_maps(back, back)
 
         # Node rows hold L~'s ten entries (m/2 in place of m) until the end.
-        # L~ entering each block is carried across block ends one by one.
-        top = np.array(terminal)
-        top[6:9] *= 0.5
-        bad, peak = _past_blow_up(top[None], np.ones(1))  # X is I at T
-        if bad[0]:
-            raise _blow_up(float(grid.nodes[n]), float(peak[0]))
-        n_blocks = -(-n // size)
-        starts = np.empty((n_blocks, 4, 4))
-        starts[0] = top[_TILDE_INDEX]
-        for b in range(1, n_blocks):
-            phi = back[b * size - 1]
-            row, _ = _hamiltonian_rows(phi[:, :4] + phi[:, 4:] @ starts[b - 1])
-            starts[b] = row[_TILDE_INDEX]
-
+        # Each block starts from L~ at the previous block's last row.
         table = np.empty((n + 1, 10))
-        table[n] = top
-        for lo in range(0, n, _CHUNK_STEPS):
-            hi = min(lo + _CHUNK_STEPS, n)
+        det = np.empty(n + 1)
+        table[n] = terminal
+        table[n, 6:9] *= 0.5
+        det[n] = 1.0  # X is I at T
+        start = table[n, _TILDE_INDEX]
+        for lo in range(0, n, size):
+            hi = min(lo + size, n)
             phi = back[lo:hi]
-            rows, det = _hamiltonian_rows(
-                phi[:, :, :4] + phi[:, :, 4:] @ starts[np.arange(lo, hi) // size]
-            )
-            bad, peak = _past_blow_up(rows, det)
-            if bad.any():
-                p = lo + int(np.argmax(bad))
-                raise _blow_up(float(grid.nodes[n - 1 - p]), float(peak[p - lo]))
+            rows, block_det = _hamiltonian_rows(phi[:, :, :4] + phi[:, :, 4:] @ start)
             table[n - hi : n - lo] = rows[::-1]
+            det[n - hi : n - lo] = block_det[::-1]
+            start = rows[-1, _TILDE_INDEX]
+        bad, peak = _past_blow_up(table, det)
+        if bad.any():
+            p = n - int(np.argmax(bad[::-1]))
+            raise _blow_up(float(grid.nodes[p]), float(peak[p]))
         table[:, 6:9] *= 2.0
 
     # offset = N^ + sig2 * int_t^T L11: per step h/2 (L11_j + L11_j+1)

@@ -8,7 +8,9 @@ study compares (ratios, weights, policies) share their noise: each chunk
 of rows is drawn once and every arm runs on it, chunks outside and arms
 inside, so memory stays bounded by ``CHUNK_ELEMENTS``. One driver,
 ``_for_chunks``, draws the chunks for every study, and ``_models`` builds
-the grid, follower solve and coefficients every study starts from. A
+the grid, follower solve and coefficients every study starts from. Every
+runner returns through ``_result``, which names each CSV column beside the
+value that fills it. A
 study's single leader path, and the tradeoff sweep's follower path, come
 from ``simulate_leader`` and ``simulate_follower``, whose one row of shocks
 is the row ``normal_matrix`` draws at the same index. All
@@ -34,7 +36,6 @@ from .core import (
     STREAM_LEADER,
     TimeGrid,
     Trajectory,
-    build_grid,
 )
 from .infer import (
     DiscreteObservations,
@@ -84,13 +85,27 @@ class StudyResult:
     provenance: dict
 
 
-def _provenance(cfg: ExperimentConfig) -> dict:
-    return {
-        "config_hash": cfg.config_hash(),
-        "master_seed": cfg.master_seed,
-        "bit_exact": cfg.bit_exact,
-        "version": __version__,
-    }
+def _result(cfg: ExperimentConfig, summary: dict, **tables) -> StudyResult:
+    """A study's result, named from its config and stamped with its provenance.
+
+    Each table is a list of dict rows, every row built by one dict
+    expression, so each column is named beside the value that fills it; the
+    header is the first row's keys.
+    """
+    return StudyResult(
+        name=cfg.study_name,
+        summary=summary,
+        tables={
+            table: (list(rows[0]), [list(row.values()) for row in rows])
+            for table, rows in tables.items()
+        },
+        provenance={
+            "config_hash": cfg.config_hash(),
+            "master_seed": cfg.master_seed,
+            "bit_exact": cfg.bit_exact,
+            "version": __version__,
+        },
+    )
 
 
 # Rows x steps drawn at once by a study chunk: bounds peak memory on fine
@@ -128,9 +143,9 @@ def _for_chunks(rng: RngContract, stream: int, n_rows: int, n_steps: int, step, 
     _run_chunked(n_rows, 1, work)
 
 
-def _models(cfg: ExperimentConfig, grid: TimeGrid | None = None):
-    """(grid, follower, fr, coeffs, rng) of a study; ``grid`` overrides the config's."""
-    grid = cfg.build_grid() if grid is None else grid
+def _models(cfg: ExperimentConfig):
+    """(grid, follower, fr, coeffs, rng) of a study, on the grid it runs on."""
+    grid = cfg.build_grid()
     follower = cfg.build_follower()
     fr = solve_follower_a(follower, grid)
     return grid, follower, fr, compute_coefficients(fr, follower), RngContract(cfg.master_seed)
@@ -195,46 +210,33 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> StudyResult:
         arms.append((lm, RiccatiPolicy(lm, solve_leader_system(lm, follower, coeffs))))
     stats = _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, keep_paths=1)
 
-    rows = []
-    traj_rows = []
+    sweep = []
+    trajectories = []
     for ratio, (lm, _), (precision, j_p, _, kept) in zip(ratios, arms, stats):
-        mean_fisher = float(np.mean(precision)) / follower.noise_to_signal
-        rows.append(
-            [ratio, lam, ratio * lam, mean_fisher, float(np.mean(j_p)), n_paths, cfg.master_seed]
-        )
+        sweep.append(dict(
+            ratio=ratio, inference_weight=lam, q_track=ratio * lam,
+            mean_fisher=float(np.mean(precision)) / follower.noise_to_signal,
+            mean_primary_cost=float(np.mean(j_p)), n_paths=n_paths, seed=cfg.master_seed,
+        ))
         x_path, controls = kept[0]
         b, _ = solve_follower_bc(fr, follower, Trajectory(grid=grid, values=x_path))
         # Every ratio's trajectory row sees the same follower shocks.
         xf = simulate_follower(follower, fr, b, grid, rng, 0).x
         target = lm.target_at(grid.nodes, grid.horizon)
-        for j in range(grid.n_nodes):
-            traj_rows.append(
-                [ratio, j, grid.nodes[j], x_path[j], controls[j], xf[j], target[j]]
-            )
+        trajectories += [
+            dict(ratio=ratio, node=j, time=grid.nodes[j], x_leader=x_path[j],
+                 control=controls[j], x_follower=xf[j], target=target[j])
+            for j in range(grid.n_nodes)
+        ]
 
-    fishers = [r[3] for r in rows]
+    fishers = [row["mean_fisher"] for row in sweep]
     summary = {
         "ratios": list(cfg.study["ratios"]),
         "mean_fisher": fishers,
         "strictly_decreasing": bool(all(a > b for a, b in zip(fishers, fishers[1:]))),
         "n_paths": n_paths,
     }
-    return StudyResult(
-        name="tradeoff-sweep",
-        summary=summary,
-        tables={
-            "sweep": (
-                ["ratio", "inference_weight", "q_track", "mean_fisher",
-                 "mean_primary_cost", "n_paths", "seed"],
-                rows,
-            ),
-            "trajectories": (
-                ["ratio", "node", "time", "x_leader", "control", "x_follower", "target"],
-                traj_rows,
-            ),
-        },
-        provenance=_provenance(cfg),
-    )
+    return _result(cfg, summary, sweep=sweep, trajectories=trajectories)
 
 
 def run_estimator_study(cfg: ExperimentConfig) -> StudyResult:
@@ -247,8 +249,6 @@ def run_estimator_study(cfg: ExperimentConfig) -> StudyResult:
     n_replays = cfg.study["n_replays"]
     path_index = cfg.study["path_seed_index"]
 
-    rows = []
-    curve_rows = []
     checkpoints = np.unique(
         np.round(np.logspace(1, math.log10(n_replays), 20)).astype(int)
     )
@@ -264,36 +264,30 @@ def run_estimator_study(cfg: ExperimentConfig) -> StudyResult:
         arms.append((compute_g(fr, follower, x_leader), b))
     all_m_hats = _follower_mhats(follower, fr, arms, grid, n_replays, rng)
 
+    estimator = []
+    bias_curve = []
     for lam, (gp, _), m_hats in zip(weights, arms, all_m_hats):
-        bias = float(np.mean(m_hats)) - follower.dilation
-        se = float(np.std(m_hats, ddof=1) / math.sqrt(n_replays))
-        sample_var = float(np.var(m_hats, ddof=1))
-        formula_var = follower.noise_to_signal / gp.precision
-        rows.append(
-            [lam, gp.precision, bias, se, sample_var, formula_var, n_replays, cfg.master_seed]
-        )
+        estimator.append(dict(
+            inference_weight=lam, precision=gp.precision,
+            cond_bias=float(np.mean(m_hats)) - follower.dilation,
+            bias_se=float(np.std(m_hats, ddof=1) / math.sqrt(n_replays)),
+            sample_cond_var=float(np.var(m_hats, ddof=1)),
+            formula_cond_var=follower.noise_to_signal / gp.precision,
+            n_replays=n_replays, seed=cfg.master_seed,
+        ))
         running = np.cumsum(m_hats) / np.arange(1, n_replays + 1)
-        for n_used in checkpoints:
-            curve_rows.append([lam, int(n_used), running[n_used - 1] - follower.dilation])
+        bias_curve += [
+            dict(inference_weight=lam, n_replays_used=int(n_used),
+                 running_bias=running[n_used - 1] - follower.dilation)
+            for n_used in checkpoints
+        ]
 
     summary = {
         "inference_weights": list(cfg.study["inference_weights"]),
-        "conditional_variance": [r[5] for r in rows],
+        "conditional_variance": [row["formula_cond_var"] for row in estimator],
         "n_replays": n_replays,
     }
-    return StudyResult(
-        name="estimator-study",
-        summary=summary,
-        tables={
-            "estimator": (
-                ["inference_weight", "precision", "cond_bias", "bias_se",
-                 "sample_cond_var", "formula_cond_var", "n_replays", "seed"],
-                rows,
-            ),
-            "bias_curve": (["inference_weight", "n_replays_used", "running_bias"], curve_rows),
-        },
-        provenance=_provenance(cfg),
-    )
+    return _result(cfg, summary, estimator=estimator, bias_curve=bias_curve)
 
 
 def run_episodes(
@@ -336,7 +330,7 @@ def run_multi_period(cfg: ExperimentConfig) -> StudyResult:
     n_episodes = cfg.study["n_episodes"]
     threshold = cfg.study["variance_threshold"]
 
-    rows = []
+    episodes = []
     final_errors = {}
     stop_at = {}
     for lam in cfg.study["inference_weights"]:
@@ -349,7 +343,10 @@ def run_multi_period(cfg: ExperimentConfig) -> StudyResult:
             if stopped and lam not in stop_at:
                 stop_at[lam] = ep
             m_hat_ep, prec_ep = state.history[-1]
-            rows.append([lam, ep, m_hat_ep, prec_ep, state.m_bar, err, proxy, stopped])
+            episodes.append(dict(
+                inference_weight=lam, episode=ep, m_hat=m_hat_ep, precision=prec_ep,
+                m_bar=state.m_bar, abs_error=err, variance_proxy=proxy, stopped=stopped,
+            ))
         final_errors[str(lam)] = abs(history[-1][0].m_bar - follower.dilation)
 
     summary = {
@@ -358,18 +355,7 @@ def run_multi_period(cfg: ExperimentConfig) -> StudyResult:
         "final_abs_error": final_errors,
         "stopped_at": {str(k): v for k, v in stop_at.items()},
     }
-    return StudyResult(
-        name="multi-period",
-        summary=summary,
-        tables={
-            "episodes": (
-                ["inference_weight", "episode", "m_hat", "precision", "m_bar",
-                 "abs_error", "variance_proxy", "stopped"],
-                rows,
-            )
-        },
-        provenance=_provenance(cfg),
-    )
+    return _result(cfg, summary, episodes=episodes)
 
 
 def run_discrete_convergence(cfg: ExperimentConfig) -> StudyResult:
@@ -378,7 +364,7 @@ def run_discrete_convergence(cfg: ExperimentConfig) -> StudyResult:
     levels = cfg.study["levels"]
     n_reps = cfg.study["n_sigma_replications"]
 
-    grid, follower, fr, coeffs, rng = _models(cfg, build_grid(cfg.grid["horizon"], 2**fine_exp))
+    grid, follower, fr, coeffs, rng = _models(cfg)
     lm = cfg.build_leader(grid)
     lr = solve_leader_system(lm, follower, coeffs)
     x_leader = simulate_leader(lm, coeffs, RiccatiPolicy(lm, lr), grid, rng, 0).trajectory()
@@ -403,7 +389,10 @@ def run_discrete_convergence(cfg: ExperimentConfig) -> StudyResult:
         m_hat, sigma2_hat = (
             float(v[0]) for v in _mle_discrete_rows(obs.values[None], level_tables, follower)
         )
-        rows.append([k, len(idx) - 1, obs.mesh, m_hat, m_cont, abs(m_hat - m_cont), sigma2_hat])
+        rows.append(dict(
+            level=k, n_obs=len(idx) - 1, mesh=obs.mesh, m_hat_discrete=m_hat,
+            m_hat_continuous=m_cont, abs_diff=abs(m_hat - m_cont), sigma2_hat=sigma2_hat,
+        ))
 
     # Noise-level consistency at the finest level over fresh follower paths,
     # simulated on its observation nodes only.
@@ -418,23 +407,12 @@ def run_discrete_convergence(cfg: ExperimentConfig) -> StudyResult:
 
     summary = {
         "m_hat_continuous": m_cont,
-        "abs_diff_by_level": {str(r[0]): r[5] for r in rows},
+        "abs_diff_by_level": {str(row["level"]): row["abs_diff"] for row in rows},
         "sigma2_mean_finest": float(np.mean(sigma2)),
         "sigma2_sd_finest": float(np.std(sigma2, ddof=1)),
         "n_sigma_replications": n_reps,
     }
-    return StudyResult(
-        name="discrete-convergence",
-        summary=summary,
-        tables={
-            "levels": (
-                ["level", "n_obs", "mesh", "m_hat_discrete", "m_hat_continuous",
-                 "abs_diff", "sigma2_hat"],
-                rows,
-            )
-        },
-        provenance=_provenance(cfg),
-    )
+    return _result(cfg, summary, levels=rows)
 
 
 def run_benchmark_compare(cfg: ExperimentConfig) -> StudyResult:
@@ -475,24 +453,15 @@ def run_benchmark_compare(cfg: ExperimentConfig) -> StudyResult:
         # reloaded with load_policy_file on the same architecture.
         "policy": _policy_document(recurrent),
     }
-    traj_rows = []
+    trajectories = []
     for i in range(n_display):
-        xr, ur = kept_r[i]
-        xn, un = kept_n[i]
-        for j in range(grid.n_nodes):
-            traj_rows.append([i, j, grid.nodes[j], xr[j], ur[j], xn[j], un[j]])
-    return StudyResult(
-        name="benchmark-compare",
-        summary=summary,
-        tables={
-            "trajectories": (
-                ["path", "node", "time", "x_riccati", "u_riccati",
-                 "x_recurrent", "u_recurrent"],
-                traj_rows,
-            )
-        },
-        provenance=_provenance(cfg),
-    )
+        (xr, ur), (xn, un) = kept_r[i], kept_n[i]
+        trajectories += [
+            dict(path=i, node=j, time=grid.nodes[j], x_riccati=xr[j], u_riccati=ur[j],
+                 x_recurrent=xn[j], u_recurrent=un[j])
+            for j in range(grid.n_nodes)
+        ]
+    return _result(cfg, summary, trajectories=trajectories)
 
 
 def run_objective_compare(cfg: ExperimentConfig) -> StudyResult:
@@ -513,37 +482,28 @@ def run_objective_compare(cfg: ExperimentConfig) -> StudyResult:
     # Every policy of every pair runs on the same leader shocks.
     stats = _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng)
 
-    rows = []
     nts = follower.noise_to_signal
-    for (lam_var, lam_info), (prec_i, jp_i, eff_i, _), (prec_v, jp_v, eff_v, _) in zip(
-        pairs, stats[0::2], stats[1::2]
-    ):
-        rows.append(
-            [lam_var, lam_info,
-             float(np.mean(prec_v)) / nts, float(np.mean(prec_i)) / nts,
-             float(np.mean(eff_v)), float(np.mean(eff_i)),
-             float(np.mean(jp_v)), float(np.mean(jp_i)),
-             n_paths, cfg.master_seed]
+    rows = [
+        dict(
+            lambda_variance=lam_var, lambda_info=lam_info,
+            fi_variance_policy=float(np.mean(prec_v)) / nts,
+            fi_info_policy=float(np.mean(prec_i)) / nts,
+            effort_variance_policy=float(np.mean(eff_v)),
+            effort_info_policy=float(np.mean(eff_i)),
+            jp_variance_policy=float(np.mean(jp_v)), jp_info_policy=float(np.mean(jp_i)),
+            n_paths=n_paths, seed=cfg.master_seed,
         )
+        for (lam_var, lam_info), (prec_i, jp_i, eff_i, _), (prec_v, jp_v, eff_v, _) in zip(
+            pairs, stats[0::2], stats[1::2]
+        )
+    ]
 
     summary = {
         "pairs": [list(p) for p in cfg.study["pairs"]],
-        "fisher_variance_policy": [r[2] for r in rows],
-        "fisher_info_policy": [r[3] for r in rows],
+        "fisher_variance_policy": [row["fi_variance_policy"] for row in rows],
+        "fisher_info_policy": [row["fi_info_policy"] for row in rows],
     }
-    return StudyResult(
-        name="objective-compare",
-        summary=summary,
-        tables={
-            "pairs": (
-                ["lambda_variance", "lambda_info", "fi_variance_policy", "fi_info_policy",
-                 "effort_variance_policy", "effort_info_policy",
-                 "jp_variance_policy", "jp_info_policy", "n_paths", "seed"],
-                rows,
-            )
-        },
-        provenance=_provenance(cfg),
-    )
+    return _result(cfg, summary, pairs=rows)
 
 
 def run_wellposedness(cfg: ExperimentConfig) -> StudyResult:
@@ -558,30 +518,13 @@ def run_wellposedness(cfg: ExperimentConfig) -> StudyResult:
         quad_peak = float(np.max(np.abs(lr.quad)))
     except BlowUpError as exc:
         blow_up_time = exc.blow_up_time
-    solved = blow_up_time is None
-    summary = {
-        "q": bound.q,
-        "beta": bound.beta,
-        "y0": bound.y0,
-        "t_max": bound.t_max,
-        "horizon": grid.horizon,
-        "solved_on_horizon": solved,
-        "blow_up_time": blow_up_time,
-        "quad_peak": quad_peak,
-        "blow_up_threshold": BLOW_UP_THRESHOLD,
-    }
-    return StudyResult(
-        name="wellposedness",
-        summary=summary,
-        tables={
-            "bound": (
-                ["q", "beta", "y0", "t_max", "horizon", "solved_on_horizon", "blow_up_time"],
-                [[bound.q, bound.beta, bound.y0, bound.t_max, grid.horizon, solved,
-                  "" if blow_up_time is None else blow_up_time]],
-            )
-        },
-        provenance=_provenance(cfg),
+    row = dict(
+        q=bound.q, beta=bound.beta, y0=bound.y0, t_max=bound.t_max, horizon=grid.horizon,
+        solved_on_horizon=blow_up_time is None, blow_up_time=blow_up_time,
     )
+    summary = {**row, "quad_peak": quad_peak, "blow_up_threshold": BLOW_UP_THRESHOLD}
+    # The CSV writes the blow-up time None as an empty cell.
+    return _result(cfg, summary, bound=[row])
 
 
 def _policy_document(policy: RecurrentPolicy) -> dict:

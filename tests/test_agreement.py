@@ -548,6 +548,10 @@ def stats_case(a_drift, q_track, inference_weight, horizon, n_steps):
 # A strongly decaying follower: exp(-cum_f) grows to 2.9e4 over the horizon.
 @example(a_drift=-2.8, q_track=5.0, inference_weight=0.0, horizon=2.9, n_steps=1500,
          n_paths=1, seed=0)
+# A subnormal precision (2.9e-317, of order q_track^2): the two sums differ
+# by one subnormal spacing, so the precision bound is floored at four spacings.
+@example(a_drift=0.0, q_track=8.776620620669868e-157, inference_weight=0.0, horizon=0.25,
+         n_steps=3, n_paths=1, seed=0)
 def test_leader_stats_match_one_line_on_drawn_models(
     a_drift, q_track, inference_weight, horizon, n_steps, n_paths, seed
 ):
@@ -567,7 +571,8 @@ def test_leader_stats_match_one_line_on_drawn_models(
             leader, follower, coeffs, fr, law, grid, shocks
         )
         want = compute_g_batch_one_line(fr, follower, ens.x)[1]
-        assert np.all(np.abs(precision - want) <= 1e-10 * np.abs(want))
+        floor = 4 * np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(precision - want) <= np.maximum(1e-10 * np.abs(want), floor))
         want = primary_cost_batch_one_line(leader, grid, ens.x, ens.controls)
         assert np.all(np.abs(j_primary - want) <= 1e-12 * np.abs(want))
         want = si.trapz(ens.controls**2, grid)

@@ -237,6 +237,30 @@ class TestCliCommands:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_steps_required_where_read(self, tmp_path, capsys):
+        # discrete-convergence runs on its own 2**fine_exponent grid, so
+        # grid.n_steps may be left out there and changes no file.
+        study = dict(name="discrete-convergence", fine_exponent=8, levels=[4, 6],
+                     n_sigma_replications=2)
+        outputs = []
+        for tag in ("given", "omitted"):
+            doc = make_doc(**study)
+            if tag == "omitted":
+                del doc["grid"]["n_steps"]
+            path = write_doc(tmp_path, doc)
+            assert cli.main(["validate", "--config", path]) == cli.EXIT_OK
+            out = tmp_path / tag
+            assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+            outputs.append(_outputs(out))
+        assert outputs[0] == outputs[1]
+        doc = make_doc(name="tradeoff-sweep", ratios=[1.0], n_paths=10)
+        del doc["grid"]["n_steps"]
+        path = write_doc(tmp_path, doc)
+        for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert cli.main([*command, "--config", path]) == cli.EXIT_CONFIG
+            assert "config.grid.n_steps: missing required key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("study, n_steps", [
         (dict(name="discrete-convergence", fine_exponent=20, levels=[4]), 50),
         (dict(name="wellposedness"), MAX_STEPS),
@@ -364,6 +388,35 @@ class TestCliCommands:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_NUMERICAL
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    # Valid models whose floats overflow: numpy warns of it on the way.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("study, block, key, value", [
+        # Python float powers raise OverflowError: leader sigma**2,
+        # follower a_drift**2 and dilation**2.
+        (dict(name="tradeoff-sweep", ratios=[1.0], n_paths=10), "leader", "sigma", 1e200),
+        (dict(name="wellposedness"), "leader", "sigma", 1e200),
+        (dict(name="tradeoff-sweep", ratios=[1.0], n_paths=10), "follower", "a_drift", 1e200),
+        (dict(name="estimator-study", inference_weights=[0.5], n_replays=10),
+         "follower", "dilation", 1e200),
+        # numpy overflows to inf or NaN in a summary or a table cell.
+        (dict(name="tradeoff-sweep", ratios=[1.0, 10.0], n_paths=10), "leader", "x0", 1e300),
+        (dict(name="discrete-convergence", fine_exponent=8, levels=[4, 5],
+              n_sigma_replications=4), "leader", "x0", 1e300),
+        (dict(name="estimator-study", inference_weights=[0.0, 0.5], n_replays=10),
+         "follower", "x0", 1e300),
+        (dict(name="estimator-study", inference_weights=[0.0, 0.5], n_replays=10),
+         "leader", "x0", 1e300),
+    ])
+    def test_overflow_exit_code(self, tmp_path, capsys, study, block, key, value):
+        doc = make_doc(**study)
+        doc[block][key] = value
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["validate", "--config", path]) == cli.EXIT_OK
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("study", [
@@ -711,3 +764,36 @@ def test_readme_sessions_run():
     assert sessions
     for source in sessions:
         exec(compile(source, str(readme), "exec"), {"__name__": "readme"})
+
+
+# Each shipped config's study at a size that runs in well under a second.
+SMALL_STUDIES = {
+    "benchmark-compare": dict(n_eval_paths=6, n_display_paths=2,
+                              optimizer=dict(budget=1, batch_size=4, eval_paths=4)),
+    "discrete-convergence": dict(fine_exponent=8, levels=[4, 5], n_sigma_replications=2),
+    "estimator-study": dict(n_replays=20),
+    "multi-period": dict(n_episodes=2),
+    "objective-compare": dict(n_paths=6, optimizer=dict(budget=1, batch_size=4, eval_paths=4)),
+    "tradeoff-sweep": dict(n_paths=10),
+    "wellposedness": {},
+}
+
+
+def test_readme_lists_every_csv_column(tmp_path):
+    # A study runner names each column once, beside its value; the study
+    # catalog must list the same columns, in order, for every CSV it writes.
+    catalog = (ROOT / "README.md").read_text().split("## Study catalog")[1].split("\n## ")[0]
+    documented = {}
+    for study, text in re.findall(r"^- \*\*`([\w-]+)`\*\*(.*?)(?=^- |\Z)", catalog, re.S | re.M):
+        for table, columns in re.findall(r"`(\w+)\.csv`:\s+`([^`]+)`", text):
+            documented[study, table] = re.sub(r"\s+", "", columns)
+    written = {}
+    for config in CONFIGS:
+        doc = json.loads(config.read_text())
+        doc["study"].update(SMALL_STUDIES[doc["study"]["name"]])
+        out = tmp_path / config.stem
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        for table in out.glob("*.csv"):
+            written[tuple(table.stem.split("_", 1))] = table.read_text().splitlines()[0]
+    assert written == documented
