@@ -3,13 +3,14 @@
 ``stackinfer run --config cfg.json [--threads N] [--out DIR]`` executes one
 study and writes its CSV tables plus a JSON summary (config echo and
 provenance included) to the output directory. ``stackinfer validate`` checks
-a config, and loads the policy file it names, without running anything. The
-default output directory can be set through the STACKINFER_OUT environment
-variable.
+a config, and loads the policy file it names, without running anything; it
+imports no solver module unless the config names such a file. The default
+output directory can be set through the STACKINFER_OUT environment variable.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (blow-up, degenerate ensemble, float overflow, or a result holding a
-non-finite number, of which nothing is written), 4 I/O error.
+non-finite number, of which nothing is written; the message names the
+study), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -21,10 +22,13 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .core import BlowUpError, DegenerateEnsembleError, DegeneratePathError, SolverFailureError
-from .studies import StudyResult, load_study_policy, run_study
+
+if TYPE_CHECKING:
+    from .studies import StudyResult
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -131,16 +135,20 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "validate":
-            load_study_policy(cfg, cfg.build_grid())
+            if cfg.policy_file is not None:
+                from .studies import load_study_policy
+                load_study_policy(cfg, cfg.build_grid())
             print(f"ok: {cfg.study_name} config is valid")
             return EXIT_OK
+        from .studies import run_study
         result = run_study(cfg, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (BlowUpError, DegenerateEnsembleError, DegeneratePathError, SolverFailureError,
             OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        kind = "float overflow: " if isinstance(exc, OverflowError) else ""
+        print(f"numerical failure: {cfg.study_name}: {kind}{exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

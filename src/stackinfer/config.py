@@ -313,6 +313,11 @@ class ExperimentConfig:
         return self.study["name"]
 
     @property
+    def policy_file(self) -> str | None:
+        """The path ``study.policy_file`` names; None where the study names none."""
+        return self.study.get("policy_file")
+
+    @property
     def master_seed(self) -> int:
         return self.rng["master_seed"]
 

@@ -581,7 +581,7 @@ def load_study_policy(cfg: ExperimentConfig, grid: TimeGrid) -> RecurrentPolicy 
     A file that ``load_policy_file`` refuses raises ``ConfigError`` naming
     the field; one that cannot be read raises ``OSError``.
     """
-    path = cfg.study.get("policy_file")
+    path = cfg.policy_file
     if path is None:
         return None
     try:

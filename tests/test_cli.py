@@ -416,7 +416,7 @@ class TestCliCommands:
         assert cli.main(["validate", "--config", path]) == cli.EXIT_OK
         out = tmp_path / "out"
         assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_NUMERICAL
-        assert "numerical failure" in capsys.readouterr().err
+        assert f"numerical failure: {study['name']}: " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("study", [
