@@ -26,7 +26,7 @@ _EXPORTS = {
     ],
     "simulate": [
         "AugmentedLeaderPath", "FollowerPath", "GProfile", "LeaderEnsemble", "compute_g",
-        "compute_g_batch", "evaluate_follower_cost", "primary_cost_batch",
+        "compute_g_batch", "primary_cost_batch",
         "simulate_follower", "simulate_follower_batch", "simulate_leader",
         "simulate_leader_batch",
     ],
@@ -34,10 +34,10 @@ _EXPORTS = {
         "DiscreteJointEstimate", "DiscreteObservations", "MleReport", "MultiPeriodState",
         "mle_continuous", "mle_continuous_batch", "mle_discrete_joint",
         "mle_discrete_joint_batch", "multi_period_update", "realized_variance_proxy",
-        "sigma_quadratic_variation", "stopping_rule",
+        "stopping_rule",
     ],
     "policy": [
-        "FollowerPolicyLaw", "FunctionPolicy", "OptimizeResult", "OptimizerConfig",
+        "FunctionPolicy", "OptimizeResult", "OptimizerConfig",
         "RecurrentConfig", "RecurrentPolicy", "RiccatiPolicy", "initial_policy",
         "optimize_policy",
     ],

@@ -27,16 +27,13 @@ class MleReport:
 
     ``cond_variance`` and ``cond_fisher`` are the conditional (given the
     leader path) variance and Fisher information; their product is 1 up to
-    rounding. ``drift_term`` and ``ito_term`` are the numerator components,
-    kept for residual diagnostics.
+    rounding.
     """
 
     m_hat: float
     precision: float
     cond_variance: float
     cond_fisher: float
-    drift_term: float
-    ito_term: float
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,8 @@ class DiscreteObservations:
 
 @dataclass(frozen=True)
 class DiscreteJointEstimate:
+    """``mle_discrete_joint``'s estimate of the dilation factor and noise variance."""
+
     m_hat: float
     sigma2_hat: float
 
@@ -151,8 +150,6 @@ def mle_continuous(
         precision=gp.precision,
         cond_variance=cond_variance,
         cond_fisher=cond_fisher,
-        drift_term=drift,
-        ito_term=ito,
     )
 
 
@@ -190,12 +187,6 @@ def stopping_rule(state: MultiPeriodState, threshold: float, model: FollowerMode
     return realized_variance_proxy(state, model) <= threshold
 
 
-def sigma_quadratic_variation(fpath: FollowerPath) -> float:
-    """Noise-level estimate from the path's quadratic variation over [0, T]."""
-    dx = np.diff(fpath.x)
-    return float(dx @ dx) / fpath.grid.horizon
-
-
 def _interval_tables(t: np.ndarray, fr: FollowerRiccati, gp: GProfile):
     """Transition factor, score integral and variance integral per interval.
 
@@ -225,7 +216,7 @@ def mle_discrete_joint_batch(
     """Joint (m_hat, sigma2_hat) per row of ``values``, all observed at ``times``.
 
     The interval tables depend only on the times, so they are built once
-    for every row.
+    for every row. No study calls it; it backs ``mle_discrete_joint``.
     """
     t = _check_times(times)
     # Row-major, so every row is reduced in the same order as a single path.
@@ -264,7 +255,8 @@ def mle_discrete_joint(
     Built on the exact Gaussian one-step transition of the optimally
     controlled follower; as the observation mesh refines, the dilation
     estimate approaches the continuous-observation one and the variance
-    estimate approaches the true squared noise level.
+    estimate approaches the true squared noise level. No study calls it;
+    tests do, and ``perfbench/tracing.py`` wraps it by name.
     """
     m_hat, sigma2_hat = mle_discrete_joint_batch(
         obs.times, obs.values[None, :], fr, gp, model

@@ -44,7 +44,8 @@ class _StatelessSession:
 
 @dataclass(frozen=True)
 class FunctionPolicy:
-    """Wraps a vectorized function (j, x_prefix, aux, aux2) -> controls."""
+    """Wraps a vectorized function (j, x_prefix, aux, aux2) -> controls; tests
+    build one, and ``perfbench/tracing.py`` wraps its ``session`` by name."""
 
     fn: object
 
@@ -81,26 +82,11 @@ class RiccatiPolicy:
         return scale * (k[..., 0] * x + k[..., 1] * aux + k[..., 2] * aux2 + offset[j])
 
     def session(self, n_paths: int):
+        """Stepper over ``control_at`` for tests (the simulator calls ``control_at``)
+        and for ``perfbench/tracing.py``, which wraps it by name."""
         return _StatelessSession(
             lambda j, x_prefix, aux, aux2: self.control_at(j, x_prefix[:, -1], aux, aux2)
         )
-
-
-@dataclass(frozen=True)
-class FollowerPolicyLaw:
-    """The follower's optimal randomized policy: Gaussian with affine mean."""
-
-    model: FollowerModel
-    fr: FollowerRiccati
-    b: np.ndarray
-
-    def moments(self, j: int, x: float) -> tuple[float, float]:
-        """Mean and (state-independent) variance of the policy at node j and state x."""
-        if j < 0 or j >= self.fr.grid.n_nodes:
-            raise InvalidArgumentError(f"node index {j} outside the grid")
-        m = self.model
-        mean = -(m.b_control / m.r_control) * (2.0 * self.fr.a[j] * x + self.b[j])
-        return mean, m.entropy_weight / m.r_control
 
 
 @dataclass(frozen=True)
@@ -225,6 +211,7 @@ class RecurrentPolicy:
         object.__setattr__(self, "theta", theta)
 
     def session(self, n_paths: int) -> _RecurrentSession:
+        """Stateful stepper over ``n_paths`` rows; ``perfbench/tracing.py`` wraps it."""
         return _RecurrentSession(self, n_paths)
 
     def with_theta(self, theta) -> "RecurrentPolicy":

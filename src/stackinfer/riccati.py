@@ -2,16 +2,16 @@
 
 The follower's quadratic value coefficient solves a scalar Riccati equation
 with constant coefficients, evaluated in closed form at the grid nodes. Its
-linear and constant coefficients are integrated backward with classical RK4
-on the simulation grid, with coefficient values at half-steps from linear
-interpolation of the node arrays: the linear one as the affine recurrence
-its RK4 steps form (``core._affine_scan``), the constant one as a running
-sum of increments. The leader's value function lives on the
-augmented state (own state plus two path integrals), giving a symmetric 3x3
-Riccati system with an indefinite source. It is solved on every grid as the
-linear Hamiltonian system whose solution [X; Y] gives the Riccati solution as
-Y X^-1 (Radon's lemma): per-step RK4 propagators multiplied out two-level
-blocked, restarted at every block.
+linear coefficient, all that the follower's response and the estimator
+need, is integrated backward with classical RK4 on the simulation grid,
+with coefficient values at half-steps from linear interpolation of the node
+arrays, as the affine recurrence its RK4 steps form (``core._affine_scan``).
+Its constant coefficient is not solved. The leader's value function lives
+on the augmented state (own state plus two path integrals), giving a
+symmetric 3x3 Riccati system with an indefinite source. It is solved on
+every grid as the linear Hamiltonian system whose solution [X; Y] gives the
+Riccati solution as Y X^-1 (Radon's lemma): per-step RK4 propagators
+multiplied out two-level blocked, restarted at every block.
 
 The leader system is only locally well-posed; ``horizon_bound`` computes the
 conservative existence horizon, and ``solve_leader_system`` raises
@@ -158,21 +158,17 @@ def compute_coefficients(fr: FollowerRiccati, model: FollowerModel) -> DerivedCo
 
 def solve_follower_bc(
     fr: FollowerRiccati, model: FollowerModel, x_leader: Trajectory
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the follower's linear and constant value coefficients backward.
+) -> np.ndarray:
+    """Solve the follower's linear value coefficient b backward.
 
-    db/dt = (2 b^2/r) a b - a_drift b + q_track * dilation * x_L(t), b(T) = 0.
-    dc/dt collects the remaining HJB terms (tracking offset, control bias,
-    noise, and the entropy constant), c(T) = 0. Both are classical RK4 with
-    x_L and a linearly interpolated at half-steps. db/dt is affine in b, so
-    each RK4 stage is too, and a backward step is b[j] = m[j] b[j+1] + e[j]
-    with m and e built for all steps at once; that recurrence is solved by
-    ``core._affine_scan``. b is linear in q_track * dilation, so it is
-    solved for unit forcing and scaled once, which keeps a tiny forcing out
-    of the subnormal range until the last rounding. dc/dt does not depend
-    on c, so c's RK4 increments are evaluated for all steps at once from the
-    b stage values, and c is their running sum from T. Both agree with the
-    per-step RK4 loop to rounding.
+    db/dt = (2 b^2/r) a b - a_drift b + q_track * dilation * x_L(t), b(T) = 0,
+    by classical RK4 with x_L and a linearly interpolated at half-steps.
+    db/dt is affine in b, so each RK4 stage is too, and a backward step is
+    b[j] = m[j] b[j+1] + e[j] with m and e built for all steps at once; that
+    recurrence is solved by ``core._affine_scan``. b is linear in
+    q_track * dilation, so it is solved for unit forcing and scaled once,
+    which keeps a tiny forcing out of the subnormal range until the last
+    rounding. It agrees with the per-step RK4 loop to rounding.
     """
     grid = fr.grid
     if x_leader.grid != grid:
@@ -180,11 +176,6 @@ def solve_follower_bc(
     alpha = 2.0 * model.gain_sq_over_r
     drift = model.a_drift
     q_m = model.q_track * model.dilation
-    half_gain = 0.5 * model.gain_sq_over_r
-    half_q_m2 = 0.5 * model.q_track * model.dilation**2
-    sig2 = model.sigma**2
-    lam = model.entropy_weight
-    entropy_const = 0.5 * lam * math.log(2.0 * math.pi * math.e * lam / model.r_control) - 0.5 * lam
 
     # b = q_m u with du/dt = p u + x, at the nodes and half-steps.
     x, x_mid = x_leader.values, _interp_mid(x_leader.values)
@@ -210,28 +201,8 @@ def solve_follower_bc(
     b[n] = 0.0
     b[:n] = e
     _affine_scan(m[::-1, None, None], b[::-1, None, None])
-
-    # The b stage values of every step (entered from its right node), then
-    # dc/dt at each stage: -half_q_m2 x^2 + half_gain b^2 - sig2 a + entropy_const.
-    u1 = b[1:]
-    s1 = q_m * u1
-    s2 = q_m * (u1 - half_h * (ka1 * u1 + kb1))
-    s3 = q_m * (u1 - half_h * (ka2 * u1 + kb2))
-    s4 = q_m * (u1 - h * (ka3 * u1 + kb3))
     b *= q_m
-    x_term, x_term_mid = -half_q_m2 * x * x, -half_q_m2 * x_mid * x_mid
-    a_term, a_term_mid = sig2 * a, sig2 * a_mid
-    kc1 = x_term[1:] + half_gain * s1 * s1 - a_term[1:] + entropy_const
-    kc2 = x_term_mid + half_gain * s2 * s2 - a_term_mid + entropy_const
-    kc3 = x_term_mid + half_gain * s3 * s3 - a_term_mid + entropy_const
-    kc4 = x_term[:-1] + half_gain * s4 * s4 - a_term[:-1] + entropy_const
-    # c[j] = c[j+1] - sixth_h * (...) from c[n] = 0; add.accumulate is
-    # sequential and c + (-v) rounds exactly as c - v.
-    neg_step = np.empty(n + 1)
-    neg_step[0] = 0.0
-    neg_step[1:] = -(sixth_h * (kc1 + 2.0 * kc2 + 2.0 * kc3 + kc4))[::-1]
-    c = np.cumsum(neg_step)[::-1].copy()
-    return b, c
+    return b
 
 
 def scaled_info_weight(leader: LeaderModel, follower: FollowerModel) -> float:

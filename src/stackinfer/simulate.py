@@ -1,4 +1,4 @@
-"""Forward simulation of both agents and evaluation of every cost functional.
+"""Forward simulation of both agents and the leader's cost functionals.
 
 Leader paths carry two auxiliary integrals alongside the state: the
 weighted running integral of the state and its decayed second integral.
@@ -57,15 +57,13 @@ SUB_NODES = 16
 
 @dataclass(frozen=True)
 class AugmentedLeaderPath:
-    """One leader path with auxiliary integrals, controls and driving noise."""
+    """One leader path with its auxiliary integrals and controls."""
 
     grid: TimeGrid
     x: np.ndarray
     aux: np.ndarray  # weighted running integral of the state (one per node)
     aux2: np.ndarray  # decayed second integral (one per node)
     controls: np.ndarray  # one per node; the terminal value never enters the dynamics
-    brownian: np.ndarray  # Brownian increments, one per step
-    stream_key: tuple
 
     def trajectory(self) -> Trajectory:
         return Trajectory(grid=self.grid, values=self.x)
@@ -73,13 +71,10 @@ class AugmentedLeaderPath:
 
 @dataclass(frozen=True)
 class FollowerPath:
-    """One follower path under the optimal response, with driving noise."""
+    """One follower path under the optimal response."""
 
     grid: TimeGrid
     x: np.ndarray
-    brownian: np.ndarray
-    stream_key: tuple
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -266,8 +261,6 @@ def simulate_leader(
         aux=ens.aux[0],
         aux2=ens.aux2[0],
         controls=ens.controls[0],
-        brownian=math.sqrt(grid.h) * shocks[0],
-        stream_key=(rng.master_seed, STREAM_LEADER, path_index),
     )
 
 
@@ -408,13 +401,7 @@ def simulate_follower(
     """Simulate one follower path from its contract-derived stream."""
     shocks = rng.normals(grid.n_steps, STREAM_FOLLOWER, path_index)[None, :]
     x = simulate_follower_batch(model, fr, b, grid, shocks, mode=mode)
-    return FollowerPath(
-        grid=grid,
-        x=x[0],
-        brownian=math.sqrt(grid.h) * shocks[0],
-        stream_key=(rng.master_seed, STREAM_FOLLOWER, path_index),
-        mode=mode,
-    )
+    return FollowerPath(grid=grid, x=x[0])
 
 
 def compute_g_batch(
@@ -426,6 +413,7 @@ def compute_g_batch(
     the tail integral realized through the cumulative forward integral so
     the same trapezoid weights underlie g, the auxiliary path integrals and
     the precision, keeping their algebraic identities exact on the grid.
+    ``perfbench/tracing.py`` wraps it by name.
     """
     grid = fr.grid
     x = np.atleast_2d(np.asarray(x_leader, dtype=float))
@@ -450,7 +438,8 @@ def compute_g(fr: FollowerRiccati, model: FollowerModel, x_leader: Trajectory) -
 
 
 def primary_cost_batch(leader: LeaderModel, grid: TimeGrid, x: np.ndarray, controls: np.ndarray):
-    """Realized tracking-plus-effort cost per path row."""
+    """Realized tracking-plus-effort cost per path row: ``leader_batch_stats``'
+    cost in path-major form, which tests read and ``perfbench/tracing.py`` wraps."""
     target = leader.target_at(grid.nodes, grid.horizon)
     # 0.5 q (x - target)^2 + 0.5 r u^2, with the same operations in place.
     run = np.subtract(x, target[None, :])
@@ -463,31 +452,6 @@ def primary_cost_batch(leader: LeaderModel, grid: TimeGrid, x: np.ndarray, contr
     cost = trapz(run, grid)
     cost = cost + 0.5 * leader.q_terminal * (x[:, -1] - target[-1]) ** 2
     return np.atleast_1d(cost)
-
-
-def evaluate_follower_cost(
-    model: FollowerModel,
-    fpath: FollowerPath,
-    x_leader: Trajectory,
-    fr: FollowerRiccati,
-    b: np.ndarray,
-) -> float:
-    """Realized follower cost along one path under its optimal policy.
-
-    The control second moment and the entropy term use the closed Gaussian
-    forms of the optimal policy (mean -(b_F/r_F)(2 a x + b), variance
-    entropy_weight/r_F), so only the state path is random.
-    """
-    grid = fpath.grid
-    _check_grid(grid, x_leader.grid, "leader trajectory")
-    x = fpath.x
-    lam, r = model.entropy_weight, model.r_control
-    mean = -(model.b_control / r) * (2.0 * fr.a * x + b)
-    track = 0.5 * model.q_track * (x - model.dilation * x_leader.values) ** 2
-    effort = 0.5 * r * (mean**2 + lam / r)
-    neg_entropy = -0.5 * math.log(2.0 * math.pi * math.e * lam / r)
-    integrand = track + effort + lam * neg_entropy
-    return float(trapz(integrand, grid))
 
 
 def leader_batch_stats(

@@ -219,7 +219,7 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> StudyResult:
             mean_primary_cost=float(np.mean(j_p)), n_paths=n_paths, seed=cfg.master_seed,
         ))
         x_path, controls = kept[0]
-        b, _ = solve_follower_bc(fr, follower, Trajectory(grid=grid, values=x_path))
+        b = solve_follower_bc(fr, follower, Trajectory(grid=grid, values=x_path))
         # Every ratio's trajectory row sees the same follower shocks.
         xf = simulate_follower(follower, fr, b, grid, rng, 0).x
         target = lm.target_at(grid.nodes, grid.horizon)
@@ -260,7 +260,7 @@ def run_estimator_study(cfg: ExperimentConfig) -> StudyResult:
         # Every weight's path sees the same leader shocks.
         x_leader = simulate_leader(lm, coeffs, RiccatiPolicy(lm, lr), grid, rng,
                                    path_index).trajectory()
-        b, _ = solve_follower_bc(fr, follower, x_leader)
+        b = solve_follower_bc(fr, follower, x_leader)
         arms.append((compute_g(fr, follower, x_leader), b))
     all_m_hats = _follower_mhats(follower, fr, arms, grid, n_replays, rng)
 
@@ -314,7 +314,7 @@ def run_episodes(
         lpath = simulate_leader(lm, coeffs, RiccatiPolicy(lm, lr), grid, rng, ep)
         x_leader = lpath.trajectory()
         gp = compute_g(fr, follower_model, x_leader)
-        b, _ = solve_follower_bc(fr, fm, x_leader)
+        b = solve_follower_bc(fr, fm, x_leader)
         fpath = simulate_follower(fm, fr, b, grid, rng, ep)
         report = mle_continuous(fpath, gp, fr, fm)
         state = multi_period_update(state, report)
@@ -369,7 +369,7 @@ def run_discrete_convergence(cfg: ExperimentConfig) -> StudyResult:
     lr = solve_leader_system(lm, follower, coeffs)
     x_leader = simulate_leader(lm, coeffs, RiccatiPolicy(lm, lr), grid, rng, 0).trajectory()
     gp = compute_g(fr, follower, x_leader)
-    b, _ = solve_follower_bc(fr, follower, x_leader)
+    b = solve_follower_bc(fr, follower, x_leader)
 
     # One set of exact-transition tables serves the path and every replication.
     tables = _exact_transition_tables(follower, fr, b, grid)
@@ -541,12 +541,6 @@ def _policy_document(policy: RecurrentPolicy) -> dict:
     }
 
 
-def save_policy_file(path: str, policy: RecurrentPolicy):
-    """Serialize fitted policy parameters with their architecture."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_policy_document(policy), fh, sort_keys=True)
-
-
 def load_policy_file(path: str, grid: TimeGrid) -> RecurrentPolicy:
     """Reload a serialized policy onto a grid.
 
@@ -604,7 +598,8 @@ STUDY_RUNNERS = {
 def run_study(cfg: ExperimentConfig, threads: int = 1) -> StudyResult:
     """Dispatch a validated configuration to its study runner.
 
-    ``threads`` is accepted for the command line's ``--threads``; all work
-    runs on the calling thread.
+    ``threads`` is accepted for the command line's ``--threads`` and for
+    ``perfbench``, which runs every study at 1 and 2; all work runs on the
+    calling thread.
     """
     return STUDY_RUNNERS[cfg.study_name](cfg)

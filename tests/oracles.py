@@ -2,13 +2,17 @@
 
 Everything here is implemented from first principles (closed forms, fine
 quadrature, fine Runge-Kutta with analytic coefficients) without calling the
-library's solvers, so agreement is evidence and not tautology.
+library's solvers, so agreement is evidence and not tautology. It also holds
+the paper identities that tests check and the library no longer needs: the
+follower's realized cost and value constant c, its Gaussian policy moments,
+and the quadratic-variation noise estimate.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -558,6 +562,54 @@ def primary_cost_batch_one_line(leader, grid, x, controls):
 
 
 # ---------------------------------------------------------------------------
+# Paper identities no study reads: the follower's realized cost, its optimal
+# policy's moments and the quadratic-variation noise estimate. The value
+# constant c these checks need comes from ``follower_bc_loop``.
+
+
+def evaluate_follower_cost(model, fpath, x_leader, fr, b):
+    """Realized follower cost along one path under its optimal policy.
+
+    The control second moment and the entropy term use the closed Gaussian
+    forms of the optimal policy (mean -(b_F/r_F)(2 a x + b), variance
+    entropy_weight/r_F), so only the state path is random.
+    """
+    if fpath.grid != x_leader.grid:
+        raise ValueError("leader trajectory lives on a different grid")
+    x = fpath.x
+    lam, r = model.entropy_weight, model.r_control
+    mean = -(model.b_control / r) * (2.0 * fr.a * x + b)
+    track = 0.5 * model.q_track * (x - model.dilation * x_leader.values) ** 2
+    effort = 0.5 * r * (mean**2 + lam / r)
+    neg_entropy = -0.5 * math.log(2.0 * math.pi * math.e * lam / r)
+    integrand = track + effort + lam * neg_entropy
+    return trapz_one_line(integrand, fpath.grid)
+
+
+@dataclass(frozen=True)
+class FollowerPolicyLaw:
+    """The follower's optimal randomized policy: Gaussian with affine mean."""
+
+    model: object
+    fr: object
+    b: np.ndarray
+
+    def moments(self, j: int, x: float) -> tuple[float, float]:
+        """Mean and (state-independent) variance of the policy at node j and state x."""
+        if j < 0 or j >= self.fr.grid.n_nodes:
+            raise ValueError(f"node index {j} outside the grid")
+        m = self.model
+        mean = -(m.b_control / m.r_control) * (2.0 * self.fr.a[j] * x + self.b[j])
+        return mean, m.entropy_weight / m.r_control
+
+
+def sigma_quadratic_variation(fpath) -> float:
+    """Noise-level estimate from the path's quadratic variation over [0, T]."""
+    dx = np.diff(fpath.x)
+    return float(dx @ dx) / fpath.grid.horizon
+
+
+# ---------------------------------------------------------------------------
 # Per-arm study loops: the tradeoff sweep and the estimator study as they ran
 # before the studies drew each chunk's shocks once for all arms. Every ratio
 # or weight draws its own rows, chunk by chunk. The sweep takes each path's
@@ -599,7 +651,7 @@ def tradeoff_sweep_per_arm(cfg, chunk_rows):
                 x_path, controls = ens.x[0].copy(), ens.controls[0].copy()
         rows.append([ratio, lam, ratio * lam, float(np.mean(precision)) / follower.noise_to_signal,
                      float(np.mean(j_p)), n_paths, cfg.master_seed])
-        b, _ = si.solve_follower_bc(fr, follower, si.Trajectory(grid=grid, values=x_path))
+        b = si.solve_follower_bc(fr, follower, si.Trajectory(grid=grid, values=x_path))
         fshocks = rng.normal_matrix(1, grid.n_steps, STREAM_FOLLOWER, 0)
         xf = si.simulate_follower_batch(follower, fr, b, grid, fshocks)[0]
         target = lm.target_at(grid.nodes, grid.horizon)
@@ -631,7 +683,7 @@ def estimator_study_per_arm(cfg, chunk_rows):
         )
         g, precision = compute_g_batch_one_line(fr, follower, x_leader.values)
         gp = si.GProfile(grid=grid, g=g[0], precision=float(precision[0]))
-        b, _ = si.solve_follower_bc(fr, follower, x_leader)
+        b = si.solve_follower_bc(fr, follower, x_leader)
         m_hats = np.empty(n_replays)
         for start, stop in _chunks(n_replays, chunk_rows):
             shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_FOLLOWER, start)

@@ -54,7 +54,7 @@ def fixed_path_5000(follower, solved_5000):
     lpath = si.simulate_leader(leader, coeffs, si.RiccatiPolicy(leader, lr), grid, rng)
     x_leader = lpath.trajectory()
     gp = si.compute_g(fr, follower, x_leader)
-    b, _ = si.solve_follower_bc(fr, follower, x_leader)
+    b = si.solve_follower_bc(fr, follower, x_leader)
     return grid, fr, x_leader, gp, b
 
 
@@ -145,7 +145,7 @@ def test_criterion_4_ito_isometry_variance(follower):
     lpath = si.simulate_leader(leader, coeffs, si.RiccatiPolicy(leader, lr), grid, rng)
     x_leader = lpath.trajectory()
     gp = si.compute_g(fr, follower, x_leader)
-    b, _ = si.solve_follower_bc(fr, follower, x_leader)
+    b = si.solve_follower_bc(fr, follower, x_leader)
 
     n_rep, chunk = 100_000, 10_000
     m_hats = np.empty(n_rep)
@@ -295,7 +295,7 @@ def test_criterion_8_discrete_convergence(follower):
     lpath = si.simulate_leader(leader, coeffs, si.RiccatiPolicy(leader, lr), grid, rng, 2)
     x_leader = lpath.trajectory()
     gp = si.compute_g(fr, follower, x_leader)
-    b, _ = si.solve_follower_bc(fr, follower, x_leader)
+    b = si.solve_follower_bc(fr, follower, x_leader)
     fpath = si.simulate_follower(follower, fr, b, grid, rng, 9, mode="exact")
     m_cont = si.mle_continuous(fpath, gp, fr, follower).m_hat
 

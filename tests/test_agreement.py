@@ -4,7 +4,7 @@ The affine recurrence solver (``core._affine_scan``) solves follower
 batches in both modes, the follower's ``b`` and the leader batches
 ``core._use_scan`` admits under an affine law. Its blocked schedule
 re-associates rounding and its per-step schedule rounds the step
-differently from the loops, so paths and ``(b, c)`` agree with the loops
+differently from the loops, so paths and ``b`` agree with the loops
 to a relative 1e-12 of their magnitude. Every other leader batch under an
 affine law is stepped by the simulator's node loop, bit for bit the law
 through a session. Exact follower paths composed over blocks of steps
@@ -358,10 +358,9 @@ class TestRiccatiSolvers:
 
     def test_follower_bc_matches_loop(self, follower, grid_case):
         _, fr, _, _, _, x_leader = grid_case
-        b, c = si.solve_follower_bc(fr, follower, x_leader)
-        b_ref, c_ref = follower_bc_loop(fr, follower, x_leader)
+        b = si.solve_follower_bc(fr, follower, x_leader)
+        b_ref, _ = follower_bc_loop(fr, follower, x_leader)
         assert_close(b, b_ref)
-        assert_close(c, c_ref)
 
     def test_follower_a_matches_loop(self, follower, grid_case):
         # The closed form is exact, so it sits within RK4's own error of the
@@ -391,10 +390,9 @@ class TestRiccatiSolvers:
                               sigma=sigma, entropy_weight=entropy_weight)
         fr = si.solve_follower_a(model, grid50)
         x_leader = si.Trajectory(grid=grid50, values=0.1 * np.cos(3.0 * grid50.nodes))
-        b, c = si.solve_follower_bc(fr, model, x_leader)
-        b_ref, c_ref = follower_bc_loop(fr, model, x_leader)
+        b = si.solve_follower_bc(fr, model, x_leader)
+        b_ref, _ = follower_bc_loop(fr, model, x_leader)
         assert_close(b, b_ref)
-        assert_close(c, c_ref)
 
     @pytest.mark.parametrize("n_steps", [50, 400])
     def test_blow_up_time_unchanged(self, follower, n_steps):
@@ -461,7 +459,7 @@ class TestFollowerPaths:
     @pytest.mark.parametrize("mode", ["euler", "exact"])
     def test_long_paths_match_loop(self, follower, grid_case, mode):
         grid, fr, _, _, _, x_leader = grid_case
-        b, _ = si.solve_follower_bc(fr, follower, x_leader)
+        b = si.solve_follower_bc(fr, follower, x_leader)
         shocks = si.RngContract(5).normal_matrix(3, grid.n_steps, si.core.STREAM_FOLLOWER, 0)
         x = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode=mode)
         tables = _exact_transition_tables(follower, fr, b, grid)
@@ -470,7 +468,7 @@ class TestFollowerPaths:
     @pytest.mark.parametrize("n_paths", [3, 60])
     def test_prebuilt_tables_change_nothing(self, follower, grid_case, n_paths):
         grid, fr, _, _, _, x_leader = grid_case
-        b, _ = si.solve_follower_bc(fr, follower, x_leader)
+        b = si.solve_follower_bc(fr, follower, x_leader)
         shocks = si.RngContract(5).normal_matrix(n_paths, grid.n_steps, si.core.STREAM_FOLLOWER, 0)
         tables = _exact_transition_tables(follower, fr, b, grid)
         x = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
@@ -512,7 +510,7 @@ def test_affine_laws_match_loops_across_the_regime_boundary(follower, n_steps, d
     ref = leader_batch_loop(leader, coeffs, policy, grid, shocks)
     for got, want in zip((ens.x, ens.aux, ens.aux2, ens.controls), ref):
         assert_close(got, want)
-    b, _ = si.solve_follower_bc(fr, follower, si.Trajectory(grid=grid, values=ens.x[0]))
+    b = si.solve_follower_bc(fr, follower, si.Trajectory(grid=grid, values=ens.x[0]))
     tables = _exact_transition_tables(follower, fr, b, grid)
     for mode in ("euler", "exact"):
         x = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode=mode)
@@ -624,7 +622,7 @@ def follower_case(follower, n_steps, horizon=HORIZON):
     grid = si.build_grid(horizon, n_steps)
     fr = si.solve_follower_a(follower, grid)
     x_leader = si.Trajectory(grid=grid, values=0.1 * np.cos(3.0 * grid.nodes))
-    b, _ = si.solve_follower_bc(fr, follower, x_leader)
+    b = si.solve_follower_bc(fr, follower, x_leader)
     return grid, fr, b, _exact_transition_tables(follower, fr, b, grid)
 
 
@@ -694,7 +692,7 @@ def test_rows_do_not_depend_on_batch_size(follower, n_steps, blocked, data, seed
     obs = np.arange(0, n_steps + 1, 5)
     x_leader = si.simulate_leader(leader, coeffs, policy, grid, si.RngContract(seed)).trajectory()
     gp = si.compute_g(fr, follower, x_leader)
-    b, _ = si.solve_follower_bc(fr, follower, x_leader)
+    b = si.solve_follower_bc(fr, follower, x_leader)
     loop_policy = si.FunctionPolicy(lambda j, x, aux, aux2: -0.5 * x[:, -1] + aux - aux2)
 
     def per_row(lo, hi):
@@ -730,6 +728,5 @@ def test_rows_do_not_depend_on_batch_size(follower, n_steps, blocked, data, seed
         assert np.array_equal(obs_a[shared], obs_b[: n_a - (rows - n_b)])
     # One path through the single-path estimator is its batch row.
     euler_row = out_a[4][-1]
-    fpath = si.FollowerPath(grid=grid, x=euler_row, brownian=np.zeros(n_steps),
-                            stream_key=(), mode="euler")
+    fpath = si.FollowerPath(grid=grid, x=euler_row)
     assert si.mle_continuous(fpath, gp, fr, follower).m_hat == out_a[9][-1]

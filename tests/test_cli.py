@@ -357,13 +357,20 @@ class TestCliCommands:
         # q_track = ratio * inference_weight underflows to 0.
         ([("leader", "inference_weight", 1e-10), ("study", "ratios", [1e-320])],
          "config.study.ratios[0]:"),
+        # The solvers square the leader's sigma and the follower's a_drift as
+        # Python floats, whatever the study.
+        ([("leader", "sigma", 1e200)], "config.leader.sigma:"),
+        ([(None, "study", dict(name="wellposedness")), ("leader", "sigma", 1e200)],
+         "config.leader.sigma:"),
+        ([("follower", "a_drift", 1e200)], "config.follower.a_drift:"),
     ])
     def test_validate_agrees_with_run_on_derived_gains(self, tmp_path, capsys, edits, field):
         # The follower's sigma^2 r^2 / b^4 and the sweep's q_track must be
-        # positive finite floats, the leader's 2 b^2 / r a finite one.
+        # positive finite floats, the leader's 2 b^2 / r, sigma^2 and the
+        # follower's a_drift^2 finite ones. A None block edits the document.
         doc = make_doc(name="tradeoff-sweep", ratios=[1.0], n_paths=10)
         for block, key, value in edits:
-            doc[block][key] = value
+            (doc if block is None else doc[block])[key] = value
         path = write_doc(tmp_path, doc)
         assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
         assert field in capsys.readouterr().err
@@ -392,22 +399,23 @@ class TestCliCommands:
 
     # Valid models whose floats overflow: numpy warns of it on the way.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # The ids keep the numbering the cases had when the list also held the
+    # sigma**2 and a_drift**2 overflows, which validate now refuses (see
+    # test_validate_agrees_with_run_on_derived_gains).
     @pytest.mark.parametrize("study, block, key, value", [
-        # Python float powers raise OverflowError: leader sigma**2,
-        # follower a_drift**2 and dilation**2.
-        (dict(name="tradeoff-sweep", ratios=[1.0], n_paths=10), "leader", "sigma", 1e200),
-        (dict(name="wellposedness"), "leader", "sigma", 1e200),
-        (dict(name="tradeoff-sweep", ratios=[1.0], n_paths=10), "follower", "a_drift", 1e200),
-        (dict(name="estimator-study", inference_weights=[0.5], n_replays=10),
-         "follower", "dilation", 1e200),
-        # numpy overflows to inf or NaN in a summary or a table cell.
-        (dict(name="tradeoff-sweep", ratios=[1.0, 10.0], n_paths=10), "leader", "x0", 1e300),
-        (dict(name="discrete-convergence", fine_exponent=8, levels=[4, 5],
-              n_sigma_replications=4), "leader", "x0", 1e300),
-        (dict(name="estimator-study", inference_weights=[0.0, 0.5], n_replays=10),
-         "follower", "x0", 1e300),
-        (dict(name="estimator-study", inference_weights=[0.0, 0.5], n_replays=10),
-         "leader", "x0", 1e300),
+        # numpy overflows to inf or NaN in a summary or a table cell: with a
+        # dilation of 1e200 the estimates' sample variance.
+        pytest.param(dict(name="estimator-study", inference_weights=[0.5], n_replays=10),
+                     "follower", "dilation", 1e200, id="study3-follower-dilation-1e+200"),
+        pytest.param(dict(name="tradeoff-sweep", ratios=[1.0, 10.0], n_paths=10),
+                     "leader", "x0", 1e300, id="study4-leader-x0-1e+300"),
+        pytest.param(dict(name="discrete-convergence", fine_exponent=8, levels=[4, 5],
+                          n_sigma_replications=4),
+                     "leader", "x0", 1e300, id="study5-leader-x0-1e+300"),
+        pytest.param(dict(name="estimator-study", inference_weights=[0.0, 0.5], n_replays=10),
+                     "follower", "x0", 1e300, id="study6-follower-x0-1e+300"),
+        pytest.param(dict(name="estimator-study", inference_weights=[0.0, 0.5], n_replays=10),
+                     "leader", "x0", 1e300, id="study7-leader-x0-1e+300"),
     ])
     def test_overflow_exit_code(self, tmp_path, capsys, study, block, key, value):
         doc = make_doc(**study)

@@ -2,12 +2,15 @@
 
 ``import stackinfer`` loads names and submodules on first use, so a config
 check never pays for the solvers. Each import-graph test runs in a fresh
-interpreter, where no other test has loaded a module yet.
+interpreter, where no other test has loaded a module yet. Every exported
+name serves a study, the command line or the README; identities that only
+tests check live in ``tests/oracles.py``.
 """
 
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +20,8 @@ import pytest
 import stackinfer as si
 
 SRC = Path(si.__file__).resolve().parents[1]
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 SOLVERS = ["stackinfer.riccati", "stackinfer.simulate", "stackinfer.infer",
            "stackinfer.policy", "stackinfer.studies"]
@@ -37,7 +41,7 @@ PUBLIC = {
     ],
     "simulate": [
         "AugmentedLeaderPath", "FollowerPath", "GProfile", "LeaderEnsemble", "compute_g",
-        "compute_g_batch", "evaluate_follower_cost", "primary_cost_batch",
+        "compute_g_batch", "primary_cost_batch",
         "simulate_follower", "simulate_follower_batch", "simulate_leader",
         "simulate_leader_batch",
     ],
@@ -45,15 +49,23 @@ PUBLIC = {
         "DiscreteJointEstimate", "DiscreteObservations", "MleReport", "MultiPeriodState",
         "mle_continuous", "mle_continuous_batch", "mle_discrete_joint",
         "mle_discrete_joint_batch", "multi_period_update", "realized_variance_proxy",
-        "sigma_quadratic_variation", "stopping_rule",
+        "stopping_rule",
     ],
     "policy": [
-        "FollowerPolicyLaw", "FunctionPolicy", "OptimizeResult", "OptimizerConfig",
+        "FunctionPolicy", "OptimizeResult", "OptimizerConfig",
         "RecurrentConfig", "RecurrentPolicy", "RiccatiPolicy", "initial_policy",
         "optimize_policy",
     ],
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)
+# The files whose use makes a name public: the library's own modules, the
+# README, and the benchmark's tracer, which wraps some names by their
+# package path.
+USERS = [
+    *(path for path in sorted((SRC / "stackinfer").glob("*.py")) if path.name != "__init__.py"),
+    ROOT / "README.md",
+    ROOT / "perfbench" / "tracing.py",
+]
 
 
 def fresh(code: str, *args: str) -> dict:
@@ -109,8 +121,18 @@ class TestImportGraph:
 
 class TestPublicSurface:
     def test_all_lists_the_exported_names(self):
-        assert len(NAMES) == 61
+        assert len(NAMES) == 58
         assert sorted(si.__all__) == NAMES
+
+    def test_every_name_is_used_outside_its_definition(self):
+        lines = [line for path in USERS for line in path.read_text().splitlines()]
+        unused = []
+        for name in NAMES:
+            word = re.compile(rf"\b{name}\b")
+            own = re.compile(rf"\s*(def|class) {name}\b")
+            if not any(word.search(line) and not own.match(line) for line in lines):
+                unused.append(name)
+        assert unused == []
 
     @pytest.mark.parametrize("module", sorted(PUBLIC))
     def test_names_are_their_submodules_objects(self, module):

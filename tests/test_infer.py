@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import stackinfer as si
 from stackinfer.simulate import objective_paths
 from conftest import HORIZON, make_follower, make_leader
+from oracles import sigma_quadratic_variation
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +24,7 @@ def fixed_setup(follower):
     lpath = si.simulate_leader(leader, coeffs, si.RiccatiPolicy(leader, lr), grid, rng)
     x_leader = lpath.trajectory()
     gp = si.compute_g(fr, follower, x_leader)
-    b, _ = si.solve_follower_bc(fr, follower, x_leader)
+    b = si.solve_follower_bc(fr, follower, x_leader)
     return grid, fr, coeffs, x_leader, gp, b
 
 
@@ -46,8 +47,12 @@ class TestContinuousMle:
         grid, fr, _, _, gp, b = fixed_setup
         fpath = si.simulate_follower(follower, fr, b, grid, si.RngContract(8), 3)
         report = si.mle_continuous(fpath, gp, fr, follower)
+        # The Brownian increments that drove the path: its stream's shocks.
+        brownian = math.sqrt(grid.h) * si.RngContract(8).normals(
+            grid.n_steps, si.core.STREAM_FOLLOWER, 3
+        )
         predicted = follower.dilation - follower.sigma * float(
-            gp.g[:-1] @ fpath.brownian
+            gp.g[:-1] @ brownian
         ) / (follower.gain_sq_over_r * gp.precision)
         # Residual gap is the deterministic quadrature mismatch, O(h).
         assert abs(report.m_hat - predicted) < 50.0 * grid.h
@@ -83,9 +88,7 @@ class TestContinuousMle:
     def test_degenerate_path_rejected(self, follower, fr50, grid50):
         zero = si.Trajectory(grid=grid50, values=np.zeros(grid50.n_nodes))
         gp = si.compute_g(fr50, follower, zero)
-        fpath = si.FollowerPath(grid=grid50, x=np.zeros(grid50.n_nodes),
-                                brownian=np.zeros(grid50.n_steps), stream_key=(0,),
-                                mode="euler")
+        fpath = si.FollowerPath(grid=grid50, x=np.zeros(grid50.n_nodes))
         with pytest.raises(si.core.DegeneratePathError):
             si.mle_continuous(fpath, gp, fr50, follower)
         with pytest.raises(si.core.DegeneratePathError):
@@ -132,8 +135,7 @@ class TestMultiPeriod:
     def _report(self, m_hat, precision):
         return si.MleReport(m_hat=m_hat, precision=precision,
                             cond_variance=0.01 / precision,
-                            cond_fisher=precision / 0.01,
-                            drift_term=0.0, ito_term=0.0)
+                            cond_fisher=precision / 0.01)
 
     def test_first_episode(self):
         state = si.multi_period_update(si.MultiPeriodState.empty(), self._report(2.5, 0.3))
@@ -180,10 +182,8 @@ class TestMultiPeriod:
 
 class TestQuadraticVariation:
     def test_zero_path(self, grid50):
-        fpath = si.FollowerPath(grid=grid50, x=np.zeros(grid50.n_nodes),
-                                brownian=np.zeros(grid50.n_steps), stream_key=(0,),
-                                mode="euler")
-        assert si.sigma_quadratic_variation(fpath) == 0.0
+        fpath = si.FollowerPath(grid=grid50, x=np.zeros(grid50.n_nodes))
+        assert sigma_quadratic_variation(fpath) == 0.0
 
     def test_pure_noise_consistency(self):
         model = make_follower(q_track=0.0, a_drift=0.0)
@@ -193,7 +193,7 @@ class TestQuadraticVariation:
         estimates = []
         for rep in range(100):
             fpath = si.simulate_follower(model, fr, b, grid, si.RngContract(500), rep)
-            estimates.append(si.sigma_quadratic_variation(fpath))
+            estimates.append(sigma_quadratic_variation(fpath))
         assert float(np.mean(estimates)) == pytest.approx(model.sigma**2, rel=0.03)
 
     def test_drift_bias_shrinks_with_resolution(self):
@@ -206,7 +206,7 @@ class TestQuadraticVariation:
             vals = []
             for rep in range(200):
                 fpath = si.simulate_follower(model, fr, b, grid, si.RngContract(n), rep)
-                vals.append(si.sigma_quadratic_variation(fpath))
+                vals.append(sigma_quadratic_variation(fpath))
             biases.append(abs(float(np.mean(vals)) - model.sigma**2))
         assert biases[0] > biases[-1]
 
@@ -248,7 +248,7 @@ class TestDiscreteJoint:
         lpath = si.simulate_leader(leader, coeffs, si.RiccatiPolicy(leader, lr), grid, rng, 2)
         x_leader = lpath.trajectory()
         gp = si.compute_g(fr, follower, x_leader)
-        b, _ = si.solve_follower_bc(fr, follower, x_leader)
+        b = si.solve_follower_bc(fr, follower, x_leader)
         n_rep = 20
         shocks = rng.normal_matrix(n_rep, grid.n_steps, si.core.STREAM_FOLLOWER, 50)
         xs = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")

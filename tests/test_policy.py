@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import stackinfer as si
 from conftest import HORIZON, make_leader
-from oracles import FollowerClosedForm
+from oracles import FollowerClosedForm, FollowerPolicyLaw
 
 
 def last_control(policy, prefix):
@@ -67,13 +68,13 @@ class TestFollowerPolicyLaw:
     def test_zero_coefficients(self, follower, grid50):
         fr = si.FollowerRiccati(grid=grid50, a=np.zeros(grid50.n_nodes),
                                 f=np.zeros(grid50.n_nodes), cum_f=np.zeros(grid50.n_nodes))
-        law = si.FollowerPolicyLaw(model=follower, fr=fr, b=np.zeros(grid50.n_nodes))
+        law = FollowerPolicyLaw(model=follower, fr=fr, b=np.zeros(grid50.n_nodes))
         mean, var = law.moments(3, 1.7)
         assert mean == 0.0
         assert var == follower.entropy_weight / follower.r_control
 
     def test_variance_state_independent(self, follower, fr50, grid50):
-        law = si.FollowerPolicyLaw(model=follower, fr=fr50, b=np.zeros(grid50.n_nodes))
+        law = FollowerPolicyLaw(model=follower, fr=fr50, b=np.zeros(grid50.n_nodes))
         variances = {law.moments(j, x)[1]
                      for j in (0, 10, 50) for x in (-2.0, 0.0, 3.5)}
         assert variances == {follower.entropy_weight / follower.r_control}
@@ -82,8 +83,8 @@ class TestFollowerPolicyLaw:
         grid = si.build_grid(HORIZON, 1000)
         fr = si.solve_follower_a(follower, grid)
         x_leader = si.Trajectory(grid=grid, values=np.ones(grid.n_nodes))
-        b, _ = si.solve_follower_bc(fr, follower, x_leader)
-        law = si.FollowerPolicyLaw(model=follower, fr=fr, b=b)
+        b = si.solve_follower_bc(fr, follower, x_leader)
+        law = FollowerPolicyLaw(model=follower, fr=fr, b=b)
         mean, _ = law.moments(0, follower.x0)
         cf = FollowerClosedForm(-1.0, 1.0, 0.1, 1.0, 1.0, HORIZON)
         a0 = float(cf.a(0.0))
@@ -170,14 +171,14 @@ class TestOptimizer:
 
 class TestPolicySerialization:
     def test_roundtrip(self, grid50, tmp_path):
-        from stackinfer.studies import load_policy_file, save_policy_file
+        from stackinfer.studies import _policy_document, load_policy_file
 
         policy = si.initial_policy(grid50, si.RecurrentConfig(hidden_width=8, out_width=4),
                                    si.RngContract(6))
         theta = si.RngContract(7).stream(0).normal(0.0, 0.2, policy.config.dim)
         policy = policy.with_theta(theta)
         path = tmp_path / "policy.json"
-        save_policy_file(str(path), policy)
+        path.write_text(json.dumps(_policy_document(policy)))
         loaded = load_policy_file(str(path), grid50)
         assert loaded.config == policy.config
         assert np.array_equal(loaded.theta, policy.theta)

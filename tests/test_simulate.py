@@ -9,7 +9,13 @@ import stackinfer as si
 from stackinfer.core import STREAM_LEADER
 from stackinfer.simulate import PRECISION_FLOOR, leader_batch_stats, objective_paths
 from conftest import HORIZON, constant_policy, make_follower, make_leader, zero_policy
-from oracles import ou_mean_variance, precision_from_aux, trapezoid_primary_cost
+from oracles import (
+    evaluate_follower_cost,
+    follower_bc_loop,
+    ou_mean_variance,
+    precision_from_aux,
+    trapezoid_primary_cost,
+)
 
 
 def riccati_policy(leader, follower, coeffs):
@@ -107,7 +113,7 @@ class TestSimulateFollower:
         grid = si.build_grid(HORIZON, 5000)
         fr = si.solve_follower_a(model, grid)
         x_leader = si.Trajectory(grid=grid, values=np.full(grid.n_nodes, 0.3))
-        b, _ = si.solve_follower_bc(fr, model, x_leader)
+        b = si.solve_follower_bc(fr, model, x_leader)
         shocks = np.zeros((1, grid.n_steps))
         euler = si.simulate_follower_batch(model, fr, b, grid, shocks, mode="euler")
         exact = si.simulate_follower_batch(model, fr, b, grid, shocks, mode="exact")
@@ -125,7 +131,7 @@ class TestSimulateFollower:
         grid = si.build_grid(HORIZON, 500)
         fr = si.solve_follower_a(follower, grid)
         x_leader = si.Trajectory(grid=grid, values=np.full(grid.n_nodes, 0.5))
-        b, _ = si.solve_follower_bc(fr, follower, x_leader)
+        b = si.solve_follower_bc(fr, follower, x_leader)
         n_paths = 30_000
         shocks = si.RngContract(21).stream(0).standard_normal((n_paths, grid.n_steps))
         xs = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
@@ -210,14 +216,11 @@ class TestFollowerCost:
         model = make_follower()
         fr = si.solve_follower_a(model, grid50)
         x_leader = si.Trajectory(grid=grid50, values=np.linspace(0.0, 1.0, grid50.n_nodes))
-        b, _ = si.solve_follower_bc(fr, model, x_leader)
-        fpath = si.FollowerPath(
-            grid=grid50, x=model.dilation * x_leader.values,
-            brownian=np.zeros(grid50.n_steps), stream_key=(0,), mode="euler",
-        )
+        b = si.solve_follower_bc(fr, model, x_leader)
+        fpath = si.FollowerPath(grid=grid50, x=model.dilation * x_leader.values)
         heavy = make_follower(q_track=5.0)
-        cost_light = si.evaluate_follower_cost(model, fpath, x_leader, fr, b)
-        cost_heavy = si.evaluate_follower_cost(heavy, fpath, x_leader, fr, b)
+        cost_light = evaluate_follower_cost(model, fpath, x_leader, fr, b)
+        cost_heavy = evaluate_follower_cost(heavy, fpath, x_leader, fr, b)
         assert cost_light == pytest.approx(cost_heavy, abs=1e-12)
 
     def test_entropy_and_effort_constants(self):
@@ -228,12 +231,9 @@ class TestFollowerCost:
         model = make_follower(q_track=0.0, a_drift=0.0, sigma=0.0, x0=0.0)
         fr = si.solve_follower_a(model, grid)
         x_leader = si.Trajectory(grid=grid, values=np.zeros(grid.n_nodes))
-        b, _ = si.solve_follower_bc(fr, model, x_leader)
-        fpath = si.FollowerPath(
-            grid=grid, x=np.zeros(grid.n_nodes),
-            brownian=np.zeros(grid.n_steps), stream_key=(0,), mode="euler",
-        )
-        cost = si.evaluate_follower_cost(model, fpath, x_leader, fr, b)
+        b = si.solve_follower_bc(fr, model, x_leader)
+        fpath = si.FollowerPath(grid=grid, x=np.zeros(grid.n_nodes))
+        cost = evaluate_follower_cost(model, fpath, x_leader, fr, b)
         lam, r = model.entropy_weight, model.r_control
         expected = (0.5 * lam - 0.5 * lam * math.log(2 * math.pi * math.e * lam / r)) * 1.0
         assert cost == pytest.approx(expected, abs=1e-12)
@@ -246,17 +246,15 @@ class TestFollowerCost:
         x_leader = si.Trajectory(
             grid=grid, values=0.3 * np.sin(2 * math.pi * grid.nodes / HORIZON) + 0.2
         )
-        b, c = si.solve_follower_bc(fr, follower, x_leader)
+        b = si.solve_follower_bc(fr, follower, x_leader)
+        _, c = follower_bc_loop(fr, follower, x_leader)
         n_paths = 10_000
         shocks = si.RngContract(5).stream(1).standard_normal((n_paths, grid.n_steps))
         xs = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
         costs = np.empty(n_paths)
         for i in range(n_paths):
-            fpath = si.FollowerPath(
-                grid=grid, x=xs[i], brownian=np.zeros(grid.n_steps),
-                stream_key=(0,), mode="exact",
-            )
-            costs[i] = si.evaluate_follower_cost(follower, fpath, x_leader, fr, b)
+            fpath = si.FollowerPath(grid=grid, x=xs[i])
+            costs[i] = evaluate_follower_cost(follower, fpath, x_leader, fr, b)
         value = fr.a[0] * follower.x0**2 + b[0] * follower.x0 + c[0]
         se = float(np.std(costs, ddof=1) / math.sqrt(n_paths))
         assert np.mean(costs) >= value - 3.0 * se
