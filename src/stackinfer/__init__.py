@@ -33,8 +33,7 @@ _EXPORTS = {
     "infer": [
         "DiscreteJointEstimate", "DiscreteObservations", "MleReport", "MultiPeriodState",
         "mle_continuous", "mle_continuous_batch", "mle_discrete_joint",
-        "mle_discrete_joint_batch", "multi_period_update", "realized_variance_proxy",
-        "stopping_rule",
+        "multi_period_update", "realized_variance_proxy", "stopping_rule",
     ],
     "policy": [
         "FunctionPolicy", "OptimizeResult", "OptimizerConfig",

@@ -421,10 +421,13 @@ def validate_config(doc: Any) -> ExperimentConfig:
                  lambda: FollowerModel(**fol).noise_to_signal)
     _finite_gain("config.leader", "gain 2 b_control^2 / r_control",
                  lambda: 2.0 * leader["b_control"] ** 2 / leader["r_control"], positive=False)
-    # The follower's Riccati solve forms a_drift^2, the leader's sigma^2.
+    # The follower's Riccati solve forms a_drift^2, the leader's sigma^2; the
+    # estimator study squares estimates of the dilation's size.
     _finite_gain("config.follower.a_drift", "a_drift^2", lambda: fol["a_drift"] ** 2,
                  positive=False)
     _finite_gain("config.leader.sigma", "sigma^2", lambda: leader["sigma"] ** 2,
+                 positive=False)
+    _finite_gain("config.follower.dilation", "dilation^2", lambda: fol["dilation"] ** 2,
                  positive=False)
     if name == "tradeoff-sweep":
         # The sweep sets q_track = ratio * inference_weight.

@@ -6,12 +6,12 @@ stochastic integral uses left-endpoint (Ito) sums, the Lebesgue integrals the
 trapezoid rule. Multi-period aggregation weights per-episode estimates by
 their precisions and admits an online update. Discrete observations get a
 joint estimator of the dilation factor and the noise level built from exact
-one-step transition quantities.
+one-step transition quantities. Each estimator is written once, over rows of
+paths; a single path is a one-row call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +23,11 @@ from .simulate import PRECISION_FLOOR, SUB_NODES, FollowerPath, GProfile, _sub_s
 
 @dataclass(frozen=True)
 class MleReport:
-    """Point estimate of the dilation factor on one follower path.
-
-    ``cond_variance`` and ``cond_fisher`` are the conditional (given the
-    leader path) variance and Fisher information; their product is 1 up to
-    rounding.
-    """
+    """Point estimate of the dilation factor on one follower path, with the
+    precision integral of the score profile it was formed on."""
 
     m_hat: float
     precision: float
-    cond_variance: float
-    cond_fisher: float
 
 
 @dataclass(frozen=True)
@@ -49,21 +43,6 @@ class MultiPeriodState:
     def empty() -> "MultiPeriodState":
         return MultiPeriodState(n_episodes=0, total_precision=0.0, m_bar=0.0, history=())
 
-    def weights(self) -> np.ndarray:
-        if self.n_episodes == 0:
-            return np.empty(0)
-        p = np.array([h[1] for h in self.history])
-        return p / self.total_precision
-
-
-def _check_times(times) -> np.ndarray:
-    times = np.array(times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise InvalidArgumentError("need at least 2 observation times")
-    if np.any(np.diff(times) <= 0):
-        raise InvalidArgumentError("observation times must be strictly increasing")
-    return times
-
 
 @dataclass(frozen=True)
 class DiscreteObservations:
@@ -73,7 +52,11 @@ class DiscreteObservations:
     values: np.ndarray
 
     def __post_init__(self):
-        times = _check_times(self.times)
+        times = np.array(self.times, dtype=float)
+        if times.ndim != 1 or times.size < 2:
+            raise InvalidArgumentError("need at least 2 observation times")
+        if np.any(np.diff(times) <= 0):
+            raise InvalidArgumentError("observation times must be strictly increasing")
         values = np.asarray(self.values, dtype=float)
         if values.shape != times.shape:
             raise InvalidArgumentError("times and values must have equal length")
@@ -95,28 +78,12 @@ class DiscreteJointEstimate:
     sigma2_hat: float
 
 
-def _conditional_moments(model: FollowerModel, precision: float) -> tuple[float, float]:
-    nts = model.noise_to_signal
-    if nts == 0.0:
-        return 0.0, math.inf
-    cond_variance = nts / precision
-    return cond_variance, 1.0 / cond_variance
-
-
 def _check_precision(precision: float):
     """A path whose precision is at or below the floor carries no information."""
     if precision <= PRECISION_FLOOR:
         raise DegeneratePathError(
             f"precision {precision:.3g} is below the floor {PRECISION_FLOOR:.3g}"
         )
-
-
-def _drift_ito(x: np.ndarray, gp: GProfile, fr: FollowerRiccati) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row numerator terms for (paths, nodes) ``x``: trapezoid of f g x, Ito sum of g dx."""
-    drift = trapz(fr.f * gp.g * x, fr.grid)
-    # Not a matrix-vector product: its (BLAS) result depends on the row count.
-    ito = np.sum(np.diff(x, axis=1) * gp.g[:-1], axis=1)
-    return drift, ito
 
 
 def mle_continuous_batch(
@@ -127,7 +94,9 @@ def mle_continuous_batch(
     if x.shape[1] != fr.grid.n_nodes:
         raise InvalidArgumentError(f"paths must have {fr.grid.n_nodes} columns")
     _check_precision(gp.precision)
-    drift, ito = _drift_ito(x, gp, fr)
+    drift = trapz(fr.f * gp.g * x, fr.grid)
+    # Not a matrix-vector product: its (BLAS) result depends on the row count.
+    ito = np.sum(np.diff(x, axis=1) * gp.g[:-1], axis=1)
     return (drift - ito) / (model.gain_sq_over_r * gp.precision)
 
 
@@ -137,20 +106,12 @@ def mle_continuous(
     fr: FollowerRiccati,
     model: FollowerModel,
 ) -> MleReport:
-    """Estimate the dilation factor from one continuously observed path."""
+    """Estimate the dilation factor from one continuously observed path:
+    ``mle_continuous_batch`` on its one row."""
     if fpath.grid != fr.grid or gp.grid != fr.grid:
         raise InvalidArgumentError("path, score profile and solver grids must agree")
-    _check_precision(gp.precision)
-    drift, ito = _drift_ito(fpath.x[None, :], gp, fr)
-    drift, ito = float(drift[0]), float(ito[0])
-    m_hat = (drift - ito) / (model.gain_sq_over_r * gp.precision)
-    cond_variance, cond_fisher = _conditional_moments(model, gp.precision)
-    return MleReport(
-        m_hat=m_hat,
-        precision=gp.precision,
-        cond_variance=cond_variance,
-        cond_fisher=cond_fisher,
-    )
+    m_hat = mle_continuous_batch(fpath.x[None, :], gp, fr, model)[0]
+    return MleReport(m_hat=float(m_hat), precision=gp.precision)
 
 
 def multi_period_update(state: MultiPeriodState, report: MleReport) -> MultiPeriodState:
@@ -206,30 +167,14 @@ def _interval_tables(t: np.ndarray, fr: FollowerRiccati, gp: GProfile):
     return _sub_step_integrals(f_sub, g_sub, width / SUB_NODES)
 
 
-def mle_discrete_joint_batch(
-    times: np.ndarray,
-    values: np.ndarray,
-    fr: FollowerRiccati,
-    gp: GProfile,
-    model: FollowerModel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint (m_hat, sigma2_hat) per row of ``values``, all observed at ``times``.
-
-    The interval tables depend only on the times, so they are built once
-    for every row. No study calls it; it backs ``mle_discrete_joint``.
-    """
-    t = _check_times(times)
-    # Row-major, so every row is reduced in the same order as a single path.
-    x = np.ascontiguousarray(np.atleast_2d(values), dtype=float)
-    if x.ndim != 2 or x.shape[1] != t.size:
-        raise InvalidArgumentError("each row of values needs one value per observation time")
-    return _mle_discrete_rows(x, _interval_tables(t, fr, gp), model)
-
-
 def _mle_discrete_rows(x: np.ndarray, tables, model: FollowerModel):
-    """``mle_discrete_joint_batch`` on checked row-major values and the
-    ``_interval_tables`` of their observation times, which a caller
-    estimating several batches at the same times may build once."""
+    """Joint (m_hat, sigma2_hat) per row of values ``x``, all observed at
+    the times whose ``_interval_tables`` are ``tables``.
+
+    ``x`` must be row-major, so every row is reduced in the same order as a
+    single path. The tables depend only on the times, so a caller
+    estimating several batches at the same times builds them once.
+    """
     transition, score_int, var_int = tables
     innov = x[:, 1:] - x[:, :-1] * transition
     gain = model.gain_sq_over_r
@@ -258,7 +203,6 @@ def mle_discrete_joint(
     estimate approaches the true squared noise level. No study calls it;
     tests do, and ``perfbench/tracing.py`` wraps it by name.
     """
-    m_hat, sigma2_hat = mle_discrete_joint_batch(
-        obs.times, obs.values[None, :], fr, gp, model
-    )
+    tables = _interval_tables(obs.times, fr, gp)
+    m_hat, sigma2_hat = _mle_discrete_rows(obs.values[None, :], tables, model)
     return DiscreteJointEstimate(m_hat=float(m_hat[0]), sigma2_hat=float(sigma2_hat[0]))

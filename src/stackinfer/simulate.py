@@ -7,18 +7,20 @@ can read them online (the per-step loop advances them node by node), and
 the score profile and its precision integral can be read off them.
 
 Batch variants are vectorized across paths; each path's increments come
-from its own counter-derived stream. Follower batches, in either mode, are
-one affine recurrence solved by ``core._affine_scan``; the exact mode can
-also compose its transition over blocks of steps and simulate only every
-block's end node. A leader batch under an affine law (the Riccati policy)
-is one blocked affine recurrence where ``core._use_scan`` admits its shape;
-every other leader batch is stepped node by node, in place, the affine law's
-control from its ``control_at`` and any other policy's from its session. The
-stepped affine law is the session loop bit for bit, the blocked recurrence
-agrees with it to rounding. Leader batches keep the state step-major either
-way, and the leader's precision and primary cost are formed on that layout.
-Every row is computed independently of the others, so a row does not depend
-on how many rows share its batch (within one schedule) or on thread count.
+from its own counter-derived stream, and a single path is a one-row batch.
+Follower batches, in either mode, are one affine recurrence solved by
+``_follower_nodes`` through ``core._affine_scan``; on the exact transition's
+tables, ``_follower_nodes`` can also compose the transition over blocks of
+steps and simulate only every block's end node. A leader batch under an
+affine law (the Riccati policy) is one blocked affine recurrence where
+``core._use_scan`` admits its shape; every other leader batch is stepped
+node by node, in place, the affine law's control from its ``control_at``
+and any other policy's from its session. The stepped affine law is the
+session loop bit for bit, the blocked recurrence agrees with it to
+rounding. Leader batches keep the state step-major either way, and the
+leader's precision and primary cost are formed on that layout. Every row is
+computed independently of the others, so a row does not depend on how many
+rows share its batch (within one schedule) or on thread count.
 """
 
 from __future__ import annotations
@@ -311,20 +313,15 @@ def simulate_follower_batch(
     grid: TimeGrid,
     shocks: np.ndarray,
     mode: str = "euler",
-    *,
-    tables=None,
 ) -> np.ndarray:
     """Batch of follower paths under the optimal response (rows are paths).
 
-    ``euler`` steps the drift f*x - (b_F^2/r_F)*b explicitly; ``exact``
-    samples the Gaussian one-step transition of the linear SDE, with step
-    integrals from sub-quadrature. Both are one affine recurrence in x,
-    solved by ``core._affine_scan``. The exact mode reads the per-step tables
-    ``_exact_transition_tables(model, fr, b, grid)`` returns; a caller
-    simulating several batches with the same model, ``fr``, ``b`` and grid
-    may build them once and pass them as ``tables``. Without ``tables`` they
-    are built here. The Euler mode ignores ``tables`` and steps its own
-    (1 + f h, (b_F^2/r_F) b h, h).
+    ``euler`` steps the drift f*x - (b_F^2/r_F)*b explicitly, with per-step
+    tables (1 + f h, (b_F^2/r_F) b h, h); ``exact`` samples the Gaussian
+    one-step transition of the linear SDE, with the tables
+    ``_exact_transition_tables`` builds by sub-quadrature. Both run
+    ``_follower_nodes`` at stride 1, which a caller holding the exact
+    tables, and simulating several batches on them, calls directly.
     """
     _check_grid(grid, fr.grid, "follower Riccati")
     b = np.asarray(b, dtype=float)
@@ -343,10 +340,8 @@ def simulate_follower_batch(
     if mode == "euler":
         h = grid.h
         tables = (1.0 + fr.f[:-1] * h, model.gain_sq_over_r * b[:-1] * h, np.full(n, h))
-    elif tables is None:
+    else:
         tables = _exact_transition_tables(model, fr, b, grid)
-    elif not all(t.shape == (n,) for t in tables):
-        raise InvalidArgumentError(f"transition tables must hold {n} steps each")
     return _follower_nodes(model, tables, shocks, 1)
 
 
@@ -396,11 +391,10 @@ def simulate_follower(
     grid: TimeGrid,
     rng: RngContract,
     path_index: int = 0,
-    mode: str = "euler",
 ) -> FollowerPath:
-    """Simulate one follower path from its contract-derived stream."""
+    """Simulate one Euler follower path from its contract-derived stream."""
     shocks = rng.normals(grid.n_steps, STREAM_FOLLOWER, path_index)[None, :]
-    x = simulate_follower_batch(model, fr, b, grid, shocks, mode=mode)
+    x = simulate_follower_batch(model, fr, b, grid, shocks)
     return FollowerPath(grid=grid, x=x[0])
 
 

@@ -374,7 +374,7 @@ def run_discrete_convergence(cfg: ExperimentConfig) -> StudyResult:
     # One set of exact-transition tables serves the path and every replication.
     tables = _exact_transition_tables(follower, fr, b, grid)
     fshocks = rng.normal_matrix(1, grid.n_steps, STREAM_FOLLOWER, 0)
-    xf = simulate_follower_batch(follower, fr, b, grid, fshocks, mode="exact", tables=tables)[0]
+    xf = _follower_nodes(follower, tables, fshocks, 1)[0]
     m_cont = float(mle_continuous_batch(xf[None], gp, fr, follower)[0])
 
     # Each level observes the fine path at every stride-th node. The loop ends

@@ -266,7 +266,7 @@ def test_criterion_7_multi_period(follower):
         states[lam] = (state, [h[0] for h in history])
 
     state, per_episode = states[0.93]
-    weights_ok = abs(float(state.weights().sum()) - 1.0) <= 1e-12
+    total_ok = state.total_precision == sum(p for _, p in state.history)
     ms = np.array([m for m, _ in state.history])
     ps = np.array([p for _, p in state.history])
     batch = float(np.sum(ms * ps) / np.sum(ps))
@@ -276,11 +276,11 @@ def test_criterion_7_multi_period(follower):
     ratios = {lam: errors[0.0] / errors[lam] for lam in (0.65, 0.93, 1.13)}
     gap_ok = all(r >= 10.0 for r in ratios.values())
     elapsed = time.time() - start
-    ok = weights_ok and online_ok and proxy_ok and gap_ok and elapsed < 300.0
+    ok = total_ok and online_ok and proxy_ok and gap_ok and elapsed < 300.0
     report(7, "multi-period", ok,
            f"err0={errors[0.0]:.3f}, ratios=" +
            ", ".join(f"{k}:{v:.0f}x" for k, v in ratios.items()) +
-           f", weights={weights_ok}, online={online_ok}, proxy-monotone={proxy_ok}, "
+           f", total-precision={total_ok}, online={online_ok}, proxy-monotone={proxy_ok}, "
            f"{elapsed:.0f}s")
 
 
@@ -296,7 +296,9 @@ def test_criterion_8_discrete_convergence(follower):
     x_leader = lpath.trajectory()
     gp = si.compute_g(fr, follower, x_leader)
     b = si.solve_follower_bc(fr, follower, x_leader)
-    fpath = si.simulate_follower(follower, fr, b, grid, rng, 9, mode="exact")
+    shocks = rng.normals(grid.n_steps, si.core.STREAM_FOLLOWER, 9)[None]
+    x = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
+    fpath = si.FollowerPath(grid=grid, x=x[0])
     m_cont = si.mle_continuous(fpath, gp, fr, follower).m_hat
 
     diffs = []

@@ -42,6 +42,7 @@ from oracles import (
     trapz_one_line,
 )
 from stackinfer.core import _affine_scan, _use_scan
+from stackinfer.infer import _interval_tables, _mle_discrete_rows
 from stackinfer.simulate import (
     _exact_transition_tables,
     _follower_nodes,
@@ -472,12 +473,7 @@ class TestFollowerPaths:
         shocks = si.RngContract(5).normal_matrix(n_paths, grid.n_steps, si.core.STREAM_FOLLOWER, 0)
         tables = _exact_transition_tables(follower, fr, b, grid)
         x = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
-        x_tab = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact",
-                                           tables=tables)
-        assert np.array_equal(x_tab, x)
-        with pytest.raises(si.InvalidArgumentError, match="transition tables"):
-            si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact",
-                                       tables=tuple(t[1:] for t in tables))
+        assert np.array_equal(_follower_nodes(follower, tables, shocks, 1), x)
 
     @pytest.mark.parametrize("mode", ["euler", "exact"])
     def test_wide_batch_matches_loop(self, follower, fr50, grid50, mode):
@@ -546,10 +542,12 @@ def stats_case(a_drift, q_track, inference_weight, horizon, n_steps):
 # A strongly decaying follower: exp(-cum_f) grows to 2.9e4 over the horizon.
 @example(a_drift=-2.8, q_track=5.0, inference_weight=0.0, horizon=2.9, n_steps=1500,
          n_paths=1, seed=0)
-# A subnormal precision (2.9e-317, of order q_track^2): the two sums differ
-# by one subnormal spacing, so the precision bound is floored at four spacings.
+# Subnormal precisions, of order q_track^2, where the two sums differ by
+# whole subnormal spacings: one at 2.9e-317 over 4 nodes, and 5 over 35 nodes.
 @example(a_drift=0.0, q_track=8.776620620669868e-157, inference_weight=0.0, horizon=0.25,
          n_steps=3, n_paths=1, seed=0)
+@example(a_drift=0.5, q_track=1.059462012796379e-161, inference_weight=0.0, horizon=3.0,
+         n_steps=34, n_paths=128, seed=0)
 def test_leader_stats_match_one_line_on_drawn_models(
     a_drift, q_track, inference_weight, horizon, n_steps, n_paths, seed
 ):
@@ -569,7 +567,9 @@ def test_leader_stats_match_one_line_on_drawn_models(
             leader, follower, coeffs, fr, law, grid, shocks
         )
         want = compute_g_batch_one_line(fr, follower, ens.x)[1]
-        floor = 4 * np.finfo(float).smallest_subnormal
+        # Below the normal range each of the trapezoid's terms may round by a
+        # whole subnormal spacing, so the floor grows with their count.
+        floor = 2 * grid.n_nodes * np.finfo(float).smallest_subnormal
         assert np.all(np.abs(precision - want) <= np.maximum(1e-10 * np.abs(want), floor))
         want = primary_cost_batch_one_line(leader, grid, ens.x, ens.controls)
         assert np.all(np.abs(j_primary - want) <= 1e-12 * np.abs(want))
@@ -646,7 +646,7 @@ def test_observation_grid_paths_match_fine_paths(
     follower = make_follower(a_drift=a_drift, q_track=q_track, sigma=sigma)
     grid, fr, b, tables = follower_case(follower, stride * n_blocks, horizon)
     shocks = np.random.default_rng(seed).standard_normal((n_paths, grid.n_steps))
-    fine = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact", tables=tables)
+    fine = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
     got = _follower_nodes(follower, tables, shocks, stride)
     want = fine[:, ::stride]
     assert got.shape == want.shape
@@ -694,6 +694,7 @@ def test_rows_do_not_depend_on_batch_size(follower, n_steps, blocked, data, seed
     gp = si.compute_g(fr, follower, x_leader)
     b = si.solve_follower_bc(fr, follower, x_leader)
     loop_policy = si.FunctionPolicy(lambda j, x, aux, aux2: -0.5 * x[:, -1] + aux - aux2)
+    obs_tables = _interval_tables(grid.nodes[obs], fr, gp)
 
     def per_row(lo, hi):
         ens = si.simulate_leader_batch(leader, coeffs, policy, grid, lshocks[lo:hi])
@@ -708,7 +709,8 @@ def test_rows_do_not_depend_on_batch_size(follower, n_steps, blocked, data, seed
             *si.compute_g_batch(fr, follower, ens.x),
             si.primary_cost_batch(leader, grid, ens.x, ens.controls),
             si.mle_continuous_batch(euler, gp, fr, follower),
-            *si.mle_discrete_joint_batch(grid.nodes[obs], exact[:, obs], fr, gp, follower),
+            # Row-major, as the estimator's rows must be.
+            *_mle_discrete_rows(np.ascontiguousarray(exact[:, obs]), obs_tables, follower),
             *stats[0], *stats[1],
         )
 

@@ -363,6 +363,11 @@ class TestCliCommands:
         ([(None, "study", dict(name="wellposedness")), ("leader", "sigma", 1e200)],
          "config.leader.sigma:"),
         ([("follower", "a_drift", 1e200)], "config.follower.a_drift:"),
+        # The estimator study squares estimates of the dilation's size in
+        # its sample variance, which overflowed to an infinite bias_se cell.
+        ([(None, "study", dict(name="estimator-study", inference_weights=[0.5],
+                               n_replays=10)), ("follower", "dilation", 1e200)],
+         "config.follower.dilation:"),
     ])
     def test_validate_agrees_with_run_on_derived_gains(self, tmp_path, capsys, edits, field):
         # The follower's sigma^2 r^2 / b^4 and the sweep's q_track must be
@@ -400,13 +405,10 @@ class TestCliCommands:
     # Valid models whose floats overflow: numpy warns of it on the way.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     # The ids keep the numbering the cases had when the list also held the
-    # sigma**2 and a_drift**2 overflows, which validate now refuses (see
-    # test_validate_agrees_with_run_on_derived_gains).
+    # sigma**2, a_drift**2 and dilation**2 overflows, which validate now
+    # refuses (see test_validate_agrees_with_run_on_derived_gains).
     @pytest.mark.parametrize("study, block, key, value", [
-        # numpy overflows to inf or NaN in a summary or a table cell: with a
-        # dilation of 1e200 the estimates' sample variance.
-        pytest.param(dict(name="estimator-study", inference_weights=[0.5], n_replays=10),
-                     "follower", "dilation", 1e200, id="study3-follower-dilation-1e+200"),
+        # numpy overflows to inf or NaN in a summary or a table cell.
         pytest.param(dict(name="tradeoff-sweep", ratios=[1.0, 10.0], n_paths=10),
                      "leader", "x0", 1e300, id="study4-leader-x0-1e+300"),
         pytest.param(dict(name="discrete-convergence", fine_exponent=8, levels=[4, 5],

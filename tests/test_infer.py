@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackinfer as si
+from stackinfer.infer import _interval_tables, _mle_discrete_rows
 from stackinfer.simulate import objective_paths
 from conftest import HORIZON, make_follower, make_leader
 from oracles import sigma_quadratic_variation
@@ -28,6 +29,13 @@ def fixed_setup(follower):
     return grid, fr, coeffs, x_leader, gp, b
 
 
+def exact_path(model, fr, b, grid):
+    """The exact-transition follower path on stream row 0 of seed 0."""
+    shocks = si.RngContract(0).normals(grid.n_steps, si.core.STREAM_FOLLOWER, 0)[None]
+    x = si.simulate_follower_batch(model, fr, b, grid, shocks, mode="exact")
+    return si.FollowerPath(grid=grid, x=x[0])
+
+
 class TestContinuousMle:
     def test_noiseless_recovery(self, follower, fixed_setup):
         grid, fr, _, _, gp, _ = fixed_setup
@@ -35,13 +43,10 @@ class TestContinuousMle:
         # Drive the follower with exactly dilation * score so the estimator
         # identity is tested without solver cross-error.
         b_exact = follower.dilation * gp.g
-        fpath = si.simulate_follower(noiseless, fr, b_exact, grid, si.RngContract(0),
-                                     mode="exact")
+        fpath = exact_path(noiseless, fr, b_exact, grid)
         report = si.mle_continuous(fpath, gp, fr, noiseless)
         # Quadrature-convention mismatch leaves an O(h) residual.
         assert abs(report.m_hat - follower.dilation) < grid.h
-        assert report.cond_variance == 0.0
-        assert report.cond_fisher == math.inf
 
     def test_replay_matches_noise_representation(self, follower, fixed_setup):
         grid, fr, _, _, gp, b = fixed_setup
@@ -75,15 +80,6 @@ class TestContinuousMle:
         m_hats = si.mle_continuous_batch(xs, gp, fr, follower)
         se = float(np.std(m_hats, ddof=1) / math.sqrt(n_rep))
         assert abs(float(np.mean(m_hats)) - follower.dilation) < 3.0 * se
-
-    def test_conditional_moments_product(self, follower, fixed_setup):
-        grid, fr, _, _, gp, b = fixed_setup
-        fpath = si.simulate_follower(follower, fr, b, grid, si.RngContract(12))
-        report = si.mle_continuous(fpath, gp, fr, follower)
-        assert abs(report.cond_variance * report.cond_fisher - 1.0) < 1e-12
-        assert report.cond_variance == pytest.approx(
-            follower.noise_to_signal / gp.precision, rel=1e-15
-        )
 
     def test_degenerate_path_rejected(self, follower, fr50, grid50):
         zero = si.Trajectory(grid=grid50, values=np.zeros(grid50.n_nodes))
@@ -133,15 +129,14 @@ class TestEnsembleMoments:
 
 class TestMultiPeriod:
     def _report(self, m_hat, precision):
-        return si.MleReport(m_hat=m_hat, precision=precision,
-                            cond_variance=0.01 / precision,
-                            cond_fisher=precision / 0.01)
+        return si.MleReport(m_hat=m_hat, precision=precision)
 
     def test_first_episode(self):
         state = si.multi_period_update(si.MultiPeriodState.empty(), self._report(2.5, 0.3))
         assert state.m_bar == 2.5
         assert state.n_episodes == 1
-        assert list(state.weights()) == [1.0]
+        assert state.total_precision == 0.3
+        assert state.history == ((2.5, 0.3),)
 
     def test_equal_precisions_give_arithmetic_mean(self):
         state = si.MultiPeriodState.empty()
@@ -161,7 +156,7 @@ class TestMultiPeriod:
         ps = np.array([p for _, p in episodes])
         batch = float(np.sum(ps * ms) / np.sum(ps))
         assert abs(state.m_bar - batch) < 1e-12
-        assert state.weights().sum() == pytest.approx(1.0, abs=1e-12)
+        assert state.total_precision == sum(p for _, p in state.history)
 
     def test_aggregation_dominates_single_episodes(self, follower):
         state = si.MultiPeriodState.empty()
@@ -229,8 +224,7 @@ class TestDiscreteJoint:
         grid, fr, _, _, gp, _ = fixed_setup
         noiseless = replace(follower, sigma=0.0)
         b_exact = follower.dilation * gp.g
-        fpath = si.simulate_follower(noiseless, fr, b_exact, grid, si.RngContract(0),
-                                     mode="exact")
+        fpath = exact_path(noiseless, fr, b_exact, grid)
         obs = si.DiscreteObservations(times=grid.nodes, values=fpath.x)
         est = si.mle_discrete_joint(obs, fr, gp, noiseless)
         assert abs(est.m_hat - follower.dilation) < 1e-8
@@ -271,18 +265,14 @@ class TestDiscreteJoint:
         shocks = si.RngContract(9).normal_matrix(6, grid.n_steps, si.core.STREAM_FOLLOWER, 0)
         xs = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
         idx = np.arange(0, grid.n_nodes, 8)
-        m_hat, sigma2_hat = si.mle_discrete_joint_batch(grid.nodes[idx], xs[:, idx], fr, gp,
-                                                        follower)
+        tables = _interval_tables(grid.nodes[idx], fr, gp)
+        m_hat, sigma2_hat = _mle_discrete_rows(np.ascontiguousarray(xs[:, idx]), tables,
+                                               follower)
         for i in range(xs.shape[0]):
             obs = si.DiscreteObservations(times=grid.nodes[idx], values=xs[i, idx])
             est = si.mle_discrete_joint(obs, fr, gp, follower)
             assert m_hat[i] == pytest.approx(est.m_hat, rel=1e-12)
             assert sigma2_hat[i] == pytest.approx(est.sigma2_hat, rel=1e-12)
-
-    def test_batch_rejects_mismatched_rows(self, follower, fixed_setup):
-        grid, fr, _, _, gp, _ = fixed_setup
-        with pytest.raises(si.InvalidArgumentError):
-            si.mle_discrete_joint_batch(grid.nodes[:5], np.zeros((2, 4)), fr, gp, follower)
 
     def test_degenerate_rejected(self, follower, fr50, grid50):
         zero = si.Trajectory(grid=grid50, values=np.zeros(grid50.n_nodes))

@@ -135,6 +135,20 @@ class TestFollowerLinearCoefficient:
         gp = si.compute_g(fr, follower, x)
         assert abs(b[0] - follower.dilation * gp.g[0]) < 1e-6
 
+    def test_dilation_times_score_gap_falls_at_second_order(self):
+        # b (RK4) and g (trapezoid) integrate the same kernel by two schemes;
+        # their gap falls 4x per grid doubling, so at least 3x is asked.
+        model = make_follower(dilation=1.7)
+        gaps = []
+        for n_steps in (50, 100, 200, 400):
+            grid = si.build_grid(HORIZON, n_steps)
+            fr = si.solve_follower_a(model, grid)
+            x = si.Trajectory(grid=grid, values=0.3 * np.sin(4.0 * grid.nodes) + 0.2)
+            b = si.solve_follower_bc(fr, model, x)
+            g = si.compute_g(fr, model, x).g
+            gaps.append(np.max(np.abs(b - model.dilation * g)) / np.max(np.abs(b)))
+        assert all(coarse >= 3.0 * fine for coarse, fine in zip(gaps, gaps[1:]))
+
     def test_grid_mismatch(self, follower, fr50):
         other = si.build_grid(HORIZON, 60)
         x = si.Trajectory(grid=other, values=np.zeros(other.n_nodes))

@@ -104,9 +104,10 @@ class TestSimulateFollower:
         model = make_follower(sigma=0.0, q_track=0.0, a_drift=0.0)
         fr = si.solve_follower_a(model, grid50)
         b = np.zeros(grid50.n_nodes)
+        shocks = si.RngContract(1).normals(grid50.n_steps, si.core.STREAM_FOLLOWER, 0)[None]
         for mode in ("euler", "exact"):
-            path = si.simulate_follower(model, fr, b, grid50, si.RngContract(1), mode=mode)
-            assert np.allclose(path.x, model.x0, atol=1e-15)
+            x = si.simulate_follower_batch(model, fr, b, grid50, shocks, mode=mode)
+            assert np.allclose(x, model.x0, atol=1e-15)
 
     def test_exact_transition_bounds_euler_error(self, follower):
         model = make_follower(sigma=0.0)
