@@ -11,7 +11,9 @@ on the augmented state (own state plus two path integrals), giving a
 symmetric 3x3 Riccati system with an indefinite source. It is solved on
 every grid as the linear Hamiltonian system whose solution [X; Y] gives the
 Riccati solution as Y X^-1 (Radon's lemma): per-step RK4 propagators
-multiplied out two-level blocked, restarted at every block.
+multiplied out two-level blocked. The solution at the block starts is
+carried across the block ends in Python floats, and every node's value is
+then formed from its block's start in one batched pass.
 
 The leader system is only locally well-posed; ``horizon_bound`` computes the
 conservative existence horizon, and ``solve_leader_system`` raises
@@ -218,9 +220,9 @@ def scaled_info_weight(leader: LeaderModel, follower: FollowerModel) -> float:
 
 # Bound on |quad| entries past which the leader system counts as blown up.
 BLOW_UP_THRESHOLD = 1e12
-# Steps whose propagators are formed at once: about 0.5 MB of (steps, 8, 8)
-# temporaries, which bounds the solver's memory. Node values are formed one
-# block of isqrt(n) steps at a time, at most 1024 steps on any allowed grid.
+# Steps whose propagators, and nodes whose rows, are formed at once: each
+# chunk buffer of (steps, 8, 8) is about 0.5 MB, which bounds the solver's
+# memory beside the (n, 8, 8) transfer maps.
 _CHUNK_STEPS = 1024
 # The six quad entries (L11, L12, L13, L22, L23, L33) as a symmetric 3x3.
 _QUAD_INDEX = [0, 1, 2, 1, 3, 4, 2, 4, 5]
@@ -283,9 +285,20 @@ def _blow_up(t: float, peak: float):
 
 
 def _past_blow_up(rows: np.ndarray, det: np.ndarray):
-    """Which node rows break the blow-up rule, and their peak |quad| entries."""
-    peak = np.max(np.abs(rows[:, :6]), axis=1)
-    bad = ~(det > 0.0) | ~(peak <= BLOW_UP_THRESHOLD) | ~np.isfinite(rows).all(axis=1)
+    """Which node rows break the blow-up rule, and their peak |quad| entries.
+
+    The maxima are taken one column at a time: ten elementwise passes over
+    the rows cost numpy far less than a reduction along each short row.
+    NaN propagates through ``np.maximum``, so a NaN entry breaks the rule.
+    """
+    mag = np.abs(rows)
+    peak = mag[:, 0].copy()
+    for k in range(1, 6):
+        np.maximum(peak, mag[:, k], out=peak)
+    largest = peak.copy()
+    for k in range(6, 10):
+        np.maximum(largest, mag[:, k], out=largest)
+    bad = ~(det > 0.0) | ~(peak <= BLOW_UP_THRESHOLD) | ~np.isfinite(largest)
     return bad, peak
 
 
@@ -296,15 +309,14 @@ def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
     aux2, 1), the quad, half the lin and the offset less its sigma^2 term
     form one symmetric 4x4 Riccati solution
     L~' = -(L~ A + A' L~) + L~ G L~ - Q. By Radon's lemma L~ = Y X^-1 for
-    the linear system [X; Y]' = H [X; Y], H = [[A, -G], [-Q, -A']]. Each
-    step's RK4 propagator of that system is formed from the coefficients at
-    the step's two nodes and its midpoint, and their backward product is
-    taken two-level blocked (``block_transfer_maps``). [X; Y] restarts at
-    [I; L~] at every block start, so X stays well conditioned; each block
-    starts from L~ at the previous block's last row. X's last row is e4
-    exactly (the constant has no dynamics), so X^-1 is a closed-form 3x3
-    inverse. The offset adds sigma^2 times the integral of L11 from t to T,
-    an end-corrected trapezoid sum. The first node from T, T included, where
+    the linear system [X; Y]' = H [X; Y], H = [[A, -G], [-Q, -A']]. Its
+    blocked transfer maps come from ``_block_maps``. [X; Y] restarts at
+    [I; L~] at every block start, so X stays well conditioned: L~ is carried
+    from T across the block ends in Python floats (``_block_starts``), and
+    then every node's row is formed from its block's start in one batched
+    pass (``_hamiltonian_rows``), ``_CHUNK_STEPS`` nodes at a time. The
+    offset adds sigma^2 times the integral of L11 from t to T, an
+    end-corrected trapezoid sum. The first node from T, T included, where
     det X <= 0, a quad entry passes ``BLOW_UP_THRESHOLD`` or a value is not
     finite raises ``BlowUpError``.
     """
@@ -314,66 +326,24 @@ def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
     a_l = leader.a_drift
     gain = 2.0 * leader.b_control**2 / leader.r_control
     half_q = 0.5 * leader.q_track
-    w, d = coeffs.weight, coeffs.decay
-
-    def scaled_hamiltonians(wt, dt_, ft):
-        """(h/2) H at each coefficient triple, (len, 8, 8)."""
-        s = 0.5 * h
-        ham = np.zeros((len(wt), 8, 8))
-        ham[:, 0, 0] = s * a_l
-        ham[:, 1, 0] = -s * wt
-        ham[:, 2, 1] = s * dt_
-        ham[:, 0, 4] = -s * gain
-        ham[:, 4, 0] = -s * half_q
-        ham[:, 4, 3] = (s * half_q) * ft
-        ham[:, 7, 0] = ham[:, 4, 3]
-        ham[:, 7, 3] = -(s * half_q) * ft * ft
-        ham[:, 5, 1] = (s * lam_s) * dt_
-        ham[:, 4, 4] = -s * a_l
-        ham[:, 4, 5] = s * wt
-        ham[:, 5, 6] = -s * dt_
-        return ham
 
     # Past a blow-up values are discarded; every node row is checked below,
     # so overflow on the way there is not warned of.
     with np.errstate(all="ignore"):
-        # maps[j] propagates [X; Y] from node j+1 to node j: with u = (h/2) k for
-        # the RK4 stages k of the linear system, it is I - (u1 + 2 u2 + 2 u3 + u4)/3.
-        # Read from T back (``back``), the steps run in the order of the product.
-        maps = np.empty((n, 8, 8))
-        eye = np.eye(8)
-        w_mid, d_mid = _interp_mid(w), _interp_mid(d)
-        for lo in range(0, n, _CHUNK_STEPS):
-            hi = min(lo + _CHUNK_STEPS, n)
-            h_nodes = scaled_hamiltonians(w[lo : hi + 1], d[lo : hi + 1], f_nodes[lo : hi + 1])
-            h_r, h_l = h_nodes[1:], h_nodes[:-1]
-            h_m = scaled_hamiltonians(w_mid[lo:hi], d_mid[lo:hi], f_mid[lo:hi])
-            u = h_m - h_m @ h_r  # u2
-            acc = 2.0 * u
-            acc += h_r
-            u = h_m - h_m @ u  # u3
-            u *= 2.0
-            acc += u
-            acc += h_l - h_l @ u  # u4
-            np.subtract(eye, acc / 3.0, out=maps[lo:hi])
-        back = maps[::-1]
-        size = block_transfer_maps(back, back)
-
+        back, size = _block_maps(leader, lam_s, coeffs, f_nodes, f_mid)
         # Node rows hold L~'s ten entries (m/2 in place of m) until the end.
-        # Each block starts from L~ at the previous block's last row.
         table = np.empty((n + 1, 10))
         det = np.empty(n + 1)
         table[n] = terminal
         table[n, 6:9] *= 0.5
         det[n] = 1.0  # X is I at T
-        start = table[n, _TILDE_INDEX]
-        for lo in range(0, n, size):
-            hi = min(lo + size, n)
-            phi = back[lo:hi]
-            rows, block_det = _hamiltonian_rows(phi[:, :, :4] + phi[:, :, 4:] @ start)
+        starts = _block_starts(back[size - 1 : n - 1 : size], table[n])
+        for lo in range(0, n, _CHUNK_STEPS):
+            hi = min(lo + _CHUNK_STEPS, n)
+            phi = back[lo:hi]  # [X; Y] is phi [I; L~] for its block's start L~
+            rows, row_det = _hamiltonian_rows(phi @ starts[np.arange(lo, hi) // size])
             table[n - hi : n - lo] = rows[::-1]
-            det[n - hi : n - lo] = block_det[::-1]
-            start = rows[-1, _TILDE_INDEX]
+            det[n - hi : n - lo] = row_det[::-1]
         bad, peak = _past_blow_up(table, det)
         if bad.any():
             p = n - int(np.argmax(bad[::-1]))
@@ -383,17 +353,134 @@ def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
     # offset = N^ + sig2 * int_t^T L11: per step h/2 (L11_j + L11_j+1)
     # - h^2/12 (L11'_j+1 - L11'_j), L11' the Riccati rate of L11.
     l11 = table[:, 0]
+    w = coeffs.weight
     rate = -(2.0 * (l11 * a_l - table[:, 1] * w)) + gain * l11 * l11 - half_q
     steps = (0.5 * h) * (l11[:-1] + l11[1:]) - (h * h / 12.0) * (rate[1:] - rate[:-1])
     table[:-1, 9] += leader.sigma**2 * np.cumsum(steps[::-1])[::-1]
     return table
 
 
-# Closed-form L~ = Y X^-1 from [X; Y] (8x4, flattened to 32 entries):
-# cofactor C[i][j] of X3 is x[i+1][j+1] x[i+2][j+2] - x[i+1][j+2] x[i+2][j+1]
-# (indices mod 3), gathered as four factor tables of nine entries each.
-_COFACTOR_INDEX = np.array([
-    [4 * ((i + r) % 3) + (j + c) % 3 for i in range(3) for j in range(3)]
+def _block_maps(leader, lam_s, coeffs, f_nodes, f_mid):
+    """The leader system's transfer maps, blocked from T back; returns (back, size).
+
+    Each step's RK4 propagator is formed from the coefficients at the
+    step's two nodes and its midpoint: with u = (h/2) k for the RK4 stages
+    k of the linear system, the map from node j+1 to node j is
+    I - (u1 + 2 u2 + 2 u3 + u4)/3. (h/2) H has twelve nonzero entries, four
+    of them constant; the others are written into chunk buffers allocated
+    once, and the stages are combined in place. ``back[i]`` holds step
+    n-1-i, so the steps run in the order of the backward product, which
+    ``block_transfer_maps`` takes within blocks of ``size`` steps. Row 3 of
+    every map, and so of every product, is e4 exactly (the appended
+    constant has no dynamics), so X's last row is e4.
+    """
+    grid = coeffs.grid
+    n = grid.n_steps
+    s = 0.5 * grid.h
+    a_l = leader.a_drift
+    gain = 2.0 * leader.b_control**2 / leader.r_control
+    half_q = 0.5 * leader.q_track
+    w, d = coeffs.weight, coeffs.decay
+    w_mid, d_mid = _interp_mid(w), _interp_mid(d)
+
+    width = min(n, _CHUNK_STEPS)
+    h_nodes = np.zeros((width + 1, 8, 8))
+    h_mids = np.zeros((width, 8, 8))
+    for ham in (h_nodes, h_mids):
+        ham[:, 0, 0] = s * a_l
+        ham[:, 0, 4] = -s * gain
+        ham[:, 4, 0] = -s * half_q
+        ham[:, 4, 4] = -s * a_l
+
+    def fill(ham, wt, dt_, ft):
+        ham[:, 1, 0] = -s * wt
+        ham[:, 2, 1] = s * dt_
+        ham[:, 4, 3] = (s * half_q) * ft
+        ham[:, 7, 0] = ham[:, 4, 3]
+        ham[:, 7, 3] = -(s * half_q) * ft * ft
+        ham[:, 5, 1] = (s * lam_s) * dt_
+        ham[:, 4, 5] = s * wt
+        ham[:, 5, 6] = -s * dt_
+
+    maps = np.empty((n, 8, 8))
+    stage, product = np.empty((2, width, 8, 8))
+    eye = np.eye(8)
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        m = hi - lo
+        fill(h_nodes[: m + 1], w[lo : hi + 1], d[lo : hi + 1], f_nodes[lo : hi + 1])
+        fill(h_mids[:m], w_mid[lo:hi], d_mid[lo:hi], f_mid[lo:hi])
+        h_r, h_l, h_m = h_nodes[1 : m + 1], h_nodes[:m], h_mids[:m]
+        u, hu, acc = stage[:m], product[:m], maps[lo:hi]
+        np.matmul(h_m, h_r, out=hu)
+        np.subtract(h_m, hu, out=u)  # u2
+        np.multiply(u, 2.0, out=acc)
+        acc += h_r
+        np.matmul(h_m, u, out=hu)
+        np.subtract(h_m, hu, out=u)  # u3
+        u *= 2.0
+        acc += u
+        np.matmul(h_l, u, out=hu)
+        np.subtract(h_l, hu, out=hu)  # u4
+        acc += hu
+        acc /= 3.0
+        np.subtract(eye, acc, out=acc)
+    back = maps[::-1]
+    return back, block_transfer_maps(back, back)
+
+
+def _block_starts(ends: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """[I; L~] at every block start, L~ carried from T in Python floats.
+
+    ``ends`` (k, 8, 8) holds the last transfer map of every block but the
+    final one, ``top`` L~'s ten distinct entries at T; returns (k + 1, 8, 4).
+    At each block end [X; Y] = P[:, :4] + P[:, 4:] L~ for the block's map P
+    and start L~ (X's last row, e4, is not formed), and the next start is
+    Y X^-1 as ``_hamiltonian_rows`` forms it: the 3x3 adjugate of X's
+    leading block over det X. Where det X is not positive (NaN included)
+    the carry stops before it divides, and the later starts are NaN, so
+    every row formed from them breaks the blow-up rule; the block end's own
+    row, formed from a valid start, breaks it as well. Python float
+    arithmetic gives inf or NaN on overflow, never an error.
+    """
+    carried = [top.tolist()]
+    for p in ends.tolist():
+        l11, l12, l13, l22, l23, l33, m1, m2, m3, nn = carried[-1]
+        (a, b, c, x1), (d, e, f, x2), (g, h, i, x3), *y = [
+            (
+                r0 + r4 * l11 + r5 * l12 + r6 * l13 + r7 * m1,
+                r1 + r4 * l12 + r5 * l22 + r6 * l23 + r7 * m2,
+                r2 + r4 * l13 + r5 * l23 + r6 * l33 + r7 * m3,
+                r3 + r4 * m1 + r5 * m2 + r6 * m3 + r7 * nn,
+            )
+            for r0, r1, r2, r3, r4, r5, r6, r7 in p[:3] + p[4:]
+        ]
+        adj = (
+            (e * i - f * h, c * h - b * i, b * f - c * e),
+            (f * g - d * i, a * i - c * g, c * d - a * f),
+            (d * h - e * g, b * g - a * h, a * e - b * d),
+        )
+        det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+        if not det > 0.0:
+            break
+        lt = [
+            (y[r][0] * adj[0][k] + y[r][1] * adj[1][k] + y[r][2] * adj[2][k]) / det
+            for r, k in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2), (3, 0), (3, 1), (3, 2))
+        ]
+        lt.append(y[3][3] - (lt[6] * x1 + lt[7] * x2 + lt[8] * x3))
+        carried.append(lt)
+    starts = np.full((len(ends) + 1, 8, 4), np.nan)
+    starts[: len(carried), :4] = np.eye(4)
+    starts[: len(carried), 4:] = np.array(carried)[:, _TILDE_INDEX]
+    return starts
+
+
+# Closed-form L~ = Y X^-1 from [X; Y] (8x4, flattened to 32 entries): the
+# adjugate of X3, adj[i][j] = C[j][i] with the cofactor
+# C[j][i] = x[j+1][i+1] x[j+2][i+2] - x[j+1][i+2] x[j+2][i+1] (indices mod
+# 3), gathered as four factor tables of nine entries each.
+_ADJUGATE_INDEX = np.array([
+    [4 * ((j + r) % 3) + (i + c) % 3 for i in range(3) for j in range(3)]
     for r, c in ((1, 1), (2, 2), (1, 2), (2, 1))
 ]).ravel()
 # Entries of Y[:, :3] X3^-1 (4x3, flattened) that are L~'s first nine
@@ -404,22 +491,25 @@ _TILDE_INDEX = np.array([0, 1, 2, 6, 1, 3, 4, 7, 2, 4, 5, 8, 6, 7, 8, 9]).reshap
 
 
 def _hamiltonian_rows(xy: np.ndarray):
-    """L~'s ten distinct entries from [X; Y] (..., 8, 4), and det X.
+    """L~'s ten distinct entries from a stack of [X; Y] (m, 8, 4), and det X.
 
     X's last row is e4, so X^-1 = [[X3^-1, -X3^-1 x], [0, 1]] with X3 its
     leading 3x3 block and x the rest of its last column; X3^-1 is the
-    transposed cofactor matrix over the determinant.
+    adjugate over the determinant. The adjugate is gathered in place, so
+    Y[:, :3] adj is a stacked product with a contiguous right operand.
     """
-    flat = xy.reshape(xy.shape[:-2] + (32,))
-    f = flat[..., _COFACTOR_INDEX].reshape(xy.shape[:-2] + (4, 9))
-    cof = f[..., 0, :] * f[..., 1, :] - f[..., 2, :] * f[..., 3, :]
-    det = np.sum(flat[..., :3] * cof[..., :3], axis=-1)
-    cof = cof.reshape(cof.shape[:-1] + (3, 3))
-    lt = xy[..., 4:, :3] @ np.swapaxes(cof, -1, -2)
-    lt /= det[..., None, None]
-    rows = np.empty(xy.shape[:-2] + (10,))
-    rows[..., :9] = lt.reshape(lt.shape[:-2] + (12,))[..., _ROW_INDEX]
-    rows[..., 9] = xy[..., 7, 3] - np.sum(lt[..., 3, :] * xy[..., :3, 3], axis=-1)
+    m = len(xy)
+    flat = xy.reshape(m, 32)
+    f = flat[:, _ADJUGATE_INDEX].reshape(m, 4, 9)
+    adj = f[:, 0] * f[:, 1] - f[:, 2] * f[:, 3]
+    det = flat[:, 0] * adj[:, 0] + flat[:, 1] * adj[:, 3] + flat[:, 2] * adj[:, 6]
+    lt = xy[:, 4:, :3] @ adj.reshape(m, 3, 3)
+    lt /= det[:, None, None]
+    rows = np.empty((m, 10))
+    rows[:, :9] = lt.reshape(m, 12)[:, _ROW_INDEX]
+    rows[:, 9] = xy[:, 7, 3] - (
+        lt[:, 3, 0] * xy[:, 0, 3] + lt[:, 3, 1] * xy[:, 1, 3] + lt[:, 3, 2] * xy[:, 2, 3]
+    )
     return rows, det
 
 

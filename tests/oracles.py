@@ -5,7 +5,9 @@ quadrature, fine Runge-Kutta with analytic coefficients) without calling the
 library's solvers, so agreement is evidence and not tautology. It also holds
 the paper identities that tests check and the library no longer needs: the
 follower's realized cost and value constant c, its Gaussian policy moments,
-and the quadratic-variation noise estimate.
+and the quadratic-variation noise estimate. The leader's per-block
+Hamiltonian restart, which the block-end carry replaced, is kept verbatim as
+a reference; it reuses the library's blocked products and blow-up rule.
 """
 
 from __future__ import annotations
@@ -510,6 +512,180 @@ def leader_system_loop(leader, follower, coeffs, blow_up_threshold=1e12):
             raise ValueError(float(nodes[j]))
         store(j, y)
     return quad, lin, offset
+
+
+# ---------------------------------------------------------------------------
+# The leader's Hamiltonian solve as it ran before the block-end carry moved
+# to Python floats: every block's rows are formed on their own from the
+# previous block's last row, through one ``_hamiltonian_rows`` call per
+# block. ``_leader_hamiltonian`` and ``_hamiltonian_rows`` are kept verbatim;
+# the blocked products and the blow-up rule are the library's.
+
+# Steps whose propagators are formed at once.
+_CHUNK_STEPS = 1024
+
+
+def leader_system_blocked(leader, follower, coeffs):
+    """(quad, lin, offset) of the leader system with a per-block restart.
+
+    Prepares the terminal row and target values as ``solve_leader_system``
+    does, and raises ``BlowUpError`` by the same rule.
+    """
+    from stackinfer.riccati import scaled_info_weight
+
+    grid = coeffs.grid
+    nodes = grid.nodes
+    T = grid.horizon
+    lam_s = scaled_info_weight(leader, follower)
+    f_nodes = leader.target_at(nodes, T)
+    f_mid = leader.target_at(0.5 * (nodes[:-1] + nodes[1:]), T)
+    f_T = float(f_nodes[-1])
+    terminal = (
+        0.5 * leader.q_terminal, 0.0, 0.0,
+        -lam_s * coeffs.decay_l1, lam_s, 0.0,
+        -leader.q_terminal * f_T, 0.0, 0.0,
+        0.5 * leader.q_terminal * f_T * f_T,
+    )
+    table = _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal)
+    quad = table[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(grid.n_nodes, 3, 3)
+    return quad, table[:, 6:9], table[:, 9]
+
+
+def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
+    """The leader system as a linear Hamiltonian product; returns the node table.
+
+    With the constant 1 appended to the augmented state, psi~ = (x, aux,
+    aux2, 1), the quad, half the lin and the offset less its sigma^2 term
+    form one symmetric 4x4 Riccati solution
+    L~' = -(L~ A + A' L~) + L~ G L~ - Q. By Radon's lemma L~ = Y X^-1 for
+    the linear system [X; Y]' = H [X; Y], H = [[A, -G], [-Q, -A']]. Each
+    step's RK4 propagator of that system is formed from the coefficients at
+    the step's two nodes and its midpoint, and their backward product is
+    taken two-level blocked (``block_transfer_maps``). [X; Y] restarts at
+    [I; L~] at every block start, so X stays well conditioned; each block
+    starts from L~ at the previous block's last row. X's last row is e4
+    exactly (the constant has no dynamics), so X^-1 is a closed-form 3x3
+    inverse. The offset adds sigma^2 times the integral of L11 from t to T,
+    an end-corrected trapezoid sum. The first node from T, T included, where
+    det X <= 0, a quad entry passes ``BLOW_UP_THRESHOLD`` or a value is not
+    finite raises ``BlowUpError``.
+    """
+    from stackinfer.core import block_transfer_maps
+    from stackinfer.riccati import _blow_up, _past_blow_up
+
+    grid = coeffs.grid
+    n = grid.n_steps
+    h = grid.h
+    a_l = leader.a_drift
+    gain = 2.0 * leader.b_control**2 / leader.r_control
+    half_q = 0.5 * leader.q_track
+    w, d = coeffs.weight, coeffs.decay
+
+    def scaled_hamiltonians(wt, dt_, ft):
+        """(h/2) H at each coefficient triple, (len, 8, 8)."""
+        s = 0.5 * h
+        ham = np.zeros((len(wt), 8, 8))
+        ham[:, 0, 0] = s * a_l
+        ham[:, 1, 0] = -s * wt
+        ham[:, 2, 1] = s * dt_
+        ham[:, 0, 4] = -s * gain
+        ham[:, 4, 0] = -s * half_q
+        ham[:, 4, 3] = (s * half_q) * ft
+        ham[:, 7, 0] = ham[:, 4, 3]
+        ham[:, 7, 3] = -(s * half_q) * ft * ft
+        ham[:, 5, 1] = (s * lam_s) * dt_
+        ham[:, 4, 4] = -s * a_l
+        ham[:, 4, 5] = s * wt
+        ham[:, 5, 6] = -s * dt_
+        return ham
+
+    # Past a blow-up values are discarded; every node row is checked below,
+    # so overflow on the way there is not warned of.
+    with np.errstate(all="ignore"):
+        # maps[j] propagates [X; Y] from node j+1 to node j: with u = (h/2) k for
+        # the RK4 stages k of the linear system, it is I - (u1 + 2 u2 + 2 u3 + u4)/3.
+        # Read from T back (``back``), the steps run in the order of the product.
+        maps = np.empty((n, 8, 8))
+        eye = np.eye(8)
+        w_mid, d_mid = _interp_mid(w), _interp_mid(d)
+        for lo in range(0, n, _CHUNK_STEPS):
+            hi = min(lo + _CHUNK_STEPS, n)
+            h_nodes = scaled_hamiltonians(w[lo : hi + 1], d[lo : hi + 1], f_nodes[lo : hi + 1])
+            h_r, h_l = h_nodes[1:], h_nodes[:-1]
+            h_m = scaled_hamiltonians(w_mid[lo:hi], d_mid[lo:hi], f_mid[lo:hi])
+            u = h_m - h_m @ h_r  # u2
+            acc = 2.0 * u
+            acc += h_r
+            u = h_m - h_m @ u  # u3
+            u *= 2.0
+            acc += u
+            acc += h_l - h_l @ u  # u4
+            np.subtract(eye, acc / 3.0, out=maps[lo:hi])
+        back = maps[::-1]
+        size = block_transfer_maps(back, back)
+
+        # Node rows hold L~'s ten entries (m/2 in place of m) until the end.
+        # Each block starts from L~ at the previous block's last row.
+        table = np.empty((n + 1, 10))
+        det = np.empty(n + 1)
+        table[n] = terminal
+        table[n, 6:9] *= 0.5
+        det[n] = 1.0  # X is I at T
+        start = table[n, _TILDE_INDEX]
+        for lo in range(0, n, size):
+            hi = min(lo + size, n)
+            phi = back[lo:hi]
+            rows, block_det = _hamiltonian_rows(phi[:, :, :4] + phi[:, :, 4:] @ start)
+            table[n - hi : n - lo] = rows[::-1]
+            det[n - hi : n - lo] = block_det[::-1]
+            start = rows[-1, _TILDE_INDEX]
+        bad, peak = _past_blow_up(table, det)
+        if bad.any():
+            p = n - int(np.argmax(bad[::-1]))
+            raise _blow_up(float(grid.nodes[p]), float(peak[p]))
+        table[:, 6:9] *= 2.0
+
+    # offset = N^ + sig2 * int_t^T L11: per step h/2 (L11_j + L11_j+1)
+    # - h^2/12 (L11'_j+1 - L11'_j), L11' the Riccati rate of L11.
+    l11 = table[:, 0]
+    rate = -(2.0 * (l11 * a_l - table[:, 1] * w)) + gain * l11 * l11 - half_q
+    steps = (0.5 * h) * (l11[:-1] + l11[1:]) - (h * h / 12.0) * (rate[1:] - rate[:-1])
+    table[:-1, 9] += leader.sigma**2 * np.cumsum(steps[::-1])[::-1]
+    return table
+
+
+# Closed-form L~ = Y X^-1 from [X; Y] (8x4, flattened to 32 entries):
+# cofactor C[i][j] of X3 is x[i+1][j+1] x[i+2][j+2] - x[i+1][j+2] x[i+2][j+1]
+# (indices mod 3), gathered as four factor tables of nine entries each.
+_COFACTOR_INDEX = np.array([
+    [4 * ((i + r) % 3) + (j + c) % 3 for i in range(3) for j in range(3)]
+    for r, c in ((1, 1), (2, 2), (1, 2), (2, 1))
+]).ravel()
+# Entries of Y[:, :3] X3^-1 (4x3, flattened) that are L~'s first nine
+# distinct entries (L11, L12, L13, L22, L23, L33, m1/2, m2/2, m3/2).
+_ROW_INDEX = [0, 1, 2, 4, 5, 8, 9, 10, 11]
+# The symmetric 4x4 L~ from its ten distinct entries.
+_TILDE_INDEX = np.array([0, 1, 2, 6, 1, 3, 4, 7, 2, 4, 5, 8, 6, 7, 8, 9]).reshape(4, 4)
+
+
+def _hamiltonian_rows(xy: np.ndarray):
+    """L~'s ten distinct entries from [X; Y] (..., 8, 4), and det X.
+
+    X's last row is e4, so X^-1 = [[X3^-1, -X3^-1 x], [0, 1]] with X3 its
+    leading 3x3 block and x the rest of its last column; X3^-1 is the
+    transposed cofactor matrix over the determinant.
+    """
+    flat = xy.reshape(xy.shape[:-2] + (32,))
+    f = flat[..., _COFACTOR_INDEX].reshape(xy.shape[:-2] + (4, 9))
+    cof = f[..., 0, :] * f[..., 1, :] - f[..., 2, :] * f[..., 3, :]
+    det = np.sum(flat[..., :3] * cof[..., :3], axis=-1)
+    cof = cof.reshape(cof.shape[:-1] + (3, 3))
+    lt = xy[..., 4:, :3] @ np.swapaxes(cof, -1, -2)
+    lt /= det[..., None, None]
+    rows = np.empty(xy.shape[:-2] + (10,))
+    rows[..., :9] = lt.reshape(lt.shape[:-2] + (12,))[..., _ROW_INDEX]
+    rows[..., 9] = xy[..., 7, 3] - np.sum(lt[..., 3, :] * xy[..., :3, 3], axis=-1)
+    return rows, det
 
 
 # ---------------------------------------------------------------------------
