@@ -310,6 +310,21 @@ def block_transfer_maps(a: np.ndarray, out: np.ndarray) -> int:
 # that chunking leaves output bits alone.
 SCAN_MAX_PATHS = 128
 
+# A tradeoff sweep on a grid of at most MOMENT_MAX_STEPS steps takes its mean
+# precision and primary cost from the shocks' sample moments
+# (``simulate.leader_mean_stats``); on a finer grid every path is simulated.
+# The bound is read from the grid alone, never from the paths or the chunk
+# cap. Per arm the moment route steps n_steps + 2 rows and forms quadratic
+# forms of O(n_steps^3) work, where the per-path route steps every path; both
+# draw every shock. Whole 5-ratio sweeps, per-path over moment time, best of
+# 5 on a 2-vCPU x86_64 host with numpy 2.4 and one BLAS thread: at 2000
+# paths 1.48x at 50 steps, 1.74x at 100, 1.84x at 200, 2.42x at 300, 1.79x
+# at 400, 1.38x at 800 and 1.06x at 1000; at 10000 paths 1.96x at 50 and
+# 5.27x at 400; at 200 paths 0.64x at 50 and 0.48x at 400. At 400 steps the
+# moment route's batch and response matrices (about 9 MB) are of the order
+# of one study chunk, and the n_steps^2 second moment is 1.3 MB.
+MOMENT_MAX_STEPS = 400
+
 
 def _use_scan(n_paths: int, n_steps: int) -> bool:
     return n_paths <= SCAN_MAX_PATHS and n_paths < n_steps

@@ -20,7 +20,10 @@ session loop bit for bit, the blocked recurrence agrees with it to
 rounding. Leader batches keep the state step-major either way, and the
 leader's precision and primary cost are formed on that layout. Every row is
 computed independently of the others, so a row does not depend on how many
-rows share its batch (within one schedule) or on thread count.
+rows share its batch (within one schedule) or on thread count. Under an
+affine law the mean precision and primary cost of a whole ensemble follow
+from its shocks' sample mean and second moment, and ``leader_mean_stats``
+forms them from one stepped batch of unit-impulse responses.
 """
 
 from __future__ import annotations
@@ -482,6 +485,68 @@ def leader_batch_stats(
     effort = trapz_step_major(np.square(u, out=scratch), grid)
     j_primary = 0.5 * (leader.q_track * track + leader.r_control * effort) + terminal
     return ens, precision, j_primary, effort
+
+
+def leader_mean_stats(
+    leader: LeaderModel,
+    coeffs: DerivedCoefficients,
+    fr: FollowerRiccati,
+    policy,
+    grid: TimeGrid,
+    mean: np.ndarray,
+    second: np.ndarray,
+    shocks: np.ndarray,
+) -> tuple[LeaderEnsemble, float, float]:
+    """Mean precision and primary cost over shocks of sample mean ``mean``
+    and second moment ``second``, under an affine law (``policy.gains``).
+
+    The law makes the leader's state an affine function of a path's shocks
+    eps, so each node's precision, tracking and control integrand is
+    (v0_j + G_j . eps)^2, and its mean over paths is
+    (v0_j + G_j . m)^2 + G_j^T (S - m m^T) G_j, the expansion of
+    v0_j^2 + 2 v0_j (G_j . m) + G_j^T S G_j that keeps a lone path's
+    value free of cancellation. One batch of n_steps + 1 + len(shocks)
+    rows gives v0 and G: a zero row, one unit impulse per step (G is each
+    impulse row less the zero row), then the rows of ``shocks``. That
+    batch has more rows than steps, so ``simulate_leader_batch`` steps it.
+    Returns (ensemble, mean precision, mean primary cost); the ensemble's
+    last rows are the paths of ``shocks``. (m, S) = (0, I) gives the exact
+    expectations of the grid's Euler scheme.
+    """
+    n = grid.n_steps
+    rows = np.zeros((n + 1 + len(shocks), n))
+    np.fill_diagonal(rows[1:], 1.0)
+    rows[n + 1 :] = shocks
+    ens = simulate_leader_batch(leader, coeffs, policy, grid, rows)
+    x, u = ens.x[: n + 1].T, ens.controls[: n + 1].T  # the response rows, step-major
+    # aux_T - aux, summed back from T over aux's trapezoid steps, so each
+    # node's value rounds with its own size rather than with aux's.
+    steps = coeffs.weight[:-1, None] * x[:-1] + coeffs.weight[1:, None] * x[1:]
+    steps *= -0.5 * grid.h
+    tail = np.zeros((n + 1, n + 1))
+    tail[:-1] = np.cumsum(steps[::-1], axis=0)[::-1]
+    target = leader.target_at(grid.nodes, grid.horizon)
+    cov = second - np.outer(mean, mean)
+    # Per-node mean squares of the precision's integrand, the tracking error
+    # and the control, one column each.
+    nodes = np.column_stack([
+        _mean_square(np.exp(-fr.cum_f)[:, None] * tail, mean, cov),
+        _mean_square(x - target[:, None], mean, cov),
+        _mean_square(u, mean, cov),
+    ])
+    terminal = 0.5 * leader.q_terminal * nodes[-1, 1]  # before the trapezoid halves it
+    precision, track, effort = trapz_step_major(nodes, grid)
+    j_primary = 0.5 * (leader.q_track * track + leader.r_control * effort) + terminal
+    return ens, float(precision), float(j_primary)
+
+
+def _mean_square(v: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Per-node mean of (v0 + G . eps)^2 over shocks of mean ``mean`` and
+    covariance ``cov``, where column 0 of the step-major ``v`` is v0 and
+    column 1 + k is v0 + G[:, k]."""
+    response = v[:, 1:] - v[:, :1]
+    centre = v[:, 0] + response @ mean
+    return np.square(centre) + np.sum((response @ cov) * response, axis=1)
 
 
 def objective_paths(

@@ -13,7 +13,9 @@ runner returns through ``_result``, which names each CSV column beside the
 value that fills it. A
 study's single leader path, and the tradeoff sweep's follower path, come
 from ``simulate_leader`` and ``simulate_follower``, whose one row of shocks
-is the row ``normal_matrix`` draws at the same index. All
+is the row ``normal_matrix`` draws at the same index. The tradeoff sweep's
+means come from its shocks' sample moments (``_shock_moments``) on grids of
+at most ``core.MOMENT_MAX_STEPS`` steps. All
 work runs on the calling thread: ``run_study`` still accepts ``threads``,
 but the per-path work holds the GIL, and a thread pool only slowed it down.
 """
@@ -31,6 +33,7 @@ from .config import ConfigError, ExperimentConfig
 from .core import (
     BlowUpError,
     InvalidArgumentError,
+    MOMENT_MAX_STEPS,
     RngContract,
     STREAM_FOLLOWER,
     STREAM_LEADER,
@@ -68,6 +71,7 @@ from .simulate import (
     _follower_nodes,
     compute_g,
     leader_batch_stats,
+    leader_mean_stats,
     objective_paths,
     simulate_follower,
     simulate_follower_batch,
@@ -193,11 +197,77 @@ def _follower_mhats(follower, fr, arms, grid, n_replays, rng):
     return m_hats
 
 
+# Rows per block of the shock-moment sums: blocks are cut from the path
+# index, not from the chunks, so the sums' bits do not depend on the chunk size.
+MOMENT_BLOCK_ROWS = 256
+
+
+def _shock_moments(rng, n_paths, n_steps):
+    """(mean, second moment, row 0) of the leader shock rows 0 .. n_paths - 1.
+
+    The rows are drawn in one chunked pass, copied into one block buffer in
+    path order, and each full block (and the last, partial one) is added to
+    the sums of eps and eps eps^T.
+    """
+    total = np.zeros(n_steps)
+    second = np.zeros((n_steps, n_steps))
+    block = np.empty((MOMENT_BLOCK_ROWS, n_steps))
+    held = 0
+    row0 = None
+
+    def fold(rows):
+        total[:] += rows.sum(axis=0)
+        second[:] += rows.T @ rows
+
+    def step(start, stop, shocks):
+        nonlocal held, row0
+        if start == 0:
+            row0 = shocks[:1].copy()
+        i = 0
+        while i < len(shocks):
+            take = min(MOMENT_BLOCK_ROWS - held, len(shocks) - i)
+            block[held : held + take] = shocks[i : i + take]
+            held, i = held + take, i + take
+            if held == MOMENT_BLOCK_ROWS:
+                fold(block)
+                held = 0
+
+    _for_chunks(rng, STREAM_LEADER, n_paths, n_steps, step)
+    if held:
+        fold(block[:held])
+    return total / n_paths, second / n_paths, row0
+
+
+def _sweep_means(arms, follower, coeffs, fr, grid, n_paths, rng):
+    """(mean precision, mean primary cost, path 0's x, its controls) per arm.
+
+    On at most ``core.MOMENT_MAX_STEPS`` steps the means come from the
+    shocks' sample moments (``leader_mean_stats``), otherwise from every
+    path (``_leader_stats``).
+    """
+    if grid.n_steps > MOMENT_MAX_STEPS:
+        stats = _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, keep_paths=1)
+        return [(np.mean(precision), np.mean(j_p), *kept[0])
+                for precision, j_p, _, kept in stats]
+    mean, second, row0 = _shock_moments(rng, n_paths, grid.n_steps)
+    out = []
+    for leader, policy in arms:
+        ens, precision, j_p = leader_mean_stats(
+            leader, coeffs, fr, policy, grid, mean, second, row0
+        )
+        out.append((precision, j_p, ens.x[-1].copy(), ens.controls[-1].copy()))
+    return out
+
+
 def run_tradeoff_sweep(cfg: ExperimentConfig) -> StudyResult:
     """Sweep the tracking-to-inference weight ratio; report mean Fisher information.
 
     The ratio is q_track / inference_weight: the inference weight stays at
     its configured value and q_track is set to ratio * inference_weight.
+    Every ratio runs on the same leader shocks. On a grid of at most
+    ``core.MOMENT_MAX_STEPS`` steps the means are exact functions of the
+    shocks' sample mean and second moment, so each ratio simulates its
+    responses and path 0, not every path (``_sweep_means``).
     """
     lam = cfg.leader["inference_weight"]
     grid, follower, fr, coeffs, rng = _models(cfg)
@@ -208,17 +278,16 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> StudyResult:
     for ratio in ratios:
         lm = cfg.build_leader(grid, q_track=ratio * lam)
         arms.append((lm, RiccatiPolicy(lm, solve_leader_system(lm, follower, coeffs))))
-    stats = _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, keep_paths=1)
+    means = _sweep_means(arms, follower, coeffs, fr, grid, n_paths, rng)
 
     sweep = []
     trajectories = []
-    for ratio, (lm, _), (precision, j_p, _, kept) in zip(ratios, arms, stats):
+    for ratio, (lm, _), (precision, j_p, x_path, controls) in zip(ratios, arms, means):
         sweep.append(dict(
             ratio=ratio, inference_weight=lam, q_track=ratio * lam,
-            mean_fisher=float(np.mean(precision)) / follower.noise_to_signal,
-            mean_primary_cost=float(np.mean(j_p)), n_paths=n_paths, seed=cfg.master_seed,
+            mean_fisher=float(precision) / follower.noise_to_signal,
+            mean_primary_cost=float(j_p), n_paths=n_paths, seed=cfg.master_seed,
         ))
-        x_path, controls = kept[0]
         b = solve_follower_bc(fr, follower, Trajectory(grid=grid, values=x_path))
         # Every ratio's trajectory row sees the same follower shocks.
         xf = simulate_follower(follower, fr, b, grid, rng, 0).x

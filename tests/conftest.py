@@ -46,6 +46,18 @@ def make_leader(inference_weight=0.5, **overrides) -> si.LeaderModel:
     return si.LeaderModel(**base)
 
 
+def exact_means(leader, coeffs, fr, policy, grid) -> tuple[float, float]:
+    """Exact on-grid mean precision and primary cost of an affine law: the
+    moment evaluator on the standard normal's own moments (0, I)."""
+    from stackinfer.simulate import leader_mean_stats
+
+    n = grid.n_steps
+    _, precision, j_primary = leader_mean_stats(
+        leader, coeffs, fr, policy, grid, np.zeros(n), np.eye(n), np.empty((0, n))
+    )
+    return precision, j_primary
+
+
 def zero_policy() -> si.FunctionPolicy:
     return si.FunctionPolicy(lambda j, x, a, a2: np.zeros(x.shape[0]))
 

@@ -17,7 +17,14 @@ import stackinfer as si
 from stackinfer import cli
 from stackinfer.core import STREAM_LEADER
 from stackinfer.simulate import leader_batch_stats
-from conftest import HORIZON, TARGET_AMP, TARGET_OMEGA, make_follower, make_leader
+from conftest import (
+    HORIZON,
+    TARGET_AMP,
+    TARGET_OMEGA,
+    exact_means,
+    make_follower,
+    make_leader,
+)
 from oracles import (
     FollowerClosedForm,
     leader_system_fine,
@@ -198,6 +205,24 @@ def test_criterion_5_tradeoff_reproduction(sweep_fishers):
     ok = decreasing and all(in_band.values()) and elapsed < 300.0
     report(5, "tradeoff-reproduction", ok,
            f"{detail}; decreasing={decreasing} (ratio-100 band checked separately)")
+
+
+def test_criterion_5_exact_expectation_decreases(follower):
+    # The exact on-grid expectation of each ratio's mean Fisher information:
+    # the moment evaluator on the standard normal's moments (0, I).
+    grid = si.build_grid(HORIZON, 50)
+    fr = si.solve_follower_a(follower, grid)
+    coeffs = si.compute_coefficients(fr, follower)
+    exact = {}
+    for ratio in PAPER_SWEEP:
+        leader = make_leader(1.0, q_track=ratio)
+        policy = si.RiccatiPolicy(leader, si.solve_leader_system(leader, follower, coeffs))
+        precision, _ = exact_means(leader, coeffs, fr, policy, grid)
+        exact[ratio] = precision / follower.noise_to_signal
+    fishers = [exact[r] for r in sorted(PAPER_SWEEP)]
+    decreasing = all(a > b for a, b in zip(fishers, fishers[1:]))
+    detail = ", ".join(f"{r}:{exact[r]:.5f}" for r in sorted(PAPER_SWEEP))
+    report(5, "tradeoff-exact-expectation", decreasing, f"{detail}; decreasing={decreasing}")
 
 
 @pytest.mark.xfail(

@@ -18,7 +18,10 @@ where the two disagree near a blow-up, it must do no worse than RK4 against
 a converged reference. Its block-end carry in Python floats agrees with
 the per-block restart it replaced to rounding, and raises at the same node.
 The follower's ``a`` is exact, so it agrees with the RK4 loop within RK4's
-own error.
+own error. The tradeoff sweep's means from the shocks' sample moments agree
+with the per-path means to 1e-12 relative, and the moments' bits do not
+depend on the chunk cap; on the moments (0, I) the same evaluator is the
+exact expectation, which Monte Carlo means meet within 5 standard errors.
 """
 
 import math
@@ -30,7 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stackinfer as si
-from conftest import HORIZON, make_follower, make_leader
+from conftest import HORIZON, exact_means, make_follower, make_leader
 from oracles import (
     affine_recurrence_loop,
     affine_scan_inline_blocks,
@@ -45,7 +48,7 @@ from oracles import (
     primary_cost_batch_one_line,
     trapz_one_line,
 )
-from stackinfer import core, riccati
+from stackinfer import core, riccati, studies
 from stackinfer.core import _affine_scan, _use_scan
 from stackinfer.infer import _interval_tables, _mle_discrete_rows
 from stackinfer.simulate import (
@@ -53,6 +56,7 @@ from stackinfer.simulate import (
     _follower_nodes,
     _leader_scan,
     leader_batch_stats,
+    leader_mean_stats,
 )
 
 RTOL = 1e-12
@@ -683,7 +687,7 @@ def test_affine_laws_match_loops_across_the_regime_boundary(follower, n_steps, d
         assert_close(x, follower_batch_loop(follower, fr, b, grid, shocks, mode, tables))
 
 
-def stats_case(a_drift, q_track, inference_weight, horizon, n_steps):
+def stats_case(a_drift, q_track, inference_weight, horizon, n_steps, **leader_overrides):
     """A drawn follower, its grid and coefficients, and a leader with its
     Riccati law; the inference weight falls back to 0 where it blows up."""
     follower = make_follower(a_drift=a_drift, q_track=q_track)
@@ -691,10 +695,10 @@ def stats_case(a_drift, q_track, inference_weight, horizon, n_steps):
     fr = si.solve_follower_a(follower, grid)
     coeffs = si.compute_coefficients(fr, follower)
     try:
-        leader = make_leader(inference_weight)
+        leader = make_leader(inference_weight, **leader_overrides)
         lr = si.solve_leader_system(leader, follower, coeffs)
     except si.BlowUpError:
-        leader = make_leader(0.0)
+        leader = make_leader(0.0, **leader_overrides)
         lr = si.solve_leader_system(leader, follower, coeffs)
     return follower, grid, fr, coeffs, leader, si.RiccatiPolicy(leader, lr)
 
@@ -785,6 +789,83 @@ def test_affine_law_batches_keep_their_schedules_bits(
             assert np.array_equal(got, want)
     for name in ("x", "aux", "aux2", "controls"):
         assert np.array_equal(getattr(ens, name), getattr(ref, name)), name
+
+
+def sum_floor(grid):
+    # Below the smallest normal float each of a mean's terms, n_steps + 1
+    # products at each of n_nodes nodes, may round by a whole subnormal spacing.
+    return (grid.n_steps + 1) * grid.n_nodes * np.finfo(float).smallest_subnormal
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    a_drift=st.floats(-3.0, 1.0),
+    q_track=st.floats(0.0, 5.0),
+    inference_weight=st.floats(0.0, 0.5),
+    horizon=st.floats(0.1, 3.0),
+    n_steps=st.integers(1, core.MOMENT_MAX_STEPS),
+    n_paths=st.sampled_from([1, 2, 255, 256, 257, 600]),
+    chunk_rows=st.integers(1, 700),
+    leader_sigma=st.floats(0.0, 1.0),
+    leader_x0=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_moment_means_match_per_path_means_on_drawn_models(
+    a_drift, q_track, inference_weight, horizon, n_steps, n_paths, chunk_rows,
+    leader_sigma, leader_x0, seed,
+):
+    # Under an affine law a path's precision and primary cost are quadratic
+    # in its shocks, so their means over the paths follow from the shocks'
+    # sample moments. The moments are summed over blocks of the path index,
+    # so their bits do not depend on the chunk cap.
+    follower, grid, fr, coeffs, leader, policy = stats_case(
+        a_drift, q_track, inference_weight, horizon, n_steps, sigma=leader_sigma, x0=leader_x0
+    )
+    rng = si.RngContract(seed)
+    moments = studies._shock_moments(rng, n_paths, n_steps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(studies, "CHUNK_ELEMENTS", chunk_rows * n_steps)
+        for got, want in zip(studies._shock_moments(rng, n_paths, n_steps), moments):
+            assert np.array_equal(got, want)
+        [(precision, j_primary, _, _)] = studies._leader_stats(
+            [(leader, policy)], follower, coeffs, fr, grid, n_paths, rng
+        )
+    _, got_precision, got_j = leader_mean_stats(leader, coeffs, fr, policy, grid, *moments)
+    for got, want in ((got_precision, np.mean(precision)), (got_j, np.mean(j_primary))):
+        assert abs(got - want) <= max(1e-12 * abs(want), sum_floor(grid)), (got, want)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    a_drift=st.floats(-3.0, 1.0),
+    q_track=st.floats(0.0, 5.0),
+    inference_weight=st.floats(0.0, 0.5),
+    horizon=st.floats(0.1, 3.0),
+    n_steps=st.integers(1, 200),
+    leader_sigma=st.floats(0.0, 1.0),
+    leader_x0=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_monte_carlo_means_lie_near_the_exact_expectation(
+    a_drift, q_track, inference_weight, horizon, n_steps, leader_sigma, leader_x0, seed
+):
+    # The moment evaluator at (0, I) is the exact expectation of the
+    # Monte Carlo estimators, so their means over 400 paths lie within 5
+    # standard errors of it (derandomized: a fixed set of draws).
+    n_paths = 400
+    follower, grid, fr, coeffs, leader, policy = stats_case(
+        a_drift, q_track, inference_weight, horizon, n_steps, sigma=leader_sigma, x0=leader_x0
+    )
+    shocks = si.RngContract(seed).normal_matrix(n_paths, n_steps, core.STREAM_LEADER)
+    _, precision, j_primary, _ = leader_batch_stats(
+        leader, follower, coeffs, fr, policy, grid, shocks
+    )
+    for exact, paths in zip(exact_means(leader, coeffs, fr, policy, grid), (precision, j_primary)):
+        # Scaled first: the squares of a tiny q_track's precisions underflow.
+        scale = np.max(np.abs(paths)) or 1.0
+        se = scale * np.std(paths / scale, ddof=1) / math.sqrt(n_paths)
+        slack = max(1e-12 * abs(exact), sum_floor(grid))
+        assert abs(np.mean(paths) - exact) <= 5 * se + slack, (np.mean(paths), exact, se)
 
 
 def follower_case(follower, n_steps, horizon=HORIZON):

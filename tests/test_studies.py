@@ -89,6 +89,11 @@ MODEL = {
 }
 TINY_SPSA = {"budget": 2, "batch_size": 16, "eval_every": 1, "eval_paths": 32}
 SWEEP = {"name": "tradeoff-sweep", "ratios": [0.5, 1.0, 10.0, 25.0, 100.0], "n_paths": 200}
+SWEEP_MODEL_STEPS = MODEL["grid"]["n_steps"]
+# The moment route's means against the per-path loop's, relative: the largest
+# gap measured on this model was 5.6e-15, over 1, 200, 257 and 2000 paths
+# in chunks of 20, 70 and 5242 rows.
+SWEEP_MEAN_RTOL = 1e-14
 ESTIMATOR = {"name": "estimator-study", "inference_weights": [0.0, 0.5, 0.93], "n_replays": 200}
 
 
@@ -123,12 +128,61 @@ class TestCommonNoise:
 
     @pytest.mark.parametrize("chunk_rows", [20, 70])
     def test_sweep_matches_the_per_arm_loop(self, monkeypatch, chunk_rows):
+        # The sweep's two mean columns come from the shocks' sample moments,
+        # the loop's from every path: they agree to rounding. Path 0 is
+        # stepped in the moments' batch, and so is the loop's 70-row first
+        # chunk, bit for bit; its 20-row first chunk is blocked (fewer rows
+        # than steps), which rounds differently.
         monkeypatch.setattr(studies, "CHUNK_ELEMENTS", chunk_rows * 50)
         cfg = study_config(SWEEP)
         tables = studies.run_study(cfg).tables
         rows, traj_rows = tradeoff_sweep_per_arm(cfg, chunk_rows)
+        got, want = np.array(tables["sweep"][1]), np.array(rows)
+        means = [tables["sweep"][0].index(name) for name in ("mean_fisher", "mean_primary_cost")]
+        assert np.array_equal(np.delete(got, means, axis=1), np.delete(want, means, axis=1))
+        assert np.all(np.abs(got[:, means] - want[:, means]) <= SWEEP_MEAN_RTOL * want[:, means])
+        if chunk_rows > SWEEP_MODEL_STEPS:
+            assert tables["trajectories"][1] == traj_rows
+        else:
+            got, want = np.array(tables["trajectories"][1]), np.array(traj_rows)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
+
+    def test_sweep_above_the_step_bound_matches_the_per_arm_loop(self, monkeypatch):
+        # Past core.MOMENT_MAX_STEPS every path is simulated, as the loop does.
+        n_steps = core.MOMENT_MAX_STEPS + 1
+        monkeypatch.setattr(studies, "CHUNK_ELEMENTS", 30 * n_steps)
+        cfg = validate_config({**MODEL, "grid": {"horizon": HORIZON, "n_steps": n_steps},
+                               "study": {**SWEEP, "ratios": [1.0, 25.0], "n_paths": 70}})
+        tables = studies.run_study(cfg).tables
+        rows, traj_rows = tradeoff_sweep_per_arm(cfg, 30)
         assert tables["sweep"][1] == rows
         assert tables["trajectories"][1] == traj_rows
+
+    def test_moment_sweep_memory_does_not_grow_with_paths(self):
+        # The moment route holds one chunk of shocks as it is drawn, the block
+        # buffer and the second moment, whatever the path count: its peak over
+        # a one-path sweep stays within those at 2000 paths (one chunk of 2000
+        # rows) and at 10000 (two chunks of CHUNK_ELEMENTS // n_steps rows).
+        n = SWEEP_MODEL_STEPS
+
+        def traced_peak(run, *args):
+            run(*args)  # warm caches and imports outside the trace
+            tracemalloc.start()
+            try:
+                run(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def sweep(n_paths):
+            studies.run_study(study_config({**SWEEP, "n_paths": n_paths}))
+
+        base = traced_peak(sweep, 1)
+        for n_paths in (2000, 10000):
+            rows = min(n_paths, studies.CHUNK_ELEMENTS // n)
+            chunk = traced_peak(core.RngContract(0).normal_matrix, rows, n, core.STREAM_LEADER)
+            bound = chunk + 8 * (studies.MOMENT_BLOCK_ROWS * n + n * n)
+            assert traced_peak(sweep, n_paths) - base <= bound, n_paths
 
     @pytest.mark.parametrize("chunk_rows", [20, 70])
     def test_estimator_study_matches_the_per_arm_loop(self, monkeypatch, chunk_rows):
