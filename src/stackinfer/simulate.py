@@ -23,7 +23,11 @@ computed independently of the others, so a row does not depend on how many
 rows share its batch (within one schedule) or on thread count. Under an
 affine law the mean precision and primary cost of a whole ensemble follow
 from its shocks' sample mean and second moment, and ``leader_mean_stats``
-forms them from one stepped batch of unit-impulse responses.
+forms them for several laws (arms) at once from their unit-impulse
+responses: the arms' recurrences, built by the helper ``_leader_scan`` also
+uses, are stacked on one arm axis and stepped together, node by node.
+Both evaluators sum the precision's aux_T - aux back from T from the state
+path (``_aux_tail``), not off the stored aux.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     _affine_scan,
+    _apply,
     _use_scan,
     cumtrapz,
     trapz,
@@ -200,40 +205,56 @@ def simulate_leader_batch(
 def _leader_scan(leader, coeffs, policy, gains, grid, shocks) -> LeaderEnsemble:
     """Leader batch under u = scale * (state_gain . psi + offset) as one recurrence.
 
-    psi = (x, aux, aux2) steps affinely: the Euler step of x, then the
-    trapezoid steps of aux and aux2, which read the new x and aux. All three
-    are kept from the solver's step-major state, so aux and aux2 hold the
-    trapezoid identities to rounding, not bitwise; the controls are the
-    policy's law at every node, laid out as the state.
+    psi = (x, aux, aux2) steps affinely (``_leader_law``), and the recurrence
+    is solved by ``core._affine_scan``. All three are kept from the solver's
+    step-major state, so aux and aux2 hold the trapezoid identities to
+    rounding, not bitwise; the controls are the policy's law at every node,
+    laid out as the state.
     """
     n_paths, n = shocks.shape
+    y = np.empty((n + 1, 3, n_paths))
+    _affine_scan(_leader_law(leader, coeffs, gains, grid, shocks, y), y)
+    return _leader_ensemble(policy, grid, y)
+
+
+def _leader_law(leader, coeffs, gains, grid, shocks, y) -> np.ndarray:
+    """Step matrices of the leader's recurrence under an affine law ``gains``.
+
+    Row 0 is the Euler step of x, x' = x + (a_l x + b_l u) h + noise with
+    u = scale * (state_gain . psi + offset); rows 1 and 2 are the trapezoid
+    steps of aux and aux2, which fold in x' and aux'. Writes the start state
+    into y[0] and each step's forcing, from the rows of ``shocks``, into
+    y[1:] of the step-major (n + 1, 3, n_paths) ``y``, and returns the
+    (n, 3, 3) step matrices.
+    """
+    n = grid.n_steps
     h = grid.h
     scale, state_gain, offset = gains
     w, d = coeffs.weight, coeffs.decay
-    a_l, b_l = leader.a_drift, leader.b_control
-    bh = b_l * h * scale
+    bh = leader.b_control * h * scale
     half_h = 0.5 * h
 
-    # Row 0: x' = x + (a_l x + b_l u) h + noise; rows 1 and 2 fold in x' and aux'.
     a = np.zeros((n, 3, 3))
     a[:, 0, :] = bh * state_gain[:-1]
-    a[:, 0, 0] += 1.0 + a_l * h
+    a[:, 0, 0] += 1.0 + leader.a_drift * h
     a[:, 1, :] = -half_h * w[1:, None] * a[:, 0, :]
     a[:, 1, 0] -= half_h * w[:-1]
     a[:, 1, 1] += 1.0
     a[:, 2, :] = half_h * d[1:, None] * a[:, 1, :]
     a[:, 2, 1] += half_h * d[:-1]
     a[:, 2, 2] += 1.0
-    # The start state and the forcing in the solver's step-major layout.
-    y = np.empty((n + 1, 3, n_paths))
     y[0] = [[leader.x0], [0.0], [0.0]]
     c = y[1:]
     np.multiply(shocks.T, leader.sigma * math.sqrt(h), out=c[:, 0])
     c[:, 0] += (bh * offset[:-1])[:, None]
     np.multiply((-half_h * w[1:])[:, None], c[:, 0], out=c[:, 1])
     np.multiply((half_h * d[1:])[:, None], c[:, 1], out=c[:, 2])
-    _affine_scan(a, y)
+    return a
 
+
+def _leader_ensemble(policy, grid, y) -> LeaderEnsemble:
+    """The ensemble of a solved step-major state ``y``, with the policy's
+    controls at every node from one ``control_at`` call."""
     x, aux, aux2 = y[:, 0].T, y[:, 1].T, y[:, 2].T
     controls = np.asarray(policy.control_at(slice(None), x, aux, aux2), dtype=float)
     _check_controls(controls.T)
@@ -466,13 +487,14 @@ def leader_batch_stats(
     ``shocks``. All three are formed on the ensemble's step-major arrays in
     one scratch array. The precision is the trapezoid of g^2 with
     g = exp(-cum_f) (aux_T - aux), ``compute_g_batch``'s g, since
-    q_track * int exp(cum_f) x = -aux. The primary cost's trapezoids of the
-    squared tracking error and control are taken apart and weighted after;
-    the latter, the trapezoid of the squared control, is the effort.
+    q_track * int exp(cum_f) x = -aux; aux_T - aux is summed back from x
+    (``_aux_tail``). The primary cost's trapezoids of the squared tracking
+    error and control are taken apart and weighted after; the latter, the
+    trapezoid of the squared control, is the effort.
     """
     ens = simulate_leader_batch(leader, coeffs, policy, grid, shocks)
-    x, aux, u = ens.x.T, ens.aux.T, ens.controls.T
-    scratch = np.subtract(aux[-1], aux)
+    x, u = ens.x.T, ens.controls.T
+    scratch = _aux_tail(coeffs, grid, x)
     scratch *= np.exp(-fr.cum_f)[:, None]
     np.square(scratch, out=scratch)
     precision = trapz_step_major(scratch, grid)
@@ -487,57 +509,94 @@ def leader_batch_stats(
     return ens, precision, j_primary, effort
 
 
+def _aux_tail(coeffs: DerivedCoefficients, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
+    """aux_T - aux at every node of the step-major paths ``x`` (n_nodes, n_paths).
+
+    It is summed back from T over aux's trapezoid steps,
+    -(h/2) (w_j x_j + w_{j+1} x_{j+1}), so each node's value rounds with its
+    own size; read off the stored aux it would round with |aux_T|, which
+    near T, where exp(-cum_f) scales it up, is much larger. The sums run
+    down each column in sequence, so a path's bits do not depend on its batch.
+    """
+    tail = np.multiply(coeffs.weight[:, None], x)
+    steps = tail[:-1]
+    steps += tail[1:]  # numpy reads tail[1:] as if it did not overlap
+    steps *= -0.5 * grid.h
+    np.cumsum(steps[::-1], axis=0, out=steps[::-1])
+    tail[-1] = 0.0
+    return tail
+
+
 def leader_mean_stats(
-    leader: LeaderModel,
+    arms,
     coeffs: DerivedCoefficients,
     fr: FollowerRiccati,
-    policy,
     grid: TimeGrid,
     mean: np.ndarray,
     second: np.ndarray,
     shocks: np.ndarray,
-) -> tuple[LeaderEnsemble, float, float]:
-    """Mean precision and primary cost over shocks of sample mean ``mean``
-    and second moment ``second``, under an affine law (``policy.gains``).
+    max_elements: int,
+) -> list[tuple[float, float, np.ndarray, np.ndarray]]:
+    """Mean precision and primary cost of each (leader, policy) arm over
+    shocks of sample mean ``mean`` and second moment ``second``, under affine
+    laws (``policy.gains``).
 
-    The law makes the leader's state an affine function of a path's shocks
+    A law makes the leader's state an affine function of a path's shocks
     eps, so each node's precision, tracking and control integrand is
     (v0_j + G_j . eps)^2, and its mean over paths is
     (v0_j + G_j . m)^2 + G_j^T (S - m m^T) G_j, the expansion of
     v0_j^2 + 2 v0_j (G_j . m) + G_j^T S G_j that keeps a lone path's
-    value free of cancellation. One batch of n_steps + 1 + len(shocks)
-    rows gives v0 and G: a zero row, one unit impulse per step (G is each
-    impulse row less the zero row), then the rows of ``shocks``. That
-    batch has more rows than steps, so ``simulate_leader_batch`` steps it.
-    Returns (ensemble, mean precision, mean primary cost); the ensemble's
-    last rows are the paths of ``shocks``. (m, S) = (0, I) gives the exact
-    expectations of the grid's Euler scheme.
+    value free of cancellation. Each arm runs n_steps + 1 + len(shocks)
+    rows, which give v0 and G: a zero row, one unit impulse per step (G is
+    each impulse row less the zero row), then the rows of ``shocks``. The
+    arms' recurrences (``_leader_law``) sit on one arm axis, in stacks of
+    at most max(1, max_elements // (n_nodes * 3 * rows)) arms, and each
+    node steps a whole stack by one ``core._apply``, elementwise, so an
+    arm's bits do not depend on what shares its stack. Returns one
+    (mean precision, mean primary cost, x, controls) per arm, x and
+    controls holding the paths of ``shocks`` (rows are paths).
+    (m, S) = (0, I) gives the exact expectations of the grid's Euler scheme.
     """
     n = grid.n_steps
     rows = np.zeros((n + 1 + len(shocks), n))
     np.fill_diagonal(rows[1:], 1.0)
     rows[n + 1 :] = shocks
-    ens = simulate_leader_batch(leader, coeffs, policy, grid, rows)
-    x, u = ens.x[: n + 1].T, ens.controls[: n + 1].T  # the response rows, step-major
-    # aux_T - aux, summed back from T over aux's trapezoid steps, so each
-    # node's value rounds with its own size rather than with aux's.
-    steps = coeffs.weight[:-1, None] * x[:-1] + coeffs.weight[1:, None] * x[1:]
-    steps *= -0.5 * grid.h
-    tail = np.zeros((n + 1, n + 1))
-    tail[:-1] = np.cumsum(steps[::-1], axis=0)[::-1]
-    target = leader.target_at(grid.nodes, grid.horizon)
+    stack = max(1, max_elements // (grid.n_nodes * 3 * len(rows)))
     cov = second - np.outer(mean, mean)
-    # Per-node mean squares of the precision's integrand, the tracking error
-    # and the control, one column each.
-    nodes = np.column_stack([
-        _mean_square(np.exp(-fr.cum_f)[:, None] * tail, mean, cov),
-        _mean_square(x - target[:, None], mean, cov),
-        _mean_square(u, mean, cov),
-    ])
-    terminal = 0.5 * leader.q_terminal * nodes[-1, 1]  # before the trapezoid halves it
-    precision, track, effort = trapz_step_major(nodes, grid)
-    j_primary = 0.5 * (leader.q_track * track + leader.r_control * effort) + terminal
-    return ens, float(precision), float(j_primary)
+    out = []
+    for first in range(0, len(arms), stack):
+        out += _stack_mean_stats(arms[first : first + stack], coeffs, fr, grid, mean, cov, rows)
+    return out
+
+
+def _stack_mean_stats(arms, coeffs, fr, grid, mean, cov, rows):
+    """``leader_mean_stats`` for one stack of arms on the response ``rows``."""
+    n = grid.n_steps
+    y = np.empty((n + 1, len(arms), 3, len(rows)))
+    a = np.empty((n, len(arms), 3, 3))
+    for i, (leader, policy) in enumerate(arms):
+        a[:, i] = _leader_law(leader, coeffs, policy.gains, grid, rows, y[:, i])
+    # More rows than steps: core._affine_scan's stepped schedule, every arm at once.
+    for j in range(n):
+        y[j + 1] += _apply(a[j], y[j])
+    out = []
+    for i, (leader, policy) in enumerate(arms):
+        ens = _leader_ensemble(policy, grid, y[:, i])
+        x, u = ens.x[: n + 1].T, ens.controls[: n + 1].T  # the response rows, step-major
+        target = leader.target_at(grid.nodes, grid.horizon)
+        # Per-node mean squares of the precision's integrand, the tracking error
+        # and the control, one column each.
+        nodes = np.column_stack([
+            _mean_square(np.exp(-fr.cum_f)[:, None] * _aux_tail(coeffs, grid, x), mean, cov),
+            _mean_square(x - target[:, None], mean, cov),
+            _mean_square(u, mean, cov),
+        ])
+        terminal = 0.5 * leader.q_terminal * nodes[-1, 1]  # before the trapezoid halves it
+        precision, track, effort = trapz_step_major(nodes, grid)
+        j_primary = 0.5 * (leader.q_track * track + leader.r_control * effort) + terminal
+        out.append((float(precision), float(j_primary),
+                    ens.x[n + 1 :].copy(), ens.controls[n + 1 :].copy()))
+    return out
 
 
 def _mean_square(v: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:

@@ -14,10 +14,10 @@ value that fills it. A
 study's single leader path, and the tradeoff sweep's follower path, come
 from ``simulate_leader`` and ``simulate_follower``, whose one row of shocks
 is the row ``normal_matrix`` draws at the same index. The tradeoff sweep's
-means come from its shocks' sample moments (``_shock_moments``) on grids of
-at most ``core.MOMENT_MAX_STEPS`` steps. All
-work runs on the calling thread: ``run_study`` still accepts ``threads``,
-but the per-path work holds the GIL, and a thread pool only slowed it down.
+means come from its shocks' sample moments (``_shock_moments``) where
+``core._use_moments`` admits its grid and path count. All work runs on the
+calling thread: ``run_study`` still accepts ``threads``, but the per-path
+work holds the GIL, and a thread pool only slowed it down.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from .config import ConfigError, ExperimentConfig
 from .core import (
     BlowUpError,
     InvalidArgumentError,
-    MOMENT_MAX_STEPS,
     RngContract,
     STREAM_FOLLOWER,
     STREAM_LEADER,
     TimeGrid,
     Trajectory,
+    _use_moments,
 )
 from .infer import (
     DiscreteObservations,
@@ -241,22 +241,17 @@ def _shock_moments(rng, n_paths, n_steps):
 def _sweep_means(arms, follower, coeffs, fr, grid, n_paths, rng):
     """(mean precision, mean primary cost, path 0's x, its controls) per arm.
 
-    On at most ``core.MOMENT_MAX_STEPS`` steps the means come from the
-    shocks' sample moments (``leader_mean_stats``), otherwise from every
-    path (``_leader_stats``).
+    Where ``core._use_moments`` admits the grid and path count, the means
+    come from the shocks' sample moments (``leader_mean_stats``, every arm
+    at once), otherwise from every path (``_leader_stats``).
     """
-    if grid.n_steps > MOMENT_MAX_STEPS:
+    if not _use_moments(n_paths, grid.n_steps):
         stats = _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, keep_paths=1)
         return [(np.mean(precision), np.mean(j_p), *kept[0])
                 for precision, j_p, _, kept in stats]
     mean, second, row0 = _shock_moments(rng, n_paths, grid.n_steps)
-    out = []
-    for leader, policy in arms:
-        ens, precision, j_p = leader_mean_stats(
-            leader, coeffs, fr, policy, grid, mean, second, row0
-        )
-        out.append((precision, j_p, ens.x[-1].copy(), ens.controls[-1].copy()))
-    return out
+    return [(precision, j_p, x[0], controls[0]) for precision, j_p, x, controls in
+            leader_mean_stats(arms, coeffs, fr, grid, mean, second, row0, CHUNK_ELEMENTS)]
 
 
 def run_tradeoff_sweep(cfg: ExperimentConfig) -> StudyResult:
@@ -264,10 +259,12 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> StudyResult:
 
     The ratio is q_track / inference_weight: the inference weight stays at
     its configured value and q_track is set to ratio * inference_weight.
-    Every ratio runs on the same leader shocks. On a grid of at most
-    ``core.MOMENT_MAX_STEPS`` steps the means are exact functions of the
-    shocks' sample mean and second moment, so each ratio simulates its
-    responses and path 0, not every path (``_sweep_means``).
+    Every ratio runs on the same leader shocks. Where ``core._use_moments``
+    admits the grid and path count (at most ``core.MOMENT_MAX_STEPS`` steps,
+    and more paths the finer the grid) the means are exact functions of the
+    shocks' sample mean and second moment, so the ratios' unit-impulse
+    responses and path 0 are stepped together as one stacked recurrence,
+    not every path (``_sweep_means``).
     """
     lam = cfg.leader["inference_weight"]
     grid, follower, fr, coeffs, rng = _models(cfg)

@@ -49,11 +49,13 @@ def make_leader(inference_weight=0.5, **overrides) -> si.LeaderModel:
 def exact_means(leader, coeffs, fr, policy, grid) -> tuple[float, float]:
     """Exact on-grid mean precision and primary cost of an affine law: the
     moment evaluator on the standard normal's own moments (0, I)."""
+    from stackinfer.studies import CHUNK_ELEMENTS
     from stackinfer.simulate import leader_mean_stats
 
     n = grid.n_steps
-    _, precision, j_primary = leader_mean_stats(
-        leader, coeffs, fr, policy, grid, np.zeros(n), np.eye(n), np.empty((0, n))
+    [(precision, j_primary, _, _)] = leader_mean_stats(
+        [(leader, policy)], coeffs, fr, grid, np.zeros(n), np.eye(n), np.empty((0, n)),
+        CHUNK_ELEMENTS,
     )
     return precision, j_primary
 

@@ -19,8 +19,9 @@ a converged reference. Its block-end carry in Python floats agrees with
 the per-block restart it replaced to rounding, and raises at the same node.
 The follower's ``a`` is exact, so it agrees with the RK4 loop within RK4's
 own error. The tradeoff sweep's means from the shocks' sample moments agree
-with the per-path means to 1e-12 relative, and the moments' bits do not
-depend on the chunk cap; on the moments (0, I) the same evaluator is the
+with the per-path means to 1e-12 relative, the stacked evaluator meets the
+per-arm one it replaced to 1e-12, and the moments' bits do not depend on the
+chunk cap; on the moments (0, I) the same evaluator is the
 exact expectation, which Monte Carlo means meet within 5 standard errors.
 """
 
@@ -43,6 +44,7 @@ from oracles import (
     follower_batch_loop,
     follower_bc_loop,
     leader_batch_loop,
+    leader_mean_stats_per_arm,
     leader_system_blocked,
     leader_system_loop,
     primary_cost_batch_one_line,
@@ -725,10 +727,14 @@ def stats_case(a_drift, q_track, inference_weight, horizon, n_steps, **leader_ov
 def test_leader_stats_match_one_line_on_drawn_models(
     a_drift, q_track, inference_weight, horizon, n_steps, n_paths, seed
 ):
-    # The evaluator reads the precision off the auxiliary state and sums
-    # step-major in a pairwise tree; the one-line expressions rebuild the
-    # score from x and sum each path's row. Both under the affine law
-    # (the solver's state) and the same law through the session loop.
+    # The evaluator sums aux_T - aux back from x and sums step-major in a
+    # pairwise tree; the one-line expressions rebuild the score from x by
+    # forward sums and sum each path's row. Both under the affine law (the
+    # solver's state) and the same law through the session loop. The
+    # precision's bound is the gap measured over 1800 draws from these
+    # ranges, at most 1.7e-11, with margin; it is the one-line score's own
+    # cancellation (cw_T - cw): on the worst draw a long-double replay put
+    # the evaluator 1.1e-15 off and the one-line score 1.7e-11.
     follower, grid, fr, coeffs, leader, policy = stats_case(
         a_drift, q_track, inference_weight, horizon, n_steps
     )
@@ -744,7 +750,7 @@ def test_leader_stats_match_one_line_on_drawn_models(
         # Below the normal range each of the trapezoid's terms may round by a
         # whole subnormal spacing, so the floor grows with their count.
         floor = 2 * grid.n_nodes * np.finfo(float).smallest_subnormal
-        assert np.all(np.abs(precision - want) <= np.maximum(1e-10 * np.abs(want), floor))
+        assert np.all(np.abs(precision - want) <= np.maximum(3e-11 * np.abs(want), floor))
         want = primary_cost_batch_one_line(leader, grid, ens.x, ens.controls)
         assert np.all(np.abs(j_primary - want) <= 1e-12 * np.abs(want))
         want = si.trapz(ens.controls**2, grid)
@@ -830,9 +836,77 @@ def test_moment_means_match_per_path_means_on_drawn_models(
         [(precision, j_primary, _, _)] = studies._leader_stats(
             [(leader, policy)], follower, coeffs, fr, grid, n_paths, rng
         )
-    _, got_precision, got_j = leader_mean_stats(leader, coeffs, fr, policy, grid, *moments)
+    [(got_precision, got_j, _, _)] = leader_mean_stats(
+        [(leader, policy)], coeffs, fr, grid, *moments, studies.CHUNK_ELEMENTS
+    )
     for got, want in ((got_precision, np.mean(precision)), (got_j, np.mean(j_primary))):
         assert abs(got - want) <= max(1e-12 * abs(want), sum_floor(grid)), (got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    a_drift=st.floats(-3.0, 1.0),
+    q_track=st.floats(0.0, 5.0),
+    horizon=st.floats(0.1, 3.0),
+    n_steps=st.integers(1, core.MOMENT_MAX_STEPS),
+    arms=st.lists(
+        st.tuples(
+            st.floats(0.01, 5.0),  # the leader's q_track
+            st.floats(0.0, 0.5),  # its inference weight
+            st.floats(0.0, 1.0),  # sigma
+            st.floats(-1.0, 1.0),  # x0
+            st.floats(-1.0, 1.0),  # the target's amplitude
+        ),
+        min_size=1,
+        max_size=7,
+    ),
+    n_paths=st.sampled_from([0, 1, 2, 257]),
+    stack=st.integers(2, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_mean_stats_match_the_per_arm_evaluator(
+    a_drift, q_track, horizon, n_steps, arms, n_paths, stack, seed
+):
+    # The stacked evaluator steps each arm's responses with one step matrix
+    # per node where the per-arm one ran the node loop's row updates, so
+    # they agree to rounding; an arm's bits do not depend on its stack.
+    # No shock rows on the moments (0, I) is the exact expectation;
+    # otherwise the moments are those of n_paths drawn rows, and the first
+    # row is path 0.
+    follower = make_follower(a_drift=a_drift, q_track=q_track)
+    grid = si.build_grid(horizon, n_steps)
+    fr = si.solve_follower_a(follower, grid)
+    coeffs = si.compute_coefficients(fr, follower)
+    laws = []
+    for leader_q, weight, sigma, x0, amplitude in arms:
+        target = si.Sinusoid(amplitude=amplitude, omega=2.0 * math.pi / horizon)
+        try:
+            leader = make_leader(weight, q_track=leader_q, sigma=sigma, x0=x0, target=target)
+            lr = si.solve_leader_system(leader, follower, coeffs)
+        except si.BlowUpError:
+            leader = make_leader(0.0, q_track=leader_q, sigma=sigma, x0=x0, target=target)
+            lr = si.solve_leader_system(leader, follower, coeffs)
+        laws.append((leader, si.RiccatiPolicy(leader, lr)))
+    if n_paths:
+        shocks = np.random.default_rng(seed).standard_normal((n_paths, n_steps))
+        moments = (shocks.mean(axis=0), shocks.T @ shocks / n_paths, shocks[:1])
+    else:
+        moments = (np.zeros(n_steps), np.eye(n_steps), np.empty((0, n_steps)))
+    cols = n_steps + 1 + len(moments[2])
+    alone = leader_mean_stats(laws, coeffs, fr, grid, *moments, 0)
+    stacked = leader_mean_stats(laws, coeffs, fr, grid, *moments,
+                                stack * grid.n_nodes * 3 * cols)
+    for (leader, policy), one, got in zip(laws, alone, stacked):
+        for a, b in zip(one, got):
+            assert np.array_equal(a, b)
+        ens, precision, j_primary = leader_mean_stats_per_arm(
+            leader, coeffs, fr, policy, grid, *moments
+        )
+        for value, want in ((got[0], precision), (got[1], j_primary)):
+            assert abs(value - want) <= max(RTOL * abs(want), sum_floor(grid)), (value, want)
+        if n_paths:
+            assert_close(got[2], ens.x[-1:])
+            assert_close(got[3], ens.controls[-1:])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

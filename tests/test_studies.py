@@ -91,14 +91,44 @@ TINY_SPSA = {"budget": 2, "batch_size": 16, "eval_every": 1, "eval_paths": 32}
 SWEEP = {"name": "tradeoff-sweep", "ratios": [0.5, 1.0, 10.0, 25.0, 100.0], "n_paths": 200}
 SWEEP_MODEL_STEPS = MODEL["grid"]["n_steps"]
 # The moment route's means against the per-path loop's, relative: the largest
-# gap measured on this model was 5.6e-15, over 1, 200, 257 and 2000 paths
-# in chunks of 20, 70 and 5242 rows.
+# gap measured on this model was 2.1e-15, over 15 (the fewest paths the route
+# takes), 200, 257 and 2000 paths in chunks of 20, 70 and 5242 rows.
 SWEEP_MEAN_RTOL = 1e-14
+
+
+def fewest_moment_paths(n_steps):
+    """The fewest paths a sweep on ``n_steps`` steps takes the moment route at."""
+    return min(n for n in range(1, 10**4) if core._use_moments(n, n_steps))
+
+
+MOMENT_MIN_PATHS = fewest_moment_paths(SWEEP_MODEL_STEPS)
 ESTIMATOR = {"name": "estimator-study", "inference_weights": [0.0, 0.5, 0.93], "n_replays": 200}
 
 
 def study_config(study):
     return validate_config({**MODEL, "study": study})
+
+
+def assert_sweep_is_the_loop(monkeypatch, n_steps, n_paths):
+    """A two-ratio sweep off the moment route equals the per-arm loop bit for bit."""
+    monkeypatch.setattr(studies, "CHUNK_ELEMENTS", 30 * n_steps)
+    cfg = validate_config({**MODEL, "grid": {"horizon": HORIZON, "n_steps": n_steps},
+                           "study": {**SWEEP, "ratios": [1.0, 25.0], "n_paths": n_paths}})
+    tables = studies.run_study(cfg).tables
+    rows, traj_rows = tradeoff_sweep_per_arm(cfg, 30)
+    assert tables["sweep"][1] == rows
+    assert tables["trajectories"][1] == traj_rows
+
+
+def traced_peak(run, *args):
+    """tracemalloc's peak over run(*args), after one untraced warm-up call."""
+    run(*args)  # warm caches and imports outside the trace
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCommonNoise:
@@ -130,9 +160,9 @@ class TestCommonNoise:
     def test_sweep_matches_the_per_arm_loop(self, monkeypatch, chunk_rows):
         # The sweep's two mean columns come from the shocks' sample moments,
         # the loop's from every path: they agree to rounding. Path 0 is
-        # stepped in the moments' batch, and so is the loop's 70-row first
-        # chunk, bit for bit; its 20-row first chunk is blocked (fewer rows
-        # than steps), which rounds differently.
+        # stepped in the sweep's stacked recurrence and by the loop's node
+        # loop (70-row first chunk) or blocked recurrence (20 rows, fewer
+        # than the steps), which round differently.
         monkeypatch.setattr(studies, "CHUNK_ELEMENTS", chunk_rows * 50)
         cfg = study_config(SWEEP)
         tables = studies.run_study(cfg).tables
@@ -141,48 +171,68 @@ class TestCommonNoise:
         means = [tables["sweep"][0].index(name) for name in ("mean_fisher", "mean_primary_cost")]
         assert np.array_equal(np.delete(got, means, axis=1), np.delete(want, means, axis=1))
         assert np.all(np.abs(got[:, means] - want[:, means]) <= SWEEP_MEAN_RTOL * want[:, means])
-        if chunk_rows > SWEEP_MODEL_STEPS:
-            assert tables["trajectories"][1] == traj_rows
-        else:
-            got, want = np.array(tables["trajectories"][1]), np.array(traj_rows)
-            assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
+        got, want = np.array(tables["trajectories"][1]), np.array(traj_rows)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
 
     def test_sweep_above_the_step_bound_matches_the_per_arm_loop(self, monkeypatch):
         # Past core.MOMENT_MAX_STEPS every path is simulated, as the loop does.
-        n_steps = core.MOMENT_MAX_STEPS + 1
-        monkeypatch.setattr(studies, "CHUNK_ELEMENTS", 30 * n_steps)
-        cfg = validate_config({**MODEL, "grid": {"horizon": HORIZON, "n_steps": n_steps},
-                               "study": {**SWEEP, "ratios": [1.0, 25.0], "n_paths": 70}})
-        tables = studies.run_study(cfg).tables
-        rows, traj_rows = tradeoff_sweep_per_arm(cfg, 30)
-        assert tables["sweep"][1] == rows
-        assert tables["trajectories"][1] == traj_rows
+        assert_sweep_is_the_loop(monkeypatch, core.MOMENT_MAX_STEPS + 1, 70)
+
+    def test_sweep_below_the_path_crossover_matches_the_per_arm_loop(self, monkeypatch):
+        # One path short of the moment route every path is simulated too.
+        assert_sweep_is_the_loop(monkeypatch, SWEEP_MODEL_STEPS, MOMENT_MIN_PATHS - 1)
+
+    @pytest.mark.parametrize("stack", [1, 2, 4])
+    def test_sweep_rows_do_not_depend_on_their_stack(self, monkeypatch, stack):
+        # Each ratio's sweep row and trajectory are the same bits whether it
+        # is swept alone or stacked with other ratios, however the chunk cap
+        # groups them (``stack`` ratios at a time here).
+        n = SWEEP_MODEL_STEPS
+        alone = [studies.run_study(study_config({**SWEEP, "ratios": [ratio]})).tables
+                 for ratio in SWEEP["ratios"]]
+        monkeypatch.setattr(studies, "CHUNK_ELEMENTS", stack * (n + 1) * 3 * (n + 2))
+        together = studies.run_study(study_config(SWEEP)).tables
+        for i, tables in enumerate(alone):
+            assert together["sweep"][1][i] == tables["sweep"][1][0]
+            assert together["trajectories"][1][i * (n + 1) : (i + 1) * (n + 1)] == (
+                tables["trajectories"][1]
+            )
 
     def test_moment_sweep_memory_does_not_grow_with_paths(self):
         # The moment route holds one chunk of shocks as it is drawn, the block
         # buffer and the second moment, whatever the path count: its peak over
-        # a one-path sweep stays within those at 2000 paths (one chunk of 2000
-        # rows) and at 10000 (two chunks of CHUNK_ELEMENTS // n_steps rows).
+        # a sweep of the fewest paths the route takes stays within those at
+        # 2000 paths (one chunk of 2000 rows) and at 10000 (two chunks of
+        # CHUNK_ELEMENTS // n_steps rows).
         n = SWEEP_MODEL_STEPS
-
-        def traced_peak(run, *args):
-            run(*args)  # warm caches and imports outside the trace
-            tracemalloc.start()
-            try:
-                run(*args)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
 
         def sweep(n_paths):
             studies.run_study(study_config({**SWEEP, "n_paths": n_paths}))
 
-        base = traced_peak(sweep, 1)
+        base = traced_peak(sweep, MOMENT_MIN_PATHS)
         for n_paths in (2000, 10000):
             rows = min(n_paths, studies.CHUNK_ELEMENTS // n)
             chunk = traced_peak(core.RngContract(0).normal_matrix, rows, n, core.STREAM_LEADER)
             bound = chunk + 8 * (studies.MOMENT_BLOCK_ROWS * n + n * n)
             assert traced_peak(sweep, n_paths) - base <= bound, n_paths
+
+    def test_moment_sweep_stacks_no_more_than_the_cap(self):
+        # At 400 steps one ratio's stacked state alone passes CHUNK_ELEMENTS,
+        # so the ratios are stepped one at a time: five ratios peak within
+        # half a state of one ratio, not at five states.
+        n = core.MOMENT_MAX_STEPS
+        n_paths = fewest_moment_paths(n)
+
+        def sweep(ratios):
+            studies.run_study(validate_config({
+                **MODEL, "grid": {"horizon": HORIZON, "n_steps": n},
+                "study": {**SWEEP, "ratios": ratios, "n_paths": n_paths},
+            }))
+
+        state = 8 * (n + 1) * 3 * (n + 2)
+        one = traced_peak(sweep, [1.0])
+        five = traced_peak(sweep, SWEEP["ratios"])
+        assert five - one <= state / 2, (one, five, state)
 
     @pytest.mark.parametrize("chunk_rows", [20, 70])
     def test_estimator_study_matches_the_per_arm_loop(self, monkeypatch, chunk_rows):
@@ -198,16 +248,11 @@ class TestCommonNoise:
         # arm's paths or score profile while the next arm simulates.
         n_paths = 2000
 
-        def traced_peak(ratios):
-            cfg = study_config({"name": "tradeoff-sweep", "ratios": ratios, "n_paths": n_paths})
-            studies.run_study(cfg)  # warm caches and imports outside the trace
-            tracemalloc.start()
-            try:
-                studies.run_study(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        def sweep(ratios):
+            studies.run_study(study_config(
+                {"name": "tradeoff-sweep", "ratios": ratios, "n_paths": n_paths}
+            ))
 
-        one = traced_peak([1.0])
-        five = traced_peak(SWEEP["ratios"])
+        one = traced_peak(sweep, [1.0])
+        five = traced_peak(sweep, SWEEP["ratios"])
         assert five <= 1.1 * (one + 5 * 3 * n_paths * 8), (one, five)
