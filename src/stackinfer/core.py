@@ -310,17 +310,17 @@ def block_transfer_maps(a: np.ndarray, out: np.ndarray) -> int:
 # that chunking leaves output bits alone.
 SCAN_MAX_PATHS = 128
 
-# A tradeoff sweep takes its mean precision and primary cost from the shocks'
-# sample moments (``simulate.leader_mean_stats``) when ``_use_moments``
-# admits its grid and path count, both config values, never the chunk cap;
-# otherwise every path is simulated. The moment route steps every ratio's
-# n_steps + 2 response rows together as one stacked recurrence, then forms
-# quadratic forms of O(n_steps^3) work per ratio; the per-path route steps
-# every path, O(n_paths * n_steps) work, so the crossover grows as about
-# n_steps^2 paths (over MOMENT_CROSSOVER). Both draw every shock. Whole
-# 5-ratio sweeps of the shipped model, per-path over moment time, best of 11
-# or 15 interleaved, the range of two or three runs where one is given, on a
-# 2-vCPU x86_64 host with numpy 2.4 and one BLAS thread (paths x steps):
+# A tradeoff sweep on a grid of at most MOMENT_MAX_STEPS steps takes its mean
+# precision and primary cost from the shocks' sample moments
+# (``simulate.leader_mean_stats``); on a finer grid every path is simulated.
+# The bound is read from the grid alone, never from the paths or the chunk
+# cap. The moment route steps every ratio's n_steps + 2 response rows
+# together as one stacked recurrence, then forms quadratic forms of
+# O(n_steps^3) work per ratio; the per-path route steps every path; both
+# draw every shock. Whole 5-ratio sweeps of the shipped model, per-path over
+# moment time, best of 11 or 15 interleaved, the range of two or three runs
+# where one is given, on a 2-vCPU x86_64 host with numpy 2.4 and one BLAS
+# thread (paths x steps):
 #   20 x 50 0.99-1.23; 200 x 50 1.46-1.53; 2000 x 50 1.94-2.09;
 #   10000 x 50 2.62; 50 x 100 0.82-0.84 (fewer paths than steps are solved
 #   blocked); 100 x 100 1.78-1.82; 150 x 200 0.98-1.03;
@@ -328,22 +328,15 @@ SCAN_MAX_PATHS = 128
 #   600 x 300 0.92-0.96; 700 x 300 0.98; 500 x 400 0.61-0.67;
 #   700 x 400 0.82-0.87; 800 x 400 1.13-1.15; 1000 x 400 1.17-1.22;
 #   2000 x 400 1.81-1.83; 10000 x 400 5.10.
-# The crossovers, about 150 paths at 200 steps, 700 at 300 and 750 at 400,
-# give MOMENT_CROSSOVER: n_steps^2 / 175 rounds up to 229, 515 and 915
-# paths there, and to 15 at 50 steps. Above MOMENT_MAX_STEPS every path is
-# simulated whatever the path count: at 400 steps one ratio's stacked state
-# and response matrices (about 9 MB) are of the order of one study chunk,
-# and the n_steps^2 second moment is 1.3 MB.
+# So below about n_steps^2 / 175 paths the per-path route would be faster;
+# every shipped sweep runs 50 steps with 2000 or more paths, past that. At
+# 400 steps one ratio's stacked state and response matrices (about 9 MB) are
+# of the order of one study chunk, and the n_steps^2 second moment is 1.3 MB.
 MOMENT_MAX_STEPS = 400
-MOMENT_CROSSOVER = 175
 
 
 def _use_scan(n_paths: int, n_steps: int) -> bool:
     return n_paths <= SCAN_MAX_PATHS and n_paths < n_steps
-
-
-def _use_moments(n_paths: int, n_steps: int) -> bool:
-    return n_steps <= MOMENT_MAX_STEPS and n_steps * n_steps <= MOMENT_CROSSOVER * n_paths
 
 
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -362,14 +355,15 @@ def _affine_scan(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     step-major so that each step is contiguous: on entry y[0] holds the
     start states and y[j+1] the forcing c[j], on return the solution. It
     picks its schedule by ``_use_scan``: one step at a time, or two-level
-    blocked. Blocked, all blocks of about sqrt(n) steps are solved
-    from a zero start at once with their transfer maps
+    blocked. Stepped, several systems may share the call, as (n, m, k, k)
+    ``a`` and (n + 1, m, k, n_paths) ``y``. Blocked, all blocks of about
+    sqrt(n) steps are solved from a zero start at once with their transfer maps
     (``block_transfer_maps``), the block start states are carried across
     blocks one by one, and one pass adds each to its block; steps past the
     last whole block are stepped. That is about 2*sqrt(n) sequential numpy
     steps instead of n, with re-associated rounding. Returns ``y``.
     """
-    n, k, _ = a.shape
+    n, k = a.shape[0], a.shape[-1]
     n_paths = y.shape[-1]
     m = 0
     if _use_scan(n_paths, n):

@@ -44,12 +44,12 @@ from .core import (
     LeaderModel,
     PolicyEvaluationError,
     RngContract,
+    SCAN_MAX_PATHS,
     STREAM_FOLLOWER,
     STREAM_LEADER,
     TimeGrid,
     Trajectory,
     _affine_scan,
-    _apply,
     _use_scan,
     cumtrapz,
     trapz,
@@ -516,13 +516,22 @@ def _aux_tail(coeffs: DerivedCoefficients, grid: TimeGrid, x: np.ndarray) -> np.
     -(h/2) (w_j x_j + w_{j+1} x_{j+1}), so each node's value rounds with its
     own size; read off the stored aux it would round with |aux_T|, which
     near T, where exp(-cum_f) scales it up, is much larger. The sums run
-    down each column in sequence, so a path's bits do not depend on its batch.
+    down each column in sequence, so a path's bits do not depend on its batch:
+    past SCAN_MAX_PATHS paths one contiguous row at a time, otherwise by
+    ``np.cumsum``, which adds the same terms in the same order but runs each
+    column strided (on a 2-vCPU x86_64 host, at 2000 paths and 50 steps
+    0.48 ms against 0.22 for the rows; at 32 paths and 8192 steps 1.5 ms
+    against 6.3).
     """
     tail = np.multiply(coeffs.weight[:, None], x)
     steps = tail[:-1]
     steps += tail[1:]  # numpy reads tail[1:] as if it did not overlap
     steps *= -0.5 * grid.h
-    np.cumsum(steps[::-1], axis=0, out=steps[::-1])
+    if x.shape[1] > SCAN_MAX_PATHS:
+        for j in range(len(steps) - 2, -1, -1):
+            steps[j] += steps[j + 1]
+    else:
+        np.cumsum(steps[::-1], axis=0, out=steps[::-1])
     tail[-1] = 0.0
     return tail
 
@@ -550,9 +559,9 @@ def leader_mean_stats(
     rows, which give v0 and G: a zero row, one unit impulse per step (G is
     each impulse row less the zero row), then the rows of ``shocks``. The
     arms' recurrences (``_leader_law``) sit on one arm axis, in stacks of
-    at most max(1, max_elements // (n_nodes * 3 * rows)) arms, and each
-    node steps a whole stack by one ``core._apply``, elementwise, so an
-    arm's bits do not depend on what shares its stack. Returns one
+    at most max(1, max_elements // (n_nodes * 3 * rows)) arms, and
+    ``core._affine_scan`` steps a whole stack node by node, elementwise, so
+    an arm's bits do not depend on what shares its stack. Returns one
     (mean precision, mean primary cost, x, controls) per arm, x and
     controls holding the paths of ``shocks`` (rows are paths).
     (m, S) = (0, I) gives the exact expectations of the grid's Euler scheme.
@@ -576,9 +585,7 @@ def _stack_mean_stats(arms, coeffs, fr, grid, mean, cov, rows):
     a = np.empty((n, len(arms), 3, 3))
     for i, (leader, policy) in enumerate(arms):
         a[:, i] = _leader_law(leader, coeffs, policy.gains, grid, rows, y[:, i])
-    # More rows than steps: core._affine_scan's stepped schedule, every arm at once.
-    for j in range(n):
-        y[j + 1] += _apply(a[j], y[j])
+    _affine_scan(a, y)  # more rows than steps: stepped, every arm at once
     out = []
     for i, (leader, policy) in enumerate(arms):
         ens = _leader_ensemble(policy, grid, y[:, i])

@@ -14,10 +14,10 @@ value that fills it. A
 study's single leader path, and the tradeoff sweep's follower path, come
 from ``simulate_leader`` and ``simulate_follower``, whose one row of shocks
 is the row ``normal_matrix`` draws at the same index. The tradeoff sweep's
-means come from its shocks' sample moments (``_shock_moments``) where
-``core._use_moments`` admits its grid and path count. All work runs on the
-calling thread: ``run_study`` still accepts ``threads``, but the per-path
-work holds the GIL, and a thread pool only slowed it down.
+means come from its shocks' sample moments (``_shock_moments``) on grids of
+at most ``core.MOMENT_MAX_STEPS`` steps. All
+work runs on the calling thread: ``run_study`` still accepts ``threads``,
+but the per-path work holds the GIL, and a thread pool only slowed it down.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from .config import ConfigError, ExperimentConfig
 from .core import (
     BlowUpError,
     InvalidArgumentError,
+    MOMENT_MAX_STEPS,
     RngContract,
     STREAM_FOLLOWER,
     STREAM_LEADER,
     TimeGrid,
     Trajectory,
-    _use_moments,
 )
 from .infer import (
     DiscreteObservations,
@@ -241,11 +241,11 @@ def _shock_moments(rng, n_paths, n_steps):
 def _sweep_means(arms, follower, coeffs, fr, grid, n_paths, rng):
     """(mean precision, mean primary cost, path 0's x, its controls) per arm.
 
-    Where ``core._use_moments`` admits the grid and path count, the means
-    come from the shocks' sample moments (``leader_mean_stats``, every arm
-    at once), otherwise from every path (``_leader_stats``).
+    On at most ``core.MOMENT_MAX_STEPS`` steps the means come from the
+    shocks' sample moments (``leader_mean_stats``, every arm at once),
+    otherwise from every path (``_leader_stats``).
     """
-    if not _use_moments(n_paths, grid.n_steps):
+    if grid.n_steps > MOMENT_MAX_STEPS:
         stats = _leader_stats(arms, follower, coeffs, fr, grid, n_paths, rng, keep_paths=1)
         return [(np.mean(precision), np.mean(j_p), *kept[0])
                 for precision, j_p, _, kept in stats]
@@ -259,9 +259,8 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> StudyResult:
 
     The ratio is q_track / inference_weight: the inference weight stays at
     its configured value and q_track is set to ratio * inference_weight.
-    Every ratio runs on the same leader shocks. Where ``core._use_moments``
-    admits the grid and path count (at most ``core.MOMENT_MAX_STEPS`` steps,
-    and more paths the finer the grid) the means are exact functions of the
+    Every ratio runs on the same leader shocks. On a grid of at most
+    ``core.MOMENT_MAX_STEPS`` steps the means are exact functions of the
     shocks' sample mean and second moment, so the ratios' unit-impulse
     responses and path 0 are stepped together as one stacked recurrence,
     not every path (``_sweep_means``).

@@ -818,7 +818,7 @@ def leader_mean_stats_per_arm(
     expectations of the grid's Euler scheme.
     """
     from stackinfer.core import trapz_step_major
-    from stackinfer.simulate import simulate_leader_batch
+    from stackinfer.simulate import _mean_square, simulate_leader_batch
 
     n = grid.n_steps
     rows = np.zeros((n + 1 + len(shocks), n))
@@ -845,16 +845,6 @@ def leader_mean_stats_per_arm(
     precision, track, effort = trapz_step_major(nodes, grid)
     j_primary = 0.5 * (leader.q_track * track + leader.r_control * effort) + terminal
     return ens, float(precision), float(j_primary)
-
-
-def _mean_square(v: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Per-node mean of (v0 + G . eps)^2 over shocks of mean ``mean`` and
-    covariance ``cov``, where column 0 of the step-major ``v`` is v0 and
-    column 1 + k is v0 + G[:, k]."""
-    response = v[:, 1:] - v[:, :1]
-    centre = v[:, 0] + response @ mean
-    return np.square(centre) + np.sum((response @ cov) * response, axis=1)
-
 
 
 # ---------------------------------------------------------------------------

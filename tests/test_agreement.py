@@ -54,6 +54,7 @@ from stackinfer import core, riccati, studies
 from stackinfer.core import _affine_scan, _use_scan
 from stackinfer.infer import _interval_tables, _mle_discrete_rows
 from stackinfer.simulate import (
+    _aux_tail,
     _exact_transition_tables,
     _follower_nodes,
     _leader_scan,
@@ -990,6 +991,16 @@ def test_one_path_stats_equal_its_row_in_a_batch(follower, n_steps):
     two = leader_batch_stats(leader, follower, coeffs, fr, policy, grid, shocks)
     for got, want in zip(one[1:], two[1:]):
         assert got[0] == want[0]
+
+
+@pytest.mark.parametrize("n_steps", [50, 200])
+def test_aux_tail_is_the_same_bits_either_side_of_its_path_bound(follower, n_steps):
+    # Past SCAN_MAX_PATHS paths the tail is summed one row at a time, up to
+    # it by np.cumsum down the columns; both add the same terms in order.
+    grid, _, coeffs, _, _ = riccati_case(follower, n_steps)
+    m = si.core.SCAN_MAX_PATHS
+    x = np.random.default_rng(2).standard_normal((grid.n_nodes, m + 1))
+    assert np.array_equal(_aux_tail(coeffs, grid, x)[:, :m], _aux_tail(coeffs, grid, x[:, :m]))
 
 
 @settings(max_examples=30, deadline=None)

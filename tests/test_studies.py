@@ -91,33 +91,14 @@ TINY_SPSA = {"budget": 2, "batch_size": 16, "eval_every": 1, "eval_paths": 32}
 SWEEP = {"name": "tradeoff-sweep", "ratios": [0.5, 1.0, 10.0, 25.0, 100.0], "n_paths": 200}
 SWEEP_MODEL_STEPS = MODEL["grid"]["n_steps"]
 # The moment route's means against the per-path loop's, relative: the largest
-# gap measured on this model was 2.1e-15, over 15 (the fewest paths the route
-# takes), 200, 257 and 2000 paths in chunks of 20, 70 and 5242 rows.
+# gap measured on this model was 4.9e-15 (at one path; 2.1e-15 over 200, 257
+# and 2000 paths), in chunks of 20, 70 and 5242 rows.
 SWEEP_MEAN_RTOL = 1e-14
-
-
-def fewest_moment_paths(n_steps):
-    """The fewest paths a sweep on ``n_steps`` steps takes the moment route at."""
-    return min(n for n in range(1, 10**4) if core._use_moments(n, n_steps))
-
-
-MOMENT_MIN_PATHS = fewest_moment_paths(SWEEP_MODEL_STEPS)
 ESTIMATOR = {"name": "estimator-study", "inference_weights": [0.0, 0.5, 0.93], "n_replays": 200}
 
 
 def study_config(study):
     return validate_config({**MODEL, "study": study})
-
-
-def assert_sweep_is_the_loop(monkeypatch, n_steps, n_paths):
-    """A two-ratio sweep off the moment route equals the per-arm loop bit for bit."""
-    monkeypatch.setattr(studies, "CHUNK_ELEMENTS", 30 * n_steps)
-    cfg = validate_config({**MODEL, "grid": {"horizon": HORIZON, "n_steps": n_steps},
-                           "study": {**SWEEP, "ratios": [1.0, 25.0], "n_paths": n_paths}})
-    tables = studies.run_study(cfg).tables
-    rows, traj_rows = tradeoff_sweep_per_arm(cfg, 30)
-    assert tables["sweep"][1] == rows
-    assert tables["trajectories"][1] == traj_rows
 
 
 def traced_peak(run, *args):
@@ -176,11 +157,14 @@ class TestCommonNoise:
 
     def test_sweep_above_the_step_bound_matches_the_per_arm_loop(self, monkeypatch):
         # Past core.MOMENT_MAX_STEPS every path is simulated, as the loop does.
-        assert_sweep_is_the_loop(monkeypatch, core.MOMENT_MAX_STEPS + 1, 70)
-
-    def test_sweep_below_the_path_crossover_matches_the_per_arm_loop(self, monkeypatch):
-        # One path short of the moment route every path is simulated too.
-        assert_sweep_is_the_loop(monkeypatch, SWEEP_MODEL_STEPS, MOMENT_MIN_PATHS - 1)
+        n_steps = core.MOMENT_MAX_STEPS + 1
+        monkeypatch.setattr(studies, "CHUNK_ELEMENTS", 30 * n_steps)
+        cfg = validate_config({**MODEL, "grid": {"horizon": HORIZON, "n_steps": n_steps},
+                               "study": {**SWEEP, "ratios": [1.0, 25.0], "n_paths": 70}})
+        tables = studies.run_study(cfg).tables
+        rows, traj_rows = tradeoff_sweep_per_arm(cfg, 30)
+        assert tables["sweep"][1] == rows
+        assert tables["trajectories"][1] == traj_rows
 
     @pytest.mark.parametrize("stack", [1, 2, 4])
     def test_sweep_rows_do_not_depend_on_their_stack(self, monkeypatch, stack):
@@ -201,15 +185,14 @@ class TestCommonNoise:
     def test_moment_sweep_memory_does_not_grow_with_paths(self):
         # The moment route holds one chunk of shocks as it is drawn, the block
         # buffer and the second moment, whatever the path count: its peak over
-        # a sweep of the fewest paths the route takes stays within those at
-        # 2000 paths (one chunk of 2000 rows) and at 10000 (two chunks of
-        # CHUNK_ELEMENTS // n_steps rows).
+        # a one-path sweep stays within those at 2000 paths (one chunk of 2000
+        # rows) and at 10000 (two chunks of CHUNK_ELEMENTS // n_steps rows).
         n = SWEEP_MODEL_STEPS
 
         def sweep(n_paths):
             studies.run_study(study_config({**SWEEP, "n_paths": n_paths}))
 
-        base = traced_peak(sweep, MOMENT_MIN_PATHS)
+        base = traced_peak(sweep, 1)
         for n_paths in (2000, 10000):
             rows = min(n_paths, studies.CHUNK_ELEMENTS // n)
             chunk = traced_peak(core.RngContract(0).normal_matrix, rows, n, core.STREAM_LEADER)
@@ -221,12 +204,11 @@ class TestCommonNoise:
         # so the ratios are stepped one at a time: five ratios peak within
         # half a state of one ratio, not at five states.
         n = core.MOMENT_MAX_STEPS
-        n_paths = fewest_moment_paths(n)
 
         def sweep(ratios):
             studies.run_study(validate_config({
                 **MODEL, "grid": {"horizon": HORIZON, "n_steps": n},
-                "study": {**SWEEP, "ratios": ratios, "n_paths": n_paths},
+                "study": {**SWEEP, "ratios": ratios},
             }))
 
         state = 8 * (n + 1) * 3 * (n + 2)
