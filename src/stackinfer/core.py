@@ -339,6 +339,16 @@ def _use_scan(n_paths: int, n_steps: int) -> bool:
     return n_paths <= SCAN_MAX_PATHS and n_paths < n_steps
 
 
+def _scan_stack(n_systems: int, n_paths: int, n_steps: int) -> int:
+    """How many of ``n_systems`` systems of ``n_paths`` columns each, sharing
+    their step matrices, one ``_affine_scan`` call may stack side by side:
+    as many as keep the schedule one system gets alone, so that a system's
+    bits do not depend on what shares its call (at least 1)."""
+    if _use_scan(n_paths, n_steps):
+        n_systems = min(n_systems, min(SCAN_MAX_PATHS, n_steps - 1) // n_paths)
+    return max(1, n_systems)
+
+
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """m @ v for (..., k, k) m and (..., k, n_paths) v, as elementwise
     products, so that a path's bits do not depend on its batch."""

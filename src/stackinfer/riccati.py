@@ -15,6 +15,12 @@ multiplied out two-level blocked. The solution at the block starts is
 carried across the block ends in Python floats, and every node's value is
 then formed from its block's start in one batched pass.
 
+Both solve a list of arms in one call: leaders, or leader trajectories,
+sharing one follower and grid. b's arms are columns of one recurrence; the
+leader's arms have their own propagators, formed and multiplied out
+together on a leading arm axis. An arm's result is, bit for bit, the one
+it gets alone.
+
 The leader system is only locally well-posed; ``horizon_bound`` computes the
 conservative existence horizon, and ``solve_leader_system`` raises
 ``BlowUpError`` at the first node past the blow-up.
@@ -23,6 +29,7 @@ conservative existence horizon, and ``solve_leader_system`` raises
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +43,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     _affine_scan,
+    _scan_stack,
     block_transfer_maps,
     cumtrapz,
 )
@@ -159,28 +167,34 @@ def compute_coefficients(fr: FollowerRiccati, model: FollowerModel) -> DerivedCo
 
 
 def solve_follower_bc(
-    fr: FollowerRiccati, model: FollowerModel, x_leader: Trajectory
+    fr: FollowerRiccati, model: FollowerModel, x_leaders: Sequence[Trajectory]
 ) -> np.ndarray:
-    """Solve the follower's linear value coefficient b backward.
+    """Solve the follower's linear value coefficient b backward, one row per
+    leader trajectory (arm) of ``x_leaders``; returns (arms, n_nodes).
 
     db/dt = (2 b^2/r) a b - a_drift b + q_track * dilation * x_L(t), b(T) = 0,
     by classical RK4 with x_L and a linearly interpolated at half-steps.
     db/dt is affine in b, so each RK4 stage is too, and a backward step is
     b[j] = m[j] b[j+1] + e[j] with m and e built for all steps at once; that
-    recurrence is solved by ``core._affine_scan``. b is linear in
-    q_track * dilation, so it is solved for unit forcing and scaled once,
-    which keeps a tiny forcing out of the subnormal range until the last
-    rounding. It agrees with the per-step RK4 loop to rounding.
+    recurrence is solved by ``core._affine_scan``. Only the forcing e
+    depends on x_L, so the arms share m and stand side by side as the
+    recurrence's columns, as many at once as keep one arm's schedule
+    (``core._scan_stack``): an arm's bits do not depend on its stack. b is
+    linear in q_track * dilation, so it is solved for unit forcing and
+    scaled once, which keeps a tiny forcing out of the subnormal range until
+    the last rounding. It agrees with the per-step RK4 loop to rounding.
     """
     grid = fr.grid
-    if x_leader.grid != grid:
+    if any(x_leader.grid != grid for x_leader in x_leaders):
         raise InvalidArgumentError("leader trajectory grid does not match solver grid")
     alpha = 2.0 * model.gain_sq_over_r
     drift = model.a_drift
     q_m = model.q_track * model.dilation
 
-    # b = q_m u with du/dt = p u + x, at the nodes and half-steps.
-    x, x_mid = x_leader.values, _interp_mid(x_leader.values)
+    # b = q_m u with du/dt = p u + x, at the nodes and half-steps; x has one
+    # column per arm.
+    x = np.column_stack([x_leader.values for x_leader in x_leaders])
+    x_mid = _interp_mid(x)
     a, a_mid = fr.a, _interp_mid(fr.a)
     p, p_mid = alpha * a - drift, alpha * a_mid - drift
 
@@ -191,20 +205,21 @@ def solve_follower_bc(
     # Stage i of the step entered from u[j+1] is k_i = ka_i u[j+1] + kb_i.
     ka1, kb1 = p[1:], x[1:]
     ka2 = p_mid * (1.0 - half_h * ka1)
-    kb2 = x_mid - p_mid * (half_h * kb1)
+    kb2 = x_mid - p_mid[:, None] * (half_h * kb1)
     ka3 = p_mid * (1.0 - half_h * ka2)
-    kb3 = x_mid - p_mid * (half_h * kb2)
+    kb3 = x_mid - p_mid[:, None] * (half_h * kb2)
     ka4 = p[:-1] * (1.0 - h * ka3)
-    kb4 = x[:-1] - p[:-1] * (h * kb3)
+    kb4 = x[:-1] - p[:-1, None] * (h * kb3)
     m = 1.0 - sixth_h * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
-    e = -sixth_h * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
     # Solved from u[n] = 0 back: step i of the recurrence is grid step n-1-i.
-    b = np.empty(n + 1)
+    b = np.empty((n + 1, len(x_leaders)))
     b[n] = 0.0
-    b[:n] = e
-    _affine_scan(m[::-1, None, None], b[::-1, None, None])
+    b[:n] = -sixth_h * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
+    stack = _scan_stack(len(x_leaders), 1, n)
+    for lo in range(0, len(x_leaders), stack):
+        _affine_scan(m[::-1, None, None], b[::-1, None, lo : lo + stack])
     b *= q_m
-    return b
+    return np.ascontiguousarray(b.T)
 
 
 def scaled_info_weight(leader: LeaderModel, follower: FollowerModel) -> float:
@@ -220,61 +235,53 @@ def scaled_info_weight(leader: LeaderModel, follower: FollowerModel) -> float:
 
 # Bound on |quad| entries past which the leader system counts as blown up.
 BLOW_UP_THRESHOLD = 1e12
-# Steps whose propagators, and nodes whose rows, are formed at once: each
-# chunk buffer of (steps, 8, 8) is about 0.5 MB, which bounds the solver's
-# memory beside the (n, 8, 8) transfer maps.
+# Steps whose propagators, and nodes whose rows, are formed at once, and the
+# bound on steps times arms in one stack of arms: each chunk buffer of
+# (steps, arms, 8, 8) is about 0.5 MB, which bounds the solver's memory
+# beside the transfer maps, (n, arms, 8, 8), at most 0.5 MB or one arm's.
 _CHUNK_STEPS = 1024
 # The six quad entries (L11, L12, L13, L22, L23, L33) as a symmetric 3x3.
 _QUAD_INDEX = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 
 
 def solve_leader_system(
-    leader: LeaderModel,
+    leaders: Sequence[LeaderModel],
     follower: FollowerModel,
     coeffs: DerivedCoefficients,
-) -> LeaderRiccati:
-    """Solve the leader's augmented Riccati system backward on the grid.
+) -> list[LeaderRiccati]:
+    """Solve the leader's augmented Riccati system backward on the grid, once
+    per leader (arm) of ``leaders``; returns one ``LeaderRiccati`` per arm.
 
     The quadratic coefficient has an indefinite source (the inference reward
     enters with a negative sign), so solutions may blow up in finite time;
     a ``BlowUpError`` carrying the grid time of the first node past the
-    blow-up is raised. The system is solved in its linear Hamiltonian form
-    (see ``_leader_hamiltonian``), a fourth-order scheme: it agrees with
-    classical RK4 on the ten entries within RK4's own discretisation error,
-    or to 1e-10 relative where that error is smaller, and raises at RK4's
-    blow-up node or one step nearer T. quad is exactly symmetric.
+    blow-up is raised, for the first arm that blows up. The system is solved
+    in its linear Hamiltonian form (see ``_leader_hamiltonian``), a
+    fourth-order scheme: it agrees with classical RK4 on the ten entries
+    within RK4's own discretisation error, or to 1e-10 relative where that
+    error is smaller, and raises at RK4's blow-up node or one step nearer T.
+    quad is exactly symmetric. The arms share the grid, the follower and its
+    coefficients, and are solved together on an arm axis, at most
+    max(1, ``_CHUNK_STEPS`` // n_steps) at a time, so that on a fine grid
+    each goes alone. Every step of the solve is elementwise across arms or
+    a product of one arm's matrices, so an arm's tables do not depend on
+    what it is stacked with.
     """
     grid = coeffs.grid
-    nodes = grid.nodes
-    T = grid.horizon
-    lam_s = scaled_info_weight(leader, follower)
-    f_nodes = leader.target_at(nodes, T)
-    f_mid = leader.target_at(0.5 * (nodes[:-1] + nodes[1:]), T)
-    f_T = float(f_nodes[-1])
-    # (L11, L12, L13, L22, L23, L33, m1, m2, m3, N) at T.
-    terminal = (
-        0.5 * leader.q_terminal,
-        0.0,
-        0.0,
-        -lam_s * coeffs.decay_l1,
-        lam_s,
-        0.0,
-        -leader.q_terminal * f_T,
-        0.0,
-        0.0,
-        0.5 * leader.q_terminal * f_T * f_T,
-    )
-    table = _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal)
-
-    quad = table[:, _QUAD_INDEX].reshape(grid.n_nodes, 3, 3)
-    lin = table[:, 6:9].copy()
-    offset = table[:, 9].copy()
-    quad.setflags(write=False)
-    lin.setflags(write=False)
-    offset.setflags(write=False)
-    return LeaderRiccati(
-        grid=grid, quad=quad, lin=lin, offset=offset, scaled_info_weight=lam_s
-    )
+    lam_s = [scaled_info_weight(leader, follower) for leader in leaders]
+    stack = max(1, _CHUNK_STEPS // grid.n_steps)
+    out = []
+    for lo in range(0, len(leaders), stack):
+        tables = _leader_hamiltonian(leaders[lo : lo + stack], lam_s[lo : lo + stack], coeffs)
+        for table, lam in zip(np.moveaxis(tables, 1, 0), lam_s[lo : lo + stack]):
+            quad = table[:, _QUAD_INDEX].reshape(grid.n_nodes, 3, 3)
+            lin, offset = table[:, 6:9].copy(), table[:, 9].copy()
+            for array in (quad, lin, offset):
+                array.setflags(write=False)
+            out.append(LeaderRiccati(
+                grid=grid, quad=quad, lin=lin, offset=offset, scaled_info_weight=lam
+            ))
+    return out
 
 
 def _blow_up(t: float, peak: float):
@@ -302,8 +309,9 @@ def _past_blow_up(rows: np.ndarray, det: np.ndarray):
     return bad, peak
 
 
-def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
-    """The leader system as a linear Hamiltonian product; returns the node table.
+def _leader_hamiltonian(leaders, lam_s, coeffs):
+    """The leader system as a linear Hamiltonian product for a stack of arms;
+    returns the node table, (n_nodes, arms, 10).
 
     With the constant 1 appended to the augmented state, psi~ = (x, aux,
     aux2, 1), the quad, half the lin and the offset less its sigma^2 term
@@ -311,99 +319,122 @@ def _leader_hamiltonian(leader, lam_s, coeffs, f_nodes, f_mid, terminal):
     L~' = -(L~ A + A' L~) + L~ G L~ - Q. By Radon's lemma L~ = Y X^-1 for
     the linear system [X; Y]' = H [X; Y], H = [[A, -G], [-Q, -A']]. Its
     blocked transfer maps come from ``_block_maps``. [X; Y] restarts at
-    [I; L~] at every block start, so X stays well conditioned: L~ is carried
-    from T across the block ends in Python floats (``_block_starts``), and
-    then every node's row is formed from its block's start in one batched
-    pass (``_hamiltonian_rows``), ``_CHUNK_STEPS`` nodes at a time. The
-    offset adds sigma^2 times the integral of L11 from t to T, an
-    end-corrected trapezoid sum. The first node from T, T included, where
-    det X <= 0, a quad entry passes ``BLOW_UP_THRESHOLD`` or a value is not
-    finite raises ``BlowUpError``.
+    [I; L~] at every block start, so X stays well conditioned: each arm's
+    L~ is carried from T across the block ends in Python floats
+    (``_block_starts``), and then every node's row of every arm is formed
+    from its block's start in one batched pass (``_hamiltonian_rows``),
+    ``_CHUNK_STEPS`` nodes at a time. The offset adds sigma^2 times the
+    integral of L11 from t to T, an end-corrected trapezoid sum. The first
+    node from T, T included, where det X <= 0, a quad entry passes
+    ``BLOW_UP_THRESHOLD`` or a value is not finite raises ``BlowUpError``,
+    for the first arm that has one.
     """
     grid = coeffs.grid
     n = grid.n_steps
     h = grid.h
-    a_l = leader.a_drift
-    gain = 2.0 * leader.b_control**2 / leader.r_control
-    half_q = 0.5 * leader.q_track
+    nodes, T = grid.nodes, grid.horizon
+    arms = len(leaders)
+    # Each leader parameter, and the target, as one value per arm.
+    a_l = np.array([leader.a_drift for leader in leaders])
+    gain = np.array([2.0 * leader.b_control**2 / leader.r_control for leader in leaders])
+    half_q = np.array([0.5 * leader.q_track for leader in leaders])
+    f_nodes = np.column_stack([leader.target_at(nodes, T) for leader in leaders])
+    f_mid = np.column_stack([
+        leader.target_at(0.5 * (nodes[:-1] + nodes[1:]), T) for leader in leaders
+    ])
 
+    # Node rows hold L~'s ten entries (m/2 in place of m) until the end.
+    table = np.empty((n + 1, arms, 10))
+    det = np.empty((n + 1, arms))
+    # (L11, L12, L13, L22, L23, L33, m1, m2, m3, N) at T.
+    table[n] = [
+        (0.5 * leader.q_terminal, 0.0, 0.0, -lam * coeffs.decay_l1, lam, 0.0,
+         -leader.q_terminal * f_T, 0.0, 0.0, 0.5 * leader.q_terminal * f_T * f_T)
+        for leader, lam, f_T in zip(leaders, lam_s, f_nodes[-1].tolist())
+    ]
+    table[n, :, 6:9] *= 0.5
+    det[n] = 1.0  # X is I at T
     # Past a blow-up values are discarded; every node row is checked below,
     # so overflow on the way there is not warned of.
     with np.errstate(all="ignore"):
-        back, size = _block_maps(leader, lam_s, coeffs, f_nodes, f_mid)
-        # Node rows hold L~'s ten entries (m/2 in place of m) until the end.
-        table = np.empty((n + 1, 10))
-        det = np.empty(n + 1)
-        table[n] = terminal
-        table[n, 6:9] *= 0.5
-        det[n] = 1.0  # X is I at T
-        starts = _block_starts(back[size - 1 : n - 1 : size], table[n])
+        back, size = _block_maps(a_l, gain, half_q, np.array(lam_s), coeffs, f_nodes, f_mid)
+        starts = np.stack([
+            _block_starts(back[size - 1 : n - 1 : size, i], table[n, i]) for i in range(arms)
+        ], axis=1)
         for lo in range(0, n, _CHUNK_STEPS):
             hi = min(lo + _CHUNK_STEPS, n)
             phi = back[lo:hi]  # [X; Y] is phi [I; L~] for its block's start L~
-            rows, row_det = _hamiltonian_rows(phi @ starts[np.arange(lo, hi) // size])
-            table[n - hi : n - lo] = rows[::-1]
-            det[n - hi : n - lo] = row_det[::-1]
-        bad, peak = _past_blow_up(table, det)
-        if bad.any():
-            p = n - int(np.argmax(bad[::-1]))
-            raise _blow_up(float(grid.nodes[p]), float(peak[p]))
-        table[:, 6:9] *= 2.0
+            rows, row_det = _hamiltonian_rows(
+                (phi @ starts[np.arange(lo, hi) // size]).reshape(-1, 8, 4)
+            )
+            table[n - hi : n - lo] = rows.reshape(hi - lo, arms, 10)[::-1]
+            det[n - hi : n - lo] = row_det.reshape(hi - lo, arms)[::-1]
+        bad, peak = _past_blow_up(table.reshape(-1, 10), det.reshape(-1))
+        bad, peak = bad.reshape(n + 1, arms), peak.reshape(n + 1, arms)
+        hit = bad.any(axis=0)
+        if hit.any():
+            i = int(np.argmax(hit))
+            p = n - int(np.argmax(bad[::-1, i]))
+            raise _blow_up(float(grid.nodes[p]), float(peak[p, i]))
+        table[:, :, 6:9] *= 2.0
 
     # offset = N^ + sig2 * int_t^T L11: per step h/2 (L11_j + L11_j+1)
     # - h^2/12 (L11'_j+1 - L11'_j), L11' the Riccati rate of L11.
-    l11 = table[:, 0]
-    w = coeffs.weight
-    rate = -(2.0 * (l11 * a_l - table[:, 1] * w)) + gain * l11 * l11 - half_q
+    l11 = table[:, :, 0]
+    w = coeffs.weight[:, None]
+    rate = -(2.0 * (l11 * a_l - table[:, :, 1] * w)) + gain * l11 * l11 - half_q
     steps = (0.5 * h) * (l11[:-1] + l11[1:]) - (h * h / 12.0) * (rate[1:] - rate[:-1])
-    table[:-1, 9] += leader.sigma**2 * np.cumsum(steps[::-1])[::-1]
+    sigma_sq = np.array([leader.sigma**2 for leader in leaders])
+    table[:-1, :, 9] += sigma_sq * np.cumsum(steps[::-1], axis=0)[::-1]
     return table
 
 
-def _block_maps(leader, lam_s, coeffs, f_nodes, f_mid):
-    """The leader system's transfer maps, blocked from T back; returns (back, size).
+def _block_maps(a_l, gain, half_q, lam_s, coeffs, f_nodes, f_mid):
+    """The leader system's transfer maps for a stack of arms, blocked from T
+    back; returns (back, size), ``back`` (n, arms, 8, 8).
 
     Each step's RK4 propagator is formed from the coefficients at the
     step's two nodes and its midpoint: with u = (h/2) k for the RK4 stages
     k of the linear system, the map from node j+1 to node j is
     I - (u1 + 2 u2 + 2 u3 + u4)/3. (h/2) H has twelve nonzero entries, four
-    of them constant; the others are written into chunk buffers allocated
-    once, and the stages are combined in place. ``back[i]`` holds step
-    n-1-i, so the steps run in the order of the backward product, which
-    ``block_transfer_maps`` takes within blocks of ``size`` steps. Row 3 of
-    every map, and so of every product, is e4 exactly (the appended
-    constant has no dynamics), so X's last row is e4.
+    of them constant in time; every entry is per arm, from the arm's
+    parameters (one value per arm in ``a_l``, ``gain``, ``half_q`` and
+    ``lam_s``) and target (a column of ``f_nodes`` and ``f_mid``). They are
+    written into chunk buffers allocated once, and the stages are combined
+    in place. ``back[i]`` holds step n-1-i, so the steps run in the order of
+    the backward product, which ``block_transfer_maps`` takes within blocks
+    of ``size`` steps. Row 3 of every map, and so of every product, is e4
+    exactly (the appended constant has no dynamics), so X's last row is e4.
     """
     grid = coeffs.grid
     n = grid.n_steps
     s = 0.5 * grid.h
-    a_l = leader.a_drift
-    gain = 2.0 * leader.b_control**2 / leader.r_control
-    half_q = 0.5 * leader.q_track
+    arms = len(a_l)
     w, d = coeffs.weight, coeffs.decay
     w_mid, d_mid = _interp_mid(w), _interp_mid(d)
 
     width = min(n, _CHUNK_STEPS)
-    h_nodes = np.zeros((width + 1, 8, 8))
-    h_mids = np.zeros((width, 8, 8))
+    h_nodes = np.zeros((width + 1, arms, 8, 8))
+    h_mids = np.zeros((width, arms, 8, 8))
     for ham in (h_nodes, h_mids):
-        ham[:, 0, 0] = s * a_l
-        ham[:, 0, 4] = -s * gain
-        ham[:, 4, 0] = -s * half_q
-        ham[:, 4, 4] = -s * a_l
+        ham[..., 0, 0] = s * a_l
+        ham[..., 0, 4] = -s * gain
+        ham[..., 4, 0] = -s * half_q
+        ham[..., 4, 4] = -s * a_l
 
     def fill(ham, wt, dt_, ft):
-        ham[:, 1, 0] = -s * wt
-        ham[:, 2, 1] = s * dt_
-        ham[:, 4, 3] = (s * half_q) * ft
-        ham[:, 7, 0] = ham[:, 4, 3]
-        ham[:, 7, 3] = -(s * half_q) * ft * ft
-        ham[:, 5, 1] = (s * lam_s) * dt_
-        ham[:, 4, 5] = s * wt
-        ham[:, 5, 6] = -s * dt_
+        wt, dt_ = wt[:, None], dt_[:, None]
+        ham[..., 1, 0] = -s * wt
+        ham[..., 2, 1] = s * dt_
+        ham[..., 4, 3] = (s * half_q) * ft
+        ham[..., 7, 0] = ham[..., 4, 3]
+        ham[..., 7, 3] = -(s * half_q) * ft * ft
+        ham[..., 5, 1] = (s * lam_s) * dt_
+        ham[..., 4, 5] = s * wt
+        ham[..., 5, 6] = -s * dt_
 
-    maps = np.empty((n, 8, 8))
-    stage, product = np.empty((2, width, 8, 8))
+    maps = np.empty((n, arms, 8, 8))
+    stage, product = np.empty((2, width, arms, 8, 8))
     eye = np.eye(8)
     for lo in range(0, n, width):
         hi = min(lo + width, n)

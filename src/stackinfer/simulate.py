@@ -11,7 +11,9 @@ from its own counter-derived stream, and a single path is a one-row batch.
 Follower batches, in either mode, are one affine recurrence solved by
 ``_follower_nodes`` through ``core._affine_scan``; on the exact transition's
 tables, ``_follower_nodes`` can also compose the transition over blocks of
-steps and simulate only every block's end node. A leader batch under an
+steps and simulate only every block's end node. A follower batch with one
+row of ``b`` per arm runs every arm on the same shocks, the arms side by
+side as columns of the recurrence. A leader batch under an
 affine law (the Riccati policy) is one blocked affine recurrence where
 ``core._use_scan`` admits its shape; every other leader batch is stepped
 node by node, in place, the affine law's control from its ``control_at``
@@ -50,6 +52,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     _affine_scan,
+    _scan_stack,
     _use_scan,
     cumtrapz,
     trapz,
@@ -297,7 +300,8 @@ def _sub_step_integrals(f_sub: np.ndarray, kernel_sub: np.ndarray, h_sub):
     of one interval, ``h_sub`` apart (a scalar, or one spacing per row).
     With phi(u) the integral of f from u to the interval's right edge, it
     returns exp(phi) at the left edge and the trapezoid integrals of
-    exp(phi) * kernel and of exp(2 phi) over the interval.
+    exp(phi) * kernel and of exp(2 phi) over the interval. A kernel with a
+    leading arm axis gives one row of kernel integrals per arm.
     """
     h_col = np.reshape(h_sub, (-1, 1))
     seg = 0.5 * h_col * (f_sub[:, :-1] + f_sub[:, 1:])
@@ -305,7 +309,7 @@ def _sub_step_integrals(f_sub: np.ndarray, kernel_sub: np.ndarray, h_sub):
     phi[:, :-1] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
     e_phi = np.exp(phi)
     h_row = h_col[:, 0]
-    kernel_int = np.trapezoid(e_phi * kernel_sub, axis=1) * h_row
+    kernel_int = np.trapezoid(e_phi * kernel_sub, axis=-1) * h_row
     var_int = np.trapezoid(e_phi * e_phi, axis=1) * h_row
     return e_phi[:, 0], kernel_int, var_int
 
@@ -319,13 +323,14 @@ def _exact_transition_tables(
     x(t+h) = x(t) * exp(int f) - (b^2/r) * int exp(int_u f) b_u du + Gaussian
     noise whose variance is sigma^2 * int exp(2 int_u f) du. The step
     integrals are evaluated by trapezoid on ``SUB_NODES`` sub-intervals with
-    f and b interpolated linearly.
+    f and b interpolated linearly. Rows of a 2-D ``b`` are arms, each with
+    its own row of drift integrals; the factor and variance are shared.
     """
     # Sub-grid inside each step by fractional position; rows are steps.
     frac = np.linspace(0.0, 1.0, SUB_NODES + 1)[None, :]
     f = fr.f
     f_sub = f[:-1, None] + (f[1:] - f[:-1])[:, None] * frac
-    b_sub = b[:-1, None] + (b[1:] - b[:-1])[:, None] * frac
+    b_sub = b[..., :-1, None] + (b[..., 1:] - b[..., :-1])[..., None] * frac
     e_step, b_int, var_step = _sub_step_integrals(f_sub, b_sub, grid.h / SUB_NODES)
     return e_step, model.gain_sq_over_r * b_int, var_step
 
@@ -345,12 +350,17 @@ def simulate_follower_batch(
     one-step transition of the linear SDE, with the tables
     ``_exact_transition_tables`` builds by sub-quadrature. Both run
     ``_follower_nodes`` at stride 1, which a caller holding the exact
-    tables, and simulating several batches on them, calls directly.
+    tables, and simulating several batches on them, calls directly. A 2-D
+    ``b`` holds one row per arm (as ``solve_follower_bc`` returns it): every
+    arm runs on the same ``shocks``, and the paths gain a leading arm axis,
+    (arms, n_paths, n_nodes).
     """
     _check_grid(grid, fr.grid, "follower Riccati")
     b = np.asarray(b, dtype=float)
-    if b.shape != (grid.n_nodes,):
-        raise InvalidArgumentError(f"b must have {grid.n_nodes} values, got {b.shape}")
+    if b.ndim not in (1, 2) or b.shape[-1] != grid.n_nodes:
+        raise InvalidArgumentError(
+            f"b must have {grid.n_nodes} values per arm, got {b.shape}"
+        )
     shocks = np.asarray(shocks, dtype=float)
     if shocks.ndim != 2 or shocks.shape[1] != grid.n_steps:
         raise InvalidArgumentError(
@@ -363,7 +373,7 @@ def simulate_follower_batch(
     n = grid.n_steps
     if mode == "euler":
         h = grid.h
-        tables = (1.0 + fr.f[:-1] * h, model.gain_sq_over_r * b[:-1] * h, np.full(n, h))
+        tables = (1.0 + fr.f[:-1] * h, model.gain_sq_over_r * b[..., :-1] * h, np.full(n, h))
     else:
         tables = _exact_transition_tables(model, fr, b, grid)
     return _follower_nodes(model, tables, shocks, 1)
@@ -382,30 +392,42 @@ def _follower_nodes(model: FollowerModel, tables, shocks: np.ndarray, stride: in
     weighted shock sum, formed elementwise in a fixed order (so a row's bits
     do not depend on its batch), and the coarse recurrence is solved by
     ``core._affine_scan``. At stride 1 every P_l is 1 and each node is the
-    one-step recurrence's own. ``stride`` divides the step count n; returns
-    (n_paths, n // stride + 1).
+    one-step recurrence's own. A 2-D ``drift`` holds one row per arm: the
+    arms share the shock sum and stand side by side as the recurrence's
+    columns, as many at once as keep one arm's schedule
+    (``core._scan_stack``). ``stride`` divides the step count n; returns
+    (n_paths, n // stride + 1), after a leading arm axis if ``drift`` has one.
     """
     n_paths, n = shocks.shape
     m = n // stride
-    mult, drift, var = (np.reshape(t, (m, stride)) for t in tables)
+    mult, var = (np.reshape(t, (m, stride)) for t in (tables[0], tables[2]))
+    drift = np.asarray(tables[1])
     # later[:, l] = P_l, the product of mult over the block's steps after l.
     later = np.ones((m, stride))
     for l in range(stride - 2, -1, -1):
         later[:, l] = later[:, l + 1] * mult[:, l + 1]
     weights = later * (model.sigma * np.sqrt(var))
-    block_drift = np.sum(later * drift, axis=1)
-    # The start state and the forcing in the solver's step-major layout.
-    y = np.empty((m + 1, 1, n_paths))
+    block_drift = np.sum(later * drift.reshape(-1, m, stride), axis=-1).T  # (m, arms)
+    arms = block_drift.shape[1]
+    # The start state and the forcing in the solver's step-major layout, arm
+    # by arm along the columns: the shock sum is formed in arm 0's columns
+    # and each arm's drift taken from it.
+    y = np.empty((m + 1, 1, arms * n_paths))
     y[0] = model.x0
-    forcing = y[1:, 0]
+    forcing = y[1:, 0].reshape(m, arms, n_paths)
+    noise = forcing[:, 0]
     step_shocks = shocks.T
-    np.multiply(step_shocks[0::stride], weights[:, :1], out=forcing)
-    term = np.empty_like(forcing)
+    np.multiply(step_shocks[0::stride], weights[:, :1], out=noise)
+    term = np.empty((m, n_paths))
     for l in range(1, stride):
-        forcing += np.multiply(step_shocks[l::stride], weights[:, l : l + 1], out=term)
-    forcing -= block_drift[:, None]
-    block_mult = later[:, 0] * mult[:, 0]
-    return np.ascontiguousarray(_affine_scan(block_mult[:, None, None], y)[:, 0].T)
+        noise += np.multiply(step_shocks[l::stride], weights[:, l : l + 1], out=term)
+    np.subtract(noise[:, None], block_drift[:, 1:, None], out=forcing[:, 1:])
+    noise -= block_drift[:, :1]
+    block_mult = (later[:, 0] * mult[:, 0])[:, None, None]
+    stack = _scan_stack(arms, n_paths, m) * n_paths
+    for lo in range(0, arms * n_paths, stack):
+        _affine_scan(block_mult, y[:, :, lo : lo + stack])
+    return np.ascontiguousarray(y[:, 0].T).reshape(drift.shape[:-1] + (n_paths, m + 1))
 
 
 def simulate_follower(
@@ -586,6 +608,7 @@ def _stack_mean_stats(arms, coeffs, fr, grid, mean, cov, rows):
     for i, (leader, policy) in enumerate(arms):
         a[:, i] = _leader_law(leader, coeffs, policy.gains, grid, rows, y[:, i])
     _affine_scan(a, y)  # more rows than steps: stepped, every arm at once
+    scale = np.exp(-fr.cum_f)[:, None]
     out = []
     for i, (leader, policy) in enumerate(arms):
         ens = _leader_ensemble(policy, grid, y[:, i])
@@ -594,7 +617,7 @@ def _stack_mean_stats(arms, coeffs, fr, grid, mean, cov, rows):
         # Per-node mean squares of the precision's integrand, the tracking error
         # and the control, one column each.
         nodes = np.column_stack([
-            _mean_square(np.exp(-fr.cum_f)[:, None] * _aux_tail(coeffs, grid, x), mean, cov),
+            _mean_square(scale * _aux_tail(coeffs, grid, x), mean, cov),
             _mean_square(x - target[:, None], mean, cov),
             _mean_square(u, mean, cov),
         ])

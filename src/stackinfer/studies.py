@@ -11,9 +11,12 @@ inside, so memory stays bounded by ``CHUNK_ELEMENTS``. One driver,
 the grid, follower solve and coefficients every study starts from. Every
 runner returns through ``_result``, which names each CSV column beside the
 value that fills it. A
-study's single leader path, and the tradeoff sweep's follower path, come
-from ``simulate_leader`` and ``simulate_follower``, whose one row of shocks
-is the row ``normal_matrix`` draws at the same index. The tradeoff sweep's
+study's single leader path comes from ``simulate_leader``, whose one row of
+shocks is the row ``normal_matrix`` draws at the same index. The arms of
+the tradeoff sweep and the estimator study are solved in one call each:
+their leader Riccati systems (``solve_leader_system``), their follower
+``b`` (``solve_follower_bc``) and the sweep's follower paths, all on
+follower row 0 (``simulate_follower_batch``). The tradeoff sweep's
 means come from its shocks' sample moments (``_shock_moments``) on grids of
 at most ``core.MOMENT_MAX_STEPS`` steps. All
 work runs on the calling thread: ``run_study`` still accepts ``threads``,
@@ -263,30 +266,35 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> StudyResult:
     ``core.MOMENT_MAX_STEPS`` steps the means are exact functions of the
     shocks' sample mean and second moment, so the ratios' unit-impulse
     responses and path 0 are stepped together as one stacked recurrence,
-    not every path (``_sweep_means``).
+    not every path (``_sweep_means``). The ratios' leader solves, their
+    follower ``b`` and their follower paths on follower row 0 are one call
+    each over all ratios.
     """
     lam = cfg.leader["inference_weight"]
     grid, follower, fr, coeffs, rng = _models(cfg)
     n_paths = cfg.study["n_paths"]
 
     ratios = cfg.study["ratios"]
-    arms = []
-    for ratio in ratios:
-        lm = cfg.build_leader(grid, q_track=ratio * lam)
-        arms.append((lm, RiccatiPolicy(lm, solve_leader_system(lm, follower, coeffs))))
+    leaders = [cfg.build_leader(grid, q_track=ratio * lam) for ratio in ratios]
+    arms = [(lm, RiccatiPolicy(lm, lr))
+            for lm, lr in zip(leaders, solve_leader_system(leaders, follower, coeffs))]
     means = _sweep_means(arms, follower, coeffs, fr, grid, n_paths, rng)
+    b = solve_follower_bc(fr, follower, [Trajectory(grid=grid, values=x_path)
+                                         for _, _, x_path, _ in means])
+    # Every ratio's trajectory row sees the same follower shocks, follower row 0.
+    fshocks = rng.normals(grid.n_steps, STREAM_FOLLOWER, 0)[None, :]
+    x_followers = simulate_follower_batch(follower, fr, b, grid, fshocks)[:, 0]
 
     sweep = []
     trajectories = []
-    for ratio, (lm, _), (precision, j_p, x_path, controls) in zip(ratios, arms, means):
+    for ratio, lm, (precision, j_p, x_path, controls), xf in zip(
+        ratios, leaders, means, x_followers
+    ):
         sweep.append(dict(
             ratio=ratio, inference_weight=lam, q_track=ratio * lam,
             mean_fisher=float(precision) / follower.noise_to_signal,
             mean_primary_cost=float(j_p), n_paths=n_paths, seed=cfg.master_seed,
         ))
-        b = solve_follower_bc(fr, follower, Trajectory(grid=grid, values=x_path))
-        # Every ratio's trajectory row sees the same follower shocks.
-        xf = simulate_follower(follower, fr, b, grid, rng, 0).x
         target = lm.target_at(grid.nodes, grid.horizon)
         trajectories += [
             dict(ratio=ratio, node=j, time=grid.nodes[j], x_leader=x_path[j],
@@ -308,7 +316,8 @@ def run_estimator_study(cfg: ExperimentConfig) -> StudyResult:
     """Conditional bias and variance of the dilation estimate per inference weight.
 
     One leader path per weight (common leader noise across weights), then
-    follower replays with common noise indices.
+    follower replays with common noise indices. The weights' leader solves
+    and their follower ``b`` are one call each over all weights.
     """
     grid, follower, fr, coeffs, rng = _models(cfg)
     n_replays = cfg.study["n_replays"]
@@ -318,15 +327,14 @@ def run_estimator_study(cfg: ExperimentConfig) -> StudyResult:
         np.round(np.logspace(1, math.log10(n_replays), 20)).astype(int)
     )
     weights = cfg.study["inference_weights"]
-    arms = []
-    for lam in weights:
-        lm = cfg.build_leader(grid, inference_weight=lam)
-        lr = solve_leader_system(lm, follower, coeffs)
-        # Every weight's path sees the same leader shocks.
-        x_leader = simulate_leader(lm, coeffs, RiccatiPolicy(lm, lr), grid, rng,
-                                   path_index).trajectory()
-        b = solve_follower_bc(fr, follower, x_leader)
-        arms.append((compute_g(fr, follower, x_leader), b))
+    leaders = [cfg.build_leader(grid, inference_weight=lam) for lam in weights]
+    # Every weight's path sees the same leader shocks.
+    x_leaders = [
+        simulate_leader(lm, coeffs, RiccatiPolicy(lm, lr), grid, rng, path_index).trajectory()
+        for lm, lr in zip(leaders, solve_leader_system(leaders, follower, coeffs))
+    ]
+    arms = list(zip([compute_g(fr, follower, x_leader) for x_leader in x_leaders],
+                    solve_follower_bc(fr, follower, x_leaders)))
     all_m_hats = _follower_mhats(follower, fr, arms, grid, n_replays, rng)
 
     estimator = []
@@ -371,7 +379,7 @@ def run_episodes(
     compared at the same master seed share every Brownian increment. Returns
     the aggregate state plus the terminal states after each episode.
     """
-    lr = solve_leader_system(leader_model, follower_model, coeffs)
+    [lr] = solve_leader_system([leader_model], follower_model, coeffs)
     lm, fm = leader_model, follower_model
     state = MultiPeriodState.empty()
     out = []
@@ -379,7 +387,7 @@ def run_episodes(
         lpath = simulate_leader(lm, coeffs, RiccatiPolicy(lm, lr), grid, rng, ep)
         x_leader = lpath.trajectory()
         gp = compute_g(fr, follower_model, x_leader)
-        b = solve_follower_bc(fr, fm, x_leader)
+        [b] = solve_follower_bc(fr, fm, [x_leader])
         fpath = simulate_follower(fm, fr, b, grid, rng, ep)
         report = mle_continuous(fpath, gp, fr, fm)
         state = multi_period_update(state, report)
@@ -431,10 +439,10 @@ def run_discrete_convergence(cfg: ExperimentConfig) -> StudyResult:
 
     grid, follower, fr, coeffs, rng = _models(cfg)
     lm = cfg.build_leader(grid)
-    lr = solve_leader_system(lm, follower, coeffs)
+    [lr] = solve_leader_system([lm], follower, coeffs)
     x_leader = simulate_leader(lm, coeffs, RiccatiPolicy(lm, lr), grid, rng, 0).trajectory()
     gp = compute_g(fr, follower, x_leader)
-    b = solve_follower_bc(fr, follower, x_leader)
+    [b] = solve_follower_bc(fr, follower, [x_leader])
 
     # One set of exact-transition tables serves the path and every replication.
     tables = _exact_transition_tables(follower, fr, b, grid)
@@ -488,7 +496,7 @@ def run_benchmark_compare(cfg: ExperimentConfig) -> StudyResult:
     """
     grid, follower, fr, coeffs, rng = _models(cfg)
     lm = cfg.build_leader(grid)
-    riccati = RiccatiPolicy(lm, solve_leader_system(lm, follower, coeffs))
+    riccati = RiccatiPolicy(lm, *solve_leader_system([lm], follower, coeffs))
     n_eval = cfg.study["n_eval_paths"]
     n_display = cfg.study["n_display_paths"]
 
@@ -537,10 +545,9 @@ def run_objective_compare(cfg: ExperimentConfig) -> StudyResult:
                               **cfg.study["optimizer"])
 
     pairs = cfg.study["pairs"]
+    info = [cfg.build_leader(grid, inference_weight=lam_info) for _, lam_info in pairs]
     arms = []
-    for lam_var, lam_info in pairs:
-        lm_info = cfg.build_leader(grid, inference_weight=lam_info)
-        lr = solve_leader_system(lm_info, follower, coeffs)
+    for (lam_var, _), lm_info, lr in zip(pairs, info, solve_leader_system(info, follower, coeffs)):
         lm_var = cfg.build_leader(grid, inference_weight=lam_var)
         trained = optimize_policy(opt_cfg, lm_var, follower, coeffs, fr, grid).policy
         arms += [(lm_info, RiccatiPolicy(lm_info, lr)), (lm_var, trained)]
@@ -579,7 +586,7 @@ def run_wellposedness(cfg: ExperimentConfig) -> StudyResult:
     blow_up_time = None
     quad_peak = None
     try:
-        lr = solve_leader_system(lm, follower, coeffs)
+        [lr] = solve_leader_system([lm], follower, coeffs)
         quad_peak = float(np.max(np.abs(lr.quad)))
     except BlowUpError as exc:
         blow_up_time = exc.blow_up_time

@@ -878,7 +878,7 @@ def tradeoff_sweep_per_arm(cfg, chunk_rows):
     rows, traj_rows = [], []
     for ratio in cfg.study["ratios"]:
         lm = cfg.build_leader(grid, q_track=ratio * lam)
-        policy = si.RiccatiPolicy(lm, si.solve_leader_system(lm, follower, coeffs))
+        policy = si.RiccatiPolicy(lm, si.solve_leader_system([lm], follower, coeffs)[0])
         precision, j_p = np.empty(n_paths), np.empty(n_paths)
         for start, stop in _chunks(n_paths, chunk_rows):
             shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_LEADER, start)
@@ -889,7 +889,7 @@ def tradeoff_sweep_per_arm(cfg, chunk_rows):
                 x_path, controls = ens.x[0].copy(), ens.controls[0].copy()
         rows.append([ratio, lam, ratio * lam, float(np.mean(precision)) / follower.noise_to_signal,
                      float(np.mean(j_p)), n_paths, cfg.master_seed])
-        b = si.solve_follower_bc(fr, follower, si.Trajectory(grid=grid, values=x_path))
+        [b] = si.solve_follower_bc(fr, follower, [si.Trajectory(grid=grid, values=x_path)])
         fshocks = rng.normal_matrix(1, grid.n_steps, STREAM_FOLLOWER, 0)
         xf = si.simulate_follower_batch(follower, fr, b, grid, fshocks)[0]
         target = lm.target_at(grid.nodes, grid.horizon)
@@ -914,14 +914,14 @@ def estimator_study_per_arm(cfg, chunk_rows):
     rows, curve_rows = [], []
     for lam in cfg.study["inference_weights"]:
         lm = cfg.build_leader(grid, inference_weight=lam)
-        policy = si.RiccatiPolicy(lm, si.solve_leader_system(lm, follower, coeffs))
+        policy = si.RiccatiPolicy(lm, si.solve_leader_system([lm], follower, coeffs)[0])
         lshocks = rng.normal_matrix(1, grid.n_steps, STREAM_LEADER, path_index)
         x_leader = si.Trajectory(
             grid=grid, values=si.simulate_leader_batch(lm, coeffs, policy, grid, lshocks).x[0]
         )
         g, precision = compute_g_batch_one_line(fr, follower, x_leader.values)
         gp = si.GProfile(grid=grid, g=g[0], precision=float(precision[0]))
-        b = si.solve_follower_bc(fr, follower, x_leader)
+        [b] = si.solve_follower_bc(fr, follower, [x_leader])
         m_hats = np.empty(n_replays)
         for start, stop in _chunks(n_replays, chunk_rows):
             shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_FOLLOWER, start)

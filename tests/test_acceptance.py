@@ -56,12 +56,12 @@ def fixed_path_5000(follower, solved_5000):
     """Pinned high-precision leader path for the estimator criteria."""
     grid, fr, coeffs = solved_5000
     leader = make_leader(1.13)
-    lr = si.solve_leader_system(leader, follower, coeffs)
+    [lr] = si.solve_leader_system([leader], follower, coeffs)
     rng = si.RngContract(5)
     lpath = si.simulate_leader(leader, coeffs, si.RiccatiPolicy(leader, lr), grid, rng)
     x_leader = lpath.trajectory()
     gp = si.compute_g(fr, follower, x_leader)
-    b = si.solve_follower_bc(fr, follower, x_leader)
+    [b] = si.solve_follower_bc(fr, follower, [x_leader])
     return grid, fr, x_leader, gp, b
 
 
@@ -84,7 +84,7 @@ def test_criterion_1_riccati_oracles(follower, solved_5000):
         g = si.build_grid(HORIZON, n_lib)
         fr_l = si.solve_follower_a(follower, g)
         co_l = si.compute_coefficients(fr_l, follower)
-        lr = si.solve_leader_system(leader, follower, co_l)
+        [lr] = si.solve_leader_system([leader], follower, co_l)
         # RK4 at 10x the library's steps is converged far below the 1e-6
         # tolerance; halving its step once more must not move it.
         quad0 = oracle_quad0(lam, 10 * n_lib)
@@ -102,7 +102,7 @@ def test_criterion_1_riccati_oracles(follower, solved_5000):
 def test_criterion_2_lq_degeneracy(follower, solved_5000):
     grid, fr, coeffs = solved_5000
     leader = make_leader(0.0)
-    lr = si.solve_leader_system(leader, follower, coeffs)
+    [lr] = si.solve_leader_system([leader], follower, coeffs)
     off = lr.quad.copy()
     off[:, 0, 0] = 0.0
     max_off = float(np.max(np.abs(off)))
@@ -147,12 +147,12 @@ def test_criterion_4_ito_isometry_variance(follower):
     fr = si.solve_follower_a(follower, grid)
     coeffs = si.compute_coefficients(fr, follower)
     leader = make_leader(1.13)
-    lr = si.solve_leader_system(leader, follower, coeffs)
+    [lr] = si.solve_leader_system([leader], follower, coeffs)
     rng = si.RngContract(5)
     lpath = si.simulate_leader(leader, coeffs, si.RiccatiPolicy(leader, lr), grid, rng)
     x_leader = lpath.trajectory()
     gp = si.compute_g(fr, follower, x_leader)
-    b = si.solve_follower_bc(fr, follower, x_leader)
+    [b] = si.solve_follower_bc(fr, follower, [x_leader])
 
     n_rep, chunk = 100_000, 10_000
     m_hats = np.empty(n_rep)
@@ -181,7 +181,7 @@ def sweep_fishers(follower):
     out = {}
     for ratio in PAPER_SWEEP:
         leader = make_leader(1.0, q_track=ratio)
-        lr = si.solve_leader_system(leader, follower, coeffs)
+        [lr] = si.solve_leader_system([leader], follower, coeffs)
         _, precision, _, _ = leader_batch_stats(
             leader, follower, coeffs, fr, si.RiccatiPolicy(leader, lr), grid, shocks
         )
@@ -216,7 +216,7 @@ def test_criterion_5_exact_expectation_decreases(follower):
     exact = {}
     for ratio in PAPER_SWEEP:
         leader = make_leader(1.0, q_track=ratio)
-        policy = si.RiccatiPolicy(leader, si.solve_leader_system(leader, follower, coeffs))
+        policy = si.RiccatiPolicy(leader, si.solve_leader_system([leader], follower, coeffs)[0])
         precision, _ = exact_means(leader, coeffs, fr, policy, grid)
         exact[ratio] = precision / follower.noise_to_signal
     fishers = [exact[r] for r in sorted(PAPER_SWEEP)]
@@ -244,7 +244,7 @@ def test_criterion_6_benchmark_dominance(follower):
     fr = si.solve_follower_a(follower, grid)
     coeffs = si.compute_coefficients(fr, follower)
     leader = make_leader(0.5)
-    lr = si.solve_leader_system(leader, follower, coeffs)
+    [lr] = si.solve_leader_system([leader], follower, coeffs)
     riccati = si.RiccatiPolicy(leader, lr)
 
     cfg = si.OptimizerConfig(objective="fisher", batch_size=256, budget=3000,
@@ -315,12 +315,12 @@ def test_criterion_8_discrete_convergence(follower):
     fr = si.solve_follower_a(follower, grid)
     coeffs = si.compute_coefficients(fr, follower)
     leader = make_leader(0.5)
-    lr = si.solve_leader_system(leader, follower, coeffs)
+    [lr] = si.solve_leader_system([leader], follower, coeffs)
     rng = si.RngContract(11)
     lpath = si.simulate_leader(leader, coeffs, si.RiccatiPolicy(leader, lr), grid, rng, 2)
     x_leader = lpath.trajectory()
     gp = si.compute_g(fr, follower, x_leader)
-    b = si.solve_follower_bc(fr, follower, x_leader)
+    [b] = si.solve_follower_bc(fr, follower, [x_leader])
     shocks = rng.normals(grid.n_steps, si.core.STREAM_FOLLOWER, 9)[None]
     x = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
     fpath = si.FollowerPath(grid=grid, x=x[0])
@@ -361,8 +361,8 @@ def test_criterion_9_wellposedness(follower):
     short = si.build_grid(0.99 * bound.t_max, 50)
     fr_s = si.solve_follower_a(follower, short)
     co_s = si.compute_coefficients(fr_s, follower)
-    si.solve_leader_system(leader, follower, co_s)  # raises on blow-up
-    si.solve_leader_system(leader, follower, coeffs)  # full horizon per the paper
+    si.solve_leader_system([leader], follower, co_s)  # raises on blow-up
+    si.solve_leader_system([leader], follower, coeffs)  # full horizon per the paper
     ok = bound.t_max > 0.0
     report(9, "wellposedness-bound", ok,
            f"t_max={bound.t_max:.3e}, solved on 0.99*t_max and on {HORIZON}")
@@ -373,7 +373,7 @@ def test_criterion_10_precision_identity(follower):
     fr = si.solve_follower_a(follower, grid)
     coeffs = si.compute_coefficients(fr, follower)
     leader = make_leader(0.5)
-    lr = si.solve_leader_system(leader, follower, coeffs)
+    [lr] = si.solve_leader_system([leader], follower, coeffs)
     policy = si.RiccatiPolicy(leader, lr)
     rng = si.RngContract(404)
     shocks = rng.normal_matrix(100, grid.n_steps, si.core.STREAM_LEADER, 0)

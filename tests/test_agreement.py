@@ -23,6 +23,8 @@ with the per-path means to 1e-12 relative, the stacked evaluator meets the
 per-arm one it replaced to 1e-12, and the moments' bits do not depend on the
 chunk cap; on the moments (0, I) the same evaluator is the
 exact expectation, which Monte Carlo means meet within 5 standard errors.
+The leader solve, ``b`` and the follower rows of a stack of arms are, arm
+by arm, the bits of each arm solved alone.
 """
 
 import math
@@ -88,7 +90,7 @@ def solved(follower, n_steps, inference_weight=0.5, horizon=HORIZON, **leader_ov
 def grid_case(request, follower):
     # Tests may narrow the grid sizes with indirect parametrisation.
     grid, fr, coeffs, leader = solved(follower, request.param)
-    lr = si.solve_leader_system(leader, follower, coeffs)
+    [lr] = si.solve_leader_system([leader], follower, coeffs)
     x_leader = si.Trajectory(grid=grid, values=0.1 * np.cos(3.0 * grid.nodes))
     return grid, fr, coeffs, leader, lr, x_leader
 
@@ -185,11 +187,11 @@ def solve_both(follower, n_steps, **case):
         ref = leader_system_loop(leader, follower, coeffs)
     except ValueError as rk4:
         with pytest.raises(si.BlowUpError) as err:
-            si.solve_leader_system(leader, follower, coeffs)
+            si.solve_leader_system([leader], follower, coeffs)
         steps = (err.value.blow_up_time - rk4.args[0]) / coeffs.grid.h
         assert round(steps) in (0, 1) and abs(steps - round(steps)) < 1e-6
         return None
-    lr = si.solve_leader_system(leader, follower, coeffs)
+    [lr] = si.solve_leader_system([leader], follower, coeffs)
     return (lr.quad, lr.lin, lr.offset), ref
 
 
@@ -237,7 +239,7 @@ ERROR_RATIO = 16.0
 
 def hamiltonian_or_blow_up(leader, follower, coeffs):
     try:
-        lr = si.solve_leader_system(leader, follower, coeffs)
+        [lr] = si.solve_leader_system([leader], follower, coeffs)
     except si.BlowUpError as err:
         return err.blow_up_time
     return lr.quad, lr.lin, lr.offset
@@ -260,8 +262,11 @@ def assert_against_converged_reference(follower, n_steps, solve=hamiltonian_or_b
     steps is no arbiter there: it can step over a singularity, raise on a
     solution that exists, or err less than the other fourth-order scheme.
     Such disagreements are judged against RK4 on 32n steps, when RK4 on
-    16n steps reaches the same verdict (both solve, or both raise), and the
-    Hamiltonian must do no worse than RK4 on the n steps. Where the
+    16n steps reaches the same verdict (both solve, or both raise within
+    one 16n step of each other), and the Hamiltonian must do no worse than
+    RK4 on the n steps. On stiff long horizons RK4 itself goes unstable, and
+    its blow-up time moves with the grid however fine; such a reference has
+    not converged and judges nothing. Where the
     reference raises, it must raise within one step of the reference's
     blow-up time, or no further from it than RK4. Where the reference and
     RK4 solve, it must solve and, on each of quad, lin and offset, be
@@ -288,6 +293,9 @@ def assert_against_converged_reference(follower, n_steps, solve=hamiltonian_or_b
     half, reference = verdicts
     if isinstance(half, tuple) != isinstance(reference, tuple):
         return  # the reference has not converged, so it judges nothing
+    half_h = grid.h / (REFERENCE_REFINEMENT // 2)
+    if not isinstance(reference, tuple) and round(abs(half - reference) / half_h, 6) > 1:
+        return  # both raise, but over a step apart: RK4's instability, not converged
     if not isinstance(reference, tuple):
         assert not isinstance(got, tuple), "the Hamiltonian misses the reference's blow-up"
         rk4_miss = 0.0 if isinstance(rk4, tuple) else abs(rk4 - reference)
@@ -345,6 +353,11 @@ class TestRiccatiSolvers:
     # it must raise at T, though every other node of 50 steps stays below.
     @example(a_drift=-1.70, q_track=4.24, r_control=5.40, inference_weight=0.024,
              horizon=9.97, n_steps=50)
+    # A stiff long horizon (decay_l1 3.2e10): the Hamiltonian solves on every
+    # grid, while RK4 raises at t = 7.13, 5.79, 4.23, 3.12, 2.12 and 1.06 on
+    # 10 to 320 steps, so RK4 on 16n and 32n steps is no converged reference.
+    @example(a_drift=-2.4937, q_track=6.4348, r_control=1.5449, inference_weight=0.026936,
+             horizon=8.9118, n_steps=10)
     def test_hamiltonian_against_rk4_on_drawn_models(
         self, follower, a_drift, q_track, r_control, inference_weight, horizon, n_steps
     ):
@@ -361,10 +374,10 @@ class TestRiccatiSolvers:
 
     def test_long_grid_memory_is_bounded(self, follower):
         _, _, coeffs, leader = solved(follower, FINE)
-        si.solve_leader_system(leader, follower, coeffs)
+        si.solve_leader_system([leader], follower, coeffs)
         tracemalloc.start()
         try:
-            si.solve_leader_system(leader, follower, coeffs)
+            si.solve_leader_system([leader], follower, coeffs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -372,7 +385,7 @@ class TestRiccatiSolvers:
 
     def test_follower_bc_matches_loop(self, follower, grid_case):
         _, fr, _, _, _, x_leader = grid_case
-        b = si.solve_follower_bc(fr, follower, x_leader)
+        [b] = si.solve_follower_bc(fr, follower, [x_leader])
         b_ref, _ = follower_bc_loop(fr, follower, x_leader)
         assert_close(b, b_ref)
 
@@ -404,7 +417,7 @@ class TestRiccatiSolvers:
                               sigma=sigma, entropy_weight=entropy_weight)
         fr = si.solve_follower_a(model, grid50)
         x_leader = si.Trajectory(grid=grid50, values=0.1 * np.cos(3.0 * grid50.nodes))
-        b = si.solve_follower_bc(fr, model, x_leader)
+        [b] = si.solve_follower_bc(fr, model, [x_leader])
         b_ref, _ = follower_bc_loop(fr, model, x_leader)
         assert_close(b, b_ref)
 
@@ -422,7 +435,7 @@ class TestRiccatiSolvers:
         with pytest.raises(ValueError):
             leader_system_loop(leader, follower, fine)
         with pytest.raises(si.BlowUpError) as err:
-            si.solve_leader_system(leader, follower, coarse)
+            si.solve_leader_system([leader], follower, coarse)
         assert err.value.blow_up_time == 0.0
 
 
@@ -525,7 +538,7 @@ class TestBlockCarry:
         # With sigma = 0 the offset is L~'s last entry itself.
         _, _, coeffs, leader = solved(follower, n_steps, sigma=0.0)
         seen = record_block_starts(monkeypatch)
-        lr = si.solve_leader_system(leader, follower, coeffs)
+        [lr] = si.solve_leader_system([leader], follower, coeffs)
         (starts,) = seen
         size = math.isqrt(n_steps)
         assert len(starts) == -(-n_steps // size)
@@ -543,7 +556,7 @@ class TestBlockCarry:
         assert round(want / coeffs.grid.h) == 29
         seen = record_block_starts(monkeypatch)
         with pytest.raises(si.BlowUpError) as err:
-            si.solve_leader_system(leader, follower, coeffs)
+            si.solve_leader_system([leader], follower, coeffs)
         assert err.value.blow_up_time == want
         assert float(str(err.value).rsplit(" ", 1)[1].rstrip(")")) < riccati.BLOW_UP_THRESHOLD
         (starts,) = seen
@@ -567,7 +580,7 @@ class TestBlockCarry:
 
         def corrupted(a, out):
             size = real(a, out)
-            end = out[3 * size - 1]
+            end = out[3 * size - 1].reshape(8, 8)  # the oracle's map, or the solver's one arm's
             if x3 is None:
                 end[y_entry] = np.inf
             else:
@@ -582,7 +595,7 @@ class TestBlockCarry:
         assert round(want / coeffs.grid.h) == 29
         seen = record_block_starts(monkeypatch)
         with pytest.raises(si.BlowUpError) as err:
-            si.solve_leader_system(leader, follower, coeffs)
+            si.solve_leader_system([leader], follower, coeffs)
         assert err.value.blow_up_time == want
         (starts,) = seen
         assert np.isfinite(starts[:3]).all()
@@ -602,7 +615,7 @@ class TestLeaderPaths:
 
     def test_wide_batch_matches_loop(self, follower, co50, grid50):
         leader = make_leader(0.5)
-        policy = si.RiccatiPolicy(leader, si.solve_leader_system(leader, follower, co50))
+        policy = si.RiccatiPolicy(leader, si.solve_leader_system([leader], follower, co50)[0])
         shocks = si.RngContract(11).normal_matrix(60, grid50.n_steps, si.core.STREAM_LEADER, 0)
         ens = si.simulate_leader_batch(leader, co50, policy, grid50, shocks)
         ref = leader_batch_loop(leader, co50, policy, grid50, shocks)
@@ -637,7 +650,7 @@ class TestFollowerPaths:
     @pytest.mark.parametrize("mode", ["euler", "exact"])
     def test_long_paths_match_loop(self, follower, grid_case, mode):
         grid, fr, _, _, _, x_leader = grid_case
-        b = si.solve_follower_bc(fr, follower, x_leader)
+        [b] = si.solve_follower_bc(fr, follower, [x_leader])
         shocks = si.RngContract(5).normal_matrix(3, grid.n_steps, si.core.STREAM_FOLLOWER, 0)
         x = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode=mode)
         tables = _exact_transition_tables(follower, fr, b, grid)
@@ -646,7 +659,7 @@ class TestFollowerPaths:
     @pytest.mark.parametrize("n_paths", [3, 60])
     def test_prebuilt_tables_change_nothing(self, follower, grid_case, n_paths):
         grid, fr, _, _, _, x_leader = grid_case
-        b = si.solve_follower_bc(fr, follower, x_leader)
+        [b] = si.solve_follower_bc(fr, follower, [x_leader])
         shocks = si.RngContract(5).normal_matrix(n_paths, grid.n_steps, si.core.STREAM_FOLLOWER, 0)
         tables = _exact_transition_tables(follower, fr, b, grid)
         x = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
@@ -665,7 +678,7 @@ class TestFollowerPaths:
 def riccati_case(follower, n_steps):
     """Grid, follower solve, coefficients, leader and its Riccati policy."""
     grid, fr, coeffs, leader = solved(follower, n_steps)
-    policy = si.RiccatiPolicy(leader, si.solve_leader_system(leader, follower, coeffs))
+    policy = si.RiccatiPolicy(leader, si.solve_leader_system([leader], follower, coeffs)[0])
     return grid, fr, coeffs, leader, policy
 
 
@@ -683,7 +696,7 @@ def test_affine_laws_match_loops_across_the_regime_boundary(follower, n_steps, d
     ref = leader_batch_loop(leader, coeffs, policy, grid, shocks)
     for got, want in zip((ens.x, ens.aux, ens.aux2, ens.controls), ref):
         assert_close(got, want)
-    b = si.solve_follower_bc(fr, follower, si.Trajectory(grid=grid, values=ens.x[0]))
+    [b] = si.solve_follower_bc(fr, follower, [si.Trajectory(grid=grid, values=ens.x[0])])
     tables = _exact_transition_tables(follower, fr, b, grid)
     for mode in ("euler", "exact"):
         x = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode=mode)
@@ -699,10 +712,10 @@ def stats_case(a_drift, q_track, inference_weight, horizon, n_steps, **leader_ov
     coeffs = si.compute_coefficients(fr, follower)
     try:
         leader = make_leader(inference_weight, **leader_overrides)
-        lr = si.solve_leader_system(leader, follower, coeffs)
+        [lr] = si.solve_leader_system([leader], follower, coeffs)
     except si.BlowUpError:
         leader = make_leader(0.0, **leader_overrides)
-        lr = si.solve_leader_system(leader, follower, coeffs)
+        [lr] = si.solve_leader_system([leader], follower, coeffs)
     return follower, grid, fr, coeffs, leader, si.RiccatiPolicy(leader, lr)
 
 
@@ -883,10 +896,10 @@ def test_stacked_mean_stats_match_the_per_arm_evaluator(
         target = si.Sinusoid(amplitude=amplitude, omega=2.0 * math.pi / horizon)
         try:
             leader = make_leader(weight, q_track=leader_q, sigma=sigma, x0=x0, target=target)
-            lr = si.solve_leader_system(leader, follower, coeffs)
+            [lr] = si.solve_leader_system([leader], follower, coeffs)
         except si.BlowUpError:
             leader = make_leader(0.0, q_track=leader_q, sigma=sigma, x0=x0, target=target)
-            lr = si.solve_leader_system(leader, follower, coeffs)
+            [lr] = si.solve_leader_system([leader], follower, coeffs)
         laws.append((leader, si.RiccatiPolicy(leader, lr)))
     if n_paths:
         shocks = np.random.default_rng(seed).standard_normal((n_paths, n_steps))
@@ -908,6 +921,74 @@ def test_stacked_mean_stats_match_the_per_arm_evaluator(
         if n_paths:
             assert_close(got[2], ens.x[-1:])
             assert_close(got[3], ens.controls[-1:])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    # Short grids stack many arms; past 1024 steps each arm goes alone. Under
+    # 8 steps, 7 arms as columns of one recurrence would change its schedule.
+    n_steps=st.one_of(st.integers(1, 8), st.integers(9, 60), st.integers(61, 1500)),
+    arms=st.lists(
+        st.tuples(
+            st.floats(0.3, 5.0),  # the leader's q_track
+            st.floats(0.0, 2.0),  # its inference weight
+            st.floats(0.3, 5.0),  # r_control
+            st.floats(0.0, 1.0),  # sigma
+            st.floats(-1.0, 1.0),  # the target's amplitude
+        ),
+        min_size=1,
+        max_size=7,
+    ),
+    n_paths=st.integers(1, 3),
+    mode=st.sampled_from(["euler", "exact"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Seven arms on five steps: one arm's b and follower row are solved blocked,
+# seven side by side would be stepped.
+@example(n_steps=5, arms=[(1.0, 0.5, 1.0, 0.1, 0.1)] * 7, n_paths=1, mode="euler", seed=0)
+def test_stacked_arms_are_the_bits_of_arms_alone(follower, n_steps, arms, n_paths, mode, seed):
+    # The leader solve, b and the follower rows of a stack of arms are, arm
+    # by arm, the bits of each arm solved alone; a stack in which arms blow
+    # up raises the first of them, as the arm raises alone.
+    grid = si.build_grid(HORIZON, n_steps)
+    fr = si.solve_follower_a(follower, grid)
+    coeffs = si.compute_coefficients(fr, follower)
+    leaders = [
+        make_leader(weight, q_track=q_track, r_control=r_control, sigma=sigma,
+                    target=si.Sinusoid(amplitude=amplitude, omega=2.0 * math.pi / HORIZON))
+        for q_track, weight, r_control, sigma, amplitude in arms
+    ]
+    alone = []
+    for leader in leaders:
+        try:
+            alone += si.solve_leader_system([leader], follower, coeffs)
+        except si.BlowUpError as exc:
+            alone.append(exc)
+    blown = [exc for exc in alone if isinstance(exc, si.BlowUpError)]
+    if blown:
+        with pytest.raises(si.BlowUpError) as err:
+            si.solve_leader_system(leaders, follower, coeffs)
+        assert err.value.blow_up_time == blown[0].blow_up_time
+        assert str(err.value) == str(blown[0])
+    else:
+        for got, want in zip(si.solve_leader_system(leaders, follower, coeffs), alone):
+            for name in ("quad", "lin", "offset"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    gen = np.random.default_rng(seed)
+    x_leaders = [si.Trajectory(grid=grid, values=leader.target_at(grid.nodes, HORIZON)
+                               + 0.1 * gen.standard_normal(grid.n_nodes))
+                 for leader in leaders]
+    b = si.solve_follower_bc(fr, follower, x_leaders)
+    shocks = gen.standard_normal((n_paths, n_steps))
+    paths = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode=mode)
+    assert paths.shape == (len(leaders), n_paths, grid.n_nodes)
+    for x_leader, b_arm, paths_arm in zip(x_leaders, b, paths):
+        [b_alone] = si.solve_follower_bc(fr, follower, [x_leader])
+        assert np.array_equal(b_arm, b_alone)
+        assert np.array_equal(
+            paths_arm, si.simulate_follower_batch(follower, fr, b_alone, grid, shocks, mode=mode)
+        )
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -948,7 +1029,7 @@ def follower_case(follower, n_steps, horizon=HORIZON):
     grid = si.build_grid(horizon, n_steps)
     fr = si.solve_follower_a(follower, grid)
     x_leader = si.Trajectory(grid=grid, values=0.1 * np.cos(3.0 * grid.nodes))
-    b = si.solve_follower_bc(fr, follower, x_leader)
+    [b] = si.solve_follower_bc(fr, follower, [x_leader])
     return grid, fr, b, _exact_transition_tables(follower, fr, b, grid)
 
 
@@ -1028,7 +1109,7 @@ def test_rows_do_not_depend_on_batch_size(follower, n_steps, blocked, data, seed
     obs = np.arange(0, n_steps + 1, 5)
     x_leader = si.simulate_leader(leader, coeffs, policy, grid, si.RngContract(seed)).trajectory()
     gp = si.compute_g(fr, follower, x_leader)
-    b = si.solve_follower_bc(fr, follower, x_leader)
+    [b] = si.solve_follower_bc(fr, follower, [x_leader])
     loop_policy = si.FunctionPolicy(lambda j, x, aux, aux2: -0.5 * x[:, -1] + aux - aux2)
     obs_tables = _interval_tables(grid.nodes[obs], fr, gp)
 

@@ -159,6 +159,43 @@ class TestCliCommands:
         assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("chunk_steps", [50, 100, 1024])
+    def test_sweep_blow_up_names_the_first_arm(self, tmp_path, capsys, monkeypatch,
+                                               chunk_steps):
+        # The second and fourth ratios blow up, at different nodes. However
+        # the leader solve stacks the ratios (1, 2 or 5 at a time on these 50
+        # steps), it raises the second ratio's error, as that ratio solved
+        # alone does, and the run exits 3 with that message.
+        monkeypatch.setattr(si.riccati, "_CHUNK_STEPS", chunk_steps)
+        doc = make_doc(name="tradeoff-sweep", ratios=[10.0, 1.0, 25.0, 0.5, 100.0],
+                       n_paths=10)
+        doc["leader"]["inference_weight"] = 2.0
+        cfg = validate_config(doc)
+        grid, follower = cfg.build_grid(), cfg.build_follower()
+        coeffs = si.compute_coefficients(si.solve_follower_a(follower, grid), follower)
+        leaders = [cfg.build_leader(grid, q_track=2.0 * ratio) for ratio in cfg.study["ratios"]]
+        alone = []
+        for leader in leaders:
+            try:
+                si.solve_leader_system([leader], follower, coeffs)
+                alone.append(None)
+            except si.BlowUpError as exc:
+                alone.append(exc)
+        assert [exc is not None for exc in alone] == [False, True, False, True, False]
+        assert alone[1].blow_up_time != alone[3].blow_up_time
+        with pytest.raises(si.BlowUpError) as err:
+            si.solve_leader_system(leaders, follower, coeffs)
+        assert err.value.blow_up_time == alone[1].blow_up_time
+        assert str(err.value) == str(alone[1])
+        out = tmp_path / "out"
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: tradeoff-sweep: leader Riccati system blew up at t=0.08 "
+            "(|quad| reached 9.06e+04)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("study", [
         dict(name="estimator-study", inference_weights=[0.5], n_replays=10),
         dict(name="multi-period", inference_weights=[0.5], n_episodes=2),

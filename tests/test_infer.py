@@ -20,12 +20,12 @@ def fixed_setup(follower):
     fr = si.solve_follower_a(follower, grid)
     coeffs = si.compute_coefficients(fr, follower)
     leader = make_leader(1.13)
-    lr = si.solve_leader_system(leader, follower, coeffs)
+    [lr] = si.solve_leader_system([leader], follower, coeffs)
     rng = si.RngContract(5)
     lpath = si.simulate_leader(leader, coeffs, si.RiccatiPolicy(leader, lr), grid, rng)
     x_leader = lpath.trajectory()
     gp = si.compute_g(fr, follower, x_leader)
-    b = si.solve_follower_bc(fr, follower, x_leader)
+    [b] = si.solve_follower_bc(fr, follower, [x_leader])
     return grid, fr, coeffs, x_leader, gp, b
 
 
@@ -237,12 +237,12 @@ class TestDiscreteJoint:
         fr = si.solve_follower_a(follower, grid)
         coeffs = si.compute_coefficients(fr, follower)
         leader = make_leader(0.5)
-        lr = si.solve_leader_system(leader, follower, coeffs)
+        [lr] = si.solve_leader_system([leader], follower, coeffs)
         rng = si.RngContract(11)
         lpath = si.simulate_leader(leader, coeffs, si.RiccatiPolicy(leader, lr), grid, rng, 2)
         x_leader = lpath.trajectory()
         gp = si.compute_g(fr, follower, x_leader)
-        b = si.solve_follower_bc(fr, follower, x_leader)
+        [b] = si.solve_follower_bc(fr, follower, [x_leader])
         n_rep = 20
         shocks = rng.normal_matrix(n_rep, grid.n_steps, si.core.STREAM_FOLLOWER, 50)
         xs = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")

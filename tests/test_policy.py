@@ -24,7 +24,7 @@ def last_control(policy, prefix):
 @pytest.fixture(scope="module")
 def solved(follower, co50):
     leader = make_leader(0.5)
-    lr = si.solve_leader_system(leader, follower, co50)
+    [lr] = si.solve_leader_system([leader], follower, co50)
     return leader, lr
 
 
@@ -39,7 +39,7 @@ class TestRiccatiPolicy:
 
     def test_zero_inference_depends_only_on_state(self, follower, co50):
         leader = make_leader(0.0)
-        lr = si.solve_leader_system(leader, follower, co50)
+        [lr] = si.solve_leader_system([leader], follower, co50)
         u1 = si.RiccatiPolicy(leader, lr).control_at(10, 0.2, 0.0, 0.0)
         u2 = si.RiccatiPolicy(leader, lr).control_at(10, 0.2, 5.0, -7.0)
         assert u1 == u2
@@ -83,7 +83,7 @@ class TestFollowerPolicyLaw:
         grid = si.build_grid(HORIZON, 1000)
         fr = si.solve_follower_a(follower, grid)
         x_leader = si.Trajectory(grid=grid, values=np.ones(grid.n_nodes))
-        b = si.solve_follower_bc(fr, follower, x_leader)
+        [b] = si.solve_follower_bc(fr, follower, [x_leader])
         law = FollowerPolicyLaw(model=follower, fr=fr, b=b)
         mean, _ = law.moments(0, follower.x0)
         cf = FollowerClosedForm(-1.0, 1.0, 0.1, 1.0, 1.0, HORIZON)
@@ -156,7 +156,7 @@ class TestOptimizer:
         # With no inference incentive, a zero target and zero start, the
         # optimal expected cost is the value-function offset at zero state.
         leader = make_leader(0.0, x0=0.0, target=si.Sinusoid(amplitude=0.0, omega=1.0))
-        lr = si.solve_leader_system(leader, follower, co50)
+        [lr] = si.solve_leader_system([leader], follower, co50)
         optimum = lr.offset[0]
         cfg = si.OptimizerConfig(objective="fisher", batch_size=128, budget=2000,
                                  eval_every=100, eval_paths=2048, master_seed=2)

@@ -114,7 +114,7 @@ class TestDerivedCoefficients:
 class TestFollowerLinearCoefficient:
     def test_zero_forcing(self, follower, fr50, grid50):
         x = si.Trajectory(grid=grid50, values=np.zeros(grid50.n_nodes))
-        b = si.solve_follower_bc(fr50, follower, x)
+        [b] = si.solve_follower_bc(fr50, follower, [x])
         assert np.all(b == 0.0)
         _, c = follower_bc_loop(fr50, follower, x)
         assert np.all(np.isfinite(c))
@@ -122,7 +122,7 @@ class TestFollowerLinearCoefficient:
     def test_zero_dilation(self, fr50, grid50):
         model = make_follower(dilation=0.0)
         x = si.Trajectory(grid=grid50, values=np.ones(grid50.n_nodes))
-        b = si.solve_follower_bc(fr50, model, x)
+        [b] = si.solve_follower_bc(fr50, model, [x])
         assert np.all(b == 0.0)
 
     def test_matches_dilation_times_score(self, follower):
@@ -131,7 +131,7 @@ class TestFollowerLinearCoefficient:
         grid = si.build_grid(HORIZON, 1000)
         fr = si.solve_follower_a(follower, grid)
         x = si.Trajectory(grid=grid, values=np.ones(grid.n_nodes))
-        b = si.solve_follower_bc(fr, follower, x)
+        [b] = si.solve_follower_bc(fr, follower, [x])
         gp = si.compute_g(fr, follower, x)
         assert abs(b[0] - follower.dilation * gp.g[0]) < 1e-6
 
@@ -144,7 +144,7 @@ class TestFollowerLinearCoefficient:
             grid = si.build_grid(HORIZON, n_steps)
             fr = si.solve_follower_a(model, grid)
             x = si.Trajectory(grid=grid, values=0.3 * np.sin(4.0 * grid.nodes) + 0.2)
-            b = si.solve_follower_bc(fr, model, x)
+            [b] = si.solve_follower_bc(fr, model, [x])
             g = si.compute_g(fr, model, x).g
             gaps.append(np.max(np.abs(b - model.dilation * g)) / np.max(np.abs(b)))
         assert all(coarse >= 3.0 * fine for coarse, fine in zip(gaps, gaps[1:]))
@@ -153,13 +153,13 @@ class TestFollowerLinearCoefficient:
         other = si.build_grid(HORIZON, 60)
         x = si.Trajectory(grid=other, values=np.zeros(other.n_nodes))
         with pytest.raises(si.InvalidArgumentError):
-            si.solve_follower_bc(fr50, follower, x)
+            si.solve_follower_bc(fr50, follower, [x])
 
 
 class TestLeaderSystem:
     def test_terminal_conditions(self, follower, co50, grid50):
         leader = make_leader(0.5)
-        lr = si.solve_leader_system(leader, follower, co50)
+        [lr] = si.solve_leader_system([leader], follower, co50)
         lam_s = si.scaled_info_weight(leader, follower)
         f_T = leader.target_at(grid50.horizon, grid50.horizon)
         expected = np.zeros((3, 3))
@@ -175,7 +175,7 @@ class TestLeaderSystem:
         fr = si.solve_follower_a(follower, grid)
         coeffs = si.compute_coefficients(fr, follower)
         leader = make_leader(0.0)
-        lr = si.solve_leader_system(leader, follower, coeffs)
+        [lr] = si.solve_leader_system([leader], follower, coeffs)
         off_diag = lr.quad.copy()
         off_diag[:, 0, 0] = 0.0
         assert np.max(np.abs(off_diag)) <= 1e-12
@@ -192,7 +192,7 @@ class TestLeaderSystem:
 
     def test_symmetry_everywhere(self, follower, co50):
         leader = make_leader(0.93)
-        lr = si.solve_leader_system(leader, follower, co50)
+        [lr] = si.solve_leader_system([leader], follower, co50)
         assert np.max(np.abs(lr.quad - np.transpose(lr.quad, (0, 2, 1)))) <= 1e-12
 
     def test_against_fine_oracle(self, follower):
@@ -200,7 +200,7 @@ class TestLeaderSystem:
         fr = si.solve_follower_a(follower, grid)
         coeffs = si.compute_coefficients(fr, follower)
         leader = make_leader(0.5)
-        lr = si.solve_leader_system(leader, follower, coeffs)
+        [lr] = si.solve_leader_system([leader], follower, coeffs)
         cf = FollowerClosedForm(-1.0, 1.0, 0.1, 1.0, 1.0, HORIZON)
         quad0, lin0, off0 = leader_system_fine(
             cf, -1.0, 1.0, 0.1, 1.0, 1.0, 1.0, 0.5, follower.noise_to_signal,
@@ -217,7 +217,7 @@ class TestLeaderSystem:
             grid = si.build_grid(HORIZON, n)
             fr = si.solve_follower_a(follower, grid)
             coeffs = si.compute_coefficients(fr, follower)
-            values.append(si.solve_leader_system(leader, follower, coeffs).quad[0, 0, 0])
+            values.append(si.solve_leader_system([leader], follower, coeffs)[0].quad[0, 0, 0])
         d1 = abs(values[0] - values[1])
         d2 = abs(values[1] - values[2])
         # Interpolated coefficients cap the scheme at second order.
@@ -226,7 +226,7 @@ class TestLeaderSystem:
     def test_blow_up_detection(self, follower, co50, grid50):
         leader = make_leader(2.0)
         with pytest.raises(si.BlowUpError) as err:
-            si.solve_leader_system(leader, follower, co50)
+            si.solve_leader_system([leader], follower, co50)
         assert 0.0 < err.value.blow_up_time < grid50.horizon
 
 
@@ -275,4 +275,4 @@ class TestHorizonBound:
         small_grid = si.build_grid(horizon, 50)
         fr_s = si.solve_follower_a(follower, small_grid)
         coeffs_s = si.compute_coefficients(fr_s, follower)
-        si.solve_leader_system(leader, follower, coeffs_s)  # must not blow up
+        si.solve_leader_system([leader], follower, coeffs_s)  # must not blow up

@@ -19,7 +19,7 @@ from oracles import (
 
 
 def riccati_policy(leader, follower, coeffs):
-    lr = si.solve_leader_system(leader, follower, coeffs)
+    [lr] = si.solve_leader_system([leader], follower, coeffs)
     return si.RiccatiPolicy(leader, lr)
 
 
@@ -114,7 +114,7 @@ class TestSimulateFollower:
         grid = si.build_grid(HORIZON, 5000)
         fr = si.solve_follower_a(model, grid)
         x_leader = si.Trajectory(grid=grid, values=np.full(grid.n_nodes, 0.3))
-        b = si.solve_follower_bc(fr, model, x_leader)
+        [b] = si.solve_follower_bc(fr, model, [x_leader])
         shocks = np.zeros((1, grid.n_steps))
         euler = si.simulate_follower_batch(model, fr, b, grid, shocks, mode="euler")
         exact = si.simulate_follower_batch(model, fr, b, grid, shocks, mode="exact")
@@ -132,7 +132,7 @@ class TestSimulateFollower:
         grid = si.build_grid(HORIZON, 500)
         fr = si.solve_follower_a(follower, grid)
         x_leader = si.Trajectory(grid=grid, values=np.full(grid.n_nodes, 0.5))
-        b = si.solve_follower_bc(fr, follower, x_leader)
+        [b] = si.solve_follower_bc(fr, follower, [x_leader])
         n_paths = 30_000
         shocks = si.RngContract(21).stream(0).standard_normal((n_paths, grid.n_steps))
         xs = si.simulate_follower_batch(follower, fr, b, grid, shocks, mode="exact")
@@ -217,7 +217,7 @@ class TestFollowerCost:
         model = make_follower()
         fr = si.solve_follower_a(model, grid50)
         x_leader = si.Trajectory(grid=grid50, values=np.linspace(0.0, 1.0, grid50.n_nodes))
-        b = si.solve_follower_bc(fr, model, x_leader)
+        [b] = si.solve_follower_bc(fr, model, [x_leader])
         fpath = si.FollowerPath(grid=grid50, x=model.dilation * x_leader.values)
         heavy = make_follower(q_track=5.0)
         cost_light = evaluate_follower_cost(model, fpath, x_leader, fr, b)
@@ -232,7 +232,7 @@ class TestFollowerCost:
         model = make_follower(q_track=0.0, a_drift=0.0, sigma=0.0, x0=0.0)
         fr = si.solve_follower_a(model, grid)
         x_leader = si.Trajectory(grid=grid, values=np.zeros(grid.n_nodes))
-        b = si.solve_follower_bc(fr, model, x_leader)
+        [b] = si.solve_follower_bc(fr, model, [x_leader])
         fpath = si.FollowerPath(grid=grid, x=np.zeros(grid.n_nodes))
         cost = evaluate_follower_cost(model, fpath, x_leader, fr, b)
         lam, r = model.entropy_weight, model.r_control
@@ -247,7 +247,7 @@ class TestFollowerCost:
         x_leader = si.Trajectory(
             grid=grid, values=0.3 * np.sin(2 * math.pi * grid.nodes / HORIZON) + 0.2
         )
-        b = si.solve_follower_bc(fr, follower, x_leader)
+        [b] = si.solve_follower_bc(fr, follower, [x_leader])
         _, c = follower_bc_loop(fr, follower, x_leader)
         n_paths = 10_000
         shocks = si.RngContract(5).stream(1).standard_normal((n_paths, grid.n_steps))

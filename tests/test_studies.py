@@ -7,7 +7,7 @@ import pytest
 import stackinfer as si
 from conftest import HORIZON, make_follower, make_leader
 from oracles import estimator_study_per_arm, tradeoff_sweep_per_arm
-from stackinfer import core, studies
+from stackinfer import core, riccati, studies
 from stackinfer.config import validate_config
 from stackinfer.studies import run_episodes
 
@@ -166,21 +166,29 @@ class TestCommonNoise:
         assert tables["sweep"][1] == rows
         assert tables["trajectories"][1] == traj_rows
 
-    @pytest.mark.parametrize("stack", [1, 2, 4])
-    def test_sweep_rows_do_not_depend_on_their_stack(self, monkeypatch, stack):
-        # Each ratio's sweep row and trajectory are the same bits whether it
-        # is swept alone or stacked with other ratios, however the chunk cap
-        # groups them (``stack`` ratios at a time here).
+    @pytest.mark.parametrize("study, stack", [
+        pytest.param(SWEEP, 1, id="1"),
+        pytest.param(SWEEP, 2, id="2"),
+        pytest.param(SWEEP, 4, id="4"),
+        pytest.param(ESTIMATOR, 2, id="estimator-study"),
+    ])
+    def test_sweep_rows_do_not_depend_on_their_stack(self, monkeypatch, study, stack):
+        # Each arm's rows (a ratio's sweep row and trajectory, a weight's
+        # estimator row and bias curve) are the same bits whether it runs
+        # alone or stacked with the other arms, however the chunk cap of the
+        # moment route and the leader solve's arm cap group them (``stack``
+        # arms at a time here).
         n = SWEEP_MODEL_STEPS
-        alone = [studies.run_study(study_config({**SWEEP, "ratios": [ratio]})).tables
-                 for ratio in SWEEP["ratios"]]
+        key = "ratios" if study is SWEEP else "inference_weights"
+        alone = [studies.run_study(study_config({**study, key: [arm]})).tables
+                 for arm in study[key]]
         monkeypatch.setattr(studies, "CHUNK_ELEMENTS", stack * (n + 1) * 3 * (n + 2))
-        together = studies.run_study(study_config(SWEEP)).tables
+        monkeypatch.setattr(riccati, "_CHUNK_STEPS", stack * n)
+        together = studies.run_study(study_config(study)).tables
         for i, tables in enumerate(alone):
-            assert together["sweep"][1][i] == tables["sweep"][1][0]
-            assert together["trajectories"][1][i * (n + 1) : (i + 1) * (n + 1)] == (
-                tables["trajectories"][1]
-            )
+            for name, (_, rows) in tables.items():
+                per_arm = len(rows)
+                assert together[name][1][i * per_arm : (i + 1) * per_arm] == rows, name
 
     def test_moment_sweep_memory_does_not_grow_with_paths(self):
         # The moment route holds one chunk of shocks as it is drawn, the block
@@ -215,6 +223,37 @@ class TestCommonNoise:
         one = traced_peak(sweep, [1.0])
         five = traced_peak(sweep, SWEEP["ratios"])
         assert five - one <= state / 2, (one, five, state)
+
+    def test_fine_grid_sweep_solves_one_arm_at_a_time(self, monkeypatch):
+        # Past 1024 steps the leader solve's arm cap, max(1, _CHUNK_STEPS //
+        # n_steps), is 1: a 5-ratio sweep's solve peaks at a one-ratio
+        # sweep's, plus the tables of the ratios already solved, and half a
+        # ratio's transfer maps to spare; it would hold five ratios' maps
+        # if it stacked them.
+        n = 1500
+        real, peaks = studies.solve_leader_system, []
+
+        def measured(leaders, follower, coeffs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = real(leaders, follower, coeffs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+
+        monkeypatch.setattr(studies, "solve_leader_system", measured)
+
+        def solver_peak(ratios):
+            traced_peak(studies.run_study, validate_config({
+                **MODEL, "grid": {"horizon": HORIZON, "n_steps": n},
+                "study": {**SWEEP, "ratios": ratios, "n_paths": 8},
+            }))
+            return peaks[-1]
+
+        tables = 8 * (n + 1) * (9 + 3 + 1)  # one ratio's quad, lin and offset
+        maps = 8 * n * 8 * 8
+        one = solver_peak([1.0])
+        five = solver_peak(SWEEP["ratios"])
+        assert five - one <= 4 * tables + maps / 2, (one, five)
 
     @pytest.mark.parametrize("chunk_rows", [20, 70])
     def test_estimator_study_matches_the_per_arm_loop(self, monkeypatch, chunk_rows):

@@ -79,7 +79,7 @@ def test_leader_evaluator_reaches_the_traced_simulator(tracing, follower, grid50
     # The evaluator calls simulate_leader_batch through the module, so the
     # tracer's simulate.leader span and path-step count see every batch.
     leader = make_leader(0.5)
-    policy = si.RiccatiPolicy(leader, riccati.solve_leader_system(leader, follower, co50))
+    policy = si.RiccatiPolicy(leader, riccati.solve_leader_system([leader], follower, co50)[0])
     if not affine:
         policy = si.FunctionPolicy(lambda j, x, aux, aux2, law=policy:
                                    law.control_at(j, x[:, -1], aux, aux2))
