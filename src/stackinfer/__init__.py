@@ -17,7 +17,7 @@ _EXPORTS = {
         "BlowUpError", "DegenerateEnsembleError", "DegeneratePathError", "FollowerModel",
         "InvalidArgumentError", "LeaderModel", "OutOfDomainError", "PolicyEvaluationError",
         "RngContract", "Sinusoid", "SolverFailureError", "Tabulated", "TimeGrid",
-        "Trajectory", "build_grid", "cumtrapz", "eval_target", "trapz",
+        "Trajectory", "build_grid", "cumtrapz", "eval_target",
     ],
     "riccati": [
         "DerivedCoefficients", "FollowerRiccati", "HorizonBound", "LeaderRiccati",

@@ -1,5 +1,6 @@
 """Shared domain types (time grids, model parameter sets, targets, RNG streams)
-and kernels (trapezoid sums, the affine recurrence solver).
+and kernels (the running trapezoid of a coefficient, the trapezoid total of
+every path, the affine recurrence solver).
 
 Every type here is immutable after construction and safe to share across
 threads. All floating-point work is float64.
@@ -226,9 +227,7 @@ def cumtrapz(values, grid: TimeGrid) -> np.ndarray:
         raise InvalidArgumentError(
             f"expected {grid.n_nodes} values on last axis, got shape {v.shape}"
         )
-    # cumsum((v[1:] + v[:-1]) * (h / 2)) in place in one C-ordered output
-    # array, whatever v's layout: a later np.sum over it adds in an order
-    # that depends on the layout, so a row's bits would depend on its batch.
+    # cumsum((v[1:] + v[:-1]) * (h / 2)) in place in one output array.
     out = np.empty(v.shape)
     inner = out[..., 1:]
     np.add(v[..., 1:], v[..., :-1], out=inner)
@@ -236,23 +235,6 @@ def cumtrapz(values, grid: TimeGrid) -> np.ndarray:
     np.cumsum(inner, axis=-1, out=inner)
     out[..., 0] = 0.0
     return out
-
-
-def trapz(values, grid: TimeGrid) -> float:
-    """Trapezoidal integral over the whole grid (scalar per path)."""
-    v = np.asarray(values, dtype=float)
-    if v.shape[-1] != grid.n_nodes:
-        raise InvalidArgumentError(
-            f"expected {grid.n_nodes} values on last axis, got shape {v.shape}"
-        )
-    # One C-ordered temporary, whatever v's layout: np.sum adds each row
-    # pairwise only there. On a batch laid out path-fastest (the simulators'
-    # step-major state) it adds a lone row pairwise but a wider batch's rows
-    # in sequence.
-    step = np.add(v[..., 1:], v[..., :-1], order="C")
-    step *= 0.5 * grid.h
-    out = np.sum(step, axis=-1)
-    return float(out) if out.ndim == 0 else out
 
 
 def trapz_step_major(values: np.ndarray, grid: TimeGrid) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Estimation of the follower's hidden dilation factor.
 
 The continuous-observation estimator is the ratio of a drift-corrected
-integral against the score profile g to the precision integral of g^2; the
-stochastic integral uses left-endpoint (Ito) sums, the Lebesgue integrals the
-trapezoid rule. Multi-period aggregation weights per-episode estimates by
-their precisions and admits an online update. Discrete observations get a
-joint estimator of the dilation factor and the noise level built from exact
-one-step transition quantities. Each estimator is written once, over rows of
-paths; a single path is a one-row call.
+integral against the score profile g to the precision integral of g^2, g
+and its precision being ``simulate.compute_g``'s; the stochastic integral
+uses left-endpoint (Ito) sums, the drift integral the trapezoid rule in the
+pairwise tree every total over the grid is summed in
+(``core.trapz_step_major``). Multi-period aggregation weights per-episode
+estimates by their precisions and admits an online update. Discrete
+observations get a joint estimator of the dilation factor and the noise
+level built from exact one-step transition quantities. Each estimator is
+written once, over rows of paths; a single path is a one-row call.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegeneratePathError, FollowerModel, InvalidArgumentError, trapz
+from .core import DegeneratePathError, FollowerModel, InvalidArgumentError, trapz_step_major
 from .riccati import FollowerRiccati
 from .simulate import PRECISION_FLOOR, SUB_NODES, FollowerPath, GProfile, _sub_step_integrals
 
@@ -94,7 +96,7 @@ def mle_continuous_batch(
     if x.shape[1] != fr.grid.n_nodes:
         raise InvalidArgumentError(f"paths must have {fr.grid.n_nodes} columns")
     _check_precision(gp.precision)
-    drift = trapz(fr.f * gp.g * x, fr.grid)
+    drift = trapz_step_major(np.multiply((fr.f * gp.g)[:, None], x.T, order="C"), fr.grid)
     # Not a matrix-vector product: its (BLAS) result depends on the row count.
     ito = np.sum(np.diff(x, axis=1) * gp.g[:-1], axis=1)
     return (drift - ito) / (model.gain_sq_over_r * gp.precision)

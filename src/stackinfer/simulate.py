@@ -3,8 +3,13 @@
 Leader paths carry two auxiliary integrals alongside the state: the
 weighted running integral of the state and its decayed second integral.
 Both are trapezoid sums over the state path, so that path-dependent policies
-can read them online (the per-step loop advances them node by node), and
-the score profile and its precision integral can be read off them.
+can read them online (the per-step loop advances them node by node). The
+score profile is g = exp(-cum_f) (aux_T - aux), its tail summed back from T
+over aux's own trapezoid steps from the state path (``_aux_tail``), never
+read off the stored aux; every integral over the whole grid, the precision
+(of g^2) and the primary cost's included, is one pairwise tree of row
+additions (``core.trapz_step_major``). ``compute_g_batch`` and both leader
+evaluators form them so.
 
 Batch variants are vectorized across paths; each path's increments come
 from its own counter-derived stream, and a single path is a one-row batch.
@@ -28,8 +33,6 @@ from its shocks' sample mean and second moment, and ``leader_mean_stats``
 forms them for several laws (arms) at once from their unit-impulse
 responses: the arms' recurrences, built by the helper ``_leader_scan`` also
 uses, are stacked on one arm axis and stepped together, node by node.
-Both evaluators sum the precision's aux_T - aux back from T from the state
-path (``_aux_tail``), not off the stored aux.
 """
 
 from __future__ import annotations
@@ -54,8 +57,6 @@ from .core import (
     _affine_scan,
     _scan_stack,
     _use_scan,
-    cumtrapz,
-    trapz,
     trapz_step_major,
 )
 from .riccati import DerivedCoefficients, FollowerRiccati, scaled_info_weight
@@ -449,25 +450,22 @@ def compute_g_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score profile g and precision integral for each leader path row.
 
-    g(t) = -q_track * exp(-cum_f(t)) * int_t^T exp(cum_f(s)) x_L(s) ds, with
-    the tail integral realized through the cumulative forward integral so
-    the same trapezoid weights underlie g, the auxiliary path integrals and
-    the precision, keeping their algebraic identities exact on the grid.
+    g(t) = -q_track * exp(-cum_f(t)) * int_t^T exp(cum_f(s)) x_L(s) ds, that
+    is exp(-cum_f) (aux_T - aux) with aux_T - aux summed back from T
+    (``_aux_tail``, on the weight q_track * exp(cum_f) as
+    ``riccati.compute_coefficients`` forms it), and the precision is the
+    trapezoid of g^2 (``core.trapz_step_major``). That is
+    ``leader_batch_stats``' arithmetic, so a path's precision is the
+    evaluator's bit for bit. g is a transposed view of step-major storage.
     ``perfbench/tracing.py`` wraps it by name.
     """
     grid = fr.grid
     x = np.atleast_2d(np.asarray(x_leader, dtype=float))
     if x.shape[1] != grid.n_nodes:
         raise InvalidArgumentError(f"x_leader must have {grid.n_nodes} columns")
-    # g = -q_track * exp(-cum_f) * (cw[:, -1:] - cw) and the trapezoid of
-    # g * g, with the same operations in place: cw becomes g, and the
-    # weighted path's buffer (laid out as g is) holds g * g.
-    weighted = np.exp(fr.cum_f)[None, :] * x
-    g = cumtrapz(weighted, grid)
-    np.subtract(g[:, -1:].copy(), g, out=g)
-    g *= -model.q_track * np.exp(-fr.cum_f)[None, :]
-    precision = trapz(np.multiply(g, g, out=weighted), grid)
-    return g, np.atleast_1d(precision)
+    g = _aux_tail(model.q_track * np.exp(fr.cum_f), grid, x.T)
+    g *= np.exp(-fr.cum_f)[:, None]
+    return g.T, trapz_step_major(np.square(g), grid)
 
 
 def compute_g(fr: FollowerRiccati, model: FollowerModel, x_leader: Trajectory) -> GProfile:
@@ -479,19 +477,11 @@ def compute_g(fr: FollowerRiccati, model: FollowerModel, x_leader: Trajectory) -
 
 def primary_cost_batch(leader: LeaderModel, grid: TimeGrid, x: np.ndarray, controls: np.ndarray):
     """Realized tracking-plus-effort cost per path row: ``leader_batch_stats``'
-    cost in path-major form, which tests read and ``perfbench/tracing.py`` wraps."""
+    cost (``_primary_cost``) on path-major rows, which tests read and
+    ``perfbench/tracing.py`` wraps."""
+    x, u = (np.atleast_2d(np.asarray(v, dtype=float)).T for v in (x, controls))
     target = leader.target_at(grid.nodes, grid.horizon)
-    # 0.5 q (x - target)^2 + 0.5 r u^2, with the same operations in place.
-    run = np.subtract(x, target[None, :])
-    np.square(run, out=run)
-    run *= 0.5 * leader.q_track
-    effort = np.square(controls)
-    effort *= 0.5 * leader.r_control
-    run += effort
-    del effort  # trapz's temporary can then reuse its memory, not fault in new pages
-    cost = trapz(run, grid)
-    cost = cost + 0.5 * leader.q_terminal * (x[:, -1] - target[-1]) ** 2
-    return np.atleast_1d(cost)
+    return _primary_cost(leader, grid, np.square(x - target[:, None]), np.square(u))[0]
 
 
 def leader_batch_stats(
@@ -506,17 +496,15 @@ def leader_batch_stats(
     """Leader paths on ``shocks`` with each path's precision, primary cost and effort.
 
     Returns (ensemble, precision, j_primary, effort), one of each per row of
-    ``shocks``. All three are formed on the ensemble's step-major arrays in
-    one scratch array. The precision is the trapezoid of g^2 with
-    g = exp(-cum_f) (aux_T - aux), ``compute_g_batch``'s g, since
-    q_track * int exp(cum_f) x = -aux; aux_T - aux is summed back from x
-    (``_aux_tail``). The primary cost's trapezoids of the squared tracking
-    error and control are taken apart and weighted after; the latter, the
-    trapezoid of the squared control, is the effort.
+    ``shocks``. All three are formed on the ensemble's step-major arrays,
+    in place. The precision is the trapezoid of g^2 with
+    g = exp(-cum_f) (aux_T - aux), ``compute_g_batch``'s g and precision bit
+    for bit, aux_T - aux being summed back from x (``_aux_tail``). The
+    primary cost and effort are ``_primary_cost``'s.
     """
     ens = simulate_leader_batch(leader, coeffs, policy, grid, shocks)
     x, u = ens.x.T, ens.controls.T
-    scratch = _aux_tail(coeffs, grid, x)
+    scratch = _aux_tail(coeffs.weight, grid, x)
     scratch *= np.exp(-fr.cum_f)[:, None]
     np.square(scratch, out=scratch)
     precision = trapz_step_major(scratch, grid)
@@ -524,15 +512,27 @@ def leader_batch_stats(
     target = leader.target_at(grid.nodes, grid.horizon)
     np.subtract(x, target[:, None], out=scratch)
     np.square(scratch, out=scratch)
-    terminal = 0.5 * leader.q_terminal * scratch[-1]
-    track = trapz_step_major(scratch, grid)
-    effort = trapz_step_major(np.square(u, out=scratch), grid)
-    j_primary = 0.5 * (leader.q_track * track + leader.r_control * effort) + terminal
+    j_primary, effort = _primary_cost(leader, grid, scratch, np.square(u))
     return ens, precision, j_primary, effort
 
 
-def _aux_tail(coeffs: DerivedCoefficients, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
-    """aux_T - aux at every node of the step-major paths ``x`` (n_nodes, n_paths).
+def _primary_cost(leader: LeaderModel, grid: TimeGrid, track_sq, control_sq):
+    """(primary cost, effort) from the squared tracking error and control at
+    every node, step-major arrays (n_nodes, ...) that are summed in place.
+
+    The trapezoids of the two are taken apart and weighted after, and the
+    terminal term is read before the trapezoid halves the last node; the
+    trapezoid of the squared control is the effort.
+    """
+    terminal = 0.5 * leader.q_terminal * track_sq[-1]
+    track = trapz_step_major(track_sq, grid)
+    effort = trapz_step_major(control_sq, grid)
+    return 0.5 * (leader.q_track * track + leader.r_control * effort) + terminal, effort
+
+
+def _aux_tail(weight: np.ndarray, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
+    """aux_T - aux at every node of the step-major paths ``x`` (n_nodes, n_paths),
+    aux being the running integral of ``weight`` times x (``coeffs.weight``).
 
     It is summed back from T over aux's trapezoid steps,
     -(h/2) (w_j x_j + w_{j+1} x_{j+1}), so each node's value rounds with its
@@ -545,7 +545,7 @@ def _aux_tail(coeffs: DerivedCoefficients, grid: TimeGrid, x: np.ndarray) -> np.
     0.48 ms against 0.22 for the rows; at 32 paths and 8192 steps 1.5 ms
     against 6.3).
     """
-    tail = np.multiply(coeffs.weight[:, None], x)
+    tail = np.multiply(weight[:, None], x, order="C")
     steps = tail[:-1]
     steps += tail[1:]  # numpy reads tail[1:] as if it did not overlap
     steps *= -0.5 * grid.h
@@ -614,16 +614,13 @@ def _stack_mean_stats(arms, coeffs, fr, grid, mean, cov, rows):
         ens = _leader_ensemble(policy, grid, y[:, i])
         x, u = ens.x[: n + 1].T, ens.controls[: n + 1].T  # the response rows, step-major
         target = leader.target_at(grid.nodes, grid.horizon)
-        # Per-node mean squares of the precision's integrand, the tracking error
-        # and the control, one column each.
-        nodes = np.column_stack([
-            _mean_square(scale * _aux_tail(coeffs, grid, x), mean, cov),
-            _mean_square(x - target[:, None], mean, cov),
-            _mean_square(u, mean, cov),
-        ])
-        terminal = 0.5 * leader.q_terminal * nodes[-1, 1]  # before the trapezoid halves it
-        precision, track, effort = trapz_step_major(nodes, grid)
-        j_primary = 0.5 * (leader.q_track * track + leader.r_control * effort) + terminal
+        # Per-node mean squares of the precision's integrand, the tracking
+        # error and the control.
+        precision = trapz_step_major(
+            _mean_square(scale * _aux_tail(coeffs.weight, grid, x), mean, cov), grid
+        )
+        j_primary, _ = _primary_cost(leader, grid, _mean_square(x - target[:, None], mean, cov),
+                                     _mean_square(u, mean, cov))
         out.append((float(precision), float(j_primary),
                     ens.x[n + 1 :].copy(), ens.controls[n + 1 :].copy()))
     return out

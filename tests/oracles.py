@@ -690,8 +690,11 @@ def _hamiltonian_rows(xy: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# The trapezoid helpers and the score / cost functionals as one-line
-# expressions, the form they had before they were written in place.
+# The trapezoid helpers, the score / cost functionals and the continuous
+# estimator as path-major one-line expressions: forward sums for the score's
+# tail and np.sum along each row for every total, the forms the library had
+# before it summed the tail back from T and every total in a pairwise tree
+# of rows (``core.trapz_step_major``).
 
 
 def cumtrapz_one_line(values, grid):
@@ -711,6 +714,13 @@ def compute_g_batch_one_line(fr, model, x_leader):
     cw = cumtrapz_one_line(np.exp(fr.cum_f)[None, :] * x, fr.grid)
     g = -model.q_track * np.exp(-fr.cum_f)[None, :] * (cw[:, -1:] - cw)
     return g, np.atleast_1d(trapz_one_line(g * g, fr.grid))
+
+
+def mle_continuous_batch_one_line(x_paths, gp, fr, model):
+    x = np.atleast_2d(np.asarray(x_paths, dtype=float))
+    drift = trapz_one_line(fr.f * gp.g * x, fr.grid)
+    ito = np.sum(np.diff(x, axis=1) * gp.g[:-1], axis=1)
+    return (drift - ito) / (model.gain_sq_over_r * gp.precision)
 
 
 def precision_from_aux(coeffs, aux, aux2):
@@ -852,9 +862,8 @@ def leader_mean_stats_per_arm(
 # before the studies drew each chunk's shocks once for all arms. Every ratio
 # or weight draws its own rows, chunk by chunk. The sweep takes each path's
 # precision and cost from the library's evaluator, and the estimator study
-# its score from the one-line expression above. They call the library's
-# solvers, simulators, evaluator and estimators, which loop order does not
-# touch.
+# its score from ``compute_g``. They call the library's solvers, simulators,
+# evaluator and estimators, which loop order does not touch.
 
 
 def _chunks(n, rows):
@@ -919,8 +928,7 @@ def estimator_study_per_arm(cfg, chunk_rows):
         x_leader = si.Trajectory(
             grid=grid, values=si.simulate_leader_batch(lm, coeffs, policy, grid, lshocks).x[0]
         )
-        g, precision = compute_g_batch_one_line(fr, follower, x_leader.values)
-        gp = si.GProfile(grid=grid, g=g[0], precision=float(precision[0]))
+        gp = si.compute_g(fr, follower, x_leader)
         [b] = si.solve_follower_bc(fr, follower, [x_leader])
         m_hats = np.empty(n_replays)
         for start, stop in _chunks(n_replays, chunk_rows):

@@ -24,7 +24,11 @@ per-arm one it replaced to 1e-12, and the moments' bits do not depend on the
 chunk cap; on the moments (0, I) the same evaluator is the
 exact expectation, which Monte Carlo means meet within 5 standard errors.
 The leader solve, ``b`` and the follower rows of a stack of arms are, arm
-by arm, the bits of each arm solved alone.
+by arm, the bits of each arm solved alone. The score, the primary cost and
+the continuous estimator meet the path-major one-line expressions they
+replaced (forward sums, ``np.sum`` per row) to 3e-11 relative for the
+precision and 1e-12 otherwise; the public score and cost equal the
+evaluator's precision and primary cost bit for bit.
 """
 
 import math
@@ -49,6 +53,7 @@ from oracles import (
     leader_mean_stats_per_arm,
     leader_system_blocked,
     leader_system_loop,
+    mle_continuous_batch_one_line,
     primary_cost_batch_one_line,
     trapz_one_line,
 )
@@ -160,20 +165,39 @@ def test_in_place_helpers_equal_one_line_expressions(
     follower = make_follower(q_track=q_track)
     grid, fr, _, _ = solved(follower, n)
     leader = make_leader(q_track=q_track, r_control=r_control)
-    # The helpers sum in C-ordered temporaries whatever the input layout, so
-    # they round as the one-line expressions do on a C-ordered copy.
+    # cumtrapz runs the one-line expression's operations in place, so it
+    # equals it bit for bit on a C-ordered copy. The score sums its tail
+    # back from T, and the score, cost and estimator sum every total in a
+    # pairwise tree of rows, where the one-line expressions sum forward and
+    # along each row: they agree to the bounds of the evaluator's drawn-model
+    # property, and the input's layout moves no bit of the score or cost.
     x = _node_values(gen, n_rows, grid.n_nodes, layout, 10.0**exponent)
     xc = np.ascontiguousarray(x)
     assert np.array_equal(si.cumtrapz(x, grid), cumtrapz_one_line(xc, grid))
-    assert np.array_equal(si.trapz(x, grid), trapz_one_line(xc, grid))
     g, precision = si.compute_g_batch(fr, follower, x)
+    for got, want in zip(si.compute_g_batch(fr, follower, xc), (g, precision)):
+        assert np.array_equal(got, want)
     g_ref, precision_ref = compute_g_batch_one_line(fr, follower, xc)
-    assert np.array_equal(g, g_ref) and np.array_equal(precision, precision_ref)
+    floor = 2 * grid.n_nodes * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(g - g_ref) <= np.maximum(
+        3e-11 * np.max(np.abs(g_ref), axis=1, keepdims=True), floor))
+    assert np.all(np.abs(precision - precision_ref) <= np.maximum(
+        3e-11 * np.abs(precision_ref), floor))
     x2 = np.atleast_2d(x)
     u = _node_values(gen, x2.shape[0], grid.n_nodes, "2d" if layout == "1d" else layout, 1.0)
-    assert np.array_equal(si.primary_cost_batch(leader, grid, x2, u),
-                          primary_cost_batch_one_line(leader, grid, np.ascontiguousarray(x2),
-                                                      np.ascontiguousarray(u)))
+    x2c, uc = np.ascontiguousarray(x2), np.ascontiguousarray(u)
+    cost = si.primary_cost_batch(leader, grid, x2, u)
+    assert np.array_equal(cost, si.primary_cost_batch(leader, grid, x2c, uc))
+    want = primary_cost_batch_one_line(leader, grid, x2c, uc)
+    assert np.all(np.abs(cost - want) <= 1e-12 * np.abs(want))
+    # The rows of x as follower paths, on the score of its first row.
+    gp = si.GProfile(grid=grid, g=g[0], precision=float(precision[0]))
+    m_hat = si.mle_continuous_batch(x2, gp, fr, follower)
+    scale = (trapz_one_line(np.abs(fr.f * gp.g * x2c), grid)
+             + np.sum(np.abs(np.diff(x2c, axis=1) * gp.g[:-1]), axis=1))
+    scale /= follower.gain_sq_over_r * gp.precision
+    want = mle_continuous_batch_one_line(x2c, gp, fr, follower)
+    assert np.all(np.abs(m_hat - want) <= 1e-12 * scale)
 
 
 def solve_both(follower, n_steps, **case):
@@ -748,7 +772,9 @@ def test_leader_stats_match_one_line_on_drawn_models(
     # precision's bound is the gap measured over 1800 draws from these
     # ranges, at most 1.7e-11, with margin; it is the one-line score's own
     # cancellation (cw_T - cw): on the worst draw a long-double replay put
-    # the evaluator 1.1e-15 off and the one-line score 1.7e-11.
+    # the evaluator 1.1e-15 off and the one-line score 1.7e-11. The public
+    # score and cost are the evaluator's arithmetic, so they equal its
+    # precision and primary cost bit for bit.
     follower, grid, fr, coeffs, leader, policy = stats_case(
         a_drift, q_track, inference_weight, horizon, n_steps
     )
@@ -760,6 +786,9 @@ def test_leader_stats_match_one_line_on_drawn_models(
         ens, precision, j_primary, effort = leader_batch_stats(
             leader, follower, coeffs, fr, law, grid, shocks
         )
+        assert np.array_equal(si.compute_g_batch(fr, follower, ens.x)[1], precision)
+        assert np.array_equal(si.primary_cost_batch(leader, grid, ens.x, ens.controls),
+                              j_primary)
         want = compute_g_batch_one_line(fr, follower, ens.x)[1]
         # Below the normal range each of the trapezoid's terms may round by a
         # whole subnormal spacing, so the floor grows with their count.
@@ -767,7 +796,7 @@ def test_leader_stats_match_one_line_on_drawn_models(
         assert np.all(np.abs(precision - want) <= np.maximum(3e-11 * np.abs(want), floor))
         want = primary_cost_batch_one_line(leader, grid, ens.x, ens.controls)
         assert np.all(np.abs(j_primary - want) <= 1e-12 * np.abs(want))
-        want = si.trapz(ens.controls**2, grid)
+        want = trapz_one_line(ens.controls**2, grid)
         assert np.all(np.abs(effort - want) <= 1e-12 * np.abs(want))
 
 
@@ -1081,7 +1110,8 @@ def test_aux_tail_is_the_same_bits_either_side_of_its_path_bound(follower, n_ste
     grid, _, coeffs, _, _ = riccati_case(follower, n_steps)
     m = si.core.SCAN_MAX_PATHS
     x = np.random.default_rng(2).standard_normal((grid.n_nodes, m + 1))
-    assert np.array_equal(_aux_tail(coeffs, grid, x)[:, :m], _aux_tail(coeffs, grid, x[:, :m]))
+    assert np.array_equal(_aux_tail(coeffs.weight, grid, x)[:, :m],
+                          _aux_tail(coeffs.weight, grid, x[:, :m]))
 
 
 @settings(max_examples=30, deadline=None)
