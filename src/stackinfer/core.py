@@ -1,6 +1,7 @@
 """Shared domain types (time grids, model parameter sets, targets, RNG streams)
 and kernels (the running trapezoid of a coefficient, the trapezoid total of
-every path, the affine recurrence solver).
+every path, the affine recurrence solver, which picks each stacked system's
+schedule from that system's own width).
 
 Every type here is immutable after construction and safe to share across
 threads. All floating-point work is float64.
@@ -321,16 +322,6 @@ def _use_scan(n_paths: int, n_steps: int) -> bool:
     return n_paths <= SCAN_MAX_PATHS and n_paths < n_steps
 
 
-def _scan_stack(n_systems: int, n_paths: int, n_steps: int) -> int:
-    """How many of ``n_systems`` systems of ``n_paths`` columns each, sharing
-    their step matrices, one ``_affine_scan`` call may stack side by side:
-    as many as keep the schedule one system gets alone, so that a system's
-    bits do not depend on what shares its call (at least 1)."""
-    if _use_scan(n_paths, n_steps):
-        n_systems = min(n_systems, min(SCAN_MAX_PATHS, n_steps - 1) // n_paths)
-    return max(1, n_systems)
-
-
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """m @ v for (..., k, k) m and (..., k, n_paths) v, as elementwise
     products, so that a path's bits do not depend on its batch."""
@@ -340,25 +331,27 @@ def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _affine_scan(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _affine_scan(a: np.ndarray, y: np.ndarray, width: int) -> np.ndarray:
     """Solve y[j+1] = a[j] @ y[j] + c[j] in place for a batch of paths.
 
-    ``a`` is (n, k, k), shared by all paths. ``y`` is (n + 1, k, n_paths),
+    ``a`` is (n, k, k), shared by all paths. ``y`` is (n + 1, k, columns),
     step-major so that each step is contiguous: on entry y[0] holds the
-    start states and y[j+1] the forcing c[j], on return the solution. It
-    picks its schedule by ``_use_scan``: one step at a time, or two-level
-    blocked. Stepped, several systems may share the call, as (n, m, k, k)
-    ``a`` and (n + 1, m, k, n_paths) ``y``. Blocked, all blocks of about
-    sqrt(n) steps are solved from a zero start at once with their transfer maps
+    start states and y[j+1] the forcing c[j], on return the solution. The
+    columns are one or more systems of ``width`` paths each, side by side:
+    the schedule is ``_use_scan(width, n)``, one step at a time or two-level
+    blocked, and both run column by column, so a system's bits are the ones
+    it gets alone, whatever shares the call. Stepped, systems with their own
+    step matrices may share it too, as (n, m, k, k) ``a`` and
+    (n + 1, m, k, columns) ``y``. Blocked, all blocks of about sqrt(n) steps
+    are solved from a zero start at once with their transfer maps
     (``block_transfer_maps``), the block start states are carried across
     blocks one by one, and one pass adds each to its block; steps past the
     last whole block are stepped. That is about 2*sqrt(n) sequential numpy
     steps instead of n, with re-associated rounding. Returns ``y``.
     """
-    n, k = a.shape[0], a.shape[-1]
-    n_paths = y.shape[-1]
+    n, k, columns = a.shape[0], a.shape[-1], y.shape[-1]
     m = 0
-    if _use_scan(n_paths, n):
+    if _use_scan(width, n):
         maps = np.empty_like(a)
         size = block_transfer_maps(a, maps)
         n_blocks = n // size
@@ -367,11 +360,11 @@ def _affine_scan(a: np.ndarray, y: np.ndarray) -> np.ndarray:
         a_blk = a[:m].reshape(n_blocks, size, k, k)
         # Zero-start solutions, built over the forcing (a view, as splitting
         # an axis never copies).
-        z = y[1 : m + 1].reshape(n_blocks, size, k, n_paths)
+        z = y[1 : m + 1].reshape(n_blocks, size, k, columns)
         for i in range(1, size):
             z[:, i] += _apply(a_blk[:, i], z[:, i - 1])
         # State entering each block.
-        start = np.empty((n_blocks, k, n_paths))
+        start = np.empty((n_blocks, k, columns))
         start[0] = y[0]
         for b in range(1, n_blocks):
             start[b] = _apply(phi[b - 1, -1], start[b - 1]) + z[b - 1, -1]

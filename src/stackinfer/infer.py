@@ -92,12 +92,13 @@ def mle_continuous_batch(
     x_paths: np.ndarray, gp: GProfile, fr: FollowerRiccati, model: FollowerModel
 ) -> np.ndarray:
     """Dilation estimates for each follower path row on one fixed leader path."""
-    x = np.atleast_2d(np.asarray(x_paths, dtype=float))
+    x = np.atleast_2d(np.asarray(x_paths, dtype=float, order="C"))
     if x.shape[1] != fr.grid.n_nodes:
         raise InvalidArgumentError(f"paths must have {fr.grid.n_nodes} columns")
     _check_precision(gp.precision)
     drift = trapz_step_major(np.multiply((fr.f * gp.g)[:, None], x.T, order="C"), fr.grid)
     # Not a matrix-vector product: its (BLAS) result depends on the row count.
+    # x is C-ordered, so np.sum adds each row pairwise whatever the input's layout.
     ito = np.sum(np.diff(x, axis=1) * gp.g[:-1], axis=1)
     return (drift - ito) / (model.gain_sq_over_r * gp.precision)
 

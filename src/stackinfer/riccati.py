@@ -16,10 +16,10 @@ carried across the block ends in Python floats, and every node's value is
 then formed from its block's start in one batched pass.
 
 Both solve a list of arms in one call: leaders, or leader trajectories,
-sharing one follower and grid. b's arms are columns of one recurrence; the
-leader's arms have their own propagators, formed and multiplied out
-together on a leading arm axis. An arm's result is, bit for bit, the one
-it gets alone.
+sharing one follower and grid. b's arms are columns of one recurrence, each
+on the schedule a single column gets; the leader's arms have their own
+propagators, formed and multiplied out together on a leading arm axis. An
+arm's result is, bit for bit, the one it gets alone.
 
 The leader system is only locally well-posed; ``horizon_bound`` computes the
 conservative existence horizon, and ``solve_leader_system`` raises
@@ -43,7 +43,6 @@ from .core import (
     TimeGrid,
     Trajectory,
     _affine_scan,
-    _scan_stack,
     block_transfer_maps,
     cumtrapz,
 )
@@ -178,11 +177,11 @@ def solve_follower_bc(
     b[j] = m[j] b[j+1] + e[j] with m and e built for all steps at once; that
     recurrence is solved by ``core._affine_scan``. Only the forcing e
     depends on x_L, so the arms share m and stand side by side as the
-    recurrence's columns, as many at once as keep one arm's schedule
-    (``core._scan_stack``): an arm's bits do not depend on its stack. b is
-    linear in q_track * dilation, so it is solved for unit forcing and
-    scaled once, which keeps a tiny forcing out of the subnormal range until
-    the last rounding. It agrees with the per-step RK4 loop to rounding.
+    columns of one call, each a system of width 1 on the schedule it gets
+    alone: an arm's bits do not depend on its stack. b is linear in
+    q_track * dilation, so it is solved for unit forcing and scaled once,
+    which keeps a tiny forcing out of the subnormal range until the last
+    rounding. It agrees with the per-step RK4 loop to rounding.
     """
     grid = fr.grid
     if any(x_leader.grid != grid for x_leader in x_leaders):
@@ -215,9 +214,7 @@ def solve_follower_bc(
     b = np.empty((n + 1, len(x_leaders)))
     b[n] = 0.0
     b[:n] = -sixth_h * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-    stack = _scan_stack(len(x_leaders), 1, n)
-    for lo in range(0, len(x_leaders), stack):
-        _affine_scan(m[::-1, None, None], b[::-1, None, lo : lo + stack])
+    _affine_scan(m[::-1, None, None], b[::-1, None], 1)
     b *= q_m
     return np.ascontiguousarray(b.T)
 

@@ -4,12 +4,12 @@ Leader paths carry two auxiliary integrals alongside the state: the
 weighted running integral of the state and its decayed second integral.
 Both are trapezoid sums over the state path, so that path-dependent policies
 can read them online (the per-step loop advances them node by node). The
-score profile is g = exp(-cum_f) (aux_T - aux), its tail summed back from T
-over aux's own trapezoid steps from the state path (``_aux_tail``), never
-read off the stored aux; every integral over the whole grid, the precision
+score profile is g = exp(-cum_f) (aux_T - aux), formed by one kernel
+(``_score``) for ``compute_g_batch`` and both leader evaluators: its tail is
+summed back from T over aux's own trapezoid steps from the state path, never
+read off the stored aux. Every integral over the whole grid, the precision
 (of g^2) and the primary cost's included, is one pairwise tree of row
-additions (``core.trapz_step_major``). ``compute_g_batch`` and both leader
-evaluators form them so.
+additions (``core.trapz_step_major``).
 
 Batch variants are vectorized across paths; each path's increments come
 from its own counter-derived stream, and a single path is a one-row batch.
@@ -18,8 +18,9 @@ Follower batches, in either mode, are one affine recurrence solved by
 tables, ``_follower_nodes`` can also compose the transition over blocks of
 steps and simulate only every block's end node. A follower batch with one
 row of ``b`` per arm runs every arm on the same shocks, the arms side by
-side as columns of the recurrence. A leader batch under an
-affine law (the Riccati policy) is one blocked affine recurrence where
+side as columns of one recurrence, each on the schedule it gets alone (the
+solver's ``width``). A leader batch under an affine law (the Riccati
+policy) is one blocked affine recurrence where
 ``core._use_scan`` admits its shape; every other leader batch is stepped
 node by node, in place, the affine law's control from its ``control_at``
 and any other policy's from its session. The stepped affine law is the
@@ -55,7 +56,6 @@ from .core import (
     TimeGrid,
     Trajectory,
     _affine_scan,
-    _scan_stack,
     _use_scan,
     trapz_step_major,
 )
@@ -217,7 +217,7 @@ def _leader_scan(leader, coeffs, policy, gains, grid, shocks) -> LeaderEnsemble:
     """
     n_paths, n = shocks.shape
     y = np.empty((n + 1, 3, n_paths))
-    _affine_scan(_leader_law(leader, coeffs, gains, grid, shocks, y), y)
+    _affine_scan(_leader_law(leader, coeffs, gains, grid, shocks, y), y, n_paths)
     return _leader_ensemble(policy, grid, y)
 
 
@@ -394,9 +394,9 @@ def _follower_nodes(model: FollowerModel, tables, shocks: np.ndarray, stride: in
     do not depend on its batch), and the coarse recurrence is solved by
     ``core._affine_scan``. At stride 1 every P_l is 1 and each node is the
     one-step recurrence's own. A 2-D ``drift`` holds one row per arm: the
-    arms share the shock sum and stand side by side as the recurrence's
-    columns, as many at once as keep one arm's schedule
-    (``core._scan_stack``). ``stride`` divides the step count n; returns
+    arms share the shock sum and stand side by side as the columns of one
+    call, each a system of ``n_paths`` columns on the schedule it gets
+    alone. ``stride`` divides the step count n; returns
     (n_paths, n // stride + 1), after a leading arm axis if ``drift`` has one.
     """
     n_paths, n = shocks.shape
@@ -425,9 +425,7 @@ def _follower_nodes(model: FollowerModel, tables, shocks: np.ndarray, stride: in
     np.subtract(noise[:, None], block_drift[:, 1:, None], out=forcing[:, 1:])
     noise -= block_drift[:, :1]
     block_mult = (later[:, 0] * mult[:, 0])[:, None, None]
-    stack = _scan_stack(arms, n_paths, m) * n_paths
-    for lo in range(0, arms * n_paths, stack):
-        _affine_scan(block_mult, y[:, :, lo : lo + stack])
+    _affine_scan(block_mult, y, n_paths)
     return np.ascontiguousarray(y[:, 0].T).reshape(drift.shape[:-1] + (n_paths, m + 1))
 
 
@@ -451,20 +449,17 @@ def compute_g_batch(
     """Score profile g and precision integral for each leader path row.
 
     g(t) = -q_track * exp(-cum_f(t)) * int_t^T exp(cum_f(s)) x_L(s) ds, that
-    is exp(-cum_f) (aux_T - aux) with aux_T - aux summed back from T
-    (``_aux_tail``, on the weight q_track * exp(cum_f) as
-    ``riccati.compute_coefficients`` forms it), and the precision is the
-    trapezoid of g^2 (``core.trapz_step_major``). That is
-    ``leader_batch_stats``' arithmetic, so a path's precision is the
-    evaluator's bit for bit. g is a transposed view of step-major storage.
-    ``perfbench/tracing.py`` wraps it by name.
+    is exp(-cum_f) (aux_T - aux), from the score kernel ``_score`` on the
+    weight q_track * exp(cum_f) as ``riccati.compute_coefficients`` forms
+    it; the precision is the trapezoid of g^2 (``core.trapz_step_major``),
+    as ``leader_batch_stats`` forms it. g is a transposed view of
+    step-major storage. ``perfbench/tracing.py`` wraps it by name.
     """
     grid = fr.grid
     x = np.atleast_2d(np.asarray(x_leader, dtype=float))
     if x.shape[1] != grid.n_nodes:
         raise InvalidArgumentError(f"x_leader must have {grid.n_nodes} columns")
-    g = _aux_tail(model.q_track * np.exp(fr.cum_f), grid, x.T)
-    g *= np.exp(-fr.cum_f)[:, None]
+    g = _score(model.q_track * np.exp(fr.cum_f), fr, x.T)
     return g.T, trapz_step_major(np.square(g), grid)
 
 
@@ -497,15 +492,13 @@ def leader_batch_stats(
 
     Returns (ensemble, precision, j_primary, effort), one of each per row of
     ``shocks``. All three are formed on the ensemble's step-major arrays,
-    in place. The precision is the trapezoid of g^2 with
-    g = exp(-cum_f) (aux_T - aux), ``compute_g_batch``'s g and precision bit
-    for bit, aux_T - aux being summed back from x (``_aux_tail``). The
-    primary cost and effort are ``_primary_cost``'s.
+    in place. The precision is the trapezoid of g^2, g from the score
+    kernel ``_score`` as in ``compute_g_batch``. The primary cost and effort
+    are ``_primary_cost``'s.
     """
     ens = simulate_leader_batch(leader, coeffs, policy, grid, shocks)
     x, u = ens.x.T, ens.controls.T
-    scratch = _aux_tail(coeffs.weight, grid, x)
-    scratch *= np.exp(-fr.cum_f)[:, None]
+    scratch = _score(coeffs.weight, fr, x)
     np.square(scratch, out=scratch)
     precision = trapz_step_major(scratch, grid)
 
@@ -530,11 +523,12 @@ def _primary_cost(leader: LeaderModel, grid: TimeGrid, track_sq, control_sq):
     return 0.5 * (leader.q_track * track + leader.r_control * effort) + terminal, effort
 
 
-def _aux_tail(weight: np.ndarray, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
-    """aux_T - aux at every node of the step-major paths ``x`` (n_nodes, n_paths),
-    aux being the running integral of ``weight`` times x (``coeffs.weight``).
+def _score(weight: np.ndarray, fr: FollowerRiccati, x: np.ndarray) -> np.ndarray:
+    """The score g = exp(-cum_f) (aux_T - aux) at every node of the step-major
+    paths ``x`` (n_nodes, n_paths), aux being the running integral of
+    ``weight`` times x (``coeffs.weight``): the one kernel of every precision.
 
-    It is summed back from T over aux's trapezoid steps,
+    aux_T - aux is summed back from T over aux's trapezoid steps,
     -(h/2) (w_j x_j + w_{j+1} x_{j+1}), so each node's value rounds with its
     own size; read off the stored aux it would round with |aux_T|, which
     near T, where exp(-cum_f) scales it up, is much larger. The sums run
@@ -548,13 +542,14 @@ def _aux_tail(weight: np.ndarray, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
     tail = np.multiply(weight[:, None], x, order="C")
     steps = tail[:-1]
     steps += tail[1:]  # numpy reads tail[1:] as if it did not overlap
-    steps *= -0.5 * grid.h
+    steps *= -0.5 * fr.grid.h
     if x.shape[1] > SCAN_MAX_PATHS:
         for j in range(len(steps) - 2, -1, -1):
             steps[j] += steps[j + 1]
     else:
         np.cumsum(steps[::-1], axis=0, out=steps[::-1])
     tail[-1] = 0.0
+    tail *= np.exp(-fr.cum_f)[:, None]
     return tail
 
 
@@ -607,8 +602,7 @@ def _stack_mean_stats(arms, coeffs, fr, grid, mean, cov, rows):
     a = np.empty((n, len(arms), 3, 3))
     for i, (leader, policy) in enumerate(arms):
         a[:, i] = _leader_law(leader, coeffs, policy.gains, grid, rows, y[:, i])
-    _affine_scan(a, y)  # more rows than steps: stepped, every arm at once
-    scale = np.exp(-fr.cum_f)[:, None]
+    _affine_scan(a, y, len(rows))  # more rows than steps: stepped, every arm at once
     out = []
     for i, (leader, policy) in enumerate(arms):
         ens = _leader_ensemble(policy, grid, y[:, i])
@@ -616,9 +610,7 @@ def _stack_mean_stats(arms, coeffs, fr, grid, mean, cov, rows):
         target = leader.target_at(grid.nodes, grid.horizon)
         # Per-node mean squares of the precision's integrand, the tracking
         # error and the control.
-        precision = trapz_step_major(
-            _mean_square(scale * _aux_tail(coeffs.weight, grid, x), mean, cov), grid
-        )
+        precision = trapz_step_major(_mean_square(_score(coeffs.weight, fr, x), mean, cov), grid)
         j_primary, _ = _primary_cost(leader, grid, _mean_square(x - target[:, None], mean, cov),
                                      _mean_square(u, mean, cov))
         out.append((float(precision), float(j_primary),

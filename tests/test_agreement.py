@@ -61,10 +61,10 @@ from stackinfer import core, riccati, studies
 from stackinfer.core import _affine_scan, _use_scan
 from stackinfer.infer import _interval_tables, _mle_discrete_rows
 from stackinfer.simulate import (
-    _aux_tail,
     _exact_transition_tables,
     _follower_nodes,
     _leader_scan,
+    _score,
     leader_batch_stats,
     leader_mean_stats,
 )
@@ -115,7 +115,7 @@ def test_blocked_recurrence_matches_loop(n, n_paths, k, seed):
     y = np.empty((n + 1, k, n_paths))
     y[0] = y0.T
     y[1:] = np.moveaxis(c, 0, -1)
-    y = np.moveaxis(_affine_scan(a, y), -1, 0)  # as the loop's (n_paths, n + 1, k)
+    y = np.moveaxis(_affine_scan(a, y, n_paths), -1, 0)  # as the loop's (n_paths, n + 1, k)
     assert_close(y, affine_recurrence_loop(a, c, y0))
     if _use_scan(n_paths, n):
         # Sharing the block partition with the Riccati solve changed no bit.
@@ -126,10 +126,24 @@ def test_blocked_recurrence_rows_are_independent():
     gen = np.random.default_rng(3)
     a = np.eye(3) + 0.05 * gen.standard_normal((200, 3, 3))
     y0_and_c = gen.standard_normal((201, 3, 7))
-    whole = _affine_scan(a, y0_and_c.copy())
+    whole = _affine_scan(a, y0_and_c.copy(), 7)
     for i in (0, 3, 6):
-        row = _affine_scan(a, y0_and_c[..., i : i + 1].copy())
+        row = _affine_scan(a, y0_and_c[..., i : i + 1].copy(), 1)
         assert np.array_equal(row, whole[..., i : i + 1])
+    # The schedule comes from ``width``, one system's path count, not from
+    # the call's column count, so each system of a stack is the bits of the
+    # same system solved alone: 5 systems of 32 columns on 200 steps are
+    # blocked, 160 columns in all, past SCAN_MAX_PATHS; 3 of 6 columns on 5
+    # steps are stepped, each wider than the step count.
+    for n, systems, width in ((200, 5, 32), (5, 3, 6)):
+        assert _use_scan(width, n) == (n == 200)
+        assert not _use_scan(systems * width, n)
+        a = np.eye(3) + 0.05 * gen.standard_normal((n, 3, 3))
+        y0_and_c = gen.standard_normal((n + 1, 3, systems * width))
+        stack = _affine_scan(a, y0_and_c.copy(), width)
+        for lo in range(0, systems * width, width):
+            alone = _affine_scan(a, y0_and_c[..., lo : lo + width].copy(), width)
+            assert np.array_equal(stack[..., lo : lo + width], alone)
 
 
 def _node_values(gen, n_rows, n_nodes, layout, scale):
@@ -170,7 +184,8 @@ def test_in_place_helpers_equal_one_line_expressions(
     # back from T, and the score, cost and estimator sum every total in a
     # pairwise tree of rows, where the one-line expressions sum forward and
     # along each row: they agree to the bounds of the evaluator's drawn-model
-    # property, and the input's layout moves no bit of the score or cost.
+    # property, and the input's layout moves no bit of the score, the cost or
+    # the estimate.
     x = _node_values(gen, n_rows, grid.n_nodes, layout, 10.0**exponent)
     xc = np.ascontiguousarray(x)
     assert np.array_equal(si.cumtrapz(x, grid), cumtrapz_one_line(xc, grid))
@@ -193,6 +208,7 @@ def test_in_place_helpers_equal_one_line_expressions(
     # The rows of x as follower paths, on the score of its first row.
     gp = si.GProfile(grid=grid, g=g[0], precision=float(precision[0]))
     m_hat = si.mle_continuous_batch(x2, gp, fr, follower)
+    assert np.array_equal(m_hat, si.mle_continuous_batch(x2c, gp, fr, follower))
     scale = (trapz_one_line(np.abs(fr.f * gp.g * x2c), grid)
              + np.sum(np.abs(np.diff(x2c, axis=1) * gp.g[:-1]), axis=1))
     scale /= follower.gain_sq_over_r * gp.precision
@@ -1104,14 +1120,14 @@ def test_one_path_stats_equal_its_row_in_a_batch(follower, n_steps):
 
 
 @pytest.mark.parametrize("n_steps", [50, 200])
-def test_aux_tail_is_the_same_bits_either_side_of_its_path_bound(follower, n_steps):
+def test_score_is_the_same_bits_either_side_of_its_path_bound(follower, n_steps):
     # Past SCAN_MAX_PATHS paths the tail is summed one row at a time, up to
     # it by np.cumsum down the columns; both add the same terms in order.
-    grid, _, coeffs, _, _ = riccati_case(follower, n_steps)
+    grid, fr, coeffs, _, _ = riccati_case(follower, n_steps)
     m = si.core.SCAN_MAX_PATHS
     x = np.random.default_rng(2).standard_normal((grid.n_nodes, m + 1))
-    assert np.array_equal(_aux_tail(coeffs.weight, grid, x)[:, :m],
-                          _aux_tail(coeffs.weight, grid, x[:, :m]))
+    assert np.array_equal(_score(coeffs.weight, fr, x)[:, :m],
+                          _score(coeffs.weight, fr, x[:, :m]))
 
 
 @settings(max_examples=30, deadline=None)
