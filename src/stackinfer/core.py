@@ -404,16 +404,29 @@ class RngContract:
     def normal_matrix(self, n_paths: int, n: int, namespace: int, offset: int = 0) -> np.ndarray:
         """Stack per-path increment rows (path i -> stream (namespace, offset+i)).
 
-        Row i is bit-identical to ``normals(n, namespace, offset + i)``; the
-        seed states of all rows are hashed at once by ``row_seed_states``.
+        Row i is bit-identical to ``normals(n, namespace, offset + i)``. The
+        seed states of all rows are hashed and turned into PCG64 states at
+        once (``row_seed_states``, ``pcg64_states``); then one generator draws
+        every row, its four state words replaced in place before each row.
+        ``standard_normal`` reads no other generator state, so the bits are
+        those of a freshly seeded ``PCG64`` per row.
         """
         # Imported here: it loads numpy.random, which ``import stackinfer`` avoids.
-        from ._seedseq import FixedSeed, row_seed_states
+        from ._seedseq import pcg64_states, row_seed_states, state_words, word_order
 
-        if offset < 0:
-            raise InvalidArgumentError(f"offset must be >= 0, got {offset}")
+        for name, value in (("n_paths", n_paths), ("n", n), ("namespace", namespace),
+                            ("offset", offset)):
+            if value < 0:
+                raise InvalidArgumentError(f"{name} must be >= 0, got {value}")
         out = np.empty((n_paths, n))
-        states = row_seed_states(self.master_seed, namespace, offset, n_paths)
+        seeds = row_seed_states(self.master_seed, namespace, offset, n_paths)
+        states = pcg64_states(seeds)[:, word_order()]
+        # Lives for this call only, so concurrent calls share no state; it
+        # must outlive ``words``, a raw view of its memory.
+        bit_generator = np.random.PCG64(0)
+        generator = np.random.Generator(bit_generator)
+        words = state_words(bit_generator)
         for row, state in zip(out, states):
-            np.random.Generator(np.random.PCG64(FixedSeed(state))).standard_normal(out=row)
+            words[:] = state
+            generator.standard_normal(out=row)
         return out
