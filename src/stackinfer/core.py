@@ -393,6 +393,11 @@ class RngContract:
 
     master_seed: int
 
+    def __post_init__(self):
+        seed = self.master_seed
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+            raise InvalidArgumentError(f"master_seed must be a non-negative integer, got {seed!r}")
+
     def stream(self, *key: int) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.master_seed, spawn_key=tuple(key))
         return np.random.Generator(np.random.PCG64(ss))

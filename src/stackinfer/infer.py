@@ -36,14 +36,13 @@ class MleReport:
 class MultiPeriodState:
     """Running precision-weighted aggregate over completed episodes."""
 
-    n_episodes: int
     total_precision: float
     m_bar: float
     history: tuple  # ((m_hat, precision), ...)
 
     @staticmethod
     def empty() -> "MultiPeriodState":
-        return MultiPeriodState(n_episodes=0, total_precision=0.0, m_bar=0.0, history=())
+        return MultiPeriodState(total_precision=0.0, m_bar=0.0, history=())
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,6 @@ def multi_period_update(state: MultiPeriodState, report: MleReport) -> MultiPeri
     ratio = state.total_precision / total
     m_bar = ratio * state.m_bar + (1.0 - ratio) * report.m_hat
     return MultiPeriodState(
-        n_episodes=state.n_episodes + 1,
         total_precision=total,
         m_bar=m_bar,
         history=state.history + ((report.m_hat, report.precision),),
@@ -134,7 +132,7 @@ def multi_period_update(state: MultiPeriodState, report: MleReport) -> MultiPeri
 
 def realized_variance_proxy(state: MultiPeriodState, model: FollowerModel) -> float:
     """Plug-in conditional variance of the aggregate on realized precision."""
-    if state.n_episodes < 1:
+    if not state.history:
         raise InvalidArgumentError("no episodes aggregated yet")
     return model.noise_to_signal / state.total_precision
 

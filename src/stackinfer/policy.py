@@ -82,8 +82,8 @@ class RiccatiPolicy:
         return scale * (k[..., 0] * x + k[..., 1] * aux + k[..., 2] * aux2 + offset[j])
 
     def session(self, n_paths: int):
-        """Stepper over ``control_at`` for tests (the simulator calls ``control_at``)
-        and for ``perfbench/tracing.py``, which wraps it by name."""
+        """Stepper over ``control_at``, which the simulator steps a batch
+        through wherever it does not solve the law blocked."""
         return _StatelessSession(
             lambda j, x_prefix, aux, aux2: self.control_at(j, x_prefix[:, -1], aux, aux2)
         )
@@ -281,7 +281,6 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class OptimizeResult:
     policy: RecurrentPolicy
-    theta: np.ndarray
     trace: np.ndarray  # per-iteration training objective estimates
     best_trace: np.ndarray  # (iteration, frozen-eval value) rows, best-so-far
     final_objective: float
@@ -370,7 +369,6 @@ def optimize_policy(
     final_se = float(np.std(final_vals, ddof=1) / math.sqrt(len(final_vals)))
     return OptimizeResult(
         policy=policy.with_theta(final_theta),
-        theta=final_theta,
         trace=trace,
         best_trace=np.asarray(best_trace, dtype=float),
         final_objective=float(held_vals[pick]),

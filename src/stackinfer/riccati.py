@@ -76,7 +76,6 @@ class DerivedCoefficients:
     grid: TimeGrid
     weight: np.ndarray
     decay: np.ndarray
-    cum_decay: np.ndarray
     weight_sup: float
     decay_sup: float
     decay_l1: float
@@ -87,15 +86,13 @@ class LeaderRiccati:
     """Leader value-function coefficients on the augmented state.
 
     value(t, psi) = psi' quad(t) psi + lin(t)' psi + offset(t), with psi the
-    (state, integral, double-integral) triple. ``scaled_info_weight`` is
-    inference_weight * b_F^4 / (sigma_F^2 r_F^2).
+    (state, integral, double-integral) triple.
     """
 
     grid: TimeGrid
     quad: np.ndarray  # (n_nodes, 3, 3), symmetric at every node
     lin: np.ndarray  # (n_nodes, 3)
     offset: np.ndarray  # (n_nodes,)
-    scaled_info_weight: float
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,6 @@ def compute_coefficients(fr: FollowerRiccati, model: FollowerModel) -> DerivedCo
         grid=grid,
         weight=weight,
         decay=decay,
-        cum_decay=cum_decay,
         weight_sup=float(np.max(np.abs(weight))),
         decay_sup=float(np.max(decay)),
         decay_l1=float(cum_decay[-1]),
@@ -270,14 +266,12 @@ def solve_leader_system(
     out = []
     for lo in range(0, len(leaders), stack):
         tables = _leader_hamiltonian(leaders[lo : lo + stack], lam_s[lo : lo + stack], coeffs)
-        for table, lam in zip(np.moveaxis(tables, 1, 0), lam_s[lo : lo + stack]):
+        for table in np.moveaxis(tables, 1, 0):
             quad = table[:, _QUAD_INDEX].reshape(grid.n_nodes, 3, 3)
             lin, offset = table[:, 6:9].copy(), table[:, 9].copy()
             for array in (quad, lin, offset):
                 array.setflags(write=False)
-            out.append(LeaderRiccati(
-                grid=grid, quad=quad, lin=lin, offset=offset, scaled_info_weight=lam
-            ))
+            out.append(LeaderRiccati(grid=grid, quad=quad, lin=lin, offset=offset))
     return out
 
 

@@ -20,17 +20,16 @@ steps and simulate only every block's end node. A follower batch with one
 row of ``b`` per arm runs every arm on the same shocks, the arms side by
 side as columns of one recurrence, each on the schedule it gets alone (the
 solver's ``width``). A leader batch under an affine law (the Riccati
-policy) is one blocked affine recurrence where
-``core._use_scan`` admits its shape; every other leader batch is stepped
-node by node, in place, the affine law's control from its ``control_at``
-and any other policy's from its session. The stepped affine law is the
-session loop bit for bit, the blocked recurrence agrees with it to
-rounding. Leader batches keep the state step-major either way, and the
-leader's precision and primary cost are formed on that layout. Every row is
-computed independently of the others, so a row does not depend on how many
-rows share its batch (within one schedule) or on thread count. Under an
-affine law the mean precision and primary cost of a whole ensemble follow
-from its shocks' sample mean and second moment, and ``leader_mean_stats``
+policy) is one blocked affine recurrence where ``core._use_scan`` admits
+its shape; every other leader batch, under any policy, is stepped node by
+node, in place, each node's control from the policy's session. The
+blocked recurrence agrees with the stepped loop to rounding. Leader batches
+keep the state step-major either way, and the leader's precision and
+primary cost are formed on that layout. Every row is computed independently
+of the others, so a row does not depend on how many rows share its batch
+(within one schedule) or on thread count. Under an affine law the mean
+precision and primary cost of a whole ensemble follow from its shocks'
+sample mean and second moment, and ``leader_mean_stats``
 forms them for several laws (arms) at once from their unit-impulse
 responses: the arms' recurrences, built by the helper ``_leader_scan`` also
 uses, are stacked on one arm axis and stepped together, node by node.
@@ -50,7 +49,6 @@ from .core import (
     LeaderModel,
     PolicyEvaluationError,
     RngContract,
-    SCAN_MAX_PATHS,
     STREAM_FOLLOWER,
     STREAM_LEADER,
     TimeGrid,
@@ -139,11 +137,10 @@ def simulate_leader_batch(
     is picked here, by ``core._use_scan``: a batch under an affine law
     (``gains``) that the predicate admits is solved blocked as one affine
     recurrence (``_leader_scan``). Every other batch is stepped node by
-    node, in place: under an affine law the control is the policy's
-    ``control_at`` at each node, its finiteness checked once at the end,
-    otherwise the policy's session is called once per node in order
-    (sessions may be stateful, as recurrent policies are, so rows of a batch
-    advance together). Either way the state is kept step-major (see
+    node, in place, under any policy: its session is called once per node in
+    order (sessions may be stateful, as recurrent policies are, so rows of a
+    batch advance together), and each node's controls are checked finite
+    before the next step. Either way the state is kept step-major (see
     ``LeaderEnsemble``).
     """
     _check_grid(grid, coeffs.grid, "coefficients")
@@ -171,15 +168,12 @@ def simulate_leader_batch(
     noise = np.multiply(shocks.T, leader.sigma * math.sqrt(h), order="C")
     s1 = np.empty(n_paths)
     s2 = np.empty(n_paths)
-    session = None if gains is not None else policy.session(n_paths)
+    session = policy.session(n_paths)
 
     def control(j):
         # The law at node j, into controls[j].
-        if session is None:
-            controls[j] = policy.control_at(j, x[j], aux[j], aux2[j])
-            return
         controls[j] = session.controls(j, x[: j + 1].T, aux[j], aux2[j])
-        if not np.all(np.isfinite(controls[j])):
+        if not np.isfinite(controls[j]).all():
             raise PolicyEvaluationError(f"policy returned a non-finite control at node {j}")
 
     for j in range(n):
@@ -201,8 +195,6 @@ def simulate_leader_batch(
         s1 *= half_h
         np.add(aux2[j], s1, out=aux2[j + 1])
     control(n)
-    if session is None:
-        _check_controls(controls)
     return LeaderEnsemble(grid=grid, x=x.T, aux=aux.T, aux2=aux2.T, controls=controls.T)
 
 
@@ -258,20 +250,15 @@ def _leader_law(leader, coeffs, gains, grid, shocks, y) -> np.ndarray:
 
 def _leader_ensemble(policy, grid, y) -> LeaderEnsemble:
     """The ensemble of a solved step-major state ``y``, with the policy's
-    controls at every node from one ``control_at`` call."""
+    controls at every node from one ``control_at`` call; the first node
+    whose controls are not all finite raises ``PolicyEvaluationError``."""
     x, aux, aux2 = y[:, 0].T, y[:, 1].T, y[:, 2].T
     controls = np.asarray(policy.control_at(slice(None), x, aux, aux2), dtype=float)
-    _check_controls(controls.T)
-    return LeaderEnsemble(grid=grid, x=x, aux=aux, aux2=aux2, controls=controls)
-
-
-def _check_controls(controls: np.ndarray):
-    """Raise ``PolicyEvaluationError`` at the first node where step-major
-    (n_nodes, n_paths) controls are not all finite."""
-    bad = ~np.all(np.isfinite(controls), axis=1)
+    bad = ~np.all(np.isfinite(controls), axis=0)
     if np.any(bad):
         j = int(np.argmax(bad))
         raise PolicyEvaluationError(f"policy returned a non-finite control at node {j}")
+    return LeaderEnsemble(grid=grid, x=x, aux=aux, aux2=aux2, controls=controls)
 
 
 def simulate_leader(
@@ -531,23 +518,15 @@ def _score(weight: np.ndarray, fr: FollowerRiccati, x: np.ndarray) -> np.ndarray
     aux_T - aux is summed back from T over aux's trapezoid steps,
     -(h/2) (w_j x_j + w_{j+1} x_{j+1}), so each node's value rounds with its
     own size; read off the stored aux it would round with |aux_T|, which
-    near T, where exp(-cum_f) scales it up, is much larger. The sums run
-    down each column in sequence, so a path's bits do not depend on its batch:
-    past SCAN_MAX_PATHS paths one contiguous row at a time, otherwise by
-    ``np.cumsum``, which adds the same terms in the same order but runs each
-    column strided (on a 2-vCPU x86_64 host, at 2000 paths and 50 steps
-    0.48 ms against 0.22 for the rows; at 32 paths and 8192 steps 1.5 ms
-    against 6.3).
+    near T, where exp(-cum_f) scales it up, is much larger. ``np.cumsum``
+    sums down each column in sequence, so a path's bits do not depend on its
+    batch.
     """
     tail = np.multiply(weight[:, None], x, order="C")
     steps = tail[:-1]
     steps += tail[1:]  # numpy reads tail[1:] as if it did not overlap
     steps *= -0.5 * fr.grid.h
-    if x.shape[1] > SCAN_MAX_PATHS:
-        for j in range(len(steps) - 2, -1, -1):
-            steps[j] += steps[j + 1]
-    else:
-        np.cumsum(steps[::-1], axis=0, out=steps[::-1])
+    np.cumsum(steps[::-1], axis=0, out=steps[::-1])
     tail[-1] = 0.0
     tail *= np.exp(-fr.cum_f)[:, None]
     return tail

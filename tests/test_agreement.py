@@ -671,7 +671,7 @@ class TestLeaderPaths:
         quad[:, 0, 0] = -1e5
         lr = si.LeaderRiccati(
             grid=grid, quad=quad, lin=np.zeros((grid.n_nodes, 3)),
-            offset=np.zeros(grid.n_nodes), scaled_info_weight=0.0,
+            offset=np.zeros(grid.n_nodes),
         )
         policy = si.RiccatiPolicy(leader, lr)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -829,11 +829,11 @@ def test_leader_stats_match_one_line_on_drawn_models(
 def test_affine_law_batches_keep_their_schedules_bits(
     a_drift, q_track, inference_weight, horizon, n_steps, data, seed
 ):
-    # A batch the solver would step runs the session loop's node steps with
-    # the law's control formed in place, so it equals the same law through a
-    # session bit for bit, trapezoid identities included, and both equal the
-    # oracle loop's expressions. A batch ``_use_scan`` admits stays on the
-    # blocked recurrence, unchanged.
+    # A batch the solver would step is the session loop, through the law's
+    # own session, so it equals the same law wrapped as a FunctionPolicy bit
+    # for bit, trapezoid identities included, and both equal the oracle
+    # loop's expressions. A batch ``_use_scan`` admits stays on the blocked
+    # recurrence, unchanged.
     follower, grid, fr, coeffs, leader, policy = stats_case(
         a_drift, q_track, inference_weight, horizon, n_steps
     )
@@ -1120,14 +1120,18 @@ def test_one_path_stats_equal_its_row_in_a_batch(follower, n_steps):
 
 
 @pytest.mark.parametrize("n_steps", [50, 200])
-def test_score_is_the_same_bits_either_side_of_its_path_bound(follower, n_steps):
-    # Past SCAN_MAX_PATHS paths the tail is summed one row at a time, up to
-    # it by np.cumsum down the columns; both add the same terms in order.
+def test_score_bits_do_not_depend_on_the_columns_sharing_its_call(follower, n_steps):
+    # np.cumsum sums the tail down each column in sequence, so a column's
+    # score is the same bits however many columns share the call: across
+    # SCAN_MAX_PATHS, and 2000 columns against their first 7.
     grid, fr, coeffs, _, _ = riccati_case(follower, n_steps)
     m = si.core.SCAN_MAX_PATHS
     x = np.random.default_rng(2).standard_normal((grid.n_nodes, m + 1))
     assert np.array_equal(_score(coeffs.weight, fr, x)[:, :m],
                           _score(coeffs.weight, fr, x[:, :m]))
+    wide = np.random.default_rng(3).standard_normal((grid.n_nodes, 2000))
+    assert np.array_equal(_score(coeffs.weight, fr, wide)[:, :7],
+                          _score(coeffs.weight, fr, wide[:, :7]))
 
 
 @settings(max_examples=30, deadline=None)

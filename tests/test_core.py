@@ -146,6 +146,18 @@ class TestRngContract:
         assert not np.array_equal(rng.normals(16, 0, 0), rng.normals(16, 0, 1))
         assert not np.array_equal(rng.normals(16, 0, 0), rng.normals(16, 1, 0))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_refuses_a_master_seed_that_is_not_a_nonnegative_int(self, seed):
+        # -1 reached numpy's ValueError at the first draw, 1.5 a TypeError
+        # from SeedSequence, and True drew seed 1's streams.
+        with pytest.raises(si.InvalidArgumentError, match="master_seed"):
+            si.RngContract(seed)
+
+    def test_accepts_a_numpy_integer_master_seed(self):
+        rng, ref = si.RngContract(np.int64(7)), si.RngContract(7)
+        assert np.array_equal(rng.normal_matrix(2, 3, 0), ref.normal_matrix(2, 3, 0))
+        assert np.array_equal(rng.normals(3, 0, 0), ref.normals(3, 0, 0))
+
     @settings(max_examples=60, deadline=None)
     @given(
         master_seed=MASTER_SEEDS,

@@ -134,7 +134,6 @@ class TestMultiPeriod:
     def test_first_episode(self):
         state = si.multi_period_update(si.MultiPeriodState.empty(), self._report(2.5, 0.3))
         assert state.m_bar == 2.5
-        assert state.n_episodes == 1
         assert state.total_precision == 0.3
         assert state.history == ((2.5, 0.3),)
 

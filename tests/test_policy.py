@@ -33,8 +33,7 @@ class TestRiccatiPolicy:
         leader = make_leader(0.5)
         n = grid50.n_nodes
         lr = si.LeaderRiccati(grid=grid50, quad=np.zeros((n, 3, 3)),
-                              lin=np.zeros((n, 3)), offset=np.zeros(n),
-                              scaled_info_weight=0.0)
+                              lin=np.zeros((n, 3)), offset=np.zeros(n))
         assert si.RiccatiPolicy(leader, lr).control_at(0, 3.0, -1.0, 2.0) == 0.0
 
     def test_zero_inference_depends_only_on_state(self, follower, co50):

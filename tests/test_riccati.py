@@ -97,7 +97,7 @@ class TestDerivedCoefficients:
         assert co50.decay[0] == 1.0
         assert co50.weight[0] == follower.q_track
         assert np.all(co50.decay > 0.0)
-        assert np.all(np.diff(co50.cum_decay) > 0.0)
+        assert np.all(np.diff(si.cumtrapz(co50.decay, co50.grid)) > 0.0)
 
     def test_norms_match_closed_form(self, follower):
         grid = si.build_grid(HORIZON, 1000)

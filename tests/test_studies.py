@@ -27,7 +27,7 @@ class TestEpisodeDriver:
         history = run_episodes(leader, follower, fr, coeffs, grid, 3, si.RngContract(3))
         assert len(history) == 3
         states = [h[0] for h in history]
-        assert [s.n_episodes for s in states] == [1, 2, 3]
+        assert [len(s.history) for s in states] == [1, 2, 3]
         # precision accumulates strictly
         totals = [s.total_precision for s in states]
         assert all(b > a for a, b in zip(totals, totals[1:]))
