@@ -54,6 +54,22 @@ class DegenerateEnsembleError(RuntimeError):
     """Raised when every path in an ensemble is degenerate."""
 
 
+def _check_count(name: str, value, minimum: int = 0):
+    """Refuse ``value`` unless it is an integer (not a bool) >= ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidArgumentError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_finite(obj, *names: str):
+    """Refuse the first of ``obj``'s fields ``names`` that is not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid 0 = t_0 < t_1 < ... < t_n = T with spacing h = T/n."""
@@ -65,8 +81,7 @@ class TimeGrid:
     def __post_init__(self):
         if not np.isfinite(self.horizon) or self.horizon <= 0.0:
             raise InvalidArgumentError(f"horizon must be positive, got {self.horizon}")
-        if self.n_steps < 1:
-            raise InvalidArgumentError(f"n_steps must be >= 1, got {self.n_steps}")
+        _check_count("n_steps", self.n_steps, 1)
         nodes = np.linspace(0.0, self.horizon, self.n_steps + 1)
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -82,7 +97,7 @@ class TimeGrid:
 
 def build_grid(horizon: float, n_steps: int) -> TimeGrid:
     """Build the uniform time grid shared by every solver and simulator."""
-    return TimeGrid(horizon=float(horizon), n_steps=int(n_steps))
+    return TimeGrid(horizon=float(horizon), n_steps=n_steps)
 
 
 @dataclass(frozen=True)
@@ -92,6 +107,9 @@ class Sinusoid:
     amplitude: float
     omega: float
     phase: float = 0.0
+
+    def __post_init__(self):
+        _check_finite(self, "amplitude", "omega", "phase")
 
     def values(self, t):
         return self.amplitude * np.sin(self.omega * np.asarray(t, dtype=float) + self.phase)
@@ -151,8 +169,13 @@ class FollowerModel:
     dilation: float
 
     def __post_init__(self):
+        _check_finite(self, "a_drift", "b_control", "sigma", "x0", "q_track", "r_control",
+                      "entropy_weight", "dilation")
         # sigma = 0 and q_track = 0 are admitted as degenerate test limits
-        # (noiseless follower, source-free value coefficient).
+        # (noiseless follower, source-free value coefficient); b_control = 0
+        # is not, as the estimators divide by b_control^2 / r_control.
+        if self.b_control == 0:
+            raise InvalidArgumentError("b_control must be nonzero")
         if self.sigma < 0:
             raise InvalidArgumentError("sigma must be >= 0")
         if self.q_track < 0:
@@ -186,6 +209,8 @@ class LeaderModel:
     target: TargetTrajectory
 
     def __post_init__(self):
+        _check_finite(self, "a_drift", "b_control", "sigma", "x0", "q_track", "r_control",
+                      "q_terminal", "inference_weight")
         if self.sigma < 0:
             raise InvalidArgumentError("sigma must be >= 0")
         if self.q_track <= 0 or self.r_control <= 0 or self.q_terminal <= 0:
@@ -394,16 +419,17 @@ class RngContract:
     master_seed: int
 
     def __post_init__(self):
-        seed = self.master_seed
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-            raise InvalidArgumentError(f"master_seed must be a non-negative integer, got {seed!r}")
+        _check_count("master_seed", self.master_seed)
 
     def stream(self, *key: int) -> np.random.Generator:
+        for i, part in enumerate(key):
+            _check_count(f"key[{i}]", part)
         ss = np.random.SeedSequence(entropy=self.master_seed, spawn_key=tuple(key))
         return np.random.Generator(np.random.PCG64(ss))
 
     def normals(self, n: int, *key: int) -> np.ndarray:
         """n i.i.d. standard normal draws for the stream addressed by key."""
+        _check_count("n", n)
         return self.stream(*key).standard_normal(n)
 
     def normal_matrix(self, n_paths: int, n: int, namespace: int, offset: int = 0) -> np.ndarray:
@@ -421,8 +447,7 @@ class RngContract:
 
         for name, value in (("n_paths", n_paths), ("n", n), ("namespace", namespace),
                             ("offset", offset)):
-            if value < 0:
-                raise InvalidArgumentError(f"{name} must be >= 0, got {value}")
+            _check_count(name, value)
         out = np.empty((n_paths, n))
         seeds = row_seed_states(self.master_seed, namespace, offset, n_paths)
         states = pcg64_states(seeds)[:, word_order()]

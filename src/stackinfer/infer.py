@@ -9,7 +9,9 @@ pairwise tree every total over the grid is summed in
 estimates by their precisions and admits an online update. Discrete
 observations get a joint estimator of the dilation factor and the noise
 level built from exact one-step transition quantities. Each estimator is
-written once, over rows of paths; a single path is a one-row call.
+written once, over rows of paths; a single path is a one-row call. On one
+leader path the continuous estimate of an Euler follower path is affine in
+the path's shocks, and ``_replay_law`` gives that map exactly.
 """
 
 from __future__ import annotations
@@ -18,9 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegeneratePathError, FollowerModel, InvalidArgumentError, trapz_step_major
+from .core import (
+    DegeneratePathError,
+    FollowerModel,
+    InvalidArgumentError,
+    _affine_scan,
+    trapz_step_major,
+)
 from .riccati import FollowerRiccati
-from .simulate import PRECISION_FLOOR, SUB_NODES, FollowerPath, GProfile, _sub_step_integrals
+from .simulate import (
+    FISHER_FLOOR,
+    SUB_NODES,
+    FollowerPath,
+    GProfile,
+    _euler_tables,
+    _follower_nodes,
+    _informative,
+    _sub_step_integrals,
+)
 
 
 @dataclass(frozen=True)
@@ -79,11 +96,14 @@ class DiscreteJointEstimate:
     sigma2_hat: float
 
 
-def _check_precision(precision: float):
-    """A path whose precision is at or below the floor carries no information."""
-    if precision <= PRECISION_FLOOR:
+def _check_precision(precision: float, model: FollowerModel, what: str = "precision"):
+    """A path whose Fisher information is at or below ``FISHER_FLOOR``
+    carries no information (``simulate._informative``)."""
+    if not _informative(precision, model):
         raise DegeneratePathError(
-            f"precision {precision:.3g} is below the floor {PRECISION_FLOOR:.3g}"
+            f"{what} {precision:.3g} is below the floor "
+            f"{FISHER_FLOOR * model.noise_to_signal:.3g} (Fisher information "
+            f"{FISHER_FLOOR:.3g} times noise_to_signal)"
         )
 
 
@@ -94,12 +114,45 @@ def mle_continuous_batch(
     x = np.atleast_2d(np.asarray(x_paths, dtype=float, order="C"))
     if x.shape[1] != fr.grid.n_nodes:
         raise InvalidArgumentError(f"paths must have {fr.grid.n_nodes} columns")
-    _check_precision(gp.precision)
+    _check_precision(gp.precision, model)
     drift = trapz_step_major(np.multiply((fr.f * gp.g)[:, None], x.T, order="C"), fr.grid)
     # Not a matrix-vector product: its (BLAS) result depends on the row count.
     # x is C-ordered, so np.sum adds each row pairwise whatever the input's layout.
     ito = np.sum(np.diff(x, axis=1) * gp.g[:-1], axis=1)
     return (drift - ito) / (model.gain_sq_over_r * gp.precision)
+
+
+def _replay_law(
+    model: FollowerModel, fr: FollowerRiccati, b: np.ndarray, gp: GProfile
+) -> tuple[float, np.ndarray]:
+    """(m0, c) such that ``mle_continuous_batch`` on the Euler follower path
+    driven by a row of shocks eps is m0 + c . eps, exactly in exact
+    arithmetic, for one leader path: the follower's ``b`` and score
+    profile ``gp``.
+
+    The Euler follower (``simulate._euler_tables``) is affine in its shocks
+    and the estimator linear in the path, sum_j ell_j x_j / (gain *
+    precision), ell_j being the trapezoid drift weight h f_j g_j (halved at
+    the ends) less the Ito sums' weight g_{j-1} - g_j on x_j. m0 is the
+    estimate on the path with zero shocks, which draws none. c comes from
+    one backward (adjoint) pass, lam_j = ell_j + (1 + f_j h) lam_{j+1} from
+    lam_n = ell_n, solved by ``core._affine_scan`` as one reversed system
+    of width 1; then c_i = sigma sqrt(h) lam_{i+1} / (gain * precision).
+    """
+    grid = fr.grid
+    b = np.asarray(b, dtype=float)
+    if b.shape != (grid.n_nodes,) or gp.grid != grid:
+        raise InvalidArgumentError(f"b and the score profile must have {grid.n_nodes} nodes")
+    mult, drift, var = _euler_tables(model, fr, b, grid)
+    x0 = _follower_nodes(model, (mult, drift, var), np.zeros((1, grid.n_steps)), 1)
+    m0 = float(mle_continuous_batch(x0, gp, fr, model)[0])
+    g = gp.g
+    lam = grid.h * fr.f * g
+    lam[[0, -1]] *= 0.5
+    lam[:-1] += g[:-1]
+    lam[1:] -= g[:-1]
+    _affine_scan(mult[::-1, None, None], lam[::-1, None, None], 1)
+    return m0, model.sigma * np.sqrt(var) / (model.gain_sq_over_r * gp.precision) * lam[1:]
 
 
 def mle_continuous(
@@ -180,10 +233,7 @@ def _mle_discrete_rows(x: np.ndarray, tables, model: FollowerModel):
     innov = x[:, 1:] - x[:, :-1] * transition
     gain = model.gain_sq_over_r
     denom = float(np.sum(score_int**2 / var_int))
-    if denom <= PRECISION_FLOOR:
-        raise DegeneratePathError(
-            f"discrete precision {denom:.3g} is below the floor {PRECISION_FLOOR:.3g}"
-        )
+    _check_precision(denom, model, "discrete precision")
     m_hat = -np.sum(innov * score_int / var_int, axis=1) / (gain * denom)
     resid = innov + (m_hat * gain)[:, None] * score_int
     sigma2_hat = np.mean(resid**2 / var_int, axis=1)

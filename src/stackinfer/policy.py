@@ -29,6 +29,7 @@ from .core import (
     STREAM_INIT,
     STREAM_OPTIMIZER,
     TimeGrid,
+    _check_count,
 )
 from .riccati import DerivedCoefficients, FollowerRiccati, LeaderRiccati
 from . import simulate as sim
@@ -104,9 +105,7 @@ class RecurrentConfig:
         if self.window != 3:
             raise InvalidArgumentError("feature window is fixed at 3 recent states")
         for name in ("hidden_width", "out_width"):
-            width = getattr(self, name)
-            if not isinstance(width, int) or isinstance(width, bool) or width < 1:
-                raise InvalidArgumentError(f"{name} must be a positive integer")
+            _check_count(name, getattr(self, name), 1)
 
     @property
     def n_features(self) -> int:
@@ -268,12 +267,9 @@ class OptimizerConfig:
     eval_paths: int = 4096
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise InvalidArgumentError("budget must be >= 1")
-        if self.batch_size < 2:
-            raise InvalidArgumentError("batch_size must be >= 2")
-        if self.eval_paths < 2:
-            raise InvalidArgumentError("eval_paths must be >= 2")
+        for name, minimum in (("budget", 1), ("batch_size", 2), ("eval_every", 1),
+                              ("eval_paths", 2)):
+            _check_count(name, getattr(self, name), minimum)
         if self.objective not in ("fisher", "variance"):
             raise InvalidArgumentError(f"unknown objective {self.objective!r}")
 

@@ -59,9 +59,13 @@ from .core import (
 )
 from .riccati import DerivedCoefficients, FollowerRiccati, scaled_info_weight
 
-# Precision integrals at or below this count as degenerate: they are dropped
-# from reciprocal (variance) averages, and an estimate on them is refused.
-PRECISION_FLOOR = 1e-14
+# A path whose Fisher information, precision / noise_to_signal, is at or
+# below this counts as degenerate (``_informative``): it is dropped from
+# reciprocal (variance) averages, and an estimate on it is refused. The
+# information has no units, as the dilation has none, so the floor holds in
+# any units of length. At the shipped models' noise_to_signal of 0.01 it is
+# a precision of 1e-14.
+FISHER_FLOOR = 1e-12
 # Trapezoid sub-intervals per step or observation interval of the exact
 # one-step transition integrals.
 SUB_NODES = 16
@@ -333,8 +337,8 @@ def simulate_follower_batch(
 ) -> np.ndarray:
     """Batch of follower paths under the optimal response (rows are paths).
 
-    ``euler`` steps the drift f*x - (b_F^2/r_F)*b explicitly, with per-step
-    tables (1 + f h, (b_F^2/r_F) b h, h); ``exact`` samples the Gaussian
+    ``euler`` steps the drift f*x - (b_F^2/r_F)*b explicitly, with the
+    per-step tables ``_euler_tables`` builds; ``exact`` samples the Gaussian
     one-step transition of the linear SDE, with the tables
     ``_exact_transition_tables`` builds by sub-quadrature. Both run
     ``_follower_nodes`` at stride 1, which a caller holding the exact
@@ -358,13 +362,16 @@ def simulate_follower_batch(
         raise InvalidArgumentError(f"unknown simulation mode {mode!r}")
 
     # Both modes step x[j+1] = mult[j] x[j] - drift[j] + sigma sqrt(var[j]) shock[j].
-    n = grid.n_steps
-    if mode == "euler":
-        h = grid.h
-        tables = (1.0 + fr.f[:-1] * h, model.gain_sq_over_r * b[..., :-1] * h, np.full(n, h))
-    else:
-        tables = _exact_transition_tables(model, fr, b, grid)
+    tables = (_euler_tables if mode == "euler" else _exact_transition_tables)(model, fr, b, grid)
     return _follower_nodes(model, tables, shocks, 1)
+
+
+def _euler_tables(model: FollowerModel, fr: FollowerRiccati, b: np.ndarray, grid: TimeGrid):
+    """Per-step (mult, drift, var) of the Euler follower, (1 + f h,
+    (b_F^2/r_F) b h, h); rows of a 2-D ``b`` are arms, each with its own
+    row of drifts."""
+    h = grid.h
+    return 1.0 + fr.f[:-1] * h, model.gain_sq_over_r * b[..., :-1] * h, np.full(grid.n_steps, h)
 
 
 def _follower_nodes(model: FollowerModel, tables, shocks: np.ndarray, stride: int):
@@ -606,6 +613,13 @@ def _mean_square(v: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray
     return np.square(centre) + np.sum((response @ cov) * response, axis=1)
 
 
+def _informative(precision, follower: FollowerModel):
+    """Whether each precision's Fisher information is above ``FISHER_FLOOR``,
+    compared as precision > FISHER_FLOOR * noise_to_signal, so a noiseless
+    follower divides nothing and counts only precision 0 (or NaN) degenerate."""
+    return precision > FISHER_FLOOR * follower.noise_to_signal
+
+
 def objective_paths(
     leader: LeaderModel,
     follower: FollowerModel,
@@ -618,16 +632,16 @@ def objective_paths(
     The information (``fisher``) objective is j_primary less the scaled
     inference weight times the precision, on every path. The ``variance``
     objective is j_primary plus inference_weight * noise_to_signal over the
-    precision, on the paths whose precision is above ``PRECISION_FLOOR``
-    (a NaN precision counts as degenerate); ``DegenerateEnsembleError`` is
-    raised when no path is left.
+    precision, on the paths whose Fisher information is above
+    ``FISHER_FLOOR`` (a NaN precision counts as degenerate);
+    ``DegenerateEnsembleError`` is raised when no path is left.
     """
     if objective == "fisher":
         return -scaled_info_weight(leader, follower) * precision + j_primary
-    good = precision > PRECISION_FLOOR
+    good = _informative(precision, follower)
     if not np.any(good):
         raise DegenerateEnsembleError(
-            f"all {len(precision)} paths have precision at or below {PRECISION_FLOOR}"
+            f"all {len(precision)} paths have Fisher information at or below {FISHER_FLOOR}"
         )
     return leader.inference_weight * follower.noise_to_signal / precision[good] + j_primary[good]
 

@@ -908,7 +908,8 @@ def tradeoff_sweep_per_arm(cfg, chunk_rows):
 
 
 def estimator_study_per_arm(cfg, chunk_rows):
-    """(estimator rows, bias-curve rows) of the estimator study, one weight at a time."""
+    """(estimator rows, bias-curve rows) of the estimator study, one weight at
+    a time, every replay simulated and estimated."""
     import stackinfer as si
     from stackinfer.core import STREAM_FOLLOWER, STREAM_LEADER
 
@@ -935,9 +936,17 @@ def estimator_study_per_arm(cfg, chunk_rows):
             shocks = rng.normal_matrix(stop - start, grid.n_steps, STREAM_FOLLOWER, start)
             xs = si.simulate_follower_batch(follower, fr, b, grid, shocks)
             m_hats[start:stop] = si.mle_continuous_batch(xs, gp, fr, follower)
+        # The exact conditional law by the same route: the estimates on the
+        # zero row and on one unit impulse per step are m0 and m0 + c_i.
+        impulses = np.vstack([np.zeros(grid.n_steps), np.eye(grid.n_steps)])
+        response = si.mle_continuous_batch(
+            si.simulate_follower_batch(follower, fr, b, grid, impulses), gp, fr, follower
+        )
+        c = response[1:] - response[0]
         rows.append([lam, gp.precision, float(np.mean(m_hats)) - follower.dilation,
                      float(np.std(m_hats, ddof=1) / math.sqrt(n_replays)),
                      float(np.var(m_hats, ddof=1)), follower.noise_to_signal / gp.precision,
+                     response[0] - follower.dilation, float(np.sum(c * c)),
                      n_replays, cfg.master_seed])
         running = np.cumsum(m_hats) / np.arange(1, n_replays + 1)
         for n_used in checkpoints:

@@ -791,6 +791,38 @@ class TestStudySurfaces:
             outs[tag] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert outs["whole"] == outs["chunked"]
 
+    def test_estimator_study_runs_in_any_units_of_length(self, tmp_path):
+        # Lengths (both agents' x0 and sigma, the target's amplitude) times
+        # c = 2^-20 and information weights times c^2: the degeneracy floor
+        # is on the Fisher information, which has no units, so the study
+        # runs, and every file is the shipped study's, the weights and
+        # precisions scaled by exactly c^2.
+        doc = json.loads((ROOT / "configs" / "estimator_study.json").read_text())
+        doc["study"]["n_replays"] = 200
+        c = 2.0**-20
+        scaled = copy.deepcopy(doc)
+        for agent in ("follower", "leader"):
+            scaled[agent]["x0"] *= c
+            scaled[agent]["sigma"] *= c
+        scaled["leader"]["target"]["amplitude"] *= c
+        scaled["leader"]["inference_weight"] *= c * c
+        scaled["study"]["inference_weights"] = [lam * c * c for lam in
+                                                doc["study"]["inference_weights"]]
+        tables = {}
+        for tag, run_doc in (("shipped", doc), ("scaled", scaled)):
+            out = tmp_path / tag
+            path = write_doc(tmp_path, run_doc, f"{tag}.json")
+            assert cli.main(["run", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+            tables[tag] = {p.name: list(csv.reader(p.read_text().splitlines()))
+                           for p in sorted(out.glob("*.csv"))}
+        assert tables["shipped"].keys() == tables["scaled"].keys()
+        for name, (header, *rows) in tables["shipped"].items():
+            assert tables["scaled"][name][0] == header
+            for row, scaled_row in zip(rows, tables["scaled"][name][1:], strict=True):
+                for column, cell, scaled_cell in zip(header, row, scaled_row):
+                    power = 2 if column in ("inference_weight", "precision") else 0
+                    assert float(scaled_cell) == float(cell) * c**power, (name, column)
+
     def test_estimator_study_variance_ordering(self, tmp_path):
         doc = make_doc(name="estimator-study", inference_weights=[0.0, 0.5],
                        n_replays=400)

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stackinfer as si
+from conftest import make_follower, make_leader
 from stackinfer import _seedseq
 
 # Stream keys of test_matrix_matches_streams: master seeds past 2**128,
@@ -288,3 +290,49 @@ class TestModelValidation:
             si.Trajectory(grid=grid, values=np.array([0.0, 1.0]))
         with pytest.raises(si.InvalidArgumentError):
             si.Trajectory(grid=grid, values=np.array([0.0, np.nan, 1.0]))
+
+
+FOLLOWER_FIELDS = ("a_drift", "b_control", "sigma", "x0", "q_track", "r_control",
+                   "entropy_weight", "dilation")
+LEADER_FIELDS = ("a_drift", "b_control", "sigma", "x0", "q_track", "r_control",
+                 "q_terminal", "inference_weight")
+RNG = si.RngContract(0)
+
+# (call, the field its refusal names): one bad argument per call, at the
+# boundary where it enters the library.
+BAD_ARGUMENTS = [
+    *[(lambda f=f, v=v: make_follower(**{f: v}), f)
+      for f in FOLLOWER_FIELDS for v in (math.nan, math.inf)],
+    (lambda: make_follower(b_control=0.0), "b_control"),
+    *[(lambda f=f: make_leader(**{f: math.nan}), f) for f in LEADER_FIELDS],
+    (lambda: make_leader(inference_weight=-math.inf), "inference_weight"),
+    (lambda: si.Sinusoid(amplitude=math.nan, omega=1.0), "amplitude"),
+    (lambda: si.Sinusoid(amplitude=0.1, omega=math.inf), "omega"),
+    (lambda: si.build_grid(0.5, 2.7), "n_steps"),
+    (lambda: si.build_grid(0.5, True), "n_steps"),
+    (lambda: si.TimeGrid(0.5, 2.5), "n_steps"),
+    (lambda: RNG.stream(-1), "key[0]"),
+    (lambda: RNG.stream(0, 1.5), "key[1]"),
+    (lambda: RNG.stream(True), "key[0]"),
+    (lambda: RNG.normals(-1, 0, 0), "n"),
+    (lambda: RNG.normals(2.5, 0), "n"),
+    (lambda: RNG.normals(3, 0, -1), "key[1]"),
+    (lambda: RNG.normal_matrix(2.5, 3, 0), "n_paths"),
+    (lambda: RNG.normal_matrix(3, True, 0), "n"),
+    (lambda: RNG.normal_matrix(3, 4, 0.5), "namespace"),
+    (lambda: RNG.normal_matrix(3, 4, 0, offset=1.5), "offset"),
+    (lambda: si.OptimizerConfig(eval_every=0), "eval_every"),
+    (lambda: si.OptimizerConfig(eval_every=-1), "eval_every"),
+    (lambda: si.OptimizerConfig(budget=2.5), "budget"),
+    (lambda: si.OptimizerConfig(batch_size=True), "batch_size"),
+]
+
+
+@pytest.mark.parametrize("call, field", BAD_ARGUMENTS,
+                         ids=[f"{i}-{field}" for i, (_, field) in enumerate(BAD_ARGUMENTS)])
+def test_bad_argument_is_refused_by_name(call, field):
+    # Non-finite model fields, b_control 0, and negative, fractional or bool
+    # counts and stream keys raise InvalidArgumentError naming the field,
+    # never numpy's ValueError or TypeError, a ZeroDivisionError or a solve.
+    with pytest.raises(si.InvalidArgumentError, match=rf"^{re.escape(field)} must"):
+        call()

@@ -78,9 +78,12 @@ class TestFollowerQuadraticCoefficient:
         assert np.all(fr.f == a_drift)
 
     def test_zero_gain_refused(self):
-        model = make_follower(b_control=0.0)
+        # The model refuses b_control = 0 before any solve; the solve still
+        # refuses a gain 2 b^2 / r that underflows to 0.
         with pytest.raises(si.InvalidArgumentError, match="b_control"):
-            si.solve_follower_a(model, si.build_grid(HORIZON, 50))
+            si.solve_follower_a(make_follower(b_control=0.0), si.build_grid(HORIZON, 50))
+        with pytest.raises(si.InvalidArgumentError, match="b_control"):
+            si.solve_follower_a(make_follower(b_control=1e-170), si.build_grid(HORIZON, 50))
 
 
 class TestDerivedCoefficients:

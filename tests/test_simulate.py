@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import stackinfer as si
 from stackinfer.core import STREAM_LEADER
-from stackinfer.simulate import PRECISION_FLOOR, leader_batch_stats, objective_paths
+from stackinfer.simulate import FISHER_FLOOR, leader_batch_stats, objective_paths
 from conftest import HORIZON, constant_policy, make_follower, make_leader, zero_policy
 from oracles import (
     evaluate_follower_cost,
@@ -302,7 +302,8 @@ class TestObjectives:
 
     def test_degenerate_paths_leave_variance_only(self, follower):
         leader = make_leader(0.5)
-        precision = np.array([0.3, np.nan, PRECISION_FLOOR, 0.0, 0.5])
+        # The third path sits at the floor: its Fisher information is FISHER_FLOOR.
+        precision = np.array([0.3, np.nan, FISHER_FLOOR * follower.noise_to_signal, 0.0, 0.5])
         j_p = np.arange(1.0, 6.0)
         fisher = objective_paths(leader, follower, precision, j_p, "fisher")
         info = si.scaled_info_weight(leader, follower)
@@ -310,6 +311,14 @@ class TestObjectives:
         variance = objective_paths(leader, follower, precision, j_p, "variance")
         scale = leader.inference_weight * follower.noise_to_signal
         assert np.array_equal(variance, scale / precision[[0, 4]] + j_p[[0, 4]])
+
+    def test_noiseless_follower_floors_only_zero_precision(self):
+        # noise_to_signal is 0, so the floor is 0: it is compared as a
+        # product, never as 0 / 0, and only the zero and NaN precisions drop.
+        follower = make_follower(sigma=0.0)
+        precision = np.array([0.0, 1e-300, np.nan])
+        variance = objective_paths(make_leader(0.5), follower, precision, np.ones(3), "variance")
+        assert np.array_equal(variance, [1.0])
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(1e-6, 10.0), min_size=2, max_size=30))

@@ -1,5 +1,7 @@
+import json
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +97,21 @@ SWEEP_MODEL_STEPS = MODEL["grid"]["n_steps"]
 # and 2000 paths), in chunks of 20, 70 and 5242 rows.
 SWEEP_MEAN_RTOL = 1e-14
 ESTIMATOR = {"name": "estimator-study", "inference_weights": [0.0, 0.5, 0.93], "n_replays": 200}
+# The estimator study's cells against the per-arm loop that simulates and
+# estimates every replay: (absolute or relative, bound) per column, bitwise
+# for the columns not listed. Each replay agrees within a few ulps of its
+# terms (test_agreement.py's replay-law property). On this model the largest
+# gaps measured were 2.9e-15 for cond_bias, 2.6e-15 for cond_bias_exact and
+# 3.6e-15 for running_bias, and 6.7e-16 relative for sample_cond_var and
+# 2.2e-15 for cond_var_exact.
+ESTIMATOR_TOLERANCES = {
+    "cond_bias": ("abs", 1e-13),
+    "cond_bias_exact": ("abs", 1e-13),
+    "running_bias": ("abs", 1e-13),
+    "bias_se": ("rel", 1e-13),
+    "sample_cond_var": ("rel", 1e-13),
+    "cond_var_exact": ("rel", 1e-13),
+}
 
 
 def study_config(study):
@@ -257,12 +274,31 @@ class TestCommonNoise:
 
     @pytest.mark.parametrize("chunk_rows", [20, 70])
     def test_estimator_study_matches_the_per_arm_loop(self, monkeypatch, chunk_rows):
+        # The study's replays are m0 + c . eps, the loop's are simulated and
+        # estimated, so the cells built from replays, and the exact columns,
+        # agree to rounding (ESTIMATOR_TOLERANCES); every other cell is
+        # bitwise equal.
         monkeypatch.setattr(studies, "CHUNK_ELEMENTS", chunk_rows * 50)
         cfg = study_config(ESTIMATOR)
         tables = studies.run_study(cfg).tables
         rows, curve_rows = estimator_study_per_arm(cfg, chunk_rows)
-        assert tables["estimator"][1] == rows
-        assert tables["bias_curve"][1] == curve_rows
+        for name, want_rows in (("estimator", rows), ("bias_curve", curve_rows)):
+            header, got_rows = tables[name]
+            got, want = np.array(got_rows, dtype=float), np.array(want_rows, dtype=float)
+            assert got.shape == want.shape, name
+            for col, column in enumerate(header):
+                scale, tol = ESTIMATOR_TOLERANCES.get(column, ("abs", 0.0))
+                bound = tol * (np.abs(want[:, col]) if scale == "rel" else 1.0)
+                assert np.all(np.abs(got[:, col] - want[:, col]) <= bound), column
+
+    def test_estimator_replay_blocks_leave_the_estimates_unchanged(self, monkeypatch):
+        # The replays' products are formed in blocks of rows of one buffer:
+        # 7-row blocks, which do not divide the 70-row chunks, give the bits
+        # of one block per chunk.
+        monkeypatch.setattr(studies, "CHUNK_ELEMENTS", 70 * 50)
+        whole = studies.run_study(study_config(ESTIMATOR)).tables
+        monkeypatch.setattr(studies, "REPLAY_BLOCK_ELEMENTS", 7 * 50)
+        assert studies.run_study(study_config(ESTIMATOR)).tables == whole
 
     def test_arms_let_go_of_their_paths(self):
         # Five ratios may hold five arms' result vectors, not an earlier
@@ -277,3 +313,25 @@ class TestCommonNoise:
         one = traced_peak(sweep, [1.0])
         five = traced_peak(sweep, SWEEP["ratios"])
         assert five <= 1.1 * (one + 5 * 3 * n_paths * 8), (one, five)
+
+
+def test_exact_bias_and_variance_gap_fall_at_first_order():
+    # On the shipped estimator study's noiseless leader path, the exact
+    # conditional bias and the exact variance's gap above the continuous-time
+    # formula are grid error of the Euler scheme: each halves as the grid
+    # doubles (measured ratios 2.000 to 2.004 for both, at every weight).
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" /
+                      "estimator_study.json").read_text())
+    doc["leader"]["sigma"] = 0.0
+    doc["study"]["n_replays"] = 10
+    errors = []
+    for n_steps in (50, 100, 200):
+        doc["grid"]["n_steps"] = n_steps
+        header, rows = studies.run_study(validate_config(doc)).tables["estimator"]
+        col = {name: header.index(name) for name in
+               ("cond_bias_exact", "cond_var_exact", "formula_cond_var")}
+        errors.append([(row[col["cond_bias_exact"]],
+                        row[col["cond_var_exact"]] - row[col["formula_cond_var"]])
+                       for row in rows])
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((1.9 < ratios) & (ratios < 2.1)), ratios
